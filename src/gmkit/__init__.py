@@ -8,6 +8,7 @@ the matched group or any distance.
 """
 
 from .core import (
+    CodeMatrix,
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
@@ -39,8 +40,6 @@ from .evaluation import (
 )
 from .learning import (
     AssignmentMatrix,
-    GroupRepresentations,
-    HashMatrix,
     Model,
     ObjectiveBreakdown,
     e_step,
@@ -60,10 +59,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentMatrix",
+    "CodeMatrix",
     "Dataset",
     "GmkitError",
-    "GroupRepresentations",
-    "HashMatrix",
     "IdentificationReport",
     "Model",
     "ModelConfig",

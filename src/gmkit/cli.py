@@ -18,7 +18,7 @@ import configparser
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -289,12 +289,9 @@ def _run_eval(args, overrides, mode: str) -> int:
         base = cfg.model
         for value in sweep:
             if axis == "m":
-                num_groups = max(1, n // value)
-                point = ModelConfig(base.code_length, base.sparsity, num_groups, base.within_weight,
-                                    base.between_weight, base.max_outer_iters, base.convergence_tol, base.seed)
+                point = replace(base, num_groups=max(1, n // value))
             else:
-                point = ModelConfig(base.code_length, value, base.num_groups, base.within_weight,
-                                    base.between_weight, base.max_outer_iters, base.convergence_tol, base.seed)
+                point = replace(base, sparsity=value)
             model = train(dataset.enrolled, point)
             metrics = _metrics_row(model, dataset, point.seed)
             rows.append((value, metrics))
@@ -310,8 +307,9 @@ def cmd_protocol_demo(args, overrides) -> int:
     if overrides:
         raise ConfigError("protocol-demo takes flags only, no config overrides")
     model = load_model(args.model)
-    if not 0 <= args.query_index < model.codes.num_codes:
-        raise ConfigError(f"query index {args.query_index} out of range [0, {model.codes.num_codes})")
+    num_codes = model.assignments.num_signatures
+    if not 0 <= args.query_index < num_codes:
+        raise ConfigError(f"query index {args.query_index} out of range [0, {num_codes})")
     seed = args.seed
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:

@@ -23,6 +23,16 @@ UNIT_NORM_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-8
 
 
+def _check_query_vectors(vectors, dim: int, what: str, shape_error: type) -> None:
+    """Each vector must have shape (dim,) (else ``shape_error``) and unit norm
+    within UNIT_NORM_TOL (else InvalidInputError)."""
+    for vec in vectors:
+        if vec.shape != (dim,):
+            raise shape_error(f"{what} dimension mismatch")
+        if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
+            raise InvalidInputError(f"{what} is not unit norm")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -89,6 +99,30 @@ class ProjectionMatrix:
         return self.data.shape[1]
 
 
+def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
+    """Read-only int8 copy of a code (``ndim`` 1) or of l x K codes stored
+    columnwise (``ndim`` 2), after checking that every entry lies in
+    {-1, 0, +1} and every column has exactly ``sparsity`` nonzeros.
+
+    Integer-valued floats are accepted.  The alphabet is checked before the
+    sparsity, over the whole array at once.
+    """
+    s = np.asarray(symbols)
+    if s.ndim != ndim:
+        raise DimensionError(f"codes must be {ndim}-D, got shape {s.shape}")
+    if not np.all((s == 0) | (s == 1) | (s == -1)):
+        raise InvalidInputError("code symbols must lie in {-1, 0, +1}")
+    length = s.shape[0]
+    if not 1 <= sparsity < length:
+        raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={length}")
+    nnz = np.atleast_1d(np.count_nonzero(s, axis=0))
+    wrong = np.flatnonzero(nnz != sparsity)
+    if wrong.size:
+        j = wrong[0]
+        raise InvalidSparsityError(f"code {j} has {nnz[j]} nonzeros, declared sparsity {sparsity}")
+    return _frozen(s.astype(np.int8, copy=False))
+
+
 @dataclass(frozen=True)
 class TernaryCode:
     """Length-l vector over {-1, 0, +1} with exactly ``sparsity`` nonzeros."""
@@ -97,18 +131,7 @@ class TernaryCode:
     sparsity: int
 
     def __post_init__(self):
-        s = np.asarray(self.symbols)
-        if s.ndim != 1:
-            raise DimensionError(f"code must be 1-D, got shape {s.shape}")
-        if not np.all(np.isin(s, (-1, 0, 1))):
-            raise InvalidInputError("code symbols must lie in {-1, 0, +1}")
-        s = s.astype(np.int8)
-        if not 1 <= self.sparsity < s.size:
-            raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={self.sparsity} length={s.size}")
-        nnz = int(np.count_nonzero(s))
-        if nnz != self.sparsity:
-            raise InvalidSparsityError(f"code has {nnz} nonzeros, declared sparsity {self.sparsity}")
-        object.__setattr__(self, "symbols", _frozen(s))
+        object.__setattr__(self, "symbols", _checked_codes(self.symbols, self.sparsity, 1))
 
     @property
     def length(self) -> int:
@@ -116,6 +139,33 @@ class TernaryCode:
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.symbols)
+
+
+@dataclass(frozen=True)
+class CodeMatrix:
+    """Exactly-S ternary codes stored columnwise (l x K).
+
+    Holds both the per-signature codes E (one column per signature) and the
+    group representations R (one column per group); with one member per
+    group the two coincide, so the column count is called ``num_groups``.
+    """
+
+    codes: np.ndarray
+    sparsity: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "codes", _checked_codes(self.codes, self.sparsity, 2))
+
+    @property
+    def code_length(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def num_groups(self) -> int:
+        return self.codes.shape[1]
+
+    def column(self, j: int) -> TernaryCode:
+        return TernaryCode(self.codes[:, j], self.sparsity)
 
 
 @dataclass(frozen=True)
@@ -157,31 +207,31 @@ class ModelConfig:
             raise ConfigError("convergence_tol must be nonnegative")
 
 
-def ternarize_dense(values: np.ndarray, sparsity: int) -> np.ndarray:
-    """Ternary quantization of a real vector, returned as a raw int8 array.
+def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:
+    """Columnwise ternarization of a 2-D float64 array (int8 result).
 
-    The ``sparsity`` largest-magnitude components become +/-1 by sign, the
-    rest 0.  Ties are broken toward the lowest index and sign(0) is +1, so
-    the result is deterministic for any input.
+    In every column the ``sparsity`` largest-magnitude entries become +/-1
+    by sign, the rest 0.  Ties are broken toward the lowest index and
+    sign(0) is +1, so the result is deterministic for any input.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(m)):
         raise InvalidInputError("cannot ternarize non-finite values")
-    if not 1 <= sparsity < v.size:
-        raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={v.size}")
-    # stable sort on -|v|: equal magnitudes keep ascending index order
-    order = np.argsort(-np.abs(v), kind="stable")
-    keep = order[:sparsity]
-    out = np.zeros(v.size, dtype=np.int8)
-    out[keep] = np.where(v[keep] < 0, -1, 1)
+    if not 1 <= sparsity < m.shape[0]:
+        raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={m.shape[0]}")
+    # stable sort on -|m|: equal magnitudes keep ascending index order
+    keep = np.argsort(-np.abs(m), axis=0, kind="stable")[:sparsity]
+    cols = np.arange(m.shape[1])
+    out = np.zeros(m.shape, dtype=np.int8)
+    out[keep, cols] = np.where(m[keep, cols] < 0, -1, 1)
     return out
 
 
 def ternarize(values: np.ndarray, sparsity: int) -> TernaryCode:
     """Quantize a real vector to a :class:`TernaryCode` with exact sparsity."""
-    return TernaryCode(ternarize_dense(values, sparsity), sparsity)
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionError(f"expected a vector, got shape {v.shape}")
+    return TernaryCode(_ternarize_checked(v[:, None], sparsity)[:, 0], sparsity)
 
 
 def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
@@ -189,7 +239,7 @@ def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {m.shape}")
-    return np.column_stack([ternarize_dense(m[:, j], sparsity) for j in range(m.shape[1])])
+    return _ternarize_checked(m, sparsity)
 
 
 def embed(projection: ProjectionMatrix, signature: np.ndarray, sparsity: int) -> TernaryCode:

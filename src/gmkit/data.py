@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignatureMatrix, UNIT_NORM_TOL
+from .core import SignatureMatrix, _check_query_vectors
 from .errors import ConfigError, InvalidInputError, ParseError
 
 ENROLLED_FILE = "enrolled.csv"
@@ -67,18 +67,11 @@ class Dataset:
     def __post_init__(self):
         d = self.enrolled.dim
         n = self.enrolled.num_signatures
-        for vec, idx in self.genuine_queries:
-            if vec.shape != (d,):
-                raise ConfigError("genuine query dimension mismatch")
+        for _, idx in self.genuine_queries:
             if not 0 <= idx < n:
                 raise ConfigError(f"genuine query identity {idx} out of range")
-            if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
-                raise InvalidInputError("genuine query is not unit norm")
-        for vec in self.impostors:
-            if vec.shape != (d,):
-                raise ConfigError("impostor dimension mismatch")
-            if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
-                raise InvalidInputError("impostor query is not unit norm")
+        _check_query_vectors((vec for vec, _ in self.genuine_queries), d, "genuine query", ConfigError)
+        _check_query_vectors(self.impostors, d, "impostor query", ConfigError)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, UNIT_NORM_TOL, embed
+from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_vectors, embed
 from .data import Dataset
-from .errors import ConfigError, DimensionError, InvalidInputError
+from .errors import ConfigError, DimensionError
 from .learning import Model
 
 TARGET_PFP = 0.05
@@ -39,19 +39,11 @@ class QuerySet:
     def __post_init__(self):
         if not self.genuine or not self.impostors:
             raise ConfigError("query set needs at least one genuine and one impostor query")
+        if any(group < 0 for _, group in self.genuine):
+            raise ConfigError("negative group index")
         dim = self.genuine[0][0].size
-        for vec, group in self.genuine:
-            if vec.shape != (dim,):
-                raise DimensionError("genuine query dimension mismatch")
-            if group < 0:
-                raise ConfigError("negative group index")
-            if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
-                raise InvalidInputError("genuine query is not unit norm")
-        for vec in self.impostors:
-            if vec.shape != (dim,):
-                raise DimensionError("impostor query dimension mismatch")
-            if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
-                raise InvalidInputError("impostor query is not unit norm")
+        _check_query_vectors((vec for vec, _ in self.genuine), dim, "genuine query", DimensionError)
+        _check_query_vectors(self.impostors, dim, "impostor query", DimensionError)
 
 
 @dataclass(frozen=True)

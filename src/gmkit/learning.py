@@ -27,78 +27,21 @@ that is enforced at runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
+    CodeMatrix,
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
-    TernaryCode,
     ternarize_columns,
 )
 from .errors import ConfigError, DegenerateProcrustesError, DimensionError, GmkitError
 
 KMEANS_ITER_CAP = 100
 _MONOTONE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class HashMatrix:
-    """Ternary hash codes of the enrolled signatures, one per column (l x N)."""
-
-    codes: np.ndarray
-    sparsity: int
-
-    def __post_init__(self):
-        c = np.asarray(self.codes)
-        if c.ndim != 2:
-            raise DimensionError(f"hash matrix must be 2-D, got shape {c.shape}")
-        for j in range(c.shape[1]):
-            TernaryCode(c[:, j], self.sparsity)  # validates alphabet + exact sparsity
-        c = np.array(c, dtype=np.int8)
-        c.setflags(write=False)
-        object.__setattr__(self, "codes", c)
-
-    @property
-    def code_length(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def num_codes(self) -> int:
-        return self.codes.shape[1]
-
-    def column(self, i: int) -> TernaryCode:
-        return TernaryCode(self.codes[:, i], self.sparsity)
-
-
-@dataclass(frozen=True)
-class GroupRepresentations:
-    """One ternary representation per group, stored columnwise (l x M)."""
-
-    codes: np.ndarray
-    sparsity: int
-
-    def __post_init__(self):
-        c = np.asarray(self.codes)
-        if c.ndim != 2:
-            raise DimensionError(f"representations must be 2-D, got shape {c.shape}")
-        for j in range(c.shape[1]):
-            TernaryCode(c[:, j], self.sparsity)
-        c = np.array(c, dtype=np.int8)
-        c.setflags(write=False)
-        object.__setattr__(self, "codes", c)
-
-    @property
-    def code_length(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def num_groups(self) -> int:
-        return self.codes.shape[1]
-
-    def column(self, g: int) -> TernaryCode:
-        return TernaryCode(self.codes[:, g], self.sparsity)
 
 
 @dataclass(frozen=True)
@@ -161,8 +104,8 @@ class Model:
     """Learned state bundle plus the objective trace that produced it."""
 
     projection: ProjectionMatrix
-    codes: HashMatrix
-    representations: GroupRepresentations
+    codes: CodeMatrix
+    representations: CodeMatrix
     assignments: AssignmentMatrix
     config: ModelConfig
     objective_trace: tuple[ObjectiveBreakdown, ...]
@@ -171,23 +114,23 @@ class Model:
         l = self.projection.code_length
         if self.codes.code_length != l or self.representations.code_length != l:
             raise DimensionError("code length mismatch across model members")
-        if self.assignments.num_signatures != self.codes.num_codes:
+        if self.assignments.num_signatures != self.codes.codes.shape[1]:
             raise DimensionError("assignment length does not match number of codes")
         if self.assignments.num_groups != self.representations.num_groups:
             raise DimensionError("assignment group count does not match representations")
 
 
-def embedding_cost(signatures: SignatureMatrix, projection: ProjectionMatrix, codes: HashMatrix) -> float:
+def embedding_cost(signatures: SignatureMatrix, projection: ProjectionMatrix, codes: CodeMatrix) -> float:
     """Quantization loss ||E - W^T X||_F^2."""
     if projection.dim != signatures.dim:
         raise DimensionError("projection rows must match signature dimension")
-    if codes.code_length != projection.code_length or codes.num_codes != signatures.num_signatures:
+    if codes.codes.shape != (projection.code_length, signatures.num_signatures):
         raise DimensionError("code matrix shape does not match projection / signatures")
     resid = codes.codes.astype(np.float64) - projection.data.T @ signatures.data
     return float(np.sum(resid * resid))
 
 
-def scatter_traces(codes: HashMatrix, representations: GroupRepresentations, assignments: AssignmentMatrix) -> tuple[float, float]:
+def scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: AssignmentMatrix) -> tuple[float, float]:
     """(trace of within-group scatter, trace of between-group scatter).
 
     Computed through the Frobenius identities ||E - R Y||_F^2 and
@@ -195,7 +138,7 @@ def scatter_traces(codes: HashMatrix, representations: GroupRepresentations, ass
     """
     if codes.code_length != representations.code_length:
         raise DimensionError("code length mismatch between codes and representations")
-    if assignments.num_signatures != codes.num_codes:
+    if assignments.num_signatures != codes.codes.shape[1]:
         raise DimensionError("assignment length does not match number of codes")
     if assignments.num_groups != representations.num_groups:
         raise DimensionError("assignment group count does not match representations")
@@ -209,8 +152,8 @@ def scatter_traces(codes: HashMatrix, representations: GroupRepresentations, ass
 def objective(
     signatures: SignatureMatrix,
     projection: ProjectionMatrix,
-    codes: HashMatrix,
-    representations: GroupRepresentations,
+    codes: CodeMatrix,
+    representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
     between_weight: float,
@@ -223,22 +166,27 @@ def objective(
     return ObjectiveBreakdown.from_parts(emb, within, between, within_weight, between_weight)
 
 
-def _svd_projection(signatures: SignatureMatrix, codes: HashMatrix) -> ProjectionMatrix:
+def _cross_svd(signatures: SignatureMatrix, codes: CodeMatrix):
+    """The cross matrix X E^T and its thin SVD (u, s, vt)."""
+    if codes.codes.shape[1] != signatures.num_signatures:
+        raise DimensionError("codes and signatures count differ")
+    if not codes.code_length < signatures.dim:
+        raise DimensionError("code length must be smaller than the signature dimension")
+    cross = signatures.data @ codes.codes.astype(np.float64).T
+    return cross, np.linalg.svd(cross, full_matrices=False)
+
+
+def _svd_projection(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
     """W = U V^T from the thin SVD of X E^T; never raises on deficiency.
 
     When X E^T is rank deficient the SVD supplies an orthonormal completion
     for the undetermined directions (deterministic for a given input).
     """
-    if codes.num_codes != signatures.num_signatures:
-        raise DimensionError("codes and signatures count differ")
-    if not codes.code_length < signatures.dim:
-        raise DimensionError("code length must be smaller than the signature dimension")
-    cross = signatures.data @ codes.codes.astype(np.float64).T
-    u, _, vt = np.linalg.svd(cross, full_matrices=False)
+    _, (u, _, vt) = _cross_svd(signatures, codes)
     return ProjectionMatrix(u @ vt)
 
 
-def w_step(signatures: SignatureMatrix, codes: HashMatrix) -> ProjectionMatrix:
+def w_step(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
     """Orthogonality-constrained least squares update of the projection.
 
     With S = X E^T the update is W = U V^T from the thin SVD S = U diag s V^T,
@@ -254,12 +202,7 @@ def w_step(signatures: SignatureMatrix, codes: HashMatrix) -> ProjectionMatrix:
     this guard: converged clusterings legitimately collapse the code matrix
     onto few distinct columns.
     """
-    if codes.num_codes != signatures.num_signatures:
-        raise DimensionError("codes and signatures count differ")
-    if not codes.code_length < signatures.dim:
-        raise DimensionError("code length must be smaller than the signature dimension")
-    cross = signatures.data @ codes.codes.astype(np.float64).T
-    sv = np.linalg.svd(cross, compute_uv=False)
+    cross, (u, sv, vt) = _cross_svd(signatures, codes)
     rank = int(np.sum(sv > sv[0] * max(cross.shape) * np.finfo(np.float64).eps)) if sv[0] > 0 else 0
     if rank < codes.code_length:
         sig_rank = int(np.linalg.matrix_rank(signatures.data))
@@ -267,17 +210,17 @@ def w_step(signatures: SignatureMatrix, codes: HashMatrix) -> ProjectionMatrix:
             raise DegenerateProcrustesError(
                 f"cross matrix X E^T has numerical rank {rank} < {min(codes.code_length, sig_rank)}", rank=rank
             )
-    return _svd_projection(signatures, codes)
+    return ProjectionMatrix(u @ vt)
 
 
 def e_step(
     projection: ProjectionMatrix,
     signatures: SignatureMatrix,
-    representations: GroupRepresentations,
+    representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
     sparsity: int,
-) -> HashMatrix:
+) -> CodeMatrix:
     """Code update: columnwise ternarization of W^T X + lambda * R Y."""
     if within_weight < 0:
         raise ConfigError("within_weight must be nonnegative")
@@ -290,7 +233,7 @@ def e_step(
     target = projection.data.T @ signatures.data + within_weight * representations.codes[
         :, assignments.group_of
     ].astype(np.float64)
-    return HashMatrix(ternarize_columns(target, sparsity), sparsity)
+    return CodeMatrix(ternarize_columns(target, sparsity), sparsity)
 
 
 @dataclass(frozen=True)
@@ -402,35 +345,35 @@ def grouping_scale(within_weight: float, between_weight: float) -> float:
 
 
 def ry_step(
-    codes: HashMatrix,
+    codes: CodeMatrix,
     within_weight: float,
     between_weight: float,
     num_groups: int,
     rng: np.random.Generator,
-) -> tuple[GroupRepresentations, AssignmentMatrix]:
+) -> tuple[CodeMatrix, AssignmentMatrix]:
     """Grouping update: k-means on the scaled codes, then ternarize centroids.
 
     Expanding lambda * ||E - RY||^2 - gamma * ||RY||^2 shows the relaxed
     problem is k-means on the columns of c * E with c = lambda/(lambda-gamma);
     each final centroid is ternarized to produce its group representation.
     """
-    if num_groups > codes.num_codes:
-        raise ConfigError(f"cannot form {num_groups} groups from {codes.num_codes} codes")
+    if num_groups > codes.codes.shape[1]:
+        raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
     scale = grouping_scale(within_weight, between_weight)
     points = scale * codes.codes.astype(np.float64).T
     result = kmeans(points, num_groups, rng)
     reps = ternarize_columns(result.centroids.T, codes.sparsity)
-    return GroupRepresentations(reps, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
+    return CodeMatrix(reps, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 
 
 def _representations_for_fixed_groups(
-    codes: HashMatrix, assignments: AssignmentMatrix, scale: float
-) -> GroupRepresentations:
+    codes: CodeMatrix, assignments: AssignmentMatrix, scale: float
+) -> CodeMatrix:
     cols = np.empty((codes.code_length, assignments.num_groups), dtype=np.float64)
     dense = codes.codes.astype(np.float64)
     for g in range(assignments.num_groups):
         cols[:, g] = scale * dense[:, assignments.members(g)].mean(axis=1)
-    return GroupRepresentations(ternarize_columns(cols, codes.sparsity), codes.sparsity)
+    return CodeMatrix(ternarize_columns(cols, codes.sparsity), codes.sparsity)
 
 
 def _validate_train_dims(signatures: SignatureMatrix, config: ModelConfig) -> None:
@@ -444,8 +387,38 @@ def _validate_train_dims(signatures: SignatureMatrix, config: ModelConfig) -> No
 def _init_state(signatures: SignatureMatrix, config: ModelConfig, rng: np.random.Generator):
     q, _ = np.linalg.qr(rng.standard_normal((signatures.dim, config.code_length)))
     projection = ProjectionMatrix(q)
-    codes = HashMatrix(ternarize_columns(projection.data.T @ signatures.data, config.sparsity), config.sparsity)
+    codes = CodeMatrix(ternarize_columns(projection.data.T @ signatures.data, config.sparsity), config.sparsity)
     return projection, codes
+
+
+def _alternate(
+    signatures: SignatureMatrix,
+    config: ModelConfig,
+    rng: np.random.Generator,
+    group: Callable[[CodeMatrix], tuple[CodeMatrix, AssignmentMatrix]],
+) -> Model:
+    """The alternating loop behind :func:`train` and the baseline.
+
+    ``group`` is the grouping step: it maps the current codes to the group
+    representations and the assignment.
+    """
+    projection, codes = _init_state(signatures, config, rng)
+    reps, assign = group(codes)
+
+    trace: list[ObjectiveBreakdown] = []
+    prev_total = None
+    for _ in range(config.max_outer_iters):
+        projection = _svd_projection(signatures, codes)
+        codes = e_step(projection, signatures, reps, assign, config.within_weight, config.sparsity)
+        reps, assign = group(codes)
+        breakdown = objective(
+            signatures, projection, codes, reps, assign, config.within_weight, config.between_weight
+        )
+        trace.append(breakdown)
+        if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
+            break
+        prev_total = breakdown.total
+    return Model(projection, codes, reps, assign, config, tuple(trace))
 
 
 def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
@@ -458,23 +431,12 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)
-    projection, codes = _init_state(signatures, config, rng)
-    reps, assign = ry_step(codes, config.within_weight, config.between_weight, config.num_groups, rng)
-
-    trace: list[ObjectiveBreakdown] = []
-    prev_total = None
-    for _ in range(config.max_outer_iters):
-        projection = _svd_projection(signatures, codes)
-        codes = e_step(projection, signatures, reps, assign, config.within_weight, config.sparsity)
-        reps, assign = ry_step(codes, config.within_weight, config.between_weight, config.num_groups, rng)
-        breakdown = objective(
-            signatures, projection, codes, reps, assign, config.within_weight, config.between_weight
-        )
-        trace.append(breakdown)
-        if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
-            break
-        prev_total = breakdown.total
-    return Model(projection, codes, reps, assign, config, tuple(trace))
+    return _alternate(
+        signatures,
+        config,
+        rng,
+        lambda codes: ry_step(codes, config.within_weight, config.between_weight, config.num_groups, rng),
+    )
 
 
 def random_balanced_assignment(
@@ -496,27 +458,13 @@ def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelC
     """Baseline variant: the assignment is a fixed random balanced partition.
 
     Identical loop to :func:`train` except the grouping step only refreshes
-    centroids and representations; the assignment never changes.
+    centroids and representations; the assignment never changes.  The
+    partition is drawn before the initial state, from the same generator.
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)
     assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
     scale = grouping_scale(config.within_weight, config.between_weight)
-
-    projection, codes = _init_state(signatures, config, rng)
-    reps = _representations_for_fixed_groups(codes, assign, scale)
-
-    trace: list[ObjectiveBreakdown] = []
-    prev_total = None
-    for _ in range(config.max_outer_iters):
-        projection = _svd_projection(signatures, codes)
-        codes = e_step(projection, signatures, reps, assign, config.within_weight, config.sparsity)
-        reps = _representations_for_fixed_groups(codes, assign, scale)
-        breakdown = objective(
-            signatures, projection, codes, reps, assign, config.within_weight, config.between_weight
-        )
-        trace.append(breakdown)
-        if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
-            break
-        prev_total = breakdown.total
-    return Model(projection, codes, reps, assign, config, tuple(trace))
+    return _alternate(
+        signatures, config, rng, lambda codes: (_representations_for_fixed_groups(codes, assign, scale), assign)
+    )

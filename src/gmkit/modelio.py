@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ModelConfig, ProjectionMatrix
+from .core import CodeMatrix, ModelConfig, ProjectionMatrix
 from .errors import ParseError
-from .learning import AssignmentMatrix, GroupRepresentations, HashMatrix, Model, ObjectiveBreakdown
+from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
 
 _HEADER = "# gmkit model v1"
 
@@ -100,8 +100,8 @@ def load_model(path: str) -> Model:
         return rows
 
     projection = ProjectionMatrix(np.array(parse_rows("projection", float)))
-    codes = HashMatrix(np.array(parse_rows("codes", int)).T, config.sparsity)
-    reps = HashMatrix(np.array(parse_rows("representations", int)).T, config.sparsity)
+    codes = CodeMatrix(np.array(parse_rows("codes", int)).T, config.sparsity)
+    reps = CodeMatrix(np.array(parse_rows("representations", int)).T, config.sparsity)
     assignments_rows = parse_rows("assignments", int)
     if len(assignments_rows) != 1:
         raise ParseError(f"{path}: [assignments] must be a single row")
@@ -128,11 +128,4 @@ def load_model(path: str) -> Model:
             raise ParseError(f"{path}: [objective_trace] row {lineno} total is inconsistent with its parts")
         trace.append(entry)
 
-    return Model(
-        projection,
-        codes,
-        GroupRepresentations(reps.codes, config.sparsity),
-        assignments,
-        config,
-        tuple(trace),
-    )
+    return Model(projection, codes, reps, assignments, config, tuple(trace))

@@ -29,9 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..core import TernaryCode
+from ..core import CodeMatrix, TernaryCode
 from ..errors import DimensionError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
-from ..learning import GroupRepresentations
 from .elgamal import (
     MultiplicativeCiphertext,
     MultiplicativePublicKey,
@@ -168,7 +167,7 @@ def client_round1_encrypt_query(code: TernaryCode, pk: AdditivePublicKey, rng: r
 
 def server_round2_encrypted_correlations(
     encrypted_query: Sequence[int],
-    representations: GroupRepresentations,
+    representations: CodeMatrix,
     additive_pk: AdditivePublicKey,
     mult_pk: MultiplicativePublicKey,
     rng: random.Random,
@@ -274,7 +273,7 @@ def server_decide(values: Sequence[int], masks: Sequence[MaskPair], tau: int) ->
 
 def run_protocol(
     code: TernaryCode,
-    representations: GroupRepresentations,
+    representations: CodeMatrix,
     tau: int,
     rng: random.Random,
     params: Optional[SecurityParams] = None,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 Everything is seeded; the verdicts are stable across runs.
 """
 
+import hashlib
 import os
 import random
 import time
@@ -13,6 +14,7 @@ import pytest
 
 from gmkit.cli import main
 from gmkit.core import (
+    CodeMatrix,
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
@@ -32,8 +34,6 @@ from gmkit.evaluation import (
 )
 from gmkit.learning import (
     AssignmentMatrix,
-    GroupRepresentations,
-    HashMatrix,
     e_step,
     embedding_cost,
     grouping_scale,
@@ -80,7 +80,7 @@ def random_hash_matrix(code_length, n, sparsity, rng):
     for j in range(n):
         support = rng.choice(code_length, size=sparsity, replace=False)
         cols[support, j] = rng.choice([-1, 1], size=sparsity)
-    return HashMatrix(cols, sparsity)
+    return CodeMatrix(cols, sparsity)
 
 
 def random_protocol_code(length, sparsity, rng):
@@ -160,7 +160,7 @@ def test_c03_substep_oracle_equivalence():
         q, _ = np.linalg.qr(rng.standard_normal((d, code_length)))
         projection = ProjectionMatrix(q)
         codes = random_hash_matrix(code_length, n, sparsity, rng)
-        reps = GroupRepresentations(random_hash_matrix(code_length, num_groups, sparsity, rng).codes, sparsity)
+        reps = CodeMatrix(random_hash_matrix(code_length, num_groups, sparsity, rng).codes, sparsity)
         group_of = rng.integers(num_groups, size=n)
         group_of[:num_groups] = np.arange(num_groups)
         assignments = AssignmentMatrix(group_of, num_groups)
@@ -216,7 +216,7 @@ def test_c04_protocol_end_to_end():
     trials = 1000
     for _ in range(trials):
         code = random_protocol_code(code_length, sparsity, rng)
-        reps = GroupRepresentations(
+        reps = CodeMatrix(
             np.column_stack([random_protocol_code(code_length, sparsity, rng).symbols for _ in range(num_groups)]),
             sparsity,
         )
@@ -267,7 +267,7 @@ def test_c06_masking_blindness():
     rounds = 10_000
     for _ in range(rounds):
         code = random_protocol_code(code_length, sparsity, rng)
-        reps = GroupRepresentations(random_protocol_code(code_length, sparsity, rng).symbols.reshape(-1, 1), sparsity)
+        reps = CodeMatrix(random_protocol_code(code_length, sparsity, rng).symbols.reshape(-1, 1), sparsity)
         tau = rng.randint(0, 4 * sparsity)
         _, transcript = run_protocol(code, reps, tau, rng, params, keys)
         residue = transcript.message(5).payloads[0]
@@ -420,3 +420,36 @@ def test_c10_cli_determinism(tmp_path):
     ok = all(results.values())
     failing = [k for k, v in results.items() if not v]
     assert report(10, "cli-determinism", ok, "all six subcommands" if ok else f"nondeterministic: {failing}")
+
+
+# SHA-256 of (model.txt, train.log) written by ``train`` on CLI_CONFIG.
+# Recorded with Python 3.11, numpy 2.4.6 on x86-64; another BLAS/LAPACK build
+# may move the last bits of the SVD and so the bytes.  A change that alters
+# fixed-seed output must update these digests and say so in CHANGES.md.
+GOLDEN_TRAIN_DIGESTS = {
+    "train": (
+        "ae2ab640b59a50484dd569b40a2ff26902fd45008e85e73bffc6e0a63ecbd148",
+        "6be2f31ae60f003391ec62e10a98b46d0999b973210de9ae6f911577434535fe",
+    ),
+    "baseline": (
+        "4385b5be4892efa53f98d42ee1e088dcd047604f9972672a07865a8d540ac0ff",
+        "3749522ce0d4cd260c377c20c87b3762bca1dd905ba78cd9d4f71fd5a399943b",
+    ),
+}
+
+
+def test_c10_cli_golden_bytes(tmp_path):
+    out = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "exp.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(CLI_CONFIG.format(out=out))
+
+    digests = {}
+    for label, extra in (("train", []), ("baseline", ["--baseline-group-size", "4"])):
+        assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
+        digests[label] = tuple(
+            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ("model.txt", "train.log")
+        )
+    changed = [label for label, pinned in GOLDEN_TRAIN_DIGESTS.items() if digests[label] != pinned]
+    assert report(10, "cli-golden-bytes", not changed, "model.txt and train.log" if not changed else f"bytes changed: {changed}")

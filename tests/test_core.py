@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkit.core import (
+    CodeMatrix,
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
@@ -47,12 +48,20 @@ class TestTernarize:
     def test_all_zero_input_tie_breaks_to_lowest_index(self):
         code = ternarize(np.zeros(4), 1)
         assert code.symbols.tolist() == [1, 0, 0, 0]
+        m = np.zeros((4, 3))
+        m[:, 1] = [0.0, -1.0, 2.0, 0.0]  # one nonzero column between all-zero ones
+        assert ternarize_columns(m, 1).T.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
 
     def test_matches_sort_oracle_on_random_input(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             v = rng.standard_normal(64)
             assert ternarize(v, 16).symbols.tolist() == reference_ternarize(v, 16).tolist()
+        m = rng.standard_normal((64, 40))
+        batched = ternarize_columns(m, 16)
+        assert batched.dtype == np.int8
+        for j in range(m.shape[1]):
+            assert batched[:, j].tolist() == reference_ternarize(m[:, j], 16).tolist()
 
     def test_matches_sort_oracle_with_ties(self):
         rng = np.random.default_rng(8)
@@ -60,18 +69,34 @@ class TestTernarize:
             # quantized entries force plenty of magnitude ties
             v = np.round(rng.standard_normal(12) * 2) / 2
             assert ternarize(v, 4).symbols.tolist() == reference_ternarize(v, 4).tolist()
+        for sparsity in (1, 4, 11):
+            m = np.round(rng.standard_normal((12, 60)) * 2) / 2
+            m[:, 7] = 0.0  # all-zero column
+            m[:, 8] = -0.0
+            m[:, 9] = 0.5  # every magnitude tied
+            batched = ternarize_columns(m, sparsity)
+            for j in range(m.shape[1]):
+                assert batched[:, j].tolist() == reference_ternarize(m[:, j], sparsity).tolist()
 
     def test_rejects_sparsity_at_or_above_length(self):
         with pytest.raises(InvalidSparsityError):
             ternarize(np.ones(4), 4)
         with pytest.raises(InvalidSparsityError):
             ternarize(np.ones(4), 0)
+        for sparsity in (0, 4, 5):
+            with pytest.raises(InvalidSparsityError):
+                ternarize_columns(np.ones((4, 3)), sparsity)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             ternarize(np.array([1.0, np.nan, 0.0]), 1)
         with pytest.raises(InvalidInputError):
             ternarize(np.array([1.0, np.inf, 0.0]), 1)
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.ones((3, 4))
+            m[1, 2] = bad
+            with pytest.raises(InvalidInputError):
+                ternarize_columns(m, 1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(-6, 6))
     @settings(max_examples=60, deadline=None)
@@ -211,6 +236,48 @@ class TestTypes:
             TernaryCode(np.array([1, 0, 0, 0]), 2)
         with pytest.raises(InvalidInputError):
             TernaryCode(np.array([2, 0, 0, 0]), 1)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.integers(1, 6),
+        st.sampled_from(["none", "two", "half", "extra", "missing"]),
+        st.sampled_from([np.int8, np.int64, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_code_matrix_agrees_with_per_column_codes(self, seed, length, num_cols, corruption, dtype):
+        rng = np.random.default_rng(seed)
+        sparsity = int(rng.integers(1, length))
+        cols = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_cols)])
+        m = cols.astype(np.float64 if corruption == "half" else dtype)
+        j = int(rng.integers(num_cols))
+        if corruption == "two":
+            m[int(rng.integers(length)), j] = 2
+        elif corruption == "half":
+            m[int(rng.integers(length)), j] = 0.5
+        elif corruption == "extra":
+            m[int(rng.choice(np.flatnonzero(m[:, j] == 0))), j] = rng.choice([-1, 1])
+        elif corruption == "missing":
+            m[int(rng.choice(np.flatnonzero(m[:, j]))), j] = 0
+
+        def outcome(build):
+            try:
+                return build()
+            except (InvalidInputError, InvalidSparsityError) as exc:
+                return type(exc)
+
+        expected = {"two": InvalidInputError, "half": InvalidInputError,
+                    "extra": InvalidSparsityError, "missing": InvalidSparsityError}.get(corruption)
+        per_column = outcome(lambda: [TernaryCode(m[:, k], sparsity) for k in range(num_cols)])
+        batched = outcome(lambda: CodeMatrix(m, sparsity))
+        if expected is not None:
+            assert per_column is expected
+            assert batched is expected
+        else:
+            assert batched.codes.dtype == np.int8
+            assert not batched.codes.flags.writeable
+            assert np.array_equal(batched.codes, np.column_stack([c.symbols for c in per_column]))
+            assert batched.num_groups == num_cols and batched.code_length == length
 
     def test_model_config_invariants(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmkit.core import ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
+from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
 from gmkit.data import SyntheticSpec, generate
 from gmkit.errors import ConfigError
 from gmkit.evaluation import (
@@ -19,7 +19,7 @@ from gmkit.evaluation import (
     verification_sweep,
     verify,
 )
-from gmkit.learning import AssignmentMatrix, GroupRepresentations, HashMatrix, Model, train
+from gmkit.learning import AssignmentMatrix, Model, train
 
 
 def unit(v):
@@ -43,8 +43,8 @@ def build_model(projection, codes, reps, group_of, sparsity, seed=0):
     w = ProjectionMatrix(projection)
     return Model(
         w,
-        HashMatrix(codes, sparsity),
-        GroupRepresentations(reps, sparsity),
+        CodeMatrix(codes, sparsity),
+        CodeMatrix(reps, sparsity),
         AssignmentMatrix(group_of, reps.shape[1]),
         config,
         (),

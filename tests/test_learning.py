@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from gmkit.core import ModelConfig, ProjectionMatrix, SignatureMatrix, ternarize_columns
+from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, ternarize_columns
 from gmkit.data import SyntheticSpec, generate
 from gmkit.errors import ConfigError, DegenerateProcrustesError, DimensionError
 from gmkit.learning import (
     AssignmentMatrix,
-    GroupRepresentations,
-    HashMatrix,
     ObjectiveBreakdown,
     e_step,
     embedding_cost,
@@ -32,7 +30,7 @@ def random_hash_matrix(code_length, n, sparsity, rng):
     for j in range(n):
         support = rng.choice(code_length, size=sparsity, replace=False)
         cols[support, j] = rng.choice([-1, 1], size=sparsity)
-    return HashMatrix(cols, sparsity)
+    return CodeMatrix(cols, sparsity)
 
 
 def random_instance(rng, d=10, code_length=4, n=7, sparsity=2, num_groups=3):
@@ -40,11 +38,11 @@ def random_instance(rng, d=10, code_length=4, n=7, sparsity=2, num_groups=3):
     q, _ = np.linalg.qr(rng.standard_normal((d, code_length)))
     projection = ProjectionMatrix(q)
     codes = random_hash_matrix(code_length, n, sparsity, rng)
-    reps = HashMatrix(random_hash_matrix(code_length, num_groups, sparsity, rng).codes, sparsity)
+    reps = CodeMatrix(random_hash_matrix(code_length, num_groups, sparsity, rng).codes, sparsity)
     group_of = rng.integers(num_groups, size=n)
     group_of[:num_groups] = np.arange(num_groups)  # no empty group
     assignments = AssignmentMatrix(group_of, num_groups)
-    return signatures, projection, codes, GroupRepresentations(reps.codes, sparsity), assignments
+    return signatures, projection, codes, CodeMatrix(reps.codes, sparsity), assignments
 
 
 class TestEmbeddingCost:
@@ -52,13 +50,13 @@ class TestEmbeddingCost:
         # axis-aligned signatures make an exactly representable target
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.eye(3)[:, :1])
-        codes = HashMatrix(np.array([[1], [0]], dtype=np.int8), 1)
+        codes = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         assert embedding_cost(x, proj, codes) == pytest.approx(0.0)
 
     def test_hand_computed_single_column(self):
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.array([[0.5], [0.5], [np.sqrt(0.5)]]))
-        codes = HashMatrix(np.array([[1], [0]], dtype=np.int8), 1)
+        codes = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         assert embedding_cost(x, proj, codes) == pytest.approx(0.5)
 
     def test_matches_elementwise_loop(self):
@@ -69,7 +67,7 @@ class TestEmbeddingCost:
             expected = sum(
                 (float(codes.codes[i, j]) - target[i, j]) ** 2
                 for i in range(codes.code_length)
-                for j in range(codes.num_codes)
+                for j in range(codes.num_groups)
             )
             assert embedding_cost(signatures, projection, codes) == pytest.approx(expected, abs=1e-9)
 
@@ -77,13 +75,13 @@ class TestEmbeddingCost:
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.eye(3)[:, :1])
         with pytest.raises(DimensionError):
-            embedding_cost(x, proj, HashMatrix(np.array([[1], [0], [0]], dtype=np.int8), 1))
+            embedding_cost(x, proj, CodeMatrix(np.array([[1], [0], [0]], dtype=np.int8), 1))
 
 
 class TestScatterTraces:
     def test_zero_within_when_codes_equal_representations(self):
-        codes = HashMatrix(np.array([[1, 1], [-1, -1], [0, 0]], dtype=np.int8), 2)
-        reps = GroupRepresentations(np.array([[1], [-1], [0]], dtype=np.int8), 2)
+        codes = CodeMatrix(np.array([[1, 1], [-1, -1], [0, 0]], dtype=np.int8), 2)
+        reps = CodeMatrix(np.array([[1], [-1], [0]], dtype=np.int8), 2)
         assignments = AssignmentMatrix(np.zeros(2, dtype=int), 1)
         within, between = scatter_traces(codes, reps, assignments)
         assert within == 0.0
@@ -95,7 +93,7 @@ class TestScatterTraces:
             _, _, codes, reps, assignments = random_instance(rng)
             within = 0.0
             between = 0.0
-            for i in range(codes.num_codes):
+            for i in range(codes.num_groups):
                 r = reps.codes[:, assignments.group_of[i]].astype(float)
                 e = codes.codes[:, i].astype(float)
                 within += float(np.sum((e - r) ** 2))
@@ -115,8 +113,8 @@ class TestObjective:
     def test_perfect_fit_total_is_minus_gamma_between(self):
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.eye(3)[:, :1])
-        codes = HashMatrix(np.array([[1], [0]], dtype=np.int8), 1)
-        reps = GroupRepresentations(np.array([[1], [0]], dtype=np.int8), 1)
+        codes = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
+        reps = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         assignments = AssignmentMatrix(np.zeros(1, dtype=int), 1)
         breakdown = objective(x, proj, codes, reps, assignments, 1.0, 0.25)
         assert breakdown.embedding_cost == pytest.approx(0.0)
@@ -141,7 +139,7 @@ class TestObjective:
 class TestWStep:
     def test_aligned_case_recovers_axes(self):
         x = SignatureMatrix(np.eye(4)[:, :2])
-        codes = HashMatrix(np.eye(2, dtype=np.int8), 1)
+        codes = CodeMatrix(np.eye(2, dtype=np.int8), 1)
         w = w_step(x, codes)
         assert embedding_cost(x, w, codes) <= 1e-18
         assert np.allclose(np.abs(w.data[:2, :]), np.eye(2))
@@ -189,7 +187,7 @@ class TestWStep:
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((5, 8))))
         one_col = np.zeros((3, 1), dtype=np.int8)
         one_col[0] = 1
-        codes = HashMatrix(np.repeat(one_col, 8, axis=1), 1)  # rank-1 code matrix
+        codes = CodeMatrix(np.repeat(one_col, 8, axis=1), 1)  # rank-1 code matrix
         with pytest.raises(DegenerateProcrustesError) as err:
             w_step(signatures, codes)
         assert err.value.rank == 1
@@ -253,7 +251,7 @@ class TestKMeansAndRYStep:
         b = np.zeros(8, dtype=np.int8)
         b[6:] = -1
         cols = np.column_stack([a, a, a, b, b, b])
-        codes = HashMatrix(cols, 2)
+        codes = CodeMatrix(cols, 2)
         reps, assignments = ry_step(codes, 1.0, 0.1, 2, np.random.default_rng(1))
         groups = assignments.group_of
         assert groups[0] == groups[1] == groups[2]
@@ -280,7 +278,7 @@ class TestKMeansAndRYStep:
                         col[dst] = col[src]
                         col[src] = 0
                 cols.append(col)
-        codes = HashMatrix(np.column_stack(cols), 3)
+        codes = CodeMatrix(np.column_stack(cols), 3)
         points = grouping_scale(1.0, 0.1) * codes.codes.astype(float).T
         result = kmeans(points, 3, np.random.default_rng(2))
         final_sse = result.objective_trace[-1]
@@ -310,7 +308,7 @@ class TestKMeansAndRYStep:
         col = np.zeros(6, dtype=np.int8)
         col[0] = 1
         cols = np.repeat(col.reshape(-1, 1), 7, axis=1)  # all seven codes identical
-        codes = HashMatrix(cols, 1)
+        codes = CodeMatrix(cols, 1)
         reps, assignments = ry_step(codes, 1.0, 0.5, 4, np.random.default_rng(4))
         assert assignments.num_groups == 4  # AssignmentMatrix forbids empty groups
         assert reps.num_groups == 4

@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from gmkit.core import TernaryCode, squared_distance
+from gmkit.core import CodeMatrix, TernaryCode, squared_distance
 from gmkit.errors import ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
-from gmkit.learning import GroupRepresentations
 from gmkit.protocol import (
     MaskPair,
     ProtocolKeys,
@@ -46,7 +45,7 @@ def random_code(length, sparsity, rng):
 
 def random_reps(length, sparsity, num_groups, rng):
     cols = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_groups)])
-    return GroupRepresentations(cols, sparsity)
+    return CodeMatrix(cols, sparsity)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +171,7 @@ class TestRounds:
         code = random_code(6, 2, rng)
         col = np.zeros((6, 1), dtype=np.int8)
         col[3] = 1
-        reps = GroupRepresentations(col, 1)
+        reps = CodeMatrix(col, 1)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
         wrapped = server_round2_encrypted_correlations(
             enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
@@ -183,7 +182,7 @@ class TestRounds:
     def test_round2_self_correlation_is_sparsity(self, roomy_keys):
         rng = random.Random(13)
         code = random_code(8, 3, rng)
-        reps = GroupRepresentations(code.symbols.reshape(-1, 1), 3)
+        reps = CodeMatrix(code.symbols.reshape(-1, 1), 3)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
         wrapped = server_round2_encrypted_correlations(
             enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
@@ -239,7 +238,7 @@ class TestRounds:
             r_sym[i] = 1
         for i in range(sparsity - corr):
             r_sym[sparsity + i] = 1
-        r = GroupRepresentations(r_sym.reshape(-1, 1), sparsity)
+        r = CodeMatrix(r_sym.reshape(-1, 1), sparsity)
         enc = client_round1_encrypt_query(p, keys.additive_public, rng)
         wrapped = server_round2_encrypted_correlations(enc, r, keys.additive_public, keys.mult_public, rng)
         blinded = server_round4_blind_threshold(
@@ -377,7 +376,7 @@ class TestRunProtocol:
             return decision.accept, plain
 
         perm = [2, 0, 3, 1]
-        permuted = GroupRepresentations(reps.codes[:, perm], 3)
+        permuted = CodeMatrix(reps.codes[:, perm], 3)
         accept_a, plain_a = run_case(reps)
         accept_b, plain_b = run_case(permuted)
         assert accept_a == accept_b
