@@ -25,12 +25,13 @@ ORTHONORMAL_TOL = 1e-8
 
 def _check_query_vectors(vectors, dim: int, what: str, shape_error: type) -> None:
     """Each vector must have shape (dim,) (else ``shape_error``) and unit norm
-    within UNIT_NORM_TOL (else InvalidInputError)."""
-    for vec in vectors:
-        if vec.shape != (dim,):
-            raise shape_error(f"{what} dimension mismatch")
-        if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
-            raise InvalidInputError(f"{what} is not unit norm")
+    within UNIT_NORM_TOL (else InvalidInputError).  Every shape is checked
+    before any norm."""
+    vectors = list(vectors)
+    if any(vec.shape != (dim,) for vec in vectors):
+        raise shape_error(f"{what} dimension mismatch")
+    if vectors and np.any(np.abs(np.linalg.norm(np.stack(vectors), axis=1) - 1.0) > UNIT_NORM_TOL):
+        raise InvalidInputError(f"{what} is not unit norm")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

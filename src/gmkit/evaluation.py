@@ -4,8 +4,14 @@ Verification accepts a claimed group when the integer squared distance
 between the query code and that group's representation is at most the
 threshold.  Open-set identification first accepts when the minimum distance
 over all groups is at most the threshold, then names the nearest group.
-Distances are always the exact componentwise integers, never the 2S - 2 p.r
-shortcut, so nothing here relies on the exactly-S contract.
+
+Each measure embeds all its queries with one ``ternarize_columns(W^T Q)`` and
+scores every (query, group) pair in one Q x M matrix of exact integer
+distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r shortcut, so
+nothing here relies on the exactly-S contract; the sweeps and the report
+index that matrix.  e.r is a float64 matrix product and still exact: every
+entry is in {-1, 0, +1}, so every partial sum is an integer of magnitude at
+most l < 2**53, whatever order BLAS adds in.
 
 The reconstruction attacks model a curious server that knows the projection:
 a code v is mapped back as beta * W v with a scalar gain beta fitted by
@@ -21,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_vectors, embed
+from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_vectors, ternarize_columns
 from .data import Dataset
 from .errors import ConfigError, DimensionError
 from .learning import Model
@@ -105,16 +111,36 @@ def query_set_from_dataset(dataset: Dataset, model: Model) -> QuerySet:
     return QuerySet(genuine, dataset.impostors)
 
 
-def embed_query(model: Model, signature: np.ndarray) -> TernaryCode:
-    return embed(model.projection, signature, model.config.sparsity)
+def _embed(model: Model, queries: np.ndarray) -> np.ndarray:
+    """Codes (l x Q int8) of the query vectors stored as the columns of ``queries``."""
+    if queries.shape[0] != model.projection.dim:
+        raise DimensionError(f"queries of length {queries.shape[0]} do not match projection rows {model.projection.dim}")
+    return ternarize_columns(model.projection.data.T @ queries, model.config.sparsity)
+
+
+def _distances(model: Model, codes: np.ndarray) -> np.ndarray:
+    """Q x M integer squared distances from the code columns (l x Q) to every representation."""
+    e, r = codes.astype(np.float64), model.representations.codes.astype(np.float64)
+    # float64 is exact here (see the module docstring); int64 matmul would bypass BLAS
+    return (np.sum(e * e, axis=0)[:, None] + np.sum(r * r, axis=0) - 2.0 * (e.T @ r)).astype(np.int64)
+
+
+def _query_distances(model: Model, vectors) -> np.ndarray:
+    return _distances(model, _embed(model, np.stack(vectors, axis=1)))
+
+
+def _true_groups(model: Model, queries: QuerySet) -> np.ndarray:
+    groups = np.array([group for _, group in queries.genuine])
+    if groups.max() >= model.representations.num_groups:
+        raise ConfigError(f"genuine query group {groups.max()} out of range [0, {model.representations.num_groups})")
+    return groups
 
 
 def group_distances(model: Model, code: TernaryCode) -> np.ndarray:
     """Integer squared distances from a code to every group representation."""
     if code.length != model.representations.code_length:
         raise DimensionError("code length does not match the model")
-    diff = model.representations.codes.astype(np.int64) - code.symbols.astype(np.int64)[:, None]
-    return np.sum(diff * diff, axis=0)
+    return _distances(model, code.symbols[:, None])[0]
 
 
 def verify(model: Model, code: TernaryCode, group: int, threshold: float) -> bool:
@@ -125,13 +151,13 @@ def verify(model: Model, code: TernaryCode, group: int, threshold: float) -> boo
 
 
 def _roc_from_scores(genuine_scores: np.ndarray, impostor_scores: np.ndarray, max_threshold: int) -> RocCurve:
-    thresholds = sorted(set(genuine_scores.tolist()) | set(impostor_scores.tolist()) | {-1, max_threshold})
-    points = []
-    for tau in thresholds:
-        pfp = float(np.mean(impostor_scores <= tau))
-        pfn = float(np.mean(genuine_scores > tau))
-        points.append((float(tau), pfp, pfn))
-    return RocCurve(tuple(points))
+    thresholds = np.unique(np.concatenate([genuine_scores, impostor_scores, [-1, max_threshold]]))
+    impostors_at_most = np.searchsorted(np.sort(impostor_scores), thresholds, side="right")
+    genuine_at_most = np.searchsorted(np.sort(genuine_scores), thresholds, side="right")
+    pfp = impostors_at_most / impostor_scores.size
+    # (n - count) / n rounds exactly like np.mean(scores > tau); 1 - count / n does not
+    pfn = (genuine_scores.size - genuine_at_most) / genuine_scores.size
+    return RocCurve(tuple(zip(thresholds.astype(np.float64).tolist(), pfp.tolist(), pfn.tolist())))
 
 
 def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator) -> RocCurve:
@@ -142,17 +168,24 @@ def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator
     reproducible).  Endpoints tau = -1 (reject all) and tau = 4S (accept
     all) are always included.
     """
-    num_groups = model.representations.num_groups
-    genuine_scores = np.array(
-        [group_distances(model, embed_query(model, vec))[group] for vec, group in queries.genuine]
-    )
-    impostor_scores = np.array(
-        [
-            group_distances(model, embed_query(model, vec))[int(rng.integers(num_groups))]
-            for vec in queries.impostors
-        ]
-    )
-    return _roc_from_scores(genuine_scores, impostor_scores, 4 * model.config.sparsity)
+    groups = _true_groups(model, queries)
+    genuine = _query_distances(model, [vec for vec, _ in queries.genuine])[np.arange(len(groups)), groups]
+    claims = rng.integers(model.representations.num_groups, size=len(queries.impostors))
+    impostor = _query_distances(model, queries.impostors)[np.arange(len(claims)), claims]
+    return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
+
+
+def _operating_point(roc: RocCurve, target: float) -> tuple[float, float, float]:
+    """The point with the largest threshold whose pfp is at most the target."""
+    if not 0 < target < 1:
+        raise ConfigError(f"target false positive rate must lie in (0, 1), got {target}")
+    chosen = None
+    for point in roc.points:  # points sorted by tau, so the last hit wins
+        if point[1] <= target:
+            chosen = point
+    if chosen is None:
+        raise ConfigError("ROC curve lacks the reject-all endpoint")
+    return chosen
 
 
 def pfn_at_pfp(roc: RocCurve, target: float) -> float:
@@ -161,15 +194,7 @@ def pfn_at_pfp(roc: RocCurve, target: float) -> float:
     Conservative operating point: no interpolation; the tau = -1 endpoint
     (pfp = 0) guarantees existence for any target in (0, 1).
     """
-    if not 0 < target < 1:
-        raise ConfigError(f"target false positive rate must lie in (0, 1), got {target}")
-    best = None
-    for _, pfp, pfn in roc.points:  # points sorted by tau, so the last hit wins
-        if pfp <= target:
-            best = pfn
-    if best is None:
-        raise ConfigError("ROC curve lacks the reject-all endpoint")
-    return best
+    return _operating_point(roc, target)[2]
 
 
 def identify(model: Model, code: TernaryCode, threshold: float) -> Optional[int]:
@@ -186,26 +211,14 @@ def identify(model: Model, code: TernaryCode, threshold: float) -> Optional[int]
 
 def identification_sweep(model: Model, queries: QuerySet) -> RocCurve:
     """ROC of the open-set acceptance step (minimum distance over groups)."""
-    genuine_scores = np.array(
-        [int(np.min(group_distances(model, embed_query(model, vec)))) for vec, _ in queries.genuine]
-    )
-    impostor_scores = np.array(
-        [int(np.min(group_distances(model, embed_query(model, vec)))) for vec in queries.impostors]
-    )
-    return _roc_from_scores(genuine_scores, impostor_scores, 4 * model.config.sparsity)
+    genuine = _query_distances(model, [vec for vec, _ in queries.genuine]).min(axis=1)
+    impostor = _query_distances(model, queries.impostors).min(axis=1)
+    return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
 
 
 def threshold_at_pfp(roc: RocCurve, target: float) -> float:
     """Largest threshold whose empirical pfp stays at or below the target."""
-    if not 0 < target < 1:
-        raise ConfigError(f"target false positive rate must lie in (0, 1), got {target}")
-    chosen = None
-    for tau, pfp, _ in roc.points:
-        if pfp <= target:
-            chosen = tau
-    if chosen is None:
-        raise ConfigError("ROC curve lacks the reject-all endpoint")
-    return chosen
+    return _operating_point(roc, target)[0]
 
 
 def identification_report(model: Model, queries: QuerySet, threshold: float) -> IdentificationReport:
@@ -214,23 +227,15 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     p_epsilon is measured only over genuine queries accepted by the first
     step; with zero accepted queries it is defined as 0 and flagged.
     """
-    wrong = 0
-    accepted = 0
-    rejected = 0
-    for vec, group in queries.genuine:
-        distances = group_distances(model, embed_query(model, vec))
-        nearest = int(np.argmin(distances))
-        if distances[nearest] > threshold:
-            rejected += 1
-            continue
-        accepted += 1
-        if nearest != group:
-            wrong += 1
-    total = accepted + rejected
-    pfn = rejected / total
-    no_accepted = accepted == 0
-    p_eps = 0.0 if no_accepted else wrong / accepted
-    return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), no_accepted)
+    groups = _true_groups(model, queries)
+    distances = _query_distances(model, [vec for vec, _ in queries.genuine])
+    nearest = np.argmin(distances, axis=1)
+    accepted_rows = distances.min(axis=1) <= threshold
+    accepted = int(np.count_nonzero(accepted_rows))
+    wrong = int(np.count_nonzero(accepted_rows & (nearest != groups)))
+    pfn = (len(groups) - accepted) / len(groups)
+    p_eps = wrong / accepted if accepted else 0.0
+    return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
 
 
 def reconstruct(projection: ProjectionMatrix, code: TernaryCode, beta: float) -> np.ndarray:
@@ -238,6 +243,14 @@ def reconstruct(projection: ProjectionMatrix, code: TernaryCode, beta: float) ->
     if code.length != projection.code_length:
         raise DimensionError("code length does not match projection columns")
     return beta * (projection.data @ code.symbols.astype(np.float64))
+
+
+def _gain(lifted: np.ndarray, targets: np.ndarray) -> float:
+    """fit_beta on the columns x_i of ``targets`` and W v_i of ``lifted``."""
+    den = float(np.sum(lifted * lifted))
+    if den == 0.0:
+        return 0.0
+    return float(np.sum(targets * lifted)) / den
 
 
 def fit_beta(projection: ProjectionMatrix, codes: list[TernaryCode], targets: list[np.ndarray]) -> float:
@@ -248,17 +261,10 @@ def fit_beta(projection: ProjectionMatrix, codes: list[TernaryCode], targets: li
     """
     if not codes or len(codes) != len(targets):
         raise ConfigError("need equally many codes and targets, at least one pair")
-    num = 0.0
-    den = 0.0
-    for code, target in zip(codes, targets):
-        lifted = projection.data @ code.symbols.astype(np.float64)
-        if np.asarray(target).shape != lifted.shape:
-            raise DimensionError("target dimension does not match projection rows")
-        num += float(np.dot(target, lifted))
-        den += float(np.dot(lifted, lifted))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    if any(np.shape(target) != (projection.dim,) for target in targets):
+        raise DimensionError("target dimension does not match projection rows")
+    symbols = np.stack([code.symbols for code in codes], axis=1)
+    return _gain(projection.data @ symbols.astype(np.float64), np.stack(targets, axis=1))
 
 
 def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model) -> SecurityReport:
@@ -271,22 +277,13 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
     """
     if signatures.num_signatures != model.assignments.num_signatures:
         raise DimensionError("model was not trained on this signature matrix")
-    d = signatures.dim
-    group_of = model.assignments.group_of
-    rep_codes = [model.representations.column(int(g)) for g in group_of]
-    enrolled_targets = [signatures.column(i) for i in range(signatures.num_signatures)]
-    beta = fit_beta(model.projection, rep_codes, enrolled_targets)
-
-    sec_errors = [
-        float(np.sum((x - reconstruct(model.projection, code, beta)) ** 2))
-        for code, x in zip(rep_codes, enrolled_targets)
-    ]
-    priv_errors = [
-        float(np.sum((vec - reconstruct(model.projection, embed_query(model, vec), beta)) ** 2))
-        for vec, _ in queries.genuine
-    ]
+    w = model.projection.data
+    enrolled_lifted = w @ model.representations.codes[:, model.assignments.group_of].astype(np.float64)
+    beta = _gain(enrolled_lifted, signatures.data)
+    genuine = np.stack([vec for vec, _ in queries.genuine], axis=1)
+    genuine_lifted = w @ _embed(model, genuine).astype(np.float64)
     return SecurityReport(
-        mse_security=float(np.mean(sec_errors)) / d,
-        mse_privacy=float(np.mean(priv_errors)) / d,
+        mse_security=float(np.mean((signatures.data - beta * enrolled_lifted) ** 2)),
+        mse_privacy=float(np.mean((genuine - beta * genuine_lifted) ** 2)),
         beta=beta,
     )

@@ -12,15 +12,16 @@ clear):
 3. client -> server: the wrapped correlations, uniformly permuted and
    rerandomized by multiplication with fresh encryptions of 1.  The client
    keeps the permutation; it is never transmitted.
-4. server -> client: the server strips the outer layer (the permutation now
-   hides which group is which) and blinds each value into the additive
+4. server -> client: the server strips the outer layer (the permutation is
+   meant to hide which group is which) and blinds each value into the additive
    ciphertext of a_k * (2S - 2 c_k - tau) + b_k with fresh signed masks.
 5. client -> server: the decrypted masked values.  Symmetric masks make the
    sign of (distance - tau) statistically invisible to the client.
 
 The server unmasks and accepts iff some value is <= 0, which for exactly-S
-codes is exactly "some squared distance is <= tau".  The server never learns
-which group matched; the client never learns any distance.
+codes is exactly "some squared distance is <= tau".  The exchange is meant
+to reveal only that bit, but the server can undo the permutation and learns
+every distance; the README section "Security scale" lists the known leaks.
 """
 
 from __future__ import annotations

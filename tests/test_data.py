@@ -10,7 +10,7 @@ from gmkit.data import (
     save_dataset,
     save_matrix,
 )
-from gmkit.errors import ConfigError, ParseError
+from gmkit.errors import ConfigError, InvalidInputError, ParseError
 
 
 def spec(**overrides):
@@ -136,3 +136,14 @@ class TestDatasetBundle:
         ds = generate(spec())
         with pytest.raises(ConfigError):
             Dataset(ds.enrolled, ((ds.genuine_queries[0][0], 99),), ds.impostors)
+
+    def test_dataset_validates_query_vectors(self):
+        ds = generate(spec())
+        (vec, idx), (other, other_idx) = ds.genuine_queries[:2]
+        with pytest.raises(ConfigError):
+            Dataset(ds.enrolled, ds.genuine_queries, ds.impostors + (vec[:-1],))
+        with pytest.raises(InvalidInputError):
+            Dataset(ds.enrolled, ((vec, idx), (2 * other, other_idx)), ds.impostors)
+        # every shape is checked before any norm
+        with pytest.raises(ConfigError):
+            Dataset(ds.enrolled, ((2 * vec, idx), (other[:-1], other_idx)), ds.impostors)

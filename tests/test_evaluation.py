@@ -1,12 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
 from gmkit.data import SyntheticSpec, generate
-from gmkit.errors import ConfigError
+from gmkit.errors import ConfigError, DimensionError, InvalidInputError
 from gmkit.evaluation import (
+    IdentificationReport,
     QuerySet,
     RocCurve,
+    SecurityReport,
+    _distances,
     fit_beta,
     identification_report,
     identification_sweep,
@@ -67,6 +74,119 @@ def query_for_code(model, code):
     return unit(lifted)
 
 
+# Per-query reference implementations, kept as oracles for the batched path.
+
+
+def oracle_distances(model, code):
+    diff = model.representations.codes.astype(np.int64) - code.symbols.astype(np.int64)[:, None]
+    return np.sum(diff * diff, axis=0)
+
+
+def oracle_embed(model, vec):
+    return embed(model.projection, vec, model.config.sparsity)
+
+
+def oracle_roc(genuine_scores, impostor_scores, max_threshold):
+    genuine_scores, impostor_scores = np.array(genuine_scores), np.array(impostor_scores)
+    thresholds = sorted(set(genuine_scores.tolist()) | set(impostor_scores.tolist()) | {-1, max_threshold})
+    points = []
+    for tau in thresholds:
+        pfp = float(np.mean(impostor_scores <= tau))
+        pfn = float(np.mean(genuine_scores > tau))
+        points.append((float(tau), pfp, pfn))
+    return RocCurve(tuple(points))
+
+
+def oracle_verification_sweep(model, queries, rng):
+    num_groups = model.representations.num_groups
+    genuine_scores = [oracle_distances(model, oracle_embed(model, vec))[group] for vec, group in queries.genuine]
+    impostor_scores = [
+        oracle_distances(model, oracle_embed(model, vec))[int(rng.integers(num_groups))] for vec in queries.impostors
+    ]
+    return oracle_roc(genuine_scores, impostor_scores, 4 * model.config.sparsity)
+
+
+def oracle_identification_sweep(model, queries):
+    genuine_scores = [int(np.min(oracle_distances(model, oracle_embed(model, vec)))) for vec, _ in queries.genuine]
+    impostor_scores = [int(np.min(oracle_distances(model, oracle_embed(model, vec)))) for vec in queries.impostors]
+    return oracle_roc(genuine_scores, impostor_scores, 4 * model.config.sparsity)
+
+
+def oracle_identification_report(model, queries, threshold):
+    wrong = accepted = rejected = 0
+    for vec, group in queries.genuine:
+        distances = oracle_distances(model, oracle_embed(model, vec))
+        nearest = int(np.argmin(distances))
+        if distances[nearest] > threshold:
+            rejected += 1
+            continue
+        accepted += 1
+        if nearest != group:
+            wrong += 1
+    pfn = rejected / (accepted + rejected)
+    p_eps = 0.0 if accepted == 0 else wrong / accepted
+    return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
+
+
+def oracle_fit_beta(projection, codes, targets):
+    num = den = 0.0
+    for code, target in zip(codes, targets):
+        lifted = projection.data @ code.symbols.astype(np.float64)
+        num += float(np.dot(target, lifted))
+        den += float(np.dot(lifted, lifted))
+    return 0.0 if den == 0.0 else num / den
+
+
+def oracle_security_report(signatures, queries, model):
+    rep_codes = [model.representations.column(int(g)) for g in model.assignments.group_of]
+    enrolled = [signatures.column(i) for i in range(signatures.num_signatures)]
+    beta = oracle_fit_beta(model.projection, rep_codes, enrolled)
+    sec_errors = [
+        float(np.sum((x - reconstruct(model.projection, code, beta)) ** 2)) for code, x in zip(rep_codes, enrolled)
+    ]
+    priv_errors = [
+        float(np.sum((vec - reconstruct(model.projection, oracle_embed(model, vec), beta)) ** 2))
+        for vec, _ in queries.genuine
+    ]
+    d = signatures.dim
+    return SecurityReport(float(np.mean(sec_errors)) / d, float(np.mean(priv_errors)) / d, beta)
+
+
+def tie_heavy_case(seed, num_groups):
+    """Representations drawn from a pool of one to three codes, so groups
+    repeat, and queries that sit exactly on a pool code, on another code,
+    outside the projection range (all magnitudes tied at zero) or anywhere.
+    Most query-group distances tie.  Signatures lie near their group's lifted
+    representation, as after training."""
+    rng = np.random.default_rng(seed)
+    code_length = int(rng.integers(3, 7))
+    sparsity = int(rng.integers(1, code_length))
+    dim = code_length + 2
+    pool = [random_code(code_length, sparsity, rng) for _ in range(int(rng.integers(1, 4)))]
+    reps = np.column_stack([pool[i].symbols for i in rng.integers(len(pool), size=num_groups)])
+    n = num_groups + int(rng.integers(0, 4))
+    codes = np.column_stack([random_code(code_length, sparsity, rng).symbols for _ in range(n)])
+    group_of = np.arange(n) % num_groups
+    projection = np.eye(dim)[:, :code_length]
+    model = build_model(projection, codes, reps, group_of, sparsity)
+
+    def query():
+        kind = rng.integers(4)
+        if kind == 0:
+            return query_for_code(model, pool[rng.integers(len(pool))])
+        if kind == 1:
+            return query_for_code(model, random_code(code_length, sparsity, rng))
+        if kind == 2:
+            return np.eye(dim)[:, -1]
+        return unit(rng.standard_normal(dim))
+
+    genuine = tuple((query(), int(rng.integers(num_groups))) for _ in range(int(rng.integers(1, 12))))
+    impostors = tuple(query() for _ in range(int(rng.integers(1, 12))))
+    near = projection @ reps[:, group_of].astype(float) + 0.5 * rng.standard_normal((dim, n))
+    signatures = SignatureMatrix(near / np.linalg.norm(near, axis=0))
+    return model, QuerySet(genuine, impostors), signatures
+
+
 class TestVerify:
     def test_exact_match_accepts_at_zero(self):
         model = toy_model()
@@ -94,6 +214,11 @@ class TestVerify:
         model = toy_model()
         with pytest.raises(ConfigError):
             verify(model, model.representations.column(0), 5, 0)
+        queries = QuerySet(((query_for_code(model, model.representations.column(0)), 2),), (unit(np.ones(6)),))
+        with pytest.raises(ConfigError):
+            verification_sweep(model, queries, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            identification_report(model, queries, 4)
 
 
 class TestVerificationSweep:
@@ -154,6 +279,20 @@ class TestVerificationSweep:
     def test_empty_query_set_rejected(self):
         with pytest.raises(ConfigError):
             QuerySet((), (np.ones(3),))
+
+    def test_query_vectors_checked(self):
+        e0, e1 = np.eye(6)[:, 0], np.eye(6)[:, 1]
+        with pytest.raises(DimensionError):
+            QuerySet(((e0, 0),), (np.eye(5)[:, 0],))
+        with pytest.raises(InvalidInputError):
+            QuerySet(((e0, 0), (2 * e1, 1)), (e1,))
+        # every shape is checked before any norm
+        with pytest.raises(DimensionError):
+            QuerySet(((2 * e0, 0), (np.eye(5)[:, 0], 1)), (e1,))
+        # queries must also match the model's projection
+        queries = QuerySet(((np.eye(7)[:, 0], 0),), (np.eye(7)[:, 1],))
+        with pytest.raises(DimensionError):
+            verification_sweep(toy_model(), queries, np.random.default_rng(0))
 
 
 class TestPfnAtPfp:
@@ -317,6 +456,16 @@ class TestReconstruction:
                 lo = m1
         assert fit_beta(proj, codes, targets) == pytest.approx((lo + hi) / 2, abs=1e-6)
 
+    def test_fit_beta_rejects_mismatched_pairs(self):
+        proj = ProjectionMatrix(np.eye(8)[:, :4])
+        code = TernaryCode(np.array([1, 1, 0, 0]), 2)
+        with pytest.raises(ConfigError):
+            fit_beta(proj, [], [])
+        with pytest.raises(ConfigError):
+            fit_beta(proj, [code, code], [np.eye(8)[:, 0]])
+        with pytest.raises(DimensionError):
+            fit_beta(proj, [code, code], [np.eye(8)[:, 0], np.eye(7)[:, 0]])
+
     def test_near_lossless_code_reconstructs_with_small_residual(self):
         # signature inside the projection range with equal-magnitude support:
         # the fitted gain makes the reconstruction exact
@@ -419,3 +568,52 @@ class TestRocCurveType:
         tau = threshold_at_pfp(roc, 0.2)
         pfp_at_tau = [p for t, p, _ in roc.points if t == tau][0]
         assert pfp_at_tau <= 0.2
+
+
+class TestBatchedMatchesOracles:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 7, 64, 128, 256]))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_models(self, seed, num_groups):
+        model, queries, signatures = tie_heavy_case(seed, num_groups)
+        sparsity = model.config.sparsity
+
+        # one vector draw of the impostor claims is the stream of per-impostor scalar draws
+        scalar = np.random.default_rng(seed)
+        drawn = np.random.default_rng(seed).integers(num_groups, size=len(queries.impostors))
+        assert drawn.tolist() == [int(scalar.integers(num_groups)) for _ in queries.impostors]
+
+        batched_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert verification_sweep(model, queries, batched_rng) == oracle_verification_sweep(model, queries, oracle_rng)
+        assert batched_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+        assert identification_sweep(model, queries) == oracle_identification_sweep(model, queries)
+        for tau in range(-1, 4 * sparsity + 1):
+            assert identification_report(model, queries, tau) == oracle_identification_report(model, queries, tau)
+        for vec, _ in queries.genuine:
+            code = oracle_embed(model, vec)
+            assert identify(model, code, 4 * sparsity) == int(np.argmin(oracle_distances(model, code)))
+
+        report = security_report(signatures, queries, model)
+        expected = oracle_security_report(signatures, queries, model)
+        for field in ("mse_security", "mse_privacy", "beta"):
+            assert getattr(report, field) == pytest.approx(getattr(expected, field), rel=1e-12, abs=0)
+        rep_codes = [model.representations.column(int(g)) for g in model.assignments.group_of]
+        targets = [signatures.column(i) for i in range(signatures.num_signatures)]
+        assert fit_beta(model.projection, rep_codes, targets) == pytest.approx(
+            oracle_fit_beta(model.projection, rep_codes, targets), rel=1e-12, abs=0
+        )
+
+    def test_float_product_matches_int64_at_long_codes(self):
+        rng = np.random.default_rng(40)
+        length, sparsity = 2048, 1500
+        reps = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(300)])
+        queries = rng.integers(-1, 2, size=(length, 70)).astype(np.int8)
+        queries[:, 0] = reps[:, 0]
+        queries[:, 1] = -reps[:, 1]
+        queries[:, 2] = 1
+        model = SimpleNamespace(representations=CodeMatrix(reps, sparsity))
+        distances = _distances(model, queries)
+        for j in range(queries.shape[1]):
+            diff = reps.astype(np.int64) - queries[:, j].astype(np.int64)[:, None]
+            assert distances[j].tolist() == np.sum(diff * diff, axis=0).tolist()
+        assert distances[0, 0] == 0 and distances[1, 1] == 4 * sparsity
