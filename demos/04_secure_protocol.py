@@ -1,16 +1,18 @@
-"""The five-round homomorphic verification exchange.
+"""The three-message homomorphic verification exchange.
 
 The server holds the group representations in the clear; the querying user
-holds only their code.  Additive encryption (user's key) hides the query,
-multiplicative encryption (server's key) plus a client-side permutation
-hides which group matched, and affine masks hide the distances from the
-user.  At the end the server learns a single bit: does some group sit
-within the threshold?
+holds only their code.  Every ciphertext is under the user's additive
+(Paillier) key: the user sends the encrypted code, the server answers with
+one affinely masked, encrypted value per group, and the user decrypts and
+returns them.  The server unmasks them and accepts iff some group sits
+within the threshold.
+
+This hides the query code from the server, but not the distances: the
+server learns the query's distance to every group, and the user sees one
+masked value per group and knows which group it belongs to.
 """
 
 import random
-
-import numpy as np
 
 from gmkit import ModelConfig, ProtocolKeys, SecurityParams, SyntheticSpec, generate, run_protocol, squared_distance, train
 
@@ -24,11 +26,11 @@ reps = model.representations
 rng = random.Random(42)
 params = SecurityParams(additive_bits=128)  # desk-scale keys, not production
 keys = ProtocolKeys.generate(params, rng)
-print(f"additive modulus: {keys.additive_public.modulus.bit_length()} bits, "
-      f"multiplicative modulus: {keys.mult_public.modulus.bit_length()} bits")
+print(f"additive modulus: {keys.additive_public.modulus.bit_length()} bits")
 
 query = model.codes.column(0)
-true_distance = min(squared_distance(query, reps.column(g)) for g in range(reps.num_groups))
+distances = [squared_distance(query, reps.column(g)) for g in range(reps.num_groups)]
+true_distance = min(distances)
 print(f"\nquery = enrolled member 0; nearest group distance (plaintext): {true_distance}")
 
 for tau in (-1, 0, 8):
@@ -38,18 +40,18 @@ for tau in (-1, 0, 8):
           f"plaintext rule says {'accept' if plain else 'reject'}")
     assert decision.accept == plain
 
-# the transcript records the full five-message exchange, replayable from disk
+# the transcript records the full three-message exchange, replayable from disk
 decision, transcript = run_protocol(query, reps, 8, rng, params, keys)
 print("\ntranscript:")
 for msg in transcript.messages:
     sender = "user  " if msg.sender == 0 else "server"
-    print(f"  round {msg.round_no} from {sender}: {msg.kind:<30} {len(msg.payloads):>3} payload integers")
-print(f"  wire size: {len(transcript.to_bytes())} bytes "
-      f"({transcript.limbs_per_value} limb(s) per wrapped value)")
+    print(f"  message {msg.round_no} from {sender}: {msg.kind:<16} {len(msg.payloads):>3} payload integers")
+print(f"  wire size: {len(transcript.to_bytes())} bytes")
 
-# what each side actually saw: the user saw only masked affine values whose
-# signs are uniformly scrambled; the server saw values it can unmask, but in
-# an order only the user knows
-revealed = transcript.message(5).payloads
-print(f"\nmasked values revealed to the server (permuted order): {len(revealed)} integers")
-print("neither the matching group nor any distance ever appears in the clear")
+# what each side saw: the user saw one masked value a_g*(d_g - tau) + b_g
+# per group, whose sign is scrambled by the symmetric masks; the server,
+# which holds a_g and b_g, unmasks d_g - tau for every group, in group order
+revealed = transcript.message(3).payloads
+print(f"\nmasked values returned to the server: {len(revealed)} integers, one per group")
+print(f"the server unmasks d_g - tau for every group: {[d - 8 for d in distances]}")
+print("it learns every distance and which group is nearest, not just the accept bit")

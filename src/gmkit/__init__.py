@@ -3,8 +3,10 @@
 The library learns a projection, per-signature ternary hash codes, group
 assignments and ternary group representations jointly, evaluates the
 verification / identification / reconstruction trade-offs, and runs a
-two-party homomorphic protocol that verifies membership without revealing
-the matched group or any distance.
+three-message homomorphic protocol that verifies membership.  The protocol
+hides the query code from the server, but the server learns the query's
+distance to every group and the querying user sees one masked value per
+group (README, "Security scale").
 """
 
 from .core import (

@@ -314,8 +314,7 @@ def cmd_protocol_demo(args, overrides) -> int:
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         seed = int(env_seed)
-    params = SecurityParams(additive_bits=args.additive_bits, mult_bits=args.mult_bits,
-                            mask_magnitude=args.mask_magnitude)
+    params = SecurityParams(additive_bits=args.additive_bits, mask_magnitude=args.mask_magnitude)
     rng = random.Random(seed)
     keys = ProtocolKeys.generate(params, rng)
     code = model.codes.column(args.query_index)
@@ -357,7 +356,6 @@ def build_parser() -> _Parser:
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--out-dir", default="gmkit-out")
     p_demo.add_argument("--additive-bits", type=int, default=128)
-    p_demo.add_argument("--mult-bits", type=int, default=None)
     p_demo.add_argument("--mask-magnitude", type=int, default=2**16)
     return parser
 

@@ -263,6 +263,8 @@ def fit_beta(projection: ProjectionMatrix, codes: list[TernaryCode], targets: li
         raise ConfigError("need equally many codes and targets, at least one pair")
     if any(np.shape(target) != (projection.dim,) for target in targets):
         raise DimensionError("target dimension does not match projection rows")
+    if any(code.length != projection.code_length for code in codes):
+        raise DimensionError("code length does not match projection columns")
     symbols = np.stack([code.symbols for code in codes], axis=1)
     return _gain(projection.data @ symbols.astype(np.float64), np.stack(targets, axis=1))
 

@@ -1,29 +1,16 @@
 """Two-party homomorphic verification protocol."""
 
-from .elgamal import (
-    MultiplicativeCiphertext,
-    MultiplicativePublicKey,
-    MultiplicativeSecretKey,
-    mult_decrypt,
-    mult_encrypt,
-    mult_keygen,
-    mult_multiply,
-    mult_rerandomize_by_one,
-)
 from .engine import (
     MaskPair,
     ProtocolDecision,
     ProtocolKeys,
     SecurityParams,
     client_round1_encrypt_query,
-    client_round3_mask_permute,
-    client_round5_decrypt_reveal,
+    client_round3_decrypt_reveal,
     draw_masks,
-    limb_schedule,
     run_protocol,
     server_decide,
-    server_round2_encrypted_correlations,
-    server_round4_blind_threshold,
+    server_round2_blind_threshold,
     validate_mask_range,
 )
 from .paillier import (
@@ -42,9 +29,6 @@ __all__ = [
     "AdditiveSecretKey",
     "CLIENT",
     "MaskPair",
-    "MultiplicativeCiphertext",
-    "MultiplicativePublicKey",
-    "MultiplicativeSecretKey",
     "ProtocolDecision",
     "ProtocolKeys",
     "ProtocolMessage",
@@ -57,19 +41,11 @@ __all__ = [
     "additive_keygen",
     "additive_scalar_mul",
     "client_round1_encrypt_query",
-    "client_round3_mask_permute",
-    "client_round5_decrypt_reveal",
+    "client_round3_decrypt_reveal",
     "decode_message",
     "draw_masks",
-    "limb_schedule",
-    "mult_decrypt",
-    "mult_encrypt",
-    "mult_keygen",
-    "mult_multiply",
-    "mult_rerandomize_by_one",
     "run_protocol",
     "server_decide",
-    "server_round2_encrypted_correlations",
-    "server_round4_blind_threshold",
+    "server_round2_blind_threshold",
     "validate_mask_range",
 ]

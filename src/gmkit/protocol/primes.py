@@ -51,16 +51,3 @@ def generate_prime(bits: int, rng: random.Random) -> int:
         if is_probable_prime(candidate):
             return candidate
 
-
-def generate_safe_prime(bits: int, rng: random.Random) -> int:
-    """Prime p = 2q + 1 with q prime, top bit of p set."""
-    if bits < 16:
-        raise ValueError("safe prime size below 16 bits is not supported")
-    while True:
-        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        p = 2 * q + 1
-        # cheap sieve on p before the expensive double test
-        if any(p % s == 0 for s in _SMALL_PRIMES if p != s):
-            continue
-        if is_probable_prime(q) and is_probable_prime(p):
-            return p

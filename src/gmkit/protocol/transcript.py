@@ -5,11 +5,10 @@ Each message is encoded bit-exactly as
     header:  round u8 | sender u8 | count u32 (big-endian)
     body:    count payloads, each u32 big-endian length + big-endian bytes
 
-Payloads are nonnegative big integers (ciphertext residues, ciphertext
-components in c1, c2 order, or masked values as least nonnegative residues
-modulo the additive modulus).  A transcript is the ordered list of the five
-round messages plus the deterministic limb schedule used to embed additive
-ciphertexts into the multiplicative plaintext space.
+Payloads are nonnegative big integers (ciphertext residues, or masked
+values as least nonnegative residues modulo the additive modulus).  A
+transcript is the header ``GMKT | version u8`` followed by the three
+messages in order.
 """
 
 from __future__ import annotations
@@ -24,16 +23,14 @@ SERVER = 1
 
 KIND_BY_ROUND = {
     1: "encrypted-query",
-    2: "wrapped-correlations",
-    3: "masked-permuted-correlations",
-    4: "blinded-affine",
-    5: "masked-values",
+    2: "blinded-affine",
+    3: "masked-values",
 }
 
 _MAGIC = b"GMKT"
-_VERSION = 1
+_VERSION = 2
 
-EXPECTED_SENDERS = {1: CLIENT, 2: SERVER, 3: CLIENT, 4: SERVER, 5: CLIENT}
+EXPECTED_SENDERS = {1: CLIENT, 2: SERVER, 3: CLIENT}
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class ProtocolMessage:
 
     def __post_init__(self):
         if self.round_no not in KIND_BY_ROUND:
-            raise ProtocolError(f"round must be 1..5, got {self.round_no}")
+            raise ProtocolError(f"round must be 1..3, got {self.round_no}")
         if self.sender != EXPECTED_SENDERS[self.round_no]:
             raise ProtocolError(f"round {self.round_no} must be sent by party {EXPECTED_SENDERS[self.round_no]}")
         if any(p < 0 for p in self.payloads):
@@ -83,23 +80,20 @@ def decode_message(buf: bytes, offset: int = 0) -> tuple[ProtocolMessage, int]:
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """The five round messages in order, plus the limb schedule."""
+    """The three messages in order."""
 
     messages: tuple[ProtocolMessage, ...]
-    limbs_per_value: int
 
     def __post_init__(self):
         rounds = tuple(m.round_no for m in self.messages)
-        if rounds != (1, 2, 3, 4, 5):
-            raise ProtocolError(f"transcript must contain rounds 1..5 in order, got {rounds}")
-        if self.limbs_per_value < 1:
-            raise ProtocolError("limb schedule must be at least 1 limb per value")
+        if rounds != tuple(KIND_BY_ROUND):
+            raise ProtocolError(f"transcript must contain rounds 1..3 in order, got {rounds}")
 
     def message(self, round_no: int) -> ProtocolMessage:
         return self.messages[round_no - 1]
 
     def to_bytes(self) -> bytes:
-        parts = [_MAGIC, struct.pack(">BI", _VERSION, self.limbs_per_value)]
+        parts = [_MAGIC, struct.pack(">B", _VERSION)]
         parts.extend(m.encode() for m in self.messages)
         return b"".join(parts)
 
@@ -107,17 +101,19 @@ class ProtocolTranscript:
     def from_bytes(cls, buf: bytes) -> "ProtocolTranscript":
         if buf[:4] != _MAGIC:
             raise ParseError("bad transcript magic")
-        version, limbs = struct.unpack_from(">BI", buf, 4)
+        if len(buf) < 5:
+            raise ParseError("truncated transcript header")
+        version = buf[4]
         if version != _VERSION:
             raise ParseError(f"unsupported transcript version {version}")
-        offset = 9
+        offset = 5
         messages = []
-        for _ in range(5):
+        for _ in KIND_BY_ROUND:
             msg, offset = decode_message(buf, offset)
             messages.append(msg)
         if offset != len(buf):
             raise ParseError(f"{len(buf) - offset} trailing bytes after transcript")
-        return cls(tuple(messages), limbs)
+        return cls(tuple(messages))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -53,11 +53,6 @@ from gmkit.protocol import (
     additive_encrypt,
     additive_keygen,
     additive_scalar_mul,
-    mult_decrypt,
-    mult_encrypt,
-    mult_keygen,
-    mult_multiply,
-    mult_rerandomize_by_one,
     run_protocol,
 )
 
@@ -232,8 +227,7 @@ def test_c04_protocol_end_to_end():
 def test_c05_homomorphic_identities():
     rng = random.Random(500)
     add_pk, add_sk = additive_keygen(128, rng)
-    mul_pk, mul_sk = mult_keygen(272, rng)
-    add_ok = mul_ok = rr_ok = 0
+    add_ok = 0
     trials = 1000
     for _ in range(trials):
         a = rng.randint(-10**9, 10**9)
@@ -244,17 +238,8 @@ def test_c05_homomorphic_identities():
         sum_ok = additive_decrypt(add_sk, additive_add(add_pk, ca, cb)) == a + b
         mul_scalar_ok = additive_decrypt(add_sk, additive_scalar_mul(add_pk, ca, k)) == k * a
         add_ok += sum_ok and mul_scalar_ok
-
-        x = rng.randrange(1, mul_pk.modulus)
-        y = rng.randrange(1, mul_pk.modulus)
-        cx = mult_encrypt(mul_pk, x, rng)
-        cy = mult_encrypt(mul_pk, y, rng)
-        mul_ok += mult_decrypt(mul_sk, mult_multiply(mul_pk, cx, cy)) == x * y % mul_pk.modulus
-
-        fresh = mult_rerandomize_by_one(mul_pk, cx, rng)
-        rr_ok += mult_decrypt(mul_sk, fresh) == x and (fresh.c1, fresh.c2) != (cx.c1, cx.c2)
-    ok = add_ok == trials and mul_ok == trials and rr_ok == trials
-    assert report(5, "homomorphic-identities", ok, f"add {add_ok}, mult {mul_ok}, rerand {rr_ok} of {trials}")
+    ok = add_ok == trials
+    assert report(5, "homomorphic-identities", ok, f"add {add_ok} of {trials}")
 
 
 def test_c06_masking_blindness():
@@ -270,7 +255,7 @@ def test_c06_masking_blindness():
         reps = CodeMatrix(random_protocol_code(code_length, sparsity, rng).symbols.reshape(-1, 1), sparsity)
         tau = rng.randint(0, 4 * sparsity)
         _, transcript = run_protocol(code, reps, tau, rng, params, keys)
-        residue = transcript.message(5).payloads[0]
+        residue = transcript.message(3).payloads[0]
         revealed = residue - n_mod if residue > n_mod // 2 else residue
         truth = (squared_distance(code, reps.column(0)) - tau) > 0
         hits += (revealed > 0) == truth

@@ -465,6 +465,8 @@ class TestReconstruction:
             fit_beta(proj, [code, code], [np.eye(8)[:, 0]])
         with pytest.raises(DimensionError):
             fit_beta(proj, [code, code], [np.eye(8)[:, 0], np.eye(7)[:, 0]])
+        with pytest.raises(DimensionError):
+            fit_beta(proj, [TernaryCode(np.array([1, 1, 0, 0, 0]), 2)], [np.eye(8)[:, 0]])
 
     def test_near_lossless_code_reconstructs_with_small_residual(self):
         # signature inside the projection range with equal-magnitude support:

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -17,20 +18,12 @@ from gmkit.protocol import (
     additive_keygen,
     additive_scalar_mul,
     client_round1_encrypt_query,
-    client_round3_mask_permute,
-    client_round5_decrypt_reveal,
+    client_round3_decrypt_reveal,
     decode_message,
     draw_masks,
-    limb_schedule,
-    mult_decrypt,
-    mult_encrypt,
-    mult_keygen,
-    mult_multiply,
-    mult_rerandomize_by_one,
     run_protocol,
     server_decide,
-    server_round2_encrypted_correlations,
-    server_round4_blind_threshold,
+    server_round2_blind_threshold,
     validate_mask_range,
 )
 
@@ -51,18 +44,6 @@ def random_reps(length, sparsity, num_groups, rng):
 @pytest.fixture(scope="module")
 def add_keys():
     return additive_keygen(64, random.Random(101))
-
-
-@pytest.fixture(scope="module")
-def mul_keys():
-    return mult_keygen(96, random.Random(102))
-
-
-@pytest.fixture(scope="module")
-def small_keys():
-    # 64-bit additive modulus; multiplicative space too small for one limb,
-    # so the wrap uses the two-limb schedule
-    return ProtocolKeys.generate(SecurityParams(additive_bits=64, mult_bits=96), random.Random(103))
 
 
 @pytest.fixture(scope="module")
@@ -109,34 +90,13 @@ class TestAdditiveScheme:
             additive_keygen(32, random.Random(5))
 
 
-class TestMultiplicativeScheme:
-    def test_product_decrypts(self, mul_keys):
-        pk, sk = mul_keys
-        rng = random.Random(6)
-        c = mult_multiply(pk, mult_encrypt(pk, 4, rng), mult_encrypt(pk, 6, rng))
-        assert mult_decrypt(sk, c) == 24
-
-    def test_rerandomize_preserves_plaintext_and_changes_bytes(self, mul_keys):
-        pk, sk = mul_keys
-        rng = random.Random(7)
-        c = mult_encrypt(pk, 1, rng)
-        r = mult_rerandomize_by_one(pk, c, rng)
-        assert mult_decrypt(sk, r) == 1
-        assert (c.c1, c.c2) != (r.c1, r.c2)
-
-    def test_random_products(self, mul_keys):
-        pk, sk = mul_keys
-        rng = random.Random(8)
-        for _ in range(200):
-            a = rng.randrange(1, pk.modulus)
-            b = rng.randrange(1, pk.modulus)
-            c = mult_multiply(pk, mult_encrypt(pk, a, rng), mult_encrypt(pk, b, rng))
-            assert mult_decrypt(sk, c) == a * b % pk.modulus
-
-    def test_zero_plaintext_rejected(self, mul_keys):
-        pk, _ = mul_keys
-        with pytest.raises(PlaintextRangeError):
-            mult_encrypt(pk, 0, random.Random(9))
+def correlations(keys, enc, reps, rng):
+    # with a = 1, b = 0 and tau = 0 message 2 decrypts to 2S - 2 p.r_g
+    blinded = server_round2_blind_threshold(
+        enc, reps, keys.additive_public, 0, [MaskPair(1, 0)] * reps.num_groups, rng
+    )
+    values = client_round3_decrypt_reveal(blinded, keys.additive_secret)
+    return [(2 * reps.sparsity - value) / 2 for value in values]
 
 
 class TestRounds:
@@ -155,14 +115,7 @@ class TestRounds:
         code = random_code(10, 3, rng)
         reps = random_reps(10, 3, 5, rng)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(
-            enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
-        )
-        limbs, limb_bits = limb_schedule(roomy_keys.additive_public, roomy_keys.mult_public)
-        assert limbs == 1
-        for g, group in enumerate(wrapped):
-            inner = mult_decrypt(roomy_keys.mult_secret, group[0]) - 1
-            corr = additive_decrypt(roomy_keys.additive_secret, inner)
+        for g, corr in enumerate(correlations(roomy_keys, enc, reps, rng)):
             expected = int(code.symbols.astype(int) @ reps.codes[:, g].astype(int))
             assert corr == expected
 
@@ -173,57 +126,14 @@ class TestRounds:
         col[3] = 1
         reps = CodeMatrix(col, 1)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(
-            enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
-        )
-        inner = mult_decrypt(roomy_keys.mult_secret, wrapped[0][0]) - 1
-        assert additive_decrypt(roomy_keys.additive_secret, inner) == int(code.symbols[3])
+        assert correlations(roomy_keys, enc, reps, rng)[0] == int(code.symbols[3])
 
     def test_round2_self_correlation_is_sparsity(self, roomy_keys):
         rng = random.Random(13)
         code = random_code(8, 3, rng)
         reps = CodeMatrix(code.symbols.reshape(-1, 1), 3)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(
-            enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
-        )
-        inner = mult_decrypt(roomy_keys.mult_secret, wrapped[0][0]) - 1
-        assert additive_decrypt(roomy_keys.additive_secret, inner) == 3
-
-    def test_round3_permutes_and_rerandomizes(self, roomy_keys):
-        rng = random.Random(14)
-        code = random_code(8, 2, rng)
-        reps = random_reps(8, 2, 6, rng)
-        enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(
-            enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
-        )
-        permuted, order = client_round3_mask_permute(wrapped, roomy_keys.mult_public, rng)
-        assert sorted(order) == list(range(6))
-
-        def both_layers(ct):
-            inner = mult_decrypt(roomy_keys.mult_secret, ct) - 1
-            return additive_decrypt(roomy_keys.additive_secret, inner)
-
-        originals = [both_layers(group[0]) for group in wrapped]
-        shuffled = [both_layers(group[0]) for group in permuted]
-        assert shuffled == [originals[src] for src in order]
-        # rerandomization: no ciphertext component survives verbatim
-        before = {(ct.c1, ct.c2) for group in wrapped for ct in group}
-        after = {(ct.c1, ct.c2) for group in permuted for ct in group}
-        assert not before & after
-
-    def test_round3_single_group_still_rerandomized(self, roomy_keys):
-        rng = random.Random(15)
-        code = random_code(8, 2, rng)
-        reps = random_reps(8, 2, 1, rng)
-        enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(
-            enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng
-        )
-        permuted, order = client_round3_mask_permute(wrapped, roomy_keys.mult_public, rng)
-        assert order == (0,)
-        assert (permuted[0][0].c1, permuted[0][0].c2) != (wrapped[0][0].c1, wrapped[0][0].c2)
+        assert correlations(roomy_keys, enc, reps, rng)[0] == 3
 
     def _blind_one(self, keys, corr, mask, tau, sparsity, rng):
         # craft p and r with correlation exactly `corr`: agreeing nonzeros
@@ -240,11 +150,8 @@ class TestRounds:
             r_sym[sparsity + i] = 1
         r = CodeMatrix(r_sym.reshape(-1, 1), sparsity)
         enc = client_round1_encrypt_query(p, keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(enc, r, keys.additive_public, keys.mult_public, rng)
-        blinded = server_round4_blind_threshold(
-            wrapped, keys.mult_secret, keys.additive_public, tau, sparsity, [mask], rng
-        )
-        return client_round5_decrypt_reveal(blinded, keys.additive_secret)[0]
+        blinded = server_round2_blind_threshold(enc, r, keys.additive_public, tau, [mask], rng)
+        return client_round3_decrypt_reveal(blinded, keys.additive_secret)[0]
 
     def test_round4_exact_match_boundary(self, roomy_keys):
         rng = random.Random(16)
@@ -280,13 +187,10 @@ class TestRounds:
         reps = random_reps(8, 2, 4, rng)
         tau = 3
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
-        wrapped = server_round2_encrypted_correlations(enc, reps, roomy_keys.additive_public, roomy_keys.mult_public, rng)
-        permuted, order = client_round3_mask_permute(wrapped, roomy_keys.mult_public, rng)
         masks = draw_masks(4, 50, rng)
-        blinded = server_round4_blind_threshold(permuted, roomy_keys.mult_secret, roomy_keys.additive_public, tau, 2, masks, rng)
-        values = client_round5_decrypt_reveal(blinded, roomy_keys.additive_secret)
-        for k, (value, mask) in enumerate(zip(values, masks)):
-            g = order[k]
+        blinded = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, tau, masks, rng)
+        values = client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret)
+        for g, (value, mask) in enumerate(zip(values, masks)):
             corr = int(code.symbols.astype(int) @ reps.codes[:, g].astype(int))
             assert value == mask.a * (2 * 2 - 2 * corr - tau) + mask.b
 
@@ -318,7 +222,7 @@ class TestRunProtocol:
         code = reps.column(1)
         decision, transcript = run_protocol(code, reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
         assert decision.accept
-        assert [m.round_no for m in transcript.messages] == [1, 2, 3, 4, 5]
+        assert [m.round_no for m in transcript.messages] == [1, 2, 3]
 
     def test_negative_tau_rejects(self, roomy_keys):
         rng = random.Random(21)
@@ -346,22 +250,11 @@ class TestRunProtocol:
             runs.append((decision.accept, transcript.to_bytes()))
         assert runs[0] == runs[1]
 
-    def test_limb_chunking_end_to_end(self, small_keys):
-        rng = random.Random(26)
-        params = SecurityParams(additive_bits=64, mult_bits=96)
-        for _ in range(20):
-            code = random_code(12, 3, rng)
-            reps = random_reps(12, 3, 3, rng)
-            tau = rng.randint(-1, 12)
-            decision, transcript = run_protocol(code, reps, tau, rng, params, small_keys)
-            assert transcript.limbs_per_value == 2
-            plain = any(squared_distance(code, reps.column(g)) <= tau for g in range(3))
-            assert decision.accept == plain
-
     def test_server_view_is_permutation_symmetric(self, roomy_keys):
         # permuting the stored representations with the same seed yields the
-        # same decision and the same multiset of unmasked distances, so the
-        # server cannot tie a value back to a group index
+        # same decision, and the plaintext distances d_g - tau form the same
+        # multiset; this compares plaintext only, and says nothing about what
+        # the server can link (test_server_recovers_every_distance_in_group_order)
         base_rng = random.Random(27)
         reps = random_reps(12, 3, 4, base_rng)
         code = random_code(12, 3, base_rng)
@@ -390,6 +283,45 @@ class TestRunProtocol:
             run_protocol(code, reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
 
 
+class TestPartyViews:
+    def test_server_recovers_every_distance_in_group_order(self, roomy_keys):
+        # the server holds its masks; replaying the rng up to the mask draw
+        # reproduces them, and message 1 confirms the replay is in step
+        params = SecurityParams(additive_bits=64)
+        n = roomy_keys.additive_public.modulus
+        rng = random.Random(34)
+        for _ in range(20):
+            code = random_code(12, 3, rng)
+            reps = random_reps(12, 3, 5, rng)
+            tau = rng.randint(-1, 12)
+            seed = rng.randint(0, 2**62)
+            _, transcript = run_protocol(code, reps, tau, random.Random(seed), params, roomy_keys)
+            replay = random.Random(seed)
+            enc = client_round1_encrypt_query(code, roomy_keys.additive_public, replay)
+            assert tuple(enc) == transcript.message(1).payloads
+            masks = draw_masks(reps.num_groups, params.mask_magnitude, replay)
+            unmasked = []
+            for residue, mask in zip(transcript.message(3).payloads, masks):
+                value = residue - n if residue > n // 2 else residue
+                quotient, remainder = divmod(value - mask.b, mask.a)
+                assert remainder == 0
+                unmasked.append(quotient)
+            assert unmasked == [squared_distance(code, reps.column(g)) - tau for g in range(reps.num_groups)]
+
+    def test_reused_query_ciphertexts_give_fresh_message2(self, roomy_keys):
+        rng = random.Random(35)
+        code = random_code(12, 3, rng)
+        reps = random_reps(12, 3, 6, rng)
+        enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
+        masks = draw_masks(reps.num_groups, 50, rng)
+        first = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, rng)
+        second = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, rng)
+        assert not set(first) & set(second)
+        assert client_round3_decrypt_reveal(first, roomy_keys.additive_secret) == client_round3_decrypt_reveal(
+            second, roomy_keys.additive_secret
+        )
+
+
 class TestMaskingBlindness:
     def test_revealed_signs_carry_no_information(self, roomy_keys):
         # small-scale version of the blindness property: the sign of the
@@ -404,7 +336,7 @@ class TestMaskingBlindness:
             tau = rng.randint(0, 8)
             rng_run = random.Random(rng.randint(0, 2**62))
             decision, transcript = run_protocol(code, reps, tau, rng_run, params, roomy_keys)
-            revealed = transcript.message(5).payloads[0]
+            revealed = transcript.message(3).payloads[0]
             n = roomy_keys.additive_public.modulus
             value = revealed - n if revealed > n // 2 else revealed
             truth = squared_distance(code, reps.column(0)) - tau > 0
@@ -438,11 +370,14 @@ class TestWireFormat:
             ProtocolTranscript.from_bytes(raw[:-3])
         with pytest.raises(ParseError):
             ProtocolTranscript.from_bytes(b"XXXX" + raw[4:])
+        for header in (b"GMKT", raw[:5], b"GMKT" + struct.pack(">BI", 1, 1) + raw[5:]):
+            with pytest.raises(ParseError):
+                ProtocolTranscript.from_bytes(header)
 
     def test_round_order_enforced(self):
-        msgs = tuple(ProtocolMessage(r, s, (1,)) for r, s in ((1, 0), (2, 1), (3, 0), (4, 1)))
+        msgs = tuple(ProtocolMessage(r, s, (1,)) for r, s in ((1, 0), (2, 1)))
         with pytest.raises(ProtocolError):
-            ProtocolTranscript(msgs, 1)
+            ProtocolTranscript(msgs)
 
     def test_sender_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
