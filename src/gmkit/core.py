@@ -174,9 +174,9 @@ class ModelConfig:
     """Hyper-parameters of the joint embedding / grouping optimization.
 
     ``within_weight`` and ``between_weight`` weigh the within-group and
-    between-group scatter terms; the grouping step rescales codes by
-    within/(within - between), so ``within_weight > between_weight > 0`` is
-    required.
+    between-group scatter terms; the grouping step is k-means on the codes
+    rescaled by within/(within - between), which must be positive, so
+    ``within_weight > between_weight > 0`` is required.
 
     ``convergence_tol`` stops training early when the total objective moves
     less than the tolerance between outer iterations.  It defaults to 0 (no

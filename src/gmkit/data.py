@@ -125,13 +125,30 @@ def load_matrix(path: str) -> np.ndarray:
     """Read a CSV matrix written by :func:`save_matrix`.
 
     Raises :class:`ParseError` naming the offending row (and column for bad
-    tokens) on empty files, ragged rows or non-numeric entries.
+    tokens) on empty files, ragged rows or non-numeric entries.  Blank lines
+    and lines starting with ``#`` are skipped; a ``#`` anywhere else is a bad
+    token.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
+    lines = raw.splitlines()
+    data = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    # np.loadtxt reads a field as float() does, except that it also strips
+    # "\x1f" as whitespace (splitlines already cut at "\x1c".."\x1e") and
+    # refuses "1_0"; the token scan settles those and names every fault
+    if data and "\x1f" not in raw:
+        try:
+            return np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return _scan_matrix(path, lines)
+
+
+def _scan_matrix(path: str, lines: list[str]) -> np.ndarray:
+    """Token-by-token parse with ``float``; the error path of :func:`load_matrix`."""
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         values = []

@@ -13,20 +13,25 @@ three block updates are:
   in one shot through the SVD of X E^T (the classical eigenvector recipe,
   computed via SVD for conditioning);
 * code update: columnwise ternarization of W^T X + lambda * R Y;
-* grouping update: k-means on the columns of c * E with
-  c = lambda / (lambda - gamma), followed by ternarization of the final
-  centroids.
+* grouping update: k-means on the columns of E, followed by ternarization
+  of the final centroids.  The relaxed grouping problem is k-means on
+  c * E with c = lambda / (lambda - gamma); a positive c scales every
+  squared distance by c^2 and so moves no assignment.
 
 The total objective is not guaranteed monotone across outer iterations (the
 ternary projections break monotonicity); the per-iteration trace is recorded
 and only required to stay finite.  Inside the grouping step, however, the
-real-valued k-means objective is non-increasing at every single update and
-that is enforced at runtime.
+k-means objective is non-increasing at every single update and that is
+enforced at runtime.  The grouping step runs on the integer codes in exact
+integer arithmetic: a centroid is a group sum over a member count, so
+distances are compared as exact rationals, ties go to the lowest group index
+exactly, and the non-increase check is exact, with no slack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -38,10 +43,9 @@ from .core import (
     SignatureMatrix,
     ternarize_columns,
 )
-from .errors import ConfigError, DegenerateProcrustesError, DimensionError, GmkitError
+from .errors import ConfigError, DegenerateProcrustesError, DimensionError, GmkitError, InvalidInputError
 
 KMEANS_ITER_CAP = 100
-_MONOTONE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,6 @@ class AssignmentMatrix:
     @property
     def num_signatures(self) -> int:
         return self.group_of.size
-
-    def members(self, g: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == g)
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.group_of, minlength=self.num_groups)
@@ -149,6 +150,11 @@ def scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: 
     return within, between
 
 
+def _check_weights(within_weight: float, between_weight: float) -> None:
+    if not within_weight > between_weight > 0:
+        raise ConfigError(f"need within_weight > between_weight > 0, got {within_weight} vs {between_weight}")
+
+
 def objective(
     signatures: SignatureMatrix,
     projection: ProjectionMatrix,
@@ -159,8 +165,7 @@ def objective(
     between_weight: float,
 ) -> ObjectiveBreakdown:
     """Full objective breakdown; requires within_weight > between_weight > 0."""
-    if not within_weight > between_weight > 0:
-        raise ConfigError(f"need within_weight > between_weight > 0, got {within_weight} vs {between_weight}")
+    _check_weights(within_weight, between_weight)
     emb = embedding_cost(signatures, projection, codes)
     within, between = scatter_traces(codes, representations, assignments)
     return ObjectiveBreakdown.from_parts(emb, within, between, within_weight, between_weight)
@@ -238,110 +243,183 @@ def e_step(
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Centroids, assignments and the per-update objective trace of one run."""
+    """Final centroids, each the integer sum ``sums[g]`` over the count
+    ``counts[g]``; assignments; and the per-update objective trace of one run."""
 
-    centroids: np.ndarray
+    sums: np.ndarray
+    counts: np.ndarray
     assignments: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
 
 
-def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    diff = points - centroids[assign]
-    return float(np.sum(diff * diff))
+# Screen for near-ties: a quotient of two exact integers, each rounded to
+# float64 once, is off by at most 3 * 2**-53 relative, so every column within
+# this relative distance of a row's float minimum is compared exactly.
+_NEAR_TIE = 1e-9
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ seeding; degenerate all-coincident tails fall back to
-    the lowest unchosen indices."""
+def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
+    """(int64, float64) copies of integer-valued points, within exact range."""
+    pf = np.asarray(points, dtype=np.float64)
+    if pf.ndim != 2:
+        raise DimensionError(f"points must be 2-D, got shape {pf.shape}")
+    if not np.all(np.isfinite(pf)):
+        raise InvalidInputError("k-means points must be finite")
+    if not np.array_equal(pf, np.round(pf)):
+        raise InvalidInputError("k-means points must be integer-valued")
+    n, dim = pf.shape
+    amax = int(np.max(np.abs(pf))) if pf.size else 0
+    # float64 products of points and group sums add integers of magnitude at
+    # most dim * N * amax**2; the int64 objective numerators reach 4 * dim * N**3 * amax**2
+    if dim * n * amax**2 >= 2**53 or 4 * dim * n**3 * amax**2 >= 2**63:
+        raise InvalidInputError(f"k-means points too large for exact arithmetic: max |p| = {amax}, N = {n}, dim = {dim}")
+    return pf.astype(np.int64), pf
+
+
+def _group_sums(points: np.ndarray, group_of: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer sum s_g of the points (one per row) in each group, and the member count n_g."""
+    sums = np.zeros((k, points.shape[1]), dtype=np.int64)
+    np.add.at(sums, group_of, points)
+    return sums, np.bincount(group_of, minlength=k)
+
+
+def _exact_argmin(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Row-wise argmin of the rationals num[i, j] / den[j] (den > 0), with
+    exact ties going to the lowest column.
+
+    Rows whose float minimum is not separated from another column are
+    settled by cross-multiplication in Python integers, which cannot wrap.
+    """
+    score = num / den
+    best = np.argmin(score, axis=1)
+    low = score[np.arange(len(best)), best]
+    near = score <= (low + np.abs(low) * _NEAR_TIE)[:, None]
+    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+        cols = np.flatnonzero(near[i]).tolist()
+        row = num[i]
+        b = cols[0]
+        for j in cols[1:]:
+            if int(row[j]) * int(den[b]) < int(row[b]) * int(den[j]):
+                b = j
+        best[i] = b
+    return best
+
+
+def _exact_sum(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """The exact value of sum(num / den) for int64 arrays with den > 0."""
+    dens, which = np.unique(den, return_inverse=True)
+    totals, _ = _group_sums(num[:, None], which, dens.size)
+    return sum((Fraction(int(t), int(d)) for t, d in zip(totals[:, 0], dens)), Fraction(0))
+
+
+def _nearest(pf: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+    """Exact nearest centroid s_g / n_g of every point, ties to the lowest g.
+
+    Returns the assignment a and, per point, ||n_a p - s_a||^2, its squared
+    distance to its centroid times n_a^2.  p . s_g comes from one float64
+    product, exact because every partial sum is an integer below 2**53.
+    """
+    num = (pf @ sums.T.astype(np.float64)).astype(np.int64)
+    num *= -2 * counts
+    num += np.outer(sq_norms, counts * counts)
+    num += np.einsum("ij,ij->i", sums, sums)
+    assign = _exact_argmin(num, counts * counts)
+    return assign, num[np.arange(len(assign)), assign]
+
+
+def _kmeans_pp_init(points: np.ndarray, pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
+    """Seeded k-means++ seeding on exact squared distances; degenerate
+    all-coincident tails fall back to the lowest unchosen indices."""
     n = points.shape[0]
+
+    def dist2(i: int) -> np.ndarray:
+        return sq_norms + sq_norms[i] - 2 * (pf @ pf[i]).astype(np.int64)
+
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = dist2(chosen[0])
     for _ in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            remaining = [i for i in range(n) if i not in set(chosen)]
-            idx = remaining[0] if remaining else 0
+        total = int(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else min(set(range(n)) - set(chosen))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        np.minimum(d2, dist2(idx), out=d2)
     return points[chosen].copy()
 
 
-def _check_non_increasing(trace: list[float]) -> None:
+def _fix_empty(points: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> bool:
+    """Reseed every empty group with the point farthest from its own centroid,
+    taken from a group with at least two members; ``dist`` holds the scaled
+    distances returned by :func:`_nearest` and is updated in place."""
+    members = np.bincount(assign, minlength=len(counts))
+    empty = np.flatnonzero(members == 0)
+    for g in empty:
+        eligible = np.flatnonzero(members[assign] >= 2)
+        scale = counts[assign[eligible]]
+        stolen = int(eligible[_exact_argmin(-dist[eligible][None, :], scale * scale)[0]])
+        sums[g] = points[stolen]
+        counts[g] = 1
+        members[assign[stolen]] -= 1
+        members[g] = 1
+        assign[stolen] = g
+        dist[stolen] = 0
+    return empty.size > 0
+
+
+def _check_non_increasing(trace: list[Fraction]) -> None:
     for a, b in zip(trace, trace[1:]):
-        if b > a + _MONOTONE_SLACK:
-            raise GmkitError(f"k-means objective increased from {a!r} to {b!r}")
+        if b > a:
+            raise GmkitError(f"k-means objective increased from {float(a)!r} to {float(b)!r}")
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int = KMEANS_ITER_CAP) -> KMeansResult:
-    """Plain k-means with seeded k-means++ init and a no-empty-cluster policy.
+    """Plain k-means on integer points, in exact integer arithmetic, with
+    seeded k-means++ init and a no-empty-cluster policy.
 
-    ``points`` is (N, dim), one point per row; requires k <= N.  Empty
-    clusters are reseeded with the point currently farthest from its own
-    centroid, taken from a cluster with at least two members, so no group is
-    ever returned empty.  Reseeding moves that point onto its new centroid
-    and therefore never increases the objective; the full objective trace
-    (after every assignment, reseed and centroid update) is returned and
-    checked to be non-increasing.
+    ``points`` is (N, dim), one integer-valued point per row; requires
+    k <= N.  Every centroid is kept as an integer sum over a count, so each
+    distance comparison is exact and ties go to the lowest group index.
+    Empty clusters are reseeded with the point currently farthest from its
+    own centroid (ties to the lowest point index), taken from a cluster with
+    at least two members, so no group is ever returned empty.  Reseeding
+    moves that point onto its new centroid and therefore never increases the
+    objective; the full objective trace (after every assignment, reseed and
+    centroid update) is checked to be non-increasing on its exact rational
+    values and returned rounded to floats.  Raises
+    :class:`InvalidInputError` on non-finite or non-integer points.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DimensionError(f"points must be 2-D, got shape {pts.shape}")
+    pts, pf = _integer_points(points)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= number of points, got k={k} n={n}")
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    total_sq = int(sq_norms.sum())
+    trace: list[Fraction] = []
 
-    def nearest(cents):
-        d2 = np.sum((pts[:, None, :] - cents[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)
+    def assign_step(sums, counts):
+        assign, dist = _nearest(pf, sq_norms, sums, counts)
+        trace.append(_exact_sum(dist, counts[assign] ** 2))
+        if _fix_empty(pts, assign, dist, sums, counts):
+            trace.append(_exact_sum(dist, counts[assign] ** 2))
+        return assign
 
-    def fix_empty(assign, cents):
-        counts = np.bincount(assign, minlength=k)
-        changed = False
-        for g in np.flatnonzero(counts == 0):
-            eligible = np.flatnonzero(counts[assign] >= 2)
-            dist = np.sum((pts[eligible] - cents[assign[eligible]]) ** 2, axis=1)
-            stolen = int(eligible[int(np.argmax(dist))])
-            cents[g] = pts[stolen]
-            counts[assign[stolen]] -= 1
-            assign[stolen] = g
-            counts[g] = 1
-            changed = True
-        return changed
-
-    centroids = _kmeans_pp_init(pts, k, rng)
-    trace: list[float] = []
+    sums = _kmeans_pp_init(pts, pf, sq_norms, k, rng)
+    counts = np.ones(k, dtype=np.int64)
     prev = None
     iterations = 0
     for _ in range(iter_cap):
         iterations += 1
-        assign = nearest(centroids)
-        trace.append(_sse(pts, centroids, assign))
-        if fix_empty(assign, centroids):
-            trace.append(_sse(pts, centroids, assign))
+        assign = assign_step(sums, counts)
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        for g in range(k):
-            centroids[g] = pts[assign == g].mean(axis=0)
-        trace.append(_sse(pts, centroids, assign))
+        sums, counts = _group_sums(pts, assign, k)
+        # at the group means the objective is sum ||p||^2 - sum_g ||s_g||^2 / n_g
+        trace.append(total_sq - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
     else:
         # iteration cap: restore assignment consistency with the last centroids
-        assign = nearest(centroids)
-        trace.append(_sse(pts, centroids, assign))
-        if fix_empty(assign, centroids):
-            trace.append(_sse(pts, centroids, assign))
+        assign = assign_step(sums, counts)
     _check_non_increasing(trace)
-    return KMeansResult(centroids, assign, tuple(trace), iterations)
-
-
-def grouping_scale(within_weight: float, between_weight: float) -> float:
-    """Rescaling c = lambda / (lambda - gamma) applied to codes before k-means."""
-    if not within_weight > between_weight > 0:
-        raise ConfigError(f"need within_weight > between_weight > 0, got {within_weight} vs {between_weight}")
-    return within_weight / (within_weight - between_weight)
+    return KMeansResult(sums, counts, assign, tuple(float(v) for v in trace), iterations)
 
 
 def ry_step(
@@ -351,29 +429,25 @@ def ry_step(
     num_groups: int,
     rng: np.random.Generator,
 ) -> tuple[CodeMatrix, AssignmentMatrix]:
-    """Grouping update: k-means on the scaled codes, then ternarize centroids.
+    """Grouping update: k-means on the codes, then ternarize centroids.
 
     Expanding lambda * ||E - RY||^2 - gamma * ||RY||^2 shows the relaxed
-    problem is k-means on the columns of c * E with c = lambda/(lambda-gamma);
-    each final centroid is ternarized to produce its group representation.
+    problem is k-means on the columns of c * E with c = lambda/(lambda-gamma).
+    A positive c scales every squared distance by c^2, so k-means runs on the
+    integer codes themselves.  Each final centroid is ternarized to produce
+    its group representation; its integer group sum has the same signs and
+    the same ranking of magnitudes, so the sum is ternarized, free of any
+    rounding.
     """
     if num_groups > codes.codes.shape[1]:
         raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
-    scale = grouping_scale(within_weight, between_weight)
-    points = scale * codes.codes.astype(np.float64).T
-    result = kmeans(points, num_groups, rng)
-    reps = ternarize_columns(result.centroids.T, codes.sparsity)
-    return CodeMatrix(reps, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
+    _check_weights(within_weight, between_weight)
+    result = kmeans(codes.codes.T, num_groups, rng)
+    return _ternarized_sums(result.sums, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 
 
-def _representations_for_fixed_groups(
-    codes: CodeMatrix, assignments: AssignmentMatrix, scale: float
-) -> CodeMatrix:
-    cols = np.empty((codes.code_length, assignments.num_groups), dtype=np.float64)
-    dense = codes.codes.astype(np.float64)
-    for g in range(assignments.num_groups):
-        cols[:, g] = scale * dense[:, assignments.members(g)].mean(axis=1)
-    return CodeMatrix(ternarize_columns(cols, codes.sparsity), codes.sparsity)
+def _ternarized_sums(sums: np.ndarray, sparsity: int) -> CodeMatrix:
+    return CodeMatrix(ternarize_columns(sums.T, sparsity), sparsity)
 
 
 def _validate_train_dims(signatures: SignatureMatrix, config: ModelConfig) -> None:
@@ -464,7 +538,9 @@ def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelC
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)
     assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
-    scale = grouping_scale(config.within_weight, config.between_weight)
-    return _alternate(
-        signatures, config, rng, lambda codes: (_representations_for_fixed_groups(codes, assign, scale), assign)
-    )
+
+    def group(codes: CodeMatrix) -> tuple[CodeMatrix, AssignmentMatrix]:
+        sums, _ = _group_sums(codes.codes.T, assign.group_of, assign.num_groups)
+        return _ternarized_sums(sums, codes.sparsity), assign
+
+    return _alternate(signatures, config, rng, group)

@@ -75,7 +75,10 @@ def decode_message(buf: bytes, offset: int = 0) -> tuple[ProtocolMessage, int]:
             raise ParseError("truncated payload body")
         payloads.append(int.from_bytes(buf[offset : offset + length], "big"))
         offset += length
-    return ProtocolMessage(round_no, sender, tuple(payloads)), offset
+    try:
+        return ProtocolMessage(round_no, sender, tuple(payloads)), offset
+    except ProtocolError as err:
+        raise ParseError(f"bad message header: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,10 @@ class ProtocolTranscript:
             messages.append(msg)
         if offset != len(buf):
             raise ParseError(f"{len(buf) - offset} trailing bytes after transcript")
-        return cls(tuple(messages))
+        try:
+            return cls(tuple(messages))
+        except ProtocolError as err:
+            raise ParseError(f"bad transcript: {err}") from None
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

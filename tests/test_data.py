@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmkit.data import (
     Dataset,
@@ -17,6 +19,46 @@ def spec(**overrides):
     base = dict(num_identities=10, samples_per_identity=2, dim=8, noise_sigma=0.1, impostor_fraction=0.3, seed=0)
     base.update(overrides)
     return SyntheticSpec(**base)
+
+
+def oracle_load_matrix(path):
+    """The token-by-token CSV scan that ``load_matrix`` replaced on its fast path."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read()
+    rows = []
+    width = None
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        values = []
+        for colno, token in enumerate(line.split(","), start=1):
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ParseError(f"{path}: row {lineno}, column {colno}: bad number {token!r}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(f"{path}: row {lineno} has {len(values)} columns, expected {width}")
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def load_outcome(load, path):
+    """The bit pattern and shape of a loaded matrix, or the ParseError text."""
+    try:
+        m = load(path)
+    except ParseError as err:
+        return ("error", str(err))
+    return ("ok", m.shape, m.view(np.uint64).tolist())
+
+
+EXTREME_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+    1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, 0.1, 1 / 3,
+]
 
 
 class TestGenerate:
@@ -110,6 +152,48 @@ class TestMatrixIO:
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(ParseError, match="row 2, column 2"):
             load_matrix(str(path))
+
+
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=24), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bit_patterns(self, tmp_path_factory, values, width):
+        values = (values * width)[: len(values) * width]
+        m = np.array(values + EXTREME_FLOATS * width, dtype=np.float64).reshape(-1, width)
+        path = str(tmp_path_factory.mktemp("rt") / "m.csv")
+        save_matrix(path, m)
+        back = load_matrix(path)
+        assert back.shape == m.shape
+        assert back.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda line: line + " # x", id="inline-comment"),
+            pytest.param(lambda line: line.replace(",", ",,", 1), id="empty-field"),
+            pytest.param(lambda line: line + ",", id="trailing-comma"),
+            pytest.param(lambda line: line + ",1.0", id="ragged-long"),
+            pytest.param(lambda line: line.split(",", 1)[1], id="ragged-short"),
+            pytest.param(lambda line: "1_0," + line.split(",", 1)[1], id="underscore"),  # float() only
+            pytest.param(lambda line: "nan," + line.split(",", 1)[1], id="nan"),
+            pytest.param(lambda line: "-nan," + line.split(",", 1)[1], id="minus-nan"),
+            pytest.param(lambda line: "-inf," + line.split(",", 1)[1], id="minus-inf"),
+            pytest.param(lambda line: line + "\x1f", id="unit-separator"),  # np.loadtxt only
+            pytest.param(lambda line: " " + line.replace(",", " , ") + "\t", id="spaces"),
+            pytest.param(lambda line: "", id="blank-line"),
+            pytest.param(lambda line: "  # comment", id="comment-line"),
+            pytest.param(lambda line: line.replace("e", "d"), id="fortran-exponent"),
+            pytest.param(lambda line: line.replace(",", ";"), id="semicolons"),
+        ],
+    )
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_matches_token_scan_on_corruptions(self, tmp_path, corrupt, row):
+        m = np.array([[0.5, -1e-310, 1e308], [1.0 - 2.0**-53, -0.0, 3.0], [2.5e-5, 7.0, -2.0]])
+        path = tmp_path / "m.csv"
+        save_matrix(str(path), m)
+        lines = path.read_text().split("\n")
+        lines[row] = corrupt(lines[row])
+        path.write_text("\n".join(lines))
+        assert load_outcome(load_matrix, str(path)) == load_outcome(oracle_load_matrix, str(path))
 
 
 class TestDatasetBundle:

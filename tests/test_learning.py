@@ -1,15 +1,20 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, ternarize_columns
 from gmkit.data import SyntheticSpec, generate
-from gmkit.errors import ConfigError, DegenerateProcrustesError, DimensionError
+from gmkit.errors import ConfigError, DegenerateProcrustesError, DimensionError, InvalidInputError
 from gmkit.learning import (
+    KMEANS_ITER_CAP,
     AssignmentMatrix,
     ObjectiveBreakdown,
     e_step,
     embedding_cost,
-    grouping_scale,
     kmeans,
     objective,
     random_balanced_assignment,
@@ -19,6 +24,7 @@ from gmkit.learning import (
     train_random_assignment_baseline,
     w_step,
 )
+from gmkit.learning import _exact_argmin, _fix_empty, _group_sums, _nearest
 
 
 def unit_columns(a):
@@ -234,6 +240,113 @@ class TestEStep:
                 assert codes.codes[:, j].tolist() == expected.tolist()
 
 
+def oracle_d2(p, c):
+    return sum((a - b) ** 2 for a, b in zip(p, c))
+
+
+def oracle_assign(pts, cents):
+    """Exact nearest centroid of every point, ties to the lowest group."""
+    assign = []
+    for p in pts:
+        dists = [oracle_d2(p, c) for c in cents]
+        assign.append(dists.index(min(dists)))
+    return assign
+
+
+def oracle_reseed(pts, cents, assign):
+    """Reseed empty groups in ascending order with the point farthest from
+    its centroid (ties to the lowest point) among groups of two or more;
+    updates ``cents`` and ``assign`` and returns the number reseeded."""
+    sizes = [assign.count(g) for g in range(len(cents))]
+    empty = [g for g in range(len(cents)) if sizes[g] == 0]
+    for g in empty:
+        eligible = [i for i in range(len(pts)) if sizes[assign[i]] >= 2]
+        far = [oracle_d2(pts[i], cents[assign[i]]) for i in eligible]
+        stolen = eligible[far.index(max(far))]
+        cents[g] = list(pts[stolen])
+        sizes[assign[stolen]] -= 1
+        sizes[g] = 1
+        assign[stolen] = g
+    return len(empty)
+
+
+def oracle_means(pts, assign, k):
+    means = []
+    for g in range(k):
+        members = [p for p, a in zip(pts, assign) if a == g]
+        means.append([sum(col) / len(members) for col in zip(*members)])
+    return means
+
+
+def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP):
+    """Brute-force k-means in exact rationals: the reference for ``kmeans``.
+
+    The same seeding draws, the same update order and the same rules as
+    :func:`oracle_assign`, :func:`oracle_reseed` and :func:`oracle_means`.
+    Returns (centroids, assignment, objective trace, iterations), all exact.
+    """
+    pts = [[Fraction(int(v)) for v in row] for row in points]
+    n = len(pts)
+    chosen = [int(rng.integers(n))]
+    near = [oracle_d2(p, pts[chosen[0]]) for p in pts]
+    for _ in range(1, k):
+        total = sum(near)
+        if total > 0:
+            idx = int(rng.choice(n, p=np.array([float(v) for v in near]) / float(total)))
+        else:
+            idx = min(i for i in range(n) if i not in chosen)
+        chosen.append(idx)
+        near = [min(a, oracle_d2(p, pts[idx])) for a, p in zip(near, pts)]
+    cents = [list(pts[i]) for i in chosen]
+    trace = []
+
+    def sse(assign):
+        return sum(oracle_d2(p, cents[g]) for p, g in zip(pts, assign))
+
+    def assign_step():
+        assign = oracle_assign(pts, cents)
+        trace.append(sse(assign))
+        if oracle_reseed(pts, cents, assign):
+            trace.append(sse(assign))
+        return assign
+
+    prev = None
+    iterations = 0
+    for _ in range(iter_cap):
+        iterations += 1
+        assign = assign_step()
+        if assign == prev:
+            break
+        prev = assign
+        cents = oracle_means(pts, assign, k)
+        trace.append(sse(assign))
+    else:
+        assign = assign_step()
+    return cents, assign, trace, iterations
+
+
+def tie_heavy_codes(rng, n, pool):
+    """n short codes drawn from a pool of ``pool`` codes: duplicate codes,
+    equidistant groups and coincident centroids are common."""
+    code_length = int(rng.integers(3, 6))
+    sparsity = int(rng.integers(1, 3))
+    pool_codes = random_hash_matrix(code_length, pool, sparsity, rng).codes
+    return CodeMatrix(pool_codes[:, rng.integers(pool, size=n)], sparsity)
+
+
+def as_fractions(sums, counts):
+    """Centroids held as integer sums over counts, as exact rationals."""
+    return [[Fraction(int(v), int(c)) for v in row] for row, c in zip(sums, counts)]
+
+
+def exact_ternarize(values, sparsity):
+    ranked = sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))
+    out = [0] * len(values)
+    for i in ranked[:sparsity]:
+        out[i] = -1 if values[i] < 0 else 1
+    return out
+
+
 class TestKMeansAndRYStep:
     def test_singleton_groups_reproduce_codes(self):
         rng = np.random.default_rng(23)
@@ -279,7 +392,7 @@ class TestKMeansAndRYStep:
                         col[src] = 0
                 cols.append(col)
         codes = CodeMatrix(np.column_stack(cols), 3)
-        points = grouping_scale(1.0, 0.1) * codes.codes.astype(float).T
+        points = codes.codes.T
         result = kmeans(points, 3, np.random.default_rng(2))
         final_sse = result.objective_trace[-1]
         best_random = np.inf
@@ -299,10 +412,10 @@ class TestKMeansAndRYStep:
         rng = np.random.default_rng(25)
         for seed in range(10):
             codes = random_hash_matrix(8, 20, 3, rng)
-            points = grouping_scale(1.0, 0.1) * codes.codes.astype(float).T
+            points = codes.codes.T
             result = kmeans(points, 4, np.random.default_rng(seed))
             trace = result.objective_trace
-            assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_duplicate_points_never_yield_empty_groups(self):
         col = np.zeros(6, dtype=np.int8)
@@ -312,6 +425,102 @@ class TestKMeansAndRYStep:
         reps, assignments = ry_step(codes, 1.0, 0.5, 4, np.random.default_rng(4))
         assert assignments.num_groups == 4  # AssignmentMatrix forbids empty groups
         assert reps.num_groups == 4
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4), st.integers(1, 10), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_step_matches_fraction_oracle(self, seed, n, pool, k, outside):
+        # one assignment, reseed and centroid update from an arbitrary
+        # centroid state: means of pool codes, or of codes the data does not
+        # hold, so groups tie, coincide and come out empty
+        rng = np.random.default_rng(seed)
+        codes = tie_heavy_codes(rng, n, pool)
+        k = min(k, n)
+        source = random_hash_matrix(codes.code_length, pool, codes.sparsity, rng).codes if outside else codes.codes
+        counts = rng.integers(1, 4, size=k)
+        sums = np.stack([source[:, rng.integers(source.shape[1], size=c)].sum(axis=1) for c in counts]).astype(np.int64)
+        points = codes.codes.T.astype(np.int64)
+        pts = [[Fraction(int(v)) for v in row] for row in points]
+        cents = as_fractions(sums, counts)
+
+        def check_distances():
+            # _nearest's per-point value is the squared distance times n_a^2
+            assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
+                oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
+            ]
+
+        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        expected = oracle_assign(pts, cents)
+        assert assign.tolist() == expected
+        check_distances()
+
+        _fix_empty(points, assign, dist, sums, counts)
+        oracle_reseed(pts, cents, expected)
+        assert assign.tolist() == expected
+        assert as_fractions(sums, counts) == cents
+        check_distances()
+
+        assert as_fractions(*_group_sums(points, assign, k)) == oracle_means(pts, expected, k)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 10),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([1, 2, KMEANS_ITER_CAP]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kmeans_and_ry_step_match_fraction_oracle(self, seed, n, pool, k_is_n, iter_cap, data):
+        codes = tie_heavy_codes(np.random.default_rng(seed), n, pool)
+        k = n if k_is_n else data.draw(st.integers(1, n))
+        got_rng = np.random.default_rng(seed + 1)
+        result = kmeans(codes.codes.T, k, got_rng, iter_cap)
+        oracle_rng = np.random.default_rng(seed + 1)
+        cents, assign, trace, iterations = oracle_kmeans(codes.codes.T, k, oracle_rng, iter_cap)
+        assert result.assignments.tolist() == assign
+        assert result.iterations == iterations
+        assert result.objective_trace == tuple(float(v) for v in trace)
+        assert as_fractions(result.sums, result.counts) == cents
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+        if iter_cap == KMEANS_ITER_CAP:
+            reps, assignments = ry_step(codes, 1.0, 0.1, k, np.random.default_rng(seed + 1))
+            assert assignments.group_of.tolist() == assign
+            expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
+            assert np.array_equal(reps.codes, expected)
+
+    def test_exact_argmin_settles_what_floats_cannot(self):
+        # (2**53 + 1) / 2**53 and 1 / 1 are both 1.0 as floats; the second is smaller
+        assert _exact_argmin(np.array([[2**53 + 1, 1]]), np.array([2**53, 1])).tolist() == [1]
+        # equal rationals written differently go to the lowest column
+        assert _exact_argmin(np.array([[3, 1, 2]]), np.array([9, 3, 4])).tolist() == [0]
+        # negated values give the exact maximum, ties to the lowest column
+        assert _exact_argmin(np.array([[-(2**53 + 1), -1, -2]]), np.array([2**53, 1, 2])).tolist() == [0]
+        assert _exact_argmin(np.array([[-1, -(2**53 + 1), -2]]), np.array([1, 2**53, 2])).tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            pytest.param([[0.0, 1.0], [0.5, 0.0]], InvalidInputError, id="non-integer"),
+            pytest.param([[0.0, 1.0], [np.nan, 0.0]], InvalidInputError, id="nan"),
+            pytest.param([[0.0, 1.0], [np.inf, 0.0]], InvalidInputError, id="inf"),
+            pytest.param([[0.0, 1.0], [2.0**40, 0.0]], InvalidInputError, id="past-exact-range"),
+            pytest.param([0.0, 1.0], DimensionError, id="one-dimensional"),
+        ],
+    )
+    def test_kmeans_rejects_points_outside_exact_integers(self, bad, error):
+        with pytest.raises(error):
+            kmeans(np.array(bad), 1, np.random.default_rng(0))
+
+    def test_kmeans_memory_bounded_in_n_times_m(self):
+        # an N x M x l float64 broadcast would take 64 MiB here
+        codes = random_hash_matrix(128, 1024, 16, np.random.default_rng(31))
+        tracemalloc.start()
+        try:
+            kmeans(codes.codes.T, 64, np.random.default_rng(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_requires_valid_weights(self):
         rng = np.random.default_rng(26)

@@ -373,6 +373,15 @@ class TestWireFormat:
         for header in (b"GMKT", raw[:5], b"GMKT" + struct.pack(">BI", 1, 1) + raw[5:]):
             with pytest.raises(ParseError):
                 ProtocolTranscript.from_bytes(header)
+        # well-framed messages whose headers break the round rules
+        m1, m2, m3 = (transcript.message(r).encode() for r in (1, 2, 3))
+        for bad in (
+            raw[:5] + struct.pack(">BBI", 4, 0, 0),  # round outside 1..3
+            raw[:5] + struct.pack(">BBI", 1, 1, 0),  # round 1 from the server
+            raw[:5] + m2 + m1 + m3,  # messages out of order
+        ):
+            with pytest.raises(ParseError):
+                ProtocolTranscript.from_bytes(bad)
 
     def test_round_order_enforced(self):
         msgs = tuple(ProtocolMessage(r, s, (1,)) for r, s in ((1, 0), (2, 1)))
