@@ -437,3 +437,44 @@ def test_c10_cli_golden_bytes(tmp_path):
         )
     changed = [label for label, pinned in GOLDEN_TRAIN_DIGESTS.items() if digests[label] != pinned]
     assert report(10, "cli-golden-bytes", not changed, "model.txt and train.log" if not changed else f"bytes changed: {changed}")
+
+
+# SHA-256 of (transcript.bin, decision.txt) written by ``protocol-demo`` on the
+# CLI_CONFIG model (query 0, tau 4, seed 5).  The protocol draws only from
+# Python's ``random`` and computes in exact integers, so these digests hold on
+# any platform where the model bytes above hold.  A change to the protocol's
+# arithmetic must leave them as they are; a change to its wire format or rng
+# order must update them and say so in CHANGES.md.
+GOLDEN_DEMO_DIGESTS = {
+    "128-bit": (
+        "12c6e8ce96d8e12da461d5964631bd35dd86d8515811ac031c6b3969082b6d96",
+        "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
+    ),
+    "64-bit": (
+        "79b98aa973a547982fdf26243dc142930506348aa68ef52b01b671a278d2b0af",
+        "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
+    ),
+}
+
+
+def test_c10_protocol_demo_golden_bytes(tmp_path):
+    out = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "exp.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(CLI_CONFIG.format(out=out))
+    assert main(["train", "--config", cfg_path]) == 0
+    digests = {}
+    for label, extra in (("128-bit", []), ("64-bit", ["--additive-bits", "64"])):
+        demo_out = str(tmp_path / label)
+        argv = [
+            "protocol-demo", "--model", os.path.join(out, "model.txt"), "--query-index", "0", "--tau", "4",
+            "--seed", "5", "--out-dir", demo_out, *extra,
+        ]
+        assert main(argv) == 0, f"protocol-demo {label} failed"
+        digests[label] = tuple(
+            hashlib.sha256(open(os.path.join(demo_out, name), "rb").read()).hexdigest()
+            for name in ("transcript.bin", "decision.txt")
+        )
+    changed = [label for label, pinned in GOLDEN_DEMO_DIGESTS.items() if digests[label] != pinned]
+    detail = "transcript.bin and decision.txt" if not changed else f"bytes changed: {digests}"
+    assert report(10, "protocol-demo-golden-bytes", not changed, detail)
