@@ -63,4 +63,8 @@ class PlaintextRangeError(ProtocolError):
 
 
 class ProtocolIntegrityError(ProtocolError):
-    """Unmasking failed; the transcript is inconsistent with the masks."""
+    """A protocol value is malformed or inconsistent.
+
+    Raised for a ciphertext outside [1, n^2) or not coprime to n, and for
+    revealed values that do not unmask exactly with the server's masks.
+    """

@@ -9,8 +9,9 @@ clear); every ciphertext is under the client's additive key:
 2. server -> client: for every group g, in the server's group order, the
    ciphertext of a_g * (2S - 2 p.r_g - tau) + b_g with fresh signed masks.
    For exactly-S codes 2S - 2 p.r_g is the squared distance d_g, so the
-   value is a_g * (d_g - tau) + b_g.  The server computes enc(p.r_g) from
-   message 1 and adds a fresh encryption of the constant term, which
+   value is a_g * (d_g - tau) + b_g.  The server computes enc(-2 a_g p.r_g)
+   from message 1 (one batched inversion, then one positive exponentiation
+   per group) and adds a fresh encryption of the constant term, which
    rerandomizes every ciphertext.
 3. client -> server: the decrypted masked values.  Symmetric masks make the
    sign of (d_g - tau) statistically invisible to the client.
@@ -28,16 +29,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..core import CodeMatrix, TernaryCode
 from ..errors import DimensionError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
 from .paillier import (
+    AdditiveKey,
     AdditivePublicKey,
     AdditiveSecretKey,
-    additive_add,
     additive_decrypt,
     additive_encrypt,
     additive_keygen,
-    additive_scalar_mul,
+    invert_ciphertexts,
 )
 from .transcript import CLIENT, SERVER, ProtocolMessage, ProtocolTranscript
 
@@ -111,10 +114,14 @@ def draw_masks(count: int, magnitude: int, rng: random.Random) -> list[MaskPair]
     return masks
 
 
-def client_round1_encrypt_query(code: TernaryCode, pk: AdditivePublicKey, rng: random.Random) -> list[int]:
-    """Encrypt every component of the query code, zeros included."""
+def client_round1_encrypt_query(code: TernaryCode, key: AdditiveKey, rng: random.Random) -> list[int]:
+    """Encrypt every component of the query code, zeros included.
+
+    ``key`` is the client's public key, or its secret key, which encrypts to
+    the same ciphertexts faster (CRT over p^2 and q^2).
+    """
     _require_exact_code(code)
-    return [additive_encrypt(pk, int(s), rng) for s in code.symbols]
+    return [additive_encrypt(key, int(s), rng) for s in code.symbols]
 
 
 def server_round2_blind_threshold(
@@ -127,9 +134,16 @@ def server_round2_blind_threshold(
 ) -> list[int]:
     """Per group: the additive ciphertext of a_g*(2S - 2 p.r_g - tau) + b_g.
 
-    enc(p . r_g) is the product over nonzero symbols of enc(p_i)^{r_g(i)};
-    it is scaled by -2 a_g and multiplied by a fresh encryption of the
-    constant a_g*(2S - tau) + b_g, which also rerandomizes the result.
+    enc(-2 a_g p.r_g) is (prod_i c_i^(e_i))^(2|a_g|) over the support of
+    r_g, where e_i = -sign(a_g) r_g(i) is +1 or -1: the sign of the scalar
+    picks c_i or its inverse, so the one exponentiation per group has a
+    positive exponent of at most 2 * mask magnitude.  All l inverses come
+    from one modular inversion (``invert_ciphertexts``), which also rejects
+    message-1 entries that are not valid ciphertexts with
+    ``ProtocolIntegrityError``.  The product is multiplied by a fresh
+    encryption of the constant a_g*(2S - tau) + b_g, which rerandomizes it.
+    The supports and signs of all groups come from one ``np.nonzero``;
+    ``CodeMatrix`` guarantees exactly S nonzeros per column.
     """
     if len(encrypted_query) != representations.code_length:
         raise DimensionError("encrypted query length does not match representations")
@@ -139,19 +153,23 @@ def server_round2_blind_threshold(
     for mask in masks:
         if abs(mask.a) * (4 * sparsity + abs(tau)) + abs(mask.b) > additive_pk.signed_bound:
             raise PlaintextRangeError("mask pair overflows the additive plaintext window")
+    n2 = additive_pk.modulus_squared
+    # factors[0][i] = c_i, factors[1][i] = c_i^-1
+    factors = (list(encrypted_query), invert_ciphertexts(additive_pk, encrypted_query))
+    by_group = representations.codes.T
+    groups, support = np.nonzero(by_group)
+    support_rows = support.reshape(-1, sparsity).tolist()
+    negative_rows = (by_group[groups, support] < 0).reshape(-1, sparsity).tolist()
     blinded = []
-    for g, mask in enumerate(masks):
-        rep = representations.column(g)
-        _require_exact_code(rep)
-        acc = None
-        for i in rep.support():
-            factor = encrypted_query[i]
-            if rep.symbols[i] < 0:
-                factor = pow(factor, -1, additive_pk.modulus_squared)
-            acc = factor if acc is None else additive_add(additive_pk, acc, factor)
-        scaled = additive_scalar_mul(additive_pk, acc, -2 * mask.a)
+    for mask, rows, negatives in zip(masks, support_rows, negative_rows):
+        # exponent sign of c_i is -sign(a) * sign(r_i): the inverse when they agree
+        a_negative = mask.a < 0
+        acc = 1
+        for i, negative in zip(rows, negatives):
+            acc = acc * factors[negative == a_negative][i] % n2
+        scaled = pow(acc, 2 * abs(mask.a), n2)
         constant = additive_encrypt(additive_pk, mask.a * (2 * sparsity - tau) + mask.b, rng)
-        blinded.append(additive_add(additive_pk, scaled, constant))
+        blinded.append(scaled * constant % n2)
     return blinded
 
 
@@ -201,7 +219,7 @@ def run_protocol(
         keys = ProtocolKeys.generate(params, rng)
     validate_mask_range(keys.additive_public, code.sparsity, tau, params.mask_magnitude)
 
-    enc_query = client_round1_encrypt_query(code, keys.additive_public, rng)
+    enc_query = client_round1_encrypt_query(code, keys.additive_secret, rng)
     msg1 = ProtocolMessage(1, CLIENT, tuple(enc_query))
 
     masks = draw_masks(representations.num_groups, params.mask_magnitude, rng)

@@ -1,11 +1,16 @@
+import builtins
+import math
 import random
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, TernaryCode, squared_distance
 from gmkit.errors import ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
+from gmkit.protocol import engine
 from gmkit.protocol import (
     MaskPair,
     ProtocolKeys,
@@ -396,3 +401,160 @@ class TestWireFormat:
         validate_mask_range(roomy_keys.additive_public, 8, 32, 2**16)
         with pytest.raises(PlaintextRangeError):
             validate_mask_range(roomy_keys.additive_public, 8, 32, 2**61)
+
+
+def oracle_round2(encrypted_query, reps, pk, tau, masks, rng):
+    """Round 2 one symbol at a time: one inversion per negative symbol, then a
+    signed scalar multiplication (another inversion when -2a < 0)."""
+    blinded = []
+    for g, mask in enumerate(masks):
+        rep = reps.column(g)
+        acc = None
+        for i in rep.support():
+            factor = encrypted_query[i]
+            if rep.symbols[i] < 0:
+                factor = pow(factor, -1, pk.modulus_squared)
+            acc = factor if acc is None else additive_add(pk, acc, factor)
+        scaled = additive_scalar_mul(pk, acc, -2 * mask.a)
+        constant = additive_encrypt(pk, mask.a * (2 * reps.sparsity - tau) + mask.b, rng)
+        blinded.append(additive_add(pk, scaled, constant))
+    return blinded
+
+
+def textbook_decrypt(sk, ciphertext):
+    """m = L(c^lambda mod n^2) * mu mod n, with g = 1 + n and L(u) = (u - 1) / n."""
+    n = sk.public.modulus
+    n2 = n * n
+    lam = math.lcm(sk.prime_p - 1, sk.prime_q - 1)
+    mu = pow((pow(1 + n, lam, n2) - 1) // n, -1, n)
+    m = (pow(ciphertext, lam, n2) - 1) // n * mu % n
+    return m - n if m > n // 2 else m
+
+
+def signed_code(length, sparsity, sign_mode, rng):
+    symbols = np.zeros(length, dtype=np.int8)
+    for i in rng.sample(range(length), sparsity):
+        symbols[i] = {"positive": 1, "negative": -1}.get(sign_mode) or rng.choice((-1, 1))
+    return symbols
+
+
+class TestExactOracles:
+    MAGNITUDE = SecurityParams().mask_magnitude
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["mixed", "positive", "negative"]),
+        st.sampled_from(["drawn", "unit", "extreme"]),
+        st.booleans(),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round2_matches_per_symbol_oracle(self, roomy_keys, seed, sign_mode, mask_mode, member, num_groups):
+        rng = random.Random(seed)
+        pk = roomy_keys.additive_public
+        length = rng.randint(2, 12)
+        sparsity = rng.randint(1, length - 1)
+        reps = CodeMatrix(
+            np.column_stack([signed_code(length, sparsity, sign_mode, rng) for _ in range(num_groups)]), sparsity
+        )
+        symbols = reps.codes[:, rng.randrange(num_groups)] if member else signed_code(length, sparsity, "mixed", rng)
+        code = TernaryCode(symbols, sparsity)
+        tau = rng.randint(-1, 4 * sparsity)
+        if mask_mode == "drawn":
+            masks = draw_masks(num_groups, self.MAGNITUDE, rng)
+        else:
+            size = 1 if mask_mode == "unit" else self.MAGNITUDE
+            masks = [MaskPair(rng.choice((-size, size)), rng.randint(-size, size)) for _ in range(num_groups)]
+        enc = client_round1_encrypt_query(code, pk, rng)
+        state = rng.getstate()
+        fast = server_round2_blind_threshold(enc, reps, pk, tau, masks, rng)
+        after = rng.getstate()
+        rng.setstate(state)
+        assert fast == oracle_round2(enc, reps, pk, tau, masks, rng)
+        assert rng.getstate() == after
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_secret_key_encryption_matches_public_key(self, bits):
+        pk, sk = additive_keygen(bits, random.Random(bits))
+        rng = random.Random(bits + 1)
+        values = [0, 1, -1, pk.signed_bound, -pk.signed_bound] + [rng.randint(-pk.signed_bound, pk.signed_bound) for _ in range(100)]
+        for value in values:
+            seed = rng.getrandbits(64)
+            from_public = additive_encrypt(pk, value, random.Random(seed))
+            assert additive_encrypt(sk, value, random.Random(seed)) == from_public
+            assert additive_decrypt(sk, from_public) == value
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_crt_decryption_matches_textbook(self, bits):
+        pk, sk = additive_keygen(bits, random.Random(bits + 2))
+        rng = random.Random(bits + 3)
+        bound = pk.signed_bound  # (n - 1) / 2
+        values = [0, 1, -1, bound, -bound, bound - 1, -bound + 1]
+        values += [rng.randint(-bound, bound) for _ in range(100)]
+        for value in values:
+            ciphertext = additive_encrypt(pk, value, rng)
+            assert textbook_decrypt(sk, ciphertext) == value
+            assert additive_decrypt(sk, ciphertext) == value
+        for _ in range(100):  # arbitrary valid residues, not only fresh encryptions
+            ciphertext = rng.randrange(1, pk.modulus_squared)
+            if math.gcd(ciphertext, pk.modulus) == 1:
+                assert additive_decrypt(sk, ciphertext) == textbook_decrypt(sk, ciphertext)
+
+
+class TestMalformedCiphertexts:
+    def _bad_values(self, sk):
+        n = sk.public.modulus
+        return [0, n, -3, n * n + 5, n * n, 7 * sk.prime_p, sk.prime_q]
+
+    def test_round2_rejects_invalid_query_entries(self, roomy_keys):
+        rng = random.Random(40)
+        code = random_code(8, 2, rng)
+        reps = random_reps(8, 2, 3, rng)
+        enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
+        masks = draw_masks(3, 50, rng)
+        for bad in self._bad_values(roomy_keys.additive_secret):
+            for slot in (0, 5):
+                tampered = list(enc)
+                tampered[slot] = bad
+                with pytest.raises(ProtocolIntegrityError):
+                    server_round2_blind_threshold(tampered, reps, roomy_keys.additive_public, 2, masks, rng)
+
+    def test_decrypt_rejects_invalid_ciphertexts(self, roomy_keys):
+        for bad in self._bad_values(roomy_keys.additive_secret):
+            with pytest.raises(ProtocolIntegrityError):
+                additive_decrypt(roomy_keys.additive_secret, bad)
+        with pytest.raises(ProtocolIntegrityError):
+            client_round3_decrypt_reveal([1, 0], roomy_keys.additive_secret)
+
+
+class TestWorkCounts:
+    def test_run_protocol_work_per_query(self, roomy_keys, monkeypatch):
+        # per query: l + M encryptions, M decryptions and exactly one modular
+        # inversion, made by the batch helper in round 2
+        counts = {"encrypt": 0, "decrypt": 0, "batch": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_pow = builtins.pow
+
+        def counting_pow(base, exp, mod=None):
+            counts["inverse"] += exp < 0
+            return real_pow(base, exp, mod)
+
+        monkeypatch.setattr(engine, "additive_encrypt", counted("encrypt", engine.additive_encrypt))
+        monkeypatch.setattr(engine, "additive_decrypt", counted("decrypt", engine.additive_decrypt))
+        monkeypatch.setattr(engine, "invert_ciphertexts", counted("batch", engine.invert_ciphertexts))
+        monkeypatch.setattr(builtins, "pow", counting_pow)
+        rng = random.Random(41)
+        params = SecurityParams(additive_bits=64)
+        for length, sparsity, num_groups in ((16, 4, 5), (12, 3, 1), (32, 8, 9)):
+            code = random_code(length, sparsity, rng)
+            reps = random_reps(length, sparsity, num_groups, rng)
+            for key in counts:
+                counts[key] = 0
+            run_protocol(code, reps, 4, rng, params, roomy_keys)
+            assert counts == {"encrypt": length + num_groups, "decrypt": num_groups, "batch": 1, "inverse": 1}
