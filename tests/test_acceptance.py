@@ -478,3 +478,65 @@ def test_c10_protocol_demo_golden_bytes(tmp_path):
     changed = [label for label, pinned in GOLDEN_DEMO_DIGESTS.items() if digests[label] != pinned]
     detail = "transcript.bin and decision.txt" if not changed else f"bytes changed: {digests}"
     assert report(10, "protocol-demo-golden-bytes", not changed, detail)
+
+
+# The protocol-session benchmark shape, where k-means meets exact ties
+# (seeds 2 and 3) and the ternarizers meet tied magnitudes.
+PROTOCOL_SHAPE_CONFIG = """\
+[model]
+code_length = 64
+sparsity = 8
+num_groups = 64
+max_outer_iters = 10
+
+[data]
+num_identities = 1024
+samples_per_identity = 4
+dim = 128
+noise_sigma = 0.07
+impostor_fraction = 0.25
+
+[output]
+out_dir = {out}
+"""
+
+# SHA-256 of (model.txt, train.log) written by ``train`` on
+# PROTOCOL_SHAPE_CONFIG with model and data seed set to the named seed.
+# Recorded as GOLDEN_TRAIN_DIGESTS above; the kernels of training must keep
+# these bytes exactly.
+GOLDEN_PROTOCOL_SHAPE_DIGESTS = {
+    "seed-2": (
+        "675f4ca148a194f2b41ab9a89c8a1661ef73e7c8062b6e7b970e985a1e0af3ce",
+        "df2a9092fd358fdfaec2bbb818fef690c7c904bc4be4d2e76e1be7e5ac0457c3",
+    ),
+    "seed-3": (
+        "54348a3771bdfecab2745abde90a788341f1d16bb8c17c87be6f0a549cc0f2c4",
+        "cd9275d87109340d77d93a97d9c4897c1dcf9a0432f1dfa4862024a0e0f8c286",
+    ),
+    "baseline-16-seed-2": (
+        "873d92bd45722b6a489fa8382e693fa8f7c9873447123ff901f223e62467ff6b",
+        "d67dc438946abc99e919eba7a99576b0ecc6bcf074974599e8a50615f3cba992",
+    ),
+}
+
+
+def test_c10_protocol_shape_golden_bytes(tmp_path):
+    out = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "exp.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(PROTOCOL_SHAPE_CONFIG.format(out=out))
+    digests = {}
+    for label, seed, extra in (
+        ("seed-2", 2, []),
+        ("seed-3", 3, []),
+        ("baseline-16-seed-2", 2, ["--baseline-group-size", "16"]),
+    ):
+        argv = ["train", "--config", cfg_path, f"--seed={seed}", f"--data_seed={seed}", *extra]
+        assert main(argv) == 0, f"{label} failed"
+        digests[label] = tuple(
+            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ("model.txt", "train.log")
+        )
+    changed = [label for label, pinned in GOLDEN_PROTOCOL_SHAPE_DIGESTS.items() if digests[label] != pinned]
+    detail = "model.txt and train.log" if not changed else f"bytes changed: {digests}"
+    assert report(10, "protocol-shape-golden-bytes", not changed, detail)
