@@ -306,14 +306,17 @@ def _run_eval(args, overrides, mode: str) -> int:
 def cmd_protocol_demo(args, overrides) -> int:
     if overrides:
         raise ConfigError("protocol-demo takes flags only, no config overrides")
+    seed = args.seed
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"bad value for {ENV_SEED}: {env_seed!r}") from None
     model = load_model(args.model)
     num_codes = model.assignments.num_signatures
     if not 0 <= args.query_index < num_codes:
         raise ConfigError(f"query index {args.query_index} out of range [0, {num_codes})")
-    seed = args.seed
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        seed = int(env_seed)
     params = SecurityParams(additive_bits=args.additive_bits, mask_magnitude=args.mask_magnitude)
     rng = random.Random(seed)
     keys = ProtocolKeys.generate(params, rng)

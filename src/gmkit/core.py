@@ -214,17 +214,29 @@ def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:
     In every column the ``sparsity`` largest-magnitude entries become +/-1
     by sign, the rest 0.  Ties are broken toward the lowest index and
     sign(0) is +1, so the result is deterministic for any input.
+
+    This is the first ``sparsity`` rows of a stable sort on -|m|, found by
+    selection: one partition gives each column's ``sparsity``-th largest
+    magnitude t, every entry above t is kept, and the remaining slots go to
+    the lowest-index entries equal to t.
     """
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("cannot ternarize non-finite values")
-    if not 1 <= sparsity < m.shape[0]:
-        raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={m.shape[0]}")
-    # stable sort on -|m|: equal magnitudes keep ascending index order
-    keep = np.argsort(-np.abs(m), axis=0, kind="stable")[:sparsity]
-    cols = np.arange(m.shape[1])
-    out = np.zeros(m.shape, dtype=np.int8)
-    out[keep, cols] = np.where(m[keep, cols] < 0, -1, 1)
-    return out
+    length = m.shape[0]
+    if not 1 <= sparsity < length:
+        raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={length}")
+    # one row per column of m, so that each selection runs on contiguous memory
+    mag = np.abs(m.T).copy()
+    t = np.partition(mag, length - sparsity, axis=1)[:, length - sparsity, None]
+    keep = mag >= t
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > sparsity)
+    if tied.size:
+        above = mag[tied] > t[tied]
+        at = mag[tied] == t[tied]
+        slots = sparsity - np.count_nonzero(above, axis=1)
+        keep[tied] = above | (at & (np.cumsum(at, axis=1) <= slots[:, None]))
+    keep = np.ascontiguousarray(keep.T)
+    return keep.view(np.int8) - 2 * (keep & (m < 0)).view(np.int8)
 
 
 def ternarize(values: np.ndarray, sparsity: int) -> TernaryCode:

@@ -167,6 +167,14 @@ def _scan_matrix(path: str, lines: list[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _data_line(path: str, k: int) -> int:
+    """File line number of the k-th (0-based) data row, as counted by :func:`load_matrix`."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    data = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.lstrip().startswith("#")]
+    return data[k]
+
+
 def save_dataset(directory: str, dataset: Dataset) -> None:
     """Write the dataset bundle (enrolled / genuine / impostors CSVs)."""
     os.makedirs(directory, exist_ok=True)
@@ -188,7 +196,15 @@ def save_dataset(directory: str, dataset: Dataset) -> None:
 def load_dataset(directory: str) -> Dataset:
     """Read a dataset bundle written by :func:`save_dataset`."""
     enrolled = SignatureMatrix(load_matrix(os.path.join(directory, ENROLLED_FILE)).T)
-    genuine_raw = load_matrix(os.path.join(directory, GENUINE_FILE))
+    genuine_path = os.path.join(directory, GENUINE_FILE)
+    genuine_raw = load_matrix(genuine_path)
+    ids = genuine_raw[:, 0]
+    bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids != np.trunc(ids)))
+    if bad.size:
+        k = int(bad[0])
+        raise ParseError(
+            f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not a nonnegative integer"
+        )
     genuine = tuple((row[1:].copy(), int(row[0])) for row in genuine_raw)
     impostors_raw = load_matrix(os.path.join(directory, IMPOSTORS_FILE))
     impostors = tuple(row.copy() for row in impostors_raw)

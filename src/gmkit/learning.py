@@ -26,6 +26,15 @@ enforced at runtime.  The grouping step runs on the integer codes in exact
 integer arithmetic: a centroid is a group sum over a member count, so
 distances are compared as exact rationals, ties go to the lowest group index
 exactly, and the non-increase check is exact, with no slack.
+
+Its float64 steps are exact or screened.  Group sums, seeding distances and
+the products p . s_g behind the reported distances add integers whose
+partial sums stay below 2**53, where float64 is exact; the points are
+checked against that range up front.  The nearest-centroid scores come from
+one float64 GEMM and are rounded, but their error has a bound (derived in
+:func:`_nearest`), and every point whose two best scores lie within twice
+that bound is settled in integers.  The objective values are summed in
+int64 and Python rationals.
 """
 
 from __future__ import annotations
@@ -261,7 +270,7 @@ _NEAR_TIE = 1e-9
 
 def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
     """(int64, float64) copies of integer-valued points, within exact range."""
-    pf = np.asarray(points, dtype=np.float64)
+    pf = np.ascontiguousarray(points, dtype=np.float64)
     if pf.ndim != 2:
         raise DimensionError(f"points must be 2-D, got shape {pf.shape}")
     if not np.all(np.isfinite(pf)):
@@ -278,10 +287,16 @@ def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_sums(points: np.ndarray, group_of: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer sum s_g of the points (one per row) in each group, and the member count n_g."""
-    sums = np.zeros((k, points.shape[1]), dtype=np.int64)
-    np.add.at(sums, group_of, points)
-    return sums, np.bincount(group_of, minlength=k)
+    """Integer sum s_g of the points (one per row) in each group, and the member count n_g.
+
+    One float64 ``bincount`` over the flattened index g * dim + j: exact,
+    because the points are integers and every partial sum stays below
+    2**53 (:func:`_integer_points` guarantees dim * N * max|p|**2 < 2**53).
+    """
+    dim = points.shape[1]
+    cells = (np.asarray(group_of)[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=np.ravel(points), minlength=k * dim)
+    return sums.reshape(k, dim).astype(np.int64), np.bincount(group_of, minlength=k)
 
 
 def _exact_argmin(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -309,32 +324,73 @@ def _exact_argmin(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _exact_sum(num: np.ndarray, den: np.ndarray) -> Fraction:
     """The exact value of sum(num / den) for int64 arrays with den > 0."""
     dens, which = np.unique(den, return_inverse=True)
-    totals, _ = _group_sums(num[:, None], which, dens.size)
-    return sum((Fraction(int(t), int(d)) for t, d in zip(totals[:, 0], dens)), Fraction(0))
+    # int64, not float: the numerators reach 2**63
+    totals = np.zeros(dens.size, dtype=np.int64)
+    np.add.at(totals, which, num)
+    return sum((Fraction(int(t), int(d)) for t, d in zip(totals, dens)), Fraction(0))
 
 
 def _nearest(pf: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     """Exact nearest centroid s_g / n_g of every point, ties to the lowest g.
 
     Returns the assignment a and, per point, ||n_a p - s_a||^2, its squared
-    distance to its centroid times n_a^2.  p . s_g comes from one float64
-    product, exact because every partial sum is an integer below 2**53.
+    distance to its centroid times n_a^2.
+
+    A point p ranks the groups by T_g = c_g - 2 p . s_g / n_g with
+    c_g = ||s_g||^2 / n_g^2, its squared distance to the centroid less
+    ||p||^2.  One float64 GEMM of the points with the columns -2 s_g / n_g,
+    plus c_g, gives every float score.  With u = 2**-53 and r_g = ||s_g|| / n_g
+    its error is at most (dim + 4) u (||p|| + r_g)^2, up to a factor
+    1 + O(dim u):
+
+    * fl(-2 / n_g) and its products with the integers s_gj are rounded once
+      each, 2u relative; c_g divides two exact int64 values, each converted
+      to float64 once, 3u relative;
+    * the dim-term dot product is off by at most dim u / (1 - dim u) times
+      sum_j |p_j w_gj|, in any summation order, and by Cauchy-Schwarz that
+      sum is at most 2 ||p|| r_g;
+    * adding c_g rounds once more, u times |T_g| <= 2 ||p|| r_g + r_g^2.
+
+    So B = (dim + 8) 2**-52 (||p|| + max_g r_g)^2, twice the bound, covers
+    every score of a row and the rounding of B itself.  The exact minimum
+    lies within 2B of the float minimum, so a row whose second-smallest
+    float score is farther away is decided by the argmin; the other rows
+    are settled exactly by :func:`_exact_argmin` on the int64 numerators
+    ||s_g||^2 - 2 n_g p . s_g over n_g^2.  The distance is formed
+    in int64 for the chosen group only; p . s_a is an exact float64 sum of
+    integers below 2**53.
     """
-    num = (pf @ sums.T.astype(np.float64)).astype(np.int64)
-    num *= -2 * counts
-    num += np.outer(sq_norms, counts * counts)
-    num += np.einsum("ij,ij->i", sums, sums)
-    assign = _exact_argmin(num, counts * counts)
-    return assign, num[np.arange(len(assign)), assign]
+    n, dim = pf.shape
+    sums_f = sums.astype(np.float64)
+    sq_sums = np.einsum("ij,ij->i", sums, sums)
+    den = counts * counts
+    offset = sq_sums / den
+    score = pf @ (sums_f.T * (-2.0 / counts))
+    score += offset
+    rows = np.arange(n)
+    assign = np.argmin(score, axis=1)
+    low = score[rows, assign]
+    width = 2 * (dim + 8) * 2.0**-52 * (np.sqrt(sq_norms) + np.sqrt(offset.max())) ** 2
+    score[rows, assign] = np.inf
+    near = np.flatnonzero(np.min(score, axis=1) <= low + width)
+    if near.size:
+        num = sq_sums - 2 * counts * (pf[near] @ sums_f.T).astype(np.int64)
+        assign[near] = _exact_argmin(num, den)
+    na = counts[assign]
+    dots = np.einsum("ij,ij->i", pf, sums_f[assign]).astype(np.int64)
+    return assign, na * na * sq_norms - 2 * na * dots + sq_sums[assign]
 
 
 def _kmeans_pp_init(points: np.ndarray, pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
     """Seeded k-means++ seeding on exact squared distances; degenerate
     all-coincident tails fall back to the lowest unchosen indices."""
     n = points.shape[0]
+    pf_t = np.ascontiguousarray(pf.T)
 
     def dist2(i: int) -> np.ndarray:
-        return sq_norms + sq_norms[i] - 2 * (pf @ pf[i]).astype(np.int64)
+        # p_i . p summed over the support of p_i only: exact integers in float64
+        support = np.flatnonzero(points[i])
+        return sq_norms + sq_norms[i] - 2 * (pf[i, support] @ pf_t[support]).astype(np.int64)
 
     chosen = [int(rng.integers(n))]
     d2 = dist2(chosen[0])
@@ -412,7 +468,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int =
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        sums, counts = _group_sums(pts, assign, k)
+        sums, counts = _group_sums(pf, assign, k)
         # at the group means the objective is sum ||p||^2 - sum_g ||s_g||^2 / n_g
         trace.append(total_sq - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
     else:

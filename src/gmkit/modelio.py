@@ -38,13 +38,13 @@ def save_model(path: str, model: Model) -> None:
         value = getattr(model.config, name)
         lines.append(f"{name}={value!r}" if kind is float else f"{name}={value}")
     lines.append("[projection]")
-    lines.extend(",".join(repr(float(v)) for v in row) for row in model.projection.data)
+    lines.extend(",".join(map(repr, row)) for row in model.projection.data.tolist())
     lines.append("[codes]")
-    lines.extend(",".join(str(int(v)) for v in col) for col in model.codes.codes.T)
+    lines.extend(",".join(map(str, col)) for col in model.codes.codes.T.tolist())
     lines.append("[representations]")
-    lines.extend(",".join(str(int(v)) for v in col) for col in model.representations.codes.T)
+    lines.extend(",".join(map(str, col)) for col in model.representations.codes.T.tolist())
     lines.append("[assignments]")
-    lines.append(",".join(str(int(g)) for g in model.assignments.group_of))
+    lines.append(",".join(map(str, model.assignments.group_of.tolist())))
     lines.append("[objective_trace]")
     lines.append(_TRACE_HEADER)
     for ob in model.objective_trace:
@@ -71,6 +71,19 @@ def _split_sections(text: str, path: str) -> dict[str, list[str]]:
     return sections
 
 
+def _scan_rows(path: str, name: str, lines: list[str], cast) -> list[list]:
+    """Token-by-token parse of a section with ``cast``; the error path of :func:`load_model`."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rows.append([cast(tok) for tok in line.split(",")])
+        except ValueError:
+            raise ParseError(f"{path}: [{name}] row {lineno} is malformed") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError(f"{path}: [{name}] row {lineno} has {len(rows[-1])} columns, expected {len(rows[0])}")
+    return rows
+
+
 def load_model(path: str) -> Model:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -91,13 +104,17 @@ def load_model(path: str) -> Model:
         raise ParseError(f"{path}: config is missing key {exc}") from None
 
     def parse_rows(name: str, cast):
-        rows = []
-        for lineno, line in enumerate(sections[name], start=1):
+        lines = sections[name]
+        # np.loadtxt reads a field as float() and int() do, except that it
+        # strips "\x1f" as whitespace and refuses some fields they accept
+        # ("1_0"); the token scan settles those and names every fault
+        if lines and not any("\x1f" in line for line in lines):
             try:
-                rows.append([cast(tok) for tok in line.split(",")])
+                return np.loadtxt(lines, dtype=np.float64 if cast is float else np.int64, delimiter=",",
+                                  comments=None, ndmin=2)
             except ValueError:
-                raise ParseError(f"{path}: [{name}] row {lineno} is malformed") from None
-        return rows
+                pass
+        return _scan_rows(path, name, lines, cast)
 
     projection = ProjectionMatrix(np.array(parse_rows("projection", float)))
     codes = CodeMatrix(np.array(parse_rows("codes", int)).T, config.sparsity)

@@ -89,6 +89,19 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--no_such_key=1"]) != 0
         assert capsys.readouterr().err.startswith("ERROR:config:")
 
+    @pytest.mark.parametrize("command", ["train", "eval-verify"])
+    def test_nan_identity_is_parse_error(self, tmp_path, config_path, capsys, command):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        path = bundle / "genuine.csv"
+        lines = path.read_text().split("\n")
+        lines[1] = "nan," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR:io:{path}: row 2: identity nan is not")
+
 
 class TestTrain:
     def test_model_file_written_and_deterministic(self, tmp_path, config_path):
@@ -276,3 +289,29 @@ class TestProtocolDemo:
         ])
         assert rc != 0
         assert capsys.readouterr().err.startswith("ERROR:config:")
+
+    def test_non_integer_env_seed_is_config_error(self, tmp_path, trained, monkeypatch, capsys):
+        monkeypatch.setenv("GMK_SEED", "abc")
+        rc = main([
+            "protocol-demo", "--model", str(trained), "--query-index", "0", "--tau", "0",
+            "--out-dir", str(tmp_path / "z"), "--additive-bits", "64",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "ERROR:config:bad value for GMK_SEED: 'abc'\n"
+        assert not (tmp_path / "z").exists()
+
+    def test_env_seed_overrides_seed_flag(self, tmp_path, trained, monkeypatch):
+        outs = []
+        for name, flag in (("env", "1"), ("flag", "5")):
+            if name == "env":
+                monkeypatch.setenv("GMK_SEED", "5")
+            else:
+                monkeypatch.delenv("GMK_SEED")
+            out = tmp_path / name
+            rc = main([
+                "protocol-demo", "--model", str(trained), "--query-index", "0", "--tau", "4",
+                "--seed", flag, "--out-dir", str(out), "--additive-bits", "64",
+            ])
+            assert rc == 0
+            outs.append((out / "transcript.bin").read_bytes())
+        assert outs[0] == outs[1]

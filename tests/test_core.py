@@ -78,6 +78,32 @@ class TestTernarize:
             for j in range(m.shape[1]):
                 assert batched[:, j].tolist() == reference_ternarize(m[:, j], sparsity).tolist()
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 24),
+        st.integers(1, 40),
+        st.integers(0, 4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_selection_matches_stable_argsort_oracle(self, seed, length, num_cols, top, data):
+        # small integer magnitudes put many ties at the S-th position; signed
+        # zeros, all-tied and all-zero columns are mixed in
+        rng = np.random.default_rng(seed)
+        sparsity = data.draw(st.integers(1, length - 1))
+        m = rng.integers(-top, top + 1, size=(length, num_cols)).astype(np.float64)
+        m[rng.random(m.shape) < 0.2] = -0.0
+        tied = rng.random(num_cols) < 0.2
+        m[:, tied] = np.where(rng.random((length, int(tied.sum()))) < 0.5, -1.0, 1.0) * top
+        keep = np.argsort(-np.abs(m), axis=0, kind="stable")[:sparsity]
+        expected = np.zeros(m.shape, dtype=np.int8)
+        cols = np.arange(num_cols)
+        expected[keep, cols] = np.where(m[keep, cols] < 0, -1, 1)
+        got = ternarize_columns(m, sparsity)
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        assert ternarize(m[:, 0], sparsity).symbols.tolist() == expected[:, 0].tolist()
+
     def test_rejects_sparsity_at_or_above_length(self):
         with pytest.raises(InvalidSparsityError):
             ternarize(np.ones(4), 4)

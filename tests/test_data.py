@@ -231,3 +231,31 @@ class TestDatasetBundle:
         # every shape is checked before any norm
         with pytest.raises(ConfigError):
             Dataset(ds.enrolled, ((2 * vec, idx), (other[:-1], other_idx)), ds.impostors)
+
+    @pytest.mark.parametrize(
+        "identity",
+        [
+            pytest.param("nan", id="nan"),
+            pytest.param("inf", id="inf"),
+            pytest.param("3.7", id="non-integer"),
+            pytest.param("-1", id="negative"),
+        ],
+    )
+    def test_bad_identity_names_file_and_row(self, tmp_path, identity):
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / "genuine.csv"
+        lines = path.read_text().split("\n")
+        lines[2] = identity + "," + lines[2].split(",", 1)[1]  # the second data row, after the header
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match=rf"genuine\.csv: row 3: identity {float(identity)!r} is not"):
+            load_dataset(str(tmp_path))
+
+    def test_integer_valued_identity_loads(self, tmp_path):
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        path = tmp_path / "genuine.csv"
+        text = path.read_text()
+        assert "\n3," in text
+        path.write_text(text.replace("\n3,", "\n3.0,", 1))
+        back = load_dataset(str(tmp_path))
+        assert [i for _, i in back.genuine_queries] == [i for _, i in ds.genuine_queries]

@@ -497,6 +497,50 @@ class TestKMeansAndRYStep:
         assert _exact_argmin(np.array([[-(2**53 + 1), -1, -2]]), np.array([2**53, 1, 2])).tolist() == [0]
         assert _exact_argmin(np.array([[-1, -(2**53 + 1), -2]]), np.array([1, 2**53, 2])).tolist() == [1]
 
+    def test_nearest_settles_ties_below_float_resolution(self):
+        # p . s_g comes within 2**50 of the 2**53 limit of exact float64 sums;
+        # every score ||s_g||^2 / n_g^2 - 2 p . s_g / n_g is then -||p||^2 plus
+        # a squared distance below the float64 spacing of 1/2 at that magnitude
+        big = 3 * 2**24
+        sums = np.array([[2 * big + 1], [3 * big - 1], [3 * big + 1], [big + 1]], dtype=np.int64)
+        counts = np.array([2, 3, 3, 1])
+        points = np.array([[big], [big - 1], [big + 1]], dtype=np.int64)
+        assert int(np.max(np.abs(points @ sums.T))) < 2**53
+        cents = as_fractions(sums, counts)
+        pts = [[Fraction(int(v)) for v in row] for row in points]
+        expected = oracle_assign(pts, cents)
+        # 1/9 ties 1/9 and beats 1/4 and 1
+        assert expected == [1, 1, 3]
+        # rounded exactly once, the scores of the first point put group 0 first
+        scores = [float(oracle_d2(pts[0], c) - oracle_d2(pts[0], [0])) for c in cents]
+        assert int(np.argmin(scores)) == 0
+        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        assert assign.tolist() == expected
+        assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
+            oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
+        ]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_matches_fraction_oracle_near_range_limit(self, seed, dim, n, k):
+        # points and centroids a few units apart, so close to the 2**53 limit
+        # on |p . s_g| that the scores differ below the float64 spacing
+        rng = np.random.default_rng(seed)
+        amax = int(np.sqrt(2**53 / (3 * dim))) - 16
+        centre = rng.integers(amax - amax // 8, amax - 2, size=dim) * rng.choice([-1, 1], size=dim)
+        points = centre + rng.integers(-2, 3, size=(n, dim))
+        counts = rng.integers(1, 4, size=k)
+        sums = np.stack([c * centre + rng.integers(-2 * c, 2 * c + 1, size=dim) for c in counts]).astype(np.int64)
+        assert int(np.max(np.abs(points @ sums.T))) < 2**53
+        pts = [[Fraction(int(v)) for v in row] for row in points]
+        cents = as_fractions(sums, counts)
+        expected = oracle_assign(pts, cents)
+        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        assert assign.tolist() == expected
+        assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
+            oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
+        ]
+
     @pytest.mark.parametrize(
         "bad, error",
         [

@@ -66,3 +66,90 @@ def test_malformed_row_rejected(model, tmp_path):
     path.write_text(text)
     with pytest.raises(ParseError):
         load_model(str(path))
+
+
+def test_save_matches_per_element_formatting(model, tmp_path):
+    # the text that save_model wrote with float() / int() on every numpy scalar
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().splitlines()
+    start = lines.index("[projection]") + 1
+    end = lines.index("[objective_trace]")
+    expected = [",".join(repr(float(v)) for v in row) for row in model.projection.data]
+    expected.append("[codes]")
+    expected.extend(",".join(str(int(v)) for v in col) for col in model.codes.codes.T)
+    expected.append("[representations]")
+    expected.extend(",".join(str(int(v)) for v in col) for col in model.representations.codes.T)
+    expected.append("[assignments]")
+    expected.append(",".join(str(int(g)) for g in model.assignments.group_of))
+    assert lines[start:end] == expected
+
+
+def load_outcome(path):
+    """Every array of the loaded model, bit for bit, or the error's type and text."""
+    try:
+        m = load_model(path)
+    except Exception as err:  # a raw exception must match too
+        return ("error", type(err).__name__, str(err))
+    return (
+        "ok",
+        m.projection.data.view(np.uint64).tolist(),
+        m.codes.codes.tolist(),
+        m.representations.codes.tolist(),
+        m.assignments.group_of.tolist(),
+        m.objective_trace,
+    )
+
+
+def first_token(replacement):
+    return lambda line: replacement + line[line.index(","):]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda line: line, id="unchanged"),
+        pytest.param(lambda line: line + ",", id="trailing-comma"),
+        pytest.param(lambda line: line.replace(",", ",,", 1), id="empty-field"),
+        pytest.param(lambda line: line + ",0", id="ragged-long"),
+        pytest.param(lambda line: line.split(",", 1)[1], id="ragged-short"),
+        pytest.param(lambda line: " " + line.replace(",", " , ") + "\t", id="spaces"),
+        pytest.param(lambda line: line + "\x1f", id="unit-separator"),  # np.loadtxt only
+        pytest.param(first_token("1_0"), id="underscore"),  # float() and int() only
+        pytest.param(first_token("+1"), id="plus-sign"),
+        pytest.param(first_token("1.0"), id="float-token"),
+        pytest.param(first_token("1e0"), id="exponent"),
+        pytest.param(first_token("nan"), id="nan"),
+        pytest.param(first_token("-inf"), id="minus-inf"),
+        pytest.param(first_token("99999999999999999999"), id="past-int64"),
+        pytest.param(first_token("0x1"), id="hex"),
+        pytest.param(lambda line: line + " # x", id="inline-comment"),
+        pytest.param(lambda line: line.replace(",", ";"), id="semicolons"),
+    ],
+)
+@pytest.mark.parametrize("section", ["[projection]", "[codes]", "[representations]", "[assignments]"])
+def test_matches_token_scan_on_corruptions(model, tmp_path, monkeypatch, corrupt, section):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    row = lines.index(section) + 1
+    lines[row] = corrupt(lines[row])
+    path.write_text("\n".join(lines))
+    fast = load_outcome(str(path))
+
+    def refuse(*args, **kwargs):
+        raise ValueError("token scan only")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert fast == load_outcome(str(path))
+
+
+def test_ragged_section_is_parse_error(model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    text = path.read_text()
+    start = text.index("[codes]\n") + len("[codes]\n")
+    end = text.index("\n", start)
+    path.write_text(text[:end] + ",0" + text[end:])
+    with pytest.raises(ParseError, match=r"\[codes\] row 2 has 5 columns, expected 6"):
+        load_model(str(path))
