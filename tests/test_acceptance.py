@@ -540,3 +540,41 @@ def test_c10_protocol_shape_golden_bytes(tmp_path):
     changed = [label for label, pinned in GOLDEN_PROTOCOL_SHAPE_DIGESTS.items() if digests[label] != pinned]
     detail = "model.txt and train.log" if not changed else f"bytes changed: {digests}"
     assert report(10, "protocol-shape-golden-bytes", not changed, detail)
+
+
+# SHA-256 of the metrics CSV that each ``eval-*`` subcommand writes for a
+# stored model (``--model``) on CLI_CONFIG, for the trained model and the
+# random-assignment baseline.  Recorded as GOLDEN_TRAIN_DIGESTS above; a
+# change to how evaluation computes must keep these bytes exactly.
+GOLDEN_EVAL_DIGESTS = {
+    "train": {
+        "eval-verify": "2652478b3a52318296106e7c34905bcaa328c6b45de4bce745bcfe68ea90e39d",
+        "eval-identify": "2652478b3a52318296106e7c34905bcaa328c6b45de4bce745bcfe68ea90e39d",
+        "eval-security": "d6c143385915d10a7d58f72093426c58c70d8928accd8d1bd81076bcae975e3e",
+    },
+    "baseline": {
+        "eval-verify": "25ecdd206e668b9ece709ab9d92c60b203c622d68ae93ee3a430d49e66fc74cd",
+        "eval-identify": "25ecdd206e668b9ece709ab9d92c60b203c622d68ae93ee3a430d49e66fc74cd",
+        "eval-security": "a372f3f53b7bb8c61c3405afbc2f5978bfd9477a1825ca7658a07b86b1155940",
+    },
+}
+
+
+def test_c10_eval_golden_bytes(tmp_path):
+    out = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "exp.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(CLI_CONFIG.format(out=out))
+    digests = {}
+    for label, extra in (("train", []), ("baseline", ["--baseline-group-size", "4"])):
+        assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
+        model_path = str(tmp_path / f"{label}-model.txt")
+        os.replace(os.path.join(out, "model.txt"), model_path)
+        digests[label] = {}
+        for mode, csv in (("eval-verify", "verify"), ("eval-identify", "identify"), ("eval-security", "security")):
+            assert main([mode, "--config", cfg_path, "--model", model_path]) == 0, f"{label} {mode} failed"
+            with open(os.path.join(out, f"{csv}-metrics.csv"), "rb") as fh:
+                digests[label][mode] = hashlib.sha256(fh.read()).hexdigest()
+    changed = [label for label, pinned in GOLDEN_EVAL_DIGESTS.items() if digests[label] != pinned]
+    detail = "verify, identify and security CSVs" if not changed else f"bytes changed: {digests}"
+    assert report(10, "eval-golden-bytes", not changed, detail)
