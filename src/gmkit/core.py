@@ -23,15 +23,20 @@ UNIT_NORM_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-8
 
 
-def _check_query_vectors(vectors, dim: int, what: str, shape_error: type) -> None:
-    """Each vector must have shape (dim,) (else ``shape_error``) and unit norm
-    within UNIT_NORM_TOL (else InvalidInputError).  Every shape is checked
-    before any norm."""
+def _check_query_vectors(vectors, dim: int, what: str, shape_error: type) -> np.ndarray:
+    """The vectors as the rows of a float64 Q x dim matrix.
+
+    Each vector must have shape (dim,) (else ``shape_error``) and unit norm
+    within UNIT_NORM_TOL (else InvalidInputError; a non-finite vector fails
+    too).  Every shape is checked before any norm."""
     vectors = list(vectors)
     if any(vec.shape != (dim,) for vec in vectors):
         raise shape_error(f"{what} dimension mismatch")
-    if vectors and np.any(np.abs(np.linalg.norm(np.stack(vectors), axis=1) - 1.0) > UNIT_NORM_TOL):
+    rows = np.stack(vectors).astype(np.float64, copy=False) if vectors else np.empty((0, dim))
+    # "not <=" so that a NaN norm fails the check
+    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise InvalidInputError(f"{what} is not unit norm")
+    return rows
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -5,13 +5,18 @@ between the query code and that group's representation is at most the
 threshold.  Open-set identification first accepts when the minimum distance
 over all groups is at most the threshold, then names the nearest group.
 
-Each measure embeds all its queries with one ``ternarize_columns(W^T Q)`` and
-scores every (query, group) pair in one Q x M matrix of exact integer
-distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r shortcut, so
-nothing here relies on the exactly-S contract; the sweeps and the report
-index that matrix.  e.r is a float64 matrix product and still exact: every
-entry is in {-1, 0, +1}, so every partial sum is an integer of magnitude at
-most l < 2**53, whatever order BLAS adds in.
+A :class:`QuerySet` keeps a read-only copy of its vectors, taken and stacked
+into d x Q matrices at construction; later changes to the arrays it was
+built from do not reach the measures.  Queries are embedded and scored once
+per query set and model: the genuine and the impostor queries are each
+embedded with one ``ternarize_columns(W^T Q)`` and scored in one Q x M
+matrix of exact integer distances ||e||^2 + ||r||^2 - 2 e.r, never the
+2S - 2 p.r shortcut, so nothing here relies on the exactly-S contract.  The
+query set keeps those codes and matrices for the last model it was scored
+against, and the sweeps, the report and the security measure index them.
+e.r is a float64 matrix product and still exact: every entry is in
+{-1, 0, +1}, so every partial sum is an integer of magnitude at most
+l < 2**53, whatever order BLAS adds in.
 
 The reconstruction attacks model a curious server that knows the projection:
 a code v is mapped back as beta * W v with a scalar gain beta fitted by
@@ -35,9 +40,23 @@ from .learning import Model
 TARGET_PFP = 0.05
 
 
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of ``rows.T``: one query per column, the
+    layout every measure multiplies by."""
+    columns = np.ascontiguousarray(rows.T)
+    columns.setflags(write=False)
+    return columns
+
+
 @dataclass(frozen=True)
 class QuerySet:
-    """Genuine queries tagged with their true group, plus impostor queries."""
+    """Genuine queries tagged with their true group, plus impostor queries.
+
+    Construction stacks a read-only copy of the vectors, which is what the
+    measures read.  The codes and distances they compute are kept for the
+    last model scored (compared by identity), so the measures of one
+    evaluation pass embed and score each query once.
+    """
 
     genuine: tuple[tuple[np.ndarray, int], ...]
     impostors: tuple[np.ndarray, ...]
@@ -45,11 +64,37 @@ class QuerySet:
     def __post_init__(self):
         if not self.genuine or not self.impostors:
             raise ConfigError("query set needs at least one genuine and one impostor query")
-        if any(group < 0 for _, group in self.genuine):
+        groups = np.array([group for _, group in self.genuine])
+        if groups.dtype.kind not in "iu":
+            raise ConfigError("genuine query groups must be integers")
+        if groups.min() < 0:
             raise ConfigError("negative group index")
+        groups = groups.astype(np.int64)
+        groups.setflags(write=False)
         dim = self.genuine[0][0].size
-        _check_query_vectors((vec for vec, _ in self.genuine), dim, "genuine query", DimensionError)
-        _check_query_vectors(self.impostors, dim, "impostor query", DimensionError)
+        genuine = _check_query_vectors((vec for vec, _ in self.genuine), dim, "genuine query", DimensionError)
+        impostors = _check_query_vectors(self.impostors, dim, "impostor query", DimensionError)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_genuine", _columns(genuine))
+        object.__setattr__(self, "_impostors", _columns(impostors))
+        object.__setattr__(self, "_scored", (None, {}))
+
+    def _memo(self, model: Model, part: str, compute) -> np.ndarray:
+        """``part`` of this query set under ``model``, computed on first use.
+
+        One slot: scoring another model drops what the previous one left.
+        The slot is replaced, never edited, so a concurrent caller scoring
+        another model keeps its own parts.
+        """
+        scored_model, parts = self._scored
+        if scored_model is not model:
+            parts = {}
+            object.__setattr__(self, "_scored", (model, parts))
+        if part not in parts:
+            value = compute()
+            value.setflags(write=False)
+            parts[part] = value
+        return parts[part]
 
 
 @dataclass(frozen=True)
@@ -119,18 +164,32 @@ def _embed(model: Model, queries: np.ndarray) -> np.ndarray:
 
 
 def _distances(model: Model, codes: np.ndarray) -> np.ndarray:
-    """Q x M integer squared distances from the code columns (l x Q) to every representation."""
-    e, r = codes.astype(np.float64), model.representations.codes.astype(np.float64)
+    """Q x M integer squared distances (int32) from the ternary code columns
+    (l x Q) to every representation."""
+    r = model.representations.codes
     # float64 is exact here (see the module docstring); int64 matmul would bypass BLAS
-    return (np.sum(e * e, axis=0)[:, None] + np.sum(r * r, axis=0) - 2.0 * (e.T @ r)).astype(np.int64)
+    d = codes.astype(np.float64).T @ r.astype(np.float64)
+    d *= -2.0
+    d += np.count_nonzero(codes, axis=0)[:, None]
+    d += np.count_nonzero(r, axis=0)
+    # every entry is at most ||e||^2 + ||r||^2 + 2 |e.r| <= 4l
+    return d.astype(np.int32)
 
 
-def _query_distances(model: Model, vectors) -> np.ndarray:
-    return _distances(model, _embed(model, np.stack(vectors, axis=1)))
+def _genuine_codes(model: Model, queries: QuerySet) -> np.ndarray:
+    return queries._memo(model, "genuine codes", lambda: _embed(model, queries._genuine))
+
+
+def _genuine_distances(model: Model, queries: QuerySet) -> np.ndarray:
+    return queries._memo(model, "genuine distances", lambda: _distances(model, _genuine_codes(model, queries)))
+
+
+def _impostor_distances(model: Model, queries: QuerySet) -> np.ndarray:
+    return queries._memo(model, "impostor distances", lambda: _distances(model, _embed(model, queries._impostors)))
 
 
 def _true_groups(model: Model, queries: QuerySet) -> np.ndarray:
-    groups = np.array([group for _, group in queries.genuine])
+    groups = queries._groups
     if groups.max() >= model.representations.num_groups:
         raise ConfigError(f"genuine query group {groups.max()} out of range [0, {model.representations.num_groups})")
     return groups
@@ -140,7 +199,7 @@ def group_distances(model: Model, code: TernaryCode) -> np.ndarray:
     """Integer squared distances from a code to every group representation."""
     if code.length != model.representations.code_length:
         raise DimensionError("code length does not match the model")
-    return _distances(model, code.symbols[:, None])[0]
+    return _distances(model, code.symbols[:, None])[0].astype(np.int64)
 
 
 def verify(model: Model, code: TernaryCode, group: int, threshold: float) -> bool:
@@ -169,9 +228,9 @@ def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator
     all) are always included.
     """
     groups = _true_groups(model, queries)
-    genuine = _query_distances(model, [vec for vec, _ in queries.genuine])[np.arange(len(groups)), groups]
+    genuine = _genuine_distances(model, queries)[np.arange(len(groups)), groups]
     claims = rng.integers(model.representations.num_groups, size=len(queries.impostors))
-    impostor = _query_distances(model, queries.impostors)[np.arange(len(claims)), claims]
+    impostor = _impostor_distances(model, queries)[np.arange(len(claims)), claims]
     return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
 
 
@@ -211,8 +270,8 @@ def identify(model: Model, code: TernaryCode, threshold: float) -> Optional[int]
 
 def identification_sweep(model: Model, queries: QuerySet) -> RocCurve:
     """ROC of the open-set acceptance step (minimum distance over groups)."""
-    genuine = _query_distances(model, [vec for vec, _ in queries.genuine]).min(axis=1)
-    impostor = _query_distances(model, queries.impostors).min(axis=1)
+    genuine = _genuine_distances(model, queries).min(axis=1)
+    impostor = _impostor_distances(model, queries).min(axis=1)
     return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
 
 
@@ -228,7 +287,7 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     step; with zero accepted queries it is defined as 0 and flagged.
     """
     groups = _true_groups(model, queries)
-    distances = _query_distances(model, [vec for vec, _ in queries.genuine])
+    distances = _genuine_distances(model, queries)
     nearest = np.argmin(distances, axis=1)
     accepted_rows = distances.min(axis=1) <= threshold
     accepted = int(np.count_nonzero(accepted_rows))
@@ -282,10 +341,19 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
     w = model.projection.data
     enrolled_lifted = w @ model.representations.codes[:, model.assignments.group_of].astype(np.float64)
     beta = _gain(enrolled_lifted, signatures.data)
-    genuine = np.stack([vec for vec, _ in queries.genuine], axis=1)
-    genuine_lifted = w @ _embed(model, genuine).astype(np.float64)
+    mse_security = _residual_mse(signatures.data, enrolled_lifted, beta)
+    del enrolled_lifted  # d x N: freed before the queries are lifted, which lowers the peak
+    genuine_lifted = w @ _genuine_codes(model, queries).astype(np.float64)
     return SecurityReport(
-        mse_security=float(np.mean((signatures.data - beta * enrolled_lifted) ** 2)),
-        mse_privacy=float(np.mean((genuine - beta * genuine_lifted) ** 2)),
+        mse_security=mse_security,
+        mse_privacy=_residual_mse(queries._genuine, genuine_lifted, beta),
         beta=beta,
     )
+
+
+def _residual_mse(targets: np.ndarray, lifted: np.ndarray, beta: float) -> float:
+    """mean((targets - beta * lifted) ** 2), bit for bit, computed in ``lifted``'s memory."""
+    lifted *= beta
+    np.subtract(targets, lifted, out=lifted)
+    lifted *= lifted
+    return float(np.mean(lifted))

@@ -136,7 +136,12 @@ def embedding_cost(signatures: SignatureMatrix, projection: ProjectionMatrix, co
         raise DimensionError("projection rows must match signature dimension")
     if codes.codes.shape != (projection.code_length, signatures.num_signatures):
         raise DimensionError("code matrix shape does not match projection / signatures")
-    resid = codes.codes.astype(np.float64) - projection.data.T @ signatures.data
+    return _embedding_cost(codes, projection.data.T @ signatures.data)
+
+
+def _embedding_cost(codes: CodeMatrix, projected: np.ndarray) -> float:
+    """||E - P||_F^2 for the projected signatures P = W^T X."""
+    resid = codes.codes.astype(np.float64) - projected
     return float(np.sum(resid * resid))
 
 
@@ -152,11 +157,17 @@ def scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: 
         raise DimensionError("assignment length does not match number of codes")
     if assignments.num_groups != representations.num_groups:
         raise DimensionError("assignment group count does not match representations")
-    assigned = representations.codes[:, assignments.group_of].astype(np.int64)
-    diff = codes.codes.astype(np.int64) - assigned
-    within = float(np.sum(diff * diff))
-    between = float(np.sum(assigned * assigned))
-    return within, between
+    return _scatter_traces(codes, representations, assignments)
+
+
+def _scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: AssignmentMatrix) -> tuple[float, float]:
+    """The two traces in exact int64 from the group sums s_g and counts n_g:
+    between = sum_g n_g ||r_g||^2 and within = sum_i ||e_i||^2 + between
+    - 2 sum_g r_g . s_g.  A ternary vector's squared norm is its nonzero count."""
+    sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
+    between = int(counts @ np.count_nonzero(representations.codes, axis=0))
+    cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
+    return float(np.count_nonzero(codes.codes) + between - 2 * cross), float(between)
 
 
 def _check_weights(within_weight: float, between_weight: float) -> None:
@@ -244,9 +255,14 @@ def e_step(
         raise DimensionError("representation code length does not match projection")
     if assignments.num_signatures != signatures.num_signatures:
         raise DimensionError("assignment length does not match signatures")
-    target = projection.data.T @ signatures.data + within_weight * representations.codes[
-        :, assignments.group_of
-    ].astype(np.float64)
+    return _code_update(projection.data.T @ signatures.data, representations, assignments, within_weight, sparsity)
+
+
+def _code_update(
+    projected: np.ndarray, representations: CodeMatrix, assignments: AssignmentMatrix, within_weight: float, sparsity: int
+) -> CodeMatrix:
+    """Ternarize P + lambda * R Y for the projected signatures P = W^T X."""
+    target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
     return CodeMatrix(ternarize_columns(target, sparsity), sparsity)
 
 
@@ -539,10 +555,15 @@ def _alternate(
     prev_total = None
     for _ in range(config.max_outer_iters):
         projection = _svd_projection(signatures, codes)
-        codes = e_step(projection, signatures, reps, assign, config.within_weight, config.sparsity)
+        # W^T X once per iteration, for the code update and the embedding cost
+        projected = projection.data.T @ signatures.data
+        codes = _code_update(projected, reps, assign, config.within_weight, config.sparsity)
         reps, assign = group(codes)
-        breakdown = objective(
-            signatures, projection, codes, reps, assign, config.within_weight, config.between_weight
+        breakdown = ObjectiveBreakdown.from_parts(
+            _embedding_cost(codes, projected),
+            *_scatter_traces(codes, reps, assign),
+            config.within_weight,
+            config.between_weight,
         )
         trace.append(breakdown)
         if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:

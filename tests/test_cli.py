@@ -102,6 +102,19 @@ class TestGenData:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"ERROR:io:{path}: row 2: identity nan is not")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_impostor_is_input_error(self, tmp_path, config_path, capsys, bad):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        path = bundle / "impostors.csv"
+        lines = path.read_text().split("\n")
+        lines[1] = bad + "," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        rc = main(["eval-verify", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
+        assert rc == 1
+        assert capsys.readouterr().err == "ERROR:input:impostor query is not unit norm\n"
+
 
 class TestTrain:
     def test_model_file_written_and_deterministic(self, tmp_path, config_path):

@@ -15,6 +15,7 @@ from gmkit.core import (
     ternarize,
     ternarize_columns,
 )
+from gmkit.core import _check_query_vectors
 from gmkit.errors import (
     ConfigError,
     DimensionError,
@@ -248,6 +249,23 @@ class TestTypes:
         m = SignatureMatrix(np.eye(3)[:, :2])
         with pytest.raises(ValueError):
             m.data[0, 0] = 2.0
+
+    def test_query_vectors_stacked_and_checked(self):
+        vecs = [np.eye(4)[:, 1], np.full(4, 0.5)]
+        stack = _check_query_vectors(vecs, 4, "query", DimensionError)
+        assert stack.dtype == np.float64 and np.array_equal(stack, np.vstack(vecs))
+        with pytest.raises(DimensionError):
+            _check_query_vectors([np.eye(4)[:, 1], np.eye(3)[:, 0]], 4, "query", DimensionError)
+        with pytest.raises(InvalidInputError):
+            _check_query_vectors([2 * np.eye(4)[:, 1]], 4, "query", DimensionError)
+        # a NaN norm compares false against any tolerance and must still fail
+        for bad in (np.nan, np.inf, -np.inf):
+            vec = np.eye(4)[:, 0].copy()
+            vec[2] = bad
+            with pytest.raises(InvalidInputError):
+                _check_query_vectors([np.eye(4)[:, 1], vec], 4, "query", DimensionError)
+            with pytest.raises(InvalidInputError):
+                _check_query_vectors([np.full(4, bad)], 4, "query", DimensionError)
 
     def test_projection_requires_orthonormal_columns(self):
         with pytest.raises(InvalidInputError):

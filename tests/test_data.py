@@ -231,6 +231,11 @@ class TestDatasetBundle:
         # every shape is checked before any norm
         with pytest.raises(ConfigError):
             Dataset(ds.enrolled, ((2 * vec, idx), (other[:-1], other_idx)), ds.impostors)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError):
+                Dataset(ds.enrolled, ((vec, idx), (np.full(vec.size, bad), other_idx)), ds.impostors)
+            with pytest.raises(InvalidInputError):
+                Dataset(ds.enrolled, ds.genuine_queries, ds.impostors + (np.full(vec.size, bad),))
 
     @pytest.mark.parametrize(
         "identity",

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from gmkit.evaluation import (
     verification_sweep,
     verify,
 )
+from gmkit import evaluation
 from gmkit.learning import AssignmentMatrix, Model, train
 
 
@@ -280,6 +282,12 @@ class TestVerificationSweep:
         with pytest.raises(ConfigError):
             QuerySet((), (np.ones(3),))
 
+    def test_non_integer_groups_rejected(self):
+        e0, e1 = np.eye(6)[:, 0], np.eye(6)[:, 1]
+        for group in (1.0, 2.5, -1):
+            with pytest.raises(ConfigError):
+                QuerySet(((e0, 0), (e1, group)), (e1,))
+
     def test_query_vectors_checked(self):
         e0, e1 = np.eye(6)[:, 0], np.eye(6)[:, 1]
         with pytest.raises(DimensionError):
@@ -289,6 +297,11 @@ class TestVerificationSweep:
         # every shape is checked before any norm
         with pytest.raises(DimensionError):
             QuerySet(((2 * e0, 0), (np.eye(5)[:, 0], 1)), (e1,))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInputError):
+                QuerySet(((np.full(6, bad), 0),), (e1,))
+            with pytest.raises(InvalidInputError):
+                QuerySet(((e0, 0),), (e1, np.where(e1 > 0, bad, 0.0)))
         # queries must also match the model's projection
         queries = QuerySet(((np.eye(7)[:, 0], 0),), (np.eye(7)[:, 1],))
         with pytest.raises(DimensionError):
@@ -619,3 +632,102 @@ class TestBatchedMatchesOracles:
             diff = reps.astype(np.int64) - queries[:, j].astype(np.int64)[:, None]
             assert distances[j].tolist() == np.sum(diff * diff, axis=0).tolist()
         assert distances[0, 0] == 0 and distances[1, 1] == 4 * sparsity
+
+
+def shared_signature_models():
+    """Two models over the same signatures (dim 9, l = 6, S = 2) with 3 and 4
+    groups, and queries whose claimed groups are valid for both."""
+    rng = np.random.default_rng(50)
+    dim, length, sparsity, n = 9, 6, 2, 8
+    models = []
+    for num_groups in (3, 4):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, length)))
+        reps = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_groups)])
+        codes = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(n)])
+        models.append(build_model(q, codes, reps, np.arange(n) % num_groups, sparsity))
+    near = rng.standard_normal((dim, n))
+    signatures = SignatureMatrix(near / np.linalg.norm(near, axis=0))
+    genuine = tuple((unit(rng.standard_normal(dim)), int(rng.integers(3))) for _ in range(14))
+    impostors = tuple(unit(rng.standard_normal(dim)) for _ in range(9))
+    return models, signatures, genuine, impostors
+
+
+def evaluation_pass(model, queries, signatures):
+    """The four measures in the order the CLI and the benchmark run them."""
+    roc = verification_sweep(model, queries, np.random.default_rng(3))
+    ident_roc = identification_sweep(model, queries)
+    tau = threshold_at_pfp(ident_roc, 0.05)
+    return roc, ident_roc, identification_report(model, queries, tau), security_report(signatures, queries, model)
+
+
+class TestQuerySetMemo:
+    def test_one_pass_embeds_each_side_once(self, monkeypatch):
+        calls = []
+        original = evaluation.ternarize_columns
+
+        def counted(matrix, sparsity):
+            calls.append(matrix.shape)
+            return original(matrix, sparsity)
+
+        monkeypatch.setattr(evaluation, "ternarize_columns", counted)
+        (model, _), signatures, genuine, impostors = shared_signature_models()
+        queries = QuerySet(genuine, impostors)
+        identification_report(model, queries, 4)
+        security_report(signatures, queries, model)
+        assert calls == [(6, len(genuine))]  # the genuine side only: no impostor embedding yet
+        evaluation_pass(model, queries, signatures)
+        assert calls == [(6, len(genuine)), (6, len(impostors))]
+        evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+        assert len(calls) == 4
+
+    def test_switching_models_matches_fresh_query_sets_and_oracles(self):
+        (model_a, model_b), signatures, genuine, impostors = shared_signature_models()
+        shared = QuerySet(genuine, impostors)
+        for model in (model_a, model_b, model_a):
+            roc, ident_roc, report, security = evaluation_pass(model, shared, signatures)
+            assert (roc, ident_roc, report, security) == evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+            assert roc == oracle_verification_sweep(model, shared, np.random.default_rng(3))
+            assert ident_roc == oracle_identification_sweep(model, shared)
+            assert report == oracle_identification_report(model, shared, threshold_at_pfp(ident_roc, 0.05))
+            expected = oracle_security_report(signatures, shared, model)
+            for field in ("mse_security", "mse_privacy", "beta"):
+                assert getattr(security, field) == pytest.approx(getattr(expected, field), rel=1e-12, abs=0)
+        assert evaluation_pass(model_a, shared, signatures)[0] != evaluation_pass(model_b, shared, signatures)[0]
+
+    def test_stacked_vectors_are_a_read_only_copy(self):
+        (model, _), signatures, genuine, impostors = shared_signature_models()
+        genuine = tuple((vec.copy(), group) for vec, group in genuine)
+        queries = QuerySet(genuine, impostors)
+        before = evaluation_pass(model, queries, signatures)
+        for stacked in (queries._genuine, queries._impostors, queries._groups):
+            assert not stacked.flags.writeable
+        with pytest.raises(ValueError):
+            queries._genuine[0, 0] = 0.0
+        _, parts = queries._scored
+        assert parts and not any(part.flags.writeable for part in parts.values())
+        genuine[0][0][:] = impostors[0]
+        assert evaluation_pass(model, QuerySet(queries.genuine, impostors), signatures) != before
+        assert evaluation_pass(model, queries, signatures) == before
+
+    def test_pass_memory_bounded(self):
+        rng = np.random.default_rng(41)
+        dim, length, sparsity, n, num_groups = 128, 64, 8, 2048, 128
+        projection, _ = np.linalg.qr(rng.standard_normal((dim, length)))
+        x = rng.standard_normal((dim, n))
+        x /= np.linalg.norm(x, axis=0)
+        codes = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(n)])
+        reps = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_groups)])
+        model = build_model(projection, codes, reps, np.arange(n) % num_groups, sparsity)
+        rows = rng.standard_normal((n + n // 2, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        genuine = tuple((row, int(g)) for row, g in zip(rows[:n], rng.integers(num_groups, size=n)))
+        impostors = tuple(rows[n:])
+        signatures = SignatureMatrix(x)
+        tracemalloc.start()
+        try:
+            evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass peaked at 10.0 MiB when each measure embedded and scored its own queries
+        assert peak < 10 * 2**20
