@@ -44,6 +44,7 @@ from gmkit.learning import (
     train_random_assignment_baseline,
     w_step,
 )
+from gmkit.modelio import load_model
 from gmkit.protocol import (
     ProtocolKeys,
     SecurityParams,
@@ -578,3 +579,66 @@ def test_c10_eval_golden_bytes(tmp_path):
     changed = [label for label, pinned in GOLDEN_EVAL_DIGESTS.items() if digests[label] != pinned]
     detail = "verify, identify and security CSVs" if not changed else f"bytes changed: {digests}"
     assert report(10, "eval-golden-bytes", not changed, detail)
+
+
+def relabeled_model_digests(out):
+    """SHA-256 of the model in ``out`` up to a relabeling of its groups, and
+    of its ``train.log``.
+
+    Groups are renumbered in order of first appearance in the assignment;
+    the model digest covers the projection, the codes, the renumbered
+    assignment and the representations in the new order.
+    """
+    model = load_model(os.path.join(out, "model.txt"))
+    group_of = model.assignments.group_of
+    _, first = np.unique(group_of, return_index=True)
+    order = np.argsort(first)
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    h = hashlib.sha256()
+    for part in (
+        model.projection.data,
+        model.codes.codes,
+        label[group_of],
+        model.representations.codes[:, order],
+    ):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest(), hashlib.sha256(open(os.path.join(out, "train.log"), "rb").read()).hexdigest()
+
+
+# relabeled_model_digests of ``train`` on CLI_CONFIG and on PROTOCOL_SHAPE_CONFIG
+# (model and data seed set to the named seed).  Recorded as GOLDEN_TRAIN_DIGESTS
+# above; a change to how the grouping step numbers its groups keeps these,
+# while the raw model.txt digests above move.
+GOLDEN_RELABELED_DIGESTS = {
+    "cli": (
+        "82bf3e261a7c036eb3cf20f8bf1cfd44795899c411b8c6ebb7ec226c5250403e",
+        "6be2f31ae60f003391ec62e10a98b46d0999b973210de9ae6f911577434535fe",
+    ),
+    "protocol-shape-seed-2": (
+        "f8d73decf5b657a6aad6c6a15e2f6147a959a0f05dc67afecc04e493c35fd3e2",
+        "df2a9092fd358fdfaec2bbb818fef690c7c904bc4be4d2e76e1be7e5ac0457c3",
+    ),
+    "protocol-shape-seed-3": (
+        "3d8bb60b2bdbf209156d4c7ba8b91cb55fe661337f010639a4accf8ae37bc89f",
+        "cd9275d87109340d77d93a97d9c4897c1dcf9a0432f1dfa4862024a0e0f8c286",
+    ),
+}
+
+
+def test_c10_relabeled_model_golden_bytes(tmp_path):
+    digests = {}
+    for label, template, extra in (
+        ("cli", CLI_CONFIG, []),
+        ("protocol-shape-seed-2", PROTOCOL_SHAPE_CONFIG, ["--seed=2", "--data_seed=2"]),
+        ("protocol-shape-seed-3", PROTOCOL_SHAPE_CONFIG, ["--seed=3", "--data_seed=3"]),
+    ):
+        out = str(tmp_path / label)
+        cfg_path = str(tmp_path / f"{label}.ini")
+        with open(cfg_path, "w") as fh:
+            fh.write(template.format(out=out))
+        assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
+        digests[label] = relabeled_model_digests(out)
+    changed = [label for label, pinned in GOLDEN_RELABELED_DIGESTS.items() if digests[label] != pinned]
+    detail = "model up to group labels, and train.log" if not changed else f"bytes changed: {digests}"
+    assert report(10, "relabeled-model-golden-bytes", not changed, detail)
