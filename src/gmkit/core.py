@@ -185,8 +185,10 @@ class ModelConfig:
 
     ``convergence_tol`` stops training early when the total objective moves
     less than the tolerance between outer iterations.  It defaults to 0 (no
-    early stop): the grouping step reseeds its clustering every iteration,
-    so transient objective ties are common and do not mean a fixed point.
+    early stop): the grouping step continues from the previous assignment,
+    but the projection and code updates round onto ternary codes and need
+    not lower the objective, so an unchanged total does not mean a fixed
+    point.
     """
 
     code_length: int

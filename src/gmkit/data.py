@@ -58,6 +58,11 @@ class Dataset:
     ``genuine_queries`` pairs each query vector with the enrolled column
     index of its identity.  Impostor identities are disjoint from enrolled
     ones by construction.
+
+    Construction checks the queries once and stacks them into read-only
+    arrays, one query per row, with the identities as an int64 array; the
+    two fields then hold row views of those stacks, so each query is kept
+    once, and the evaluation query set is built from the stacks.
     """
 
     enrolled: SignatureMatrix
@@ -67,11 +72,22 @@ class Dataset:
     def __post_init__(self):
         d = self.enrolled.dim
         n = self.enrolled.num_signatures
-        for _, idx in self.genuine_queries:
-            if not 0 <= idx < n:
-                raise ConfigError(f"genuine query identity {idx} out of range")
-        _check_query_vectors((vec for vec, _ in self.genuine_queries), d, "genuine query", ConfigError)
-        _check_query_vectors(self.impostors, d, "impostor query", ConfigError)
+        ids = np.array([idx for _, idx in self.genuine_queries])
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ConfigError("genuine query identities must be integers")
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        if bad.size:
+            raise ConfigError(f"genuine query identity {ids[bad[0]]} out of range")
+        ids = ids.astype(np.int64)
+        genuine = _check_query_vectors((vec for vec, _ in self.genuine_queries), d, "genuine query", ConfigError)
+        impostors = _check_query_vectors(self.impostors, d, "impostor query", ConfigError)
+        for stack in (ids, genuine, impostors):
+            stack.setflags(write=False)
+        object.__setattr__(self, "genuine_queries", tuple(zip(genuine, ids.tolist())))
+        object.__setattr__(self, "impostors", tuple(impostors))
+        object.__setattr__(self, "_genuine_ids", ids)
+        object.__setattr__(self, "_genuine", genuine)
+        object.__setattr__(self, "_impostors", impostors)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

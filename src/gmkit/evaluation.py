@@ -62,18 +62,31 @@ class QuerySet:
     impostors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.genuine or not self.impostors:
-            raise ConfigError("query set needs at least one genuine and one impostor query")
+        _require_both_sides(len(self.genuine), len(self.impostors))
         groups = np.array([group for _, group in self.genuine])
         if groups.dtype.kind not in "iu":
             raise ConfigError("genuine query groups must be integers")
         if groups.min() < 0:
             raise ConfigError("negative group index")
-        groups = groups.astype(np.int64)
-        groups.setflags(write=False)
         dim = self.genuine[0][0].size
         genuine = _check_query_vectors((vec for vec, _ in self.genuine), dim, "genuine query", DimensionError)
         impostors = _check_query_vectors(self.impostors, dim, "impostor query", DimensionError)
+        self._attach(genuine, groups.astype(np.int64), impostors)
+
+    @classmethod
+    def _from_rows(cls, genuine: np.ndarray, groups: np.ndarray, impostors: np.ndarray) -> "QuerySet":
+        """The query set of already checked stacks, one query per row, and
+        nonnegative int64 ``groups``: nothing is checked again, and the
+        public fields hold row views of the stacks."""
+        _require_both_sides(groups.size, len(impostors))
+        queries = object.__new__(cls)
+        object.__setattr__(queries, "genuine", tuple(zip(genuine, groups.tolist())))
+        object.__setattr__(queries, "impostors", tuple(impostors))
+        queries._attach(genuine, groups, impostors)
+        return queries
+
+    def _attach(self, genuine: np.ndarray, groups: np.ndarray, impostors: np.ndarray) -> None:
+        groups.setflags(write=False)
         object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_genuine", _columns(genuine))
         object.__setattr__(self, "_impostors", _columns(impostors))
@@ -149,11 +162,21 @@ class SecurityReport:
             raise ConfigError("mean squared errors must be nonnegative")
 
 
+def _require_both_sides(num_genuine: int, num_impostors: int) -> None:
+    if not num_genuine or not num_impostors:
+        raise ConfigError("query set needs at least one genuine and one impostor query")
+
+
 def query_set_from_dataset(dataset: Dataset, model: Model) -> QuerySet:
-    """Tag each genuine query with the learned group of its enrolled identity."""
-    group_of = model.assignments.group_of
-    genuine = tuple((vec, int(group_of[idx])) for vec, idx in dataset.genuine_queries)
-    return QuerySet(genuine, dataset.impostors)
+    """Tag each genuine query with the learned group of its enrolled identity.
+
+    The query set is built from the stacks the dataset checked on
+    construction; nothing is checked or stacked again.
+    """
+    if dataset.enrolled.num_signatures != model.assignments.num_signatures:
+        raise DimensionError("model was not trained on this dataset's enrolled signatures")
+    groups = model.assignments.group_of[dataset._genuine_ids]
+    return QuerySet._from_rows(dataset._genuine, groups, dataset._impostors)
 
 
 def _embed(model: Model, queries: np.ndarray) -> np.ndarray:

@@ -16,16 +16,21 @@ three block updates are:
 * grouping update: k-means on the columns of E, followed by ternarization
   of the final centroids.  The relaxed grouping problem is k-means on
   c * E with c = lambda / (lambda - gamma); a positive c scales every
-  squared distance by c^2 and so moves no assignment.
+  squared distance by c^2 and so moves no assignment.  Only the first
+  grouping update seeds k-means with k-means++; every later one starts
+  Lloyd from the current assignment, so it ends no higher than that
+  assignment scores on the new codes, and stops after one assignment step
+  when the assignment is already a fixed point.
 
 The total objective is not guaranteed monotone across outer iterations (the
 ternary projections break monotonicity); the per-iteration trace is recorded
 and only required to stay finite.  Inside the grouping step, however, the
-k-means objective is non-increasing at every single update and that is
-enforced at runtime.  The grouping step runs on the integer codes in exact
-integer arithmetic: a centroid is a group sum over a member count, so
-distances are compared as exact rationals, ties go to the lowest group index
-exactly, and the non-increase check is exact, with no slack.
+k-means objective is non-increasing at every single update, from the warm
+start on, and that is enforced at runtime.  The grouping step runs on the
+integer codes in exact integer arithmetic: a centroid is a group sum over a
+member count, so distances are compared as exact rationals, ties go to the
+lowest group index exactly, and the non-increase check is exact, with no
+slack.
 
 Its float64 steps are exact or screened.  Group sums, seeding distances and
 the products p . s_g behind the reported distances add integers whose
@@ -443,13 +448,30 @@ def _check_non_increasing(trace: list[Fraction]) -> None:
             raise GmkitError(f"k-means objective increased from {float(a)!r} to {float(b)!r}")
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int = KMEANS_ITER_CAP) -> KMeansResult:
+def kmeans(
+    points: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    iter_cap: int = KMEANS_ITER_CAP,
+    initial: AssignmentMatrix | None = None,
+) -> KMeansResult:
     """Plain k-means on integer points, in exact integer arithmetic, with
-    seeded k-means++ init and a no-empty-cluster policy.
+    seeded k-means++ init or a warm start, and a no-empty-cluster policy.
 
     ``points`` is (N, dim), one integer-valued point per row; requires
     k <= N.  Every centroid is kept as an integer sum over a count, so each
     distance comparison is exact and ties go to the lowest group index.
+
+    Without ``initial``, the centroids are seeded by k-means++ from ``rng``.
+    With an ``initial`` assignment of the N points to k groups (every group
+    nonempty), Lloyd starts from that assignment's group means and draws
+    nothing from ``rng``; the trace then opens with that assignment's
+    objective, so the non-increase check bounds the result by it, and an
+    assignment that is already a fixed point ends the run after one
+    assignment step.  Raises :class:`DimensionError` when ``initial`` does
+    not assign N points and :class:`ConfigError` when it has other than k
+    groups.
+
     Empty clusters are reseeded with the point currently farthest from its
     own centroid (ties to the lowest point index), taken from a cluster with
     at least two members, so no group is ever returned empty.  Reseeding
@@ -463,6 +485,11 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int =
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= number of points, got k={k} n={n}")
+    if initial is not None:
+        if initial.num_signatures != n:
+            raise DimensionError(f"initial assignment has {initial.num_signatures} entries for {n} points")
+        if initial.num_groups != k:
+            raise ConfigError(f"initial assignment has {initial.num_groups} groups, expected k={k}")
     sq_norms = np.einsum("ij,ij->i", pts, pts)
     total_sq = int(sq_norms.sum())
     trace: list[Fraction] = []
@@ -474,9 +501,19 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int =
             trace.append(_exact_sum(dist, counts[assign] ** 2))
         return assign
 
-    sums = _kmeans_pp_init(pts, pf, sq_norms, k, rng)
-    counts = np.ones(k, dtype=np.int64)
-    prev = None
+    def update_step(assign):
+        sums, counts = _group_sums(pf, assign, k)
+        # at the group means the objective is sum ||p||^2 - sum_g ||s_g||^2 / n_g
+        trace.append(total_sq - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
+        return sums, counts
+
+    if initial is None:
+        sums = _kmeans_pp_init(pts, pf, sq_norms, k, rng)
+        counts = np.ones(k, dtype=np.int64)
+        prev = None
+    else:
+        prev = initial.group_of
+        sums, counts = update_step(prev)
     iterations = 0
     for _ in range(iter_cap):
         iterations += 1
@@ -484,9 +521,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iter_cap: int =
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        sums, counts = _group_sums(pf, assign, k)
-        # at the group means the objective is sum ||p||^2 - sum_g ||s_g||^2 / n_g
-        trace.append(total_sq - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
+        sums, counts = update_step(assign)
     else:
         # iteration cap: restore assignment consistency with the last centroids
         assign = assign_step(sums, counts)
@@ -500,6 +535,7 @@ def ry_step(
     between_weight: float,
     num_groups: int,
     rng: np.random.Generator,
+    previous: AssignmentMatrix | None = None,
 ) -> tuple[CodeMatrix, AssignmentMatrix]:
     """Grouping update: k-means on the codes, then ternarize centroids.
 
@@ -510,11 +546,16 @@ def ry_step(
     its group representation; its integer group sum has the same signs and
     the same ranking of magnitudes, so the sum is ternarized, free of any
     rounding.
+
+    Given the ``previous`` assignment, k-means starts from it (see
+    :func:`kmeans`) and draws nothing from ``rng``, so the relaxed grouping
+    objective ends no higher than that assignment's on the new codes: a
+    block-coordinate update of (R, Y).  Without it, k-means++ seeds afresh.
     """
     if num_groups > codes.codes.shape[1]:
         raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
     _check_weights(within_weight, between_weight)
-    result = kmeans(codes.codes.T, num_groups, rng)
+    result = kmeans(codes.codes.T, num_groups, rng, initial=previous)
     return _ternarized_sums(result.sums, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 
 
@@ -541,15 +582,16 @@ def _alternate(
     signatures: SignatureMatrix,
     config: ModelConfig,
     rng: np.random.Generator,
-    group: Callable[[CodeMatrix], tuple[CodeMatrix, AssignmentMatrix]],
+    group: Callable[[CodeMatrix, AssignmentMatrix | None], tuple[CodeMatrix, AssignmentMatrix]],
 ) -> Model:
     """The alternating loop behind :func:`train` and the baseline.
 
-    ``group`` is the grouping step: it maps the current codes to the group
-    representations and the assignment.
+    ``group`` is the grouping step: it maps the current codes and the
+    current assignment (None on the first call) to the group
+    representations and the new assignment.
     """
     projection, codes = _init_state(signatures, config, rng)
-    reps, assign = group(codes)
+    reps, assign = group(codes, None)
 
     trace: list[ObjectiveBreakdown] = []
     prev_total = None
@@ -558,7 +600,7 @@ def _alternate(
         # W^T X once per iteration, for the code update and the embedding cost
         projected = projection.data.T @ signatures.data
         codes = _code_update(projected, reps, assign, config.within_weight, config.sparsity)
-        reps, assign = group(codes)
+        reps, assign = group(codes, assign)
         breakdown = ObjectiveBreakdown.from_parts(
             _embedding_cost(codes, projected),
             *_scatter_traces(codes, reps, assign),
@@ -577,8 +619,11 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
 
     Initialization: orthonormalized seeded Gaussian projection, codes from a
     first ternarization pass, grouping from a seeded k-means++ run on those
-    codes.  Stops after ``max_outer_iters`` iterations, or earlier when a
-    positive ``convergence_tol`` exceeds the change of the total objective.
+    codes.  Every later grouping step warm-starts k-means from the current
+    assignment, so k-means++ runs once per training run and nothing is
+    drawn from the rng after it.  Stops after ``max_outer_iters`` iterations, or earlier
+    when a positive ``convergence_tol`` exceeds the change of the total
+    objective.
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)
@@ -586,7 +631,9 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
         signatures,
         config,
         rng,
-        lambda codes: ry_step(codes, config.within_weight, config.between_weight, config.num_groups, rng),
+        lambda codes, previous: ry_step(
+            codes, config.within_weight, config.between_weight, config.num_groups, rng, previous
+        ),
     )
 
 
@@ -616,7 +663,7 @@ def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelC
     rng = np.random.default_rng(config.seed)
     assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
 
-    def group(codes: CodeMatrix) -> tuple[CodeMatrix, AssignmentMatrix]:
+    def group(codes: CodeMatrix, _previous: AssignmentMatrix | None) -> tuple[CodeMatrix, AssignmentMatrix]:
         sums, _ = _group_sums(codes.codes.T, assign.group_of, assign.num_groups)
         return _ternarized_sums(sums, codes.sparsity), assign
 

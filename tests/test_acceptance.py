@@ -413,7 +413,7 @@ def test_c10_cli_determinism(tmp_path):
 # fixed-seed output must update these digests and say so in CHANGES.md.
 GOLDEN_TRAIN_DIGESTS = {
     "train": (
-        "ae2ab640b59a50484dd569b40a2ff26902fd45008e85e73bffc6e0a63ecbd148",
+        "9ed13b83f3b4e95936b8b05d39d00b66e230334cc02afe83c8adb03d3a070708",
         "6be2f31ae60f003391ec62e10a98b46d0999b973210de9ae6f911577434535fe",
     ),
     "baseline": (
@@ -448,11 +448,11 @@ def test_c10_cli_golden_bytes(tmp_path):
 # order must update them and say so in CHANGES.md.
 GOLDEN_DEMO_DIGESTS = {
     "128-bit": (
-        "12c6e8ce96d8e12da461d5964631bd35dd86d8515811ac031c6b3969082b6d96",
+        "d6092b23b5ab093d7f1212b326f6f2c40335830a3ccf63d452ebcd6867fadc81",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
     "64-bit": (
-        "79b98aa973a547982fdf26243dc142930506348aa68ef52b01b671a278d2b0af",
+        "d173b09e36429387be8d5fac846144752f1cd43661cdbdcbb0459f1ade40d518",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
 }
@@ -507,11 +507,11 @@ out_dir = {out}
 # these bytes exactly.
 GOLDEN_PROTOCOL_SHAPE_DIGESTS = {
     "seed-2": (
-        "675f4ca148a194f2b41ab9a89c8a1661ef73e7c8062b6e7b970e985a1e0af3ce",
+        "278df2dd0f4bfd751a4b2eb5ccae21e0348d9739e1410ff6edb157f4e73c46f2",
         "df2a9092fd358fdfaec2bbb818fef690c7c904bc4be4d2e76e1be7e5ac0457c3",
     ),
     "seed-3": (
-        "54348a3771bdfecab2745abde90a788341f1d16bb8c17c87be6f0a549cc0f2c4",
+        "0392cd88abde98907f31c2b01df2dbe34b83737fad96ba60fcc2e56f1ce04606",
         "cd9275d87109340d77d93a97d9c4897c1dcf9a0432f1dfa4862024a0e0f8c286",
     ),
     "baseline-16-seed-2": (

@@ -221,6 +221,30 @@ class TestDatasetBundle:
         with pytest.raises(ConfigError):
             Dataset(ds.enrolled, ((ds.genuine_queries[0][0], 99),), ds.impostors)
 
+    def test_dataset_rejects_non_integer_identities(self):
+        ds = generate(spec())
+        for idx in (1.0, 2.5, "3", None):
+            with pytest.raises(ConfigError):
+                Dataset(ds.enrolled, ((ds.genuine_queries[0][0], idx),), ds.impostors)
+
+    def test_dataset_keeps_each_query_once_in_read_only_stacks(self):
+        ds = generate(spec())
+        genuine = tuple((vec.copy(), idx) for vec, idx in ds.genuine_queries)
+        impostors = tuple(vec.copy() for vec in ds.impostors)
+        kept = Dataset(ds.enrolled, genuine, impostors)
+        assert np.array_equal(kept._genuine, np.stack([vec for vec, _ in genuine]))
+        assert np.array_equal(kept._impostors, np.stack(impostors))
+        assert kept._genuine_ids.tolist() == [idx for _, idx in genuine]
+        for stacked in (kept._genuine, kept._impostors, kept._genuine_ids):
+            assert not stacked.flags.writeable
+        # the fields are views of the stacks: equal to what was passed, not copies of it
+        for (vec, idx), (given, given_idx) in zip(kept.genuine_queries, genuine):
+            assert np.shares_memory(vec, kept._genuine) and np.array_equal(vec, given) and idx == given_idx
+        for vec, given in zip(kept.impostors, impostors):
+            assert np.shares_memory(vec, kept._impostors) and np.array_equal(vec, given)
+        genuine[0][0][:] = 0.0  # the caller's arrays no longer reach the dataset
+        assert np.array_equal(kept._genuine, np.stack([vec for vec, _ in ds.genuine_queries]))
+
     def test_dataset_validates_query_vectors(self):
         ds = generate(spec())
         (vec, idx), (other, other_idx) = ds.genuine_queries[:2]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
-from gmkit.data import SyntheticSpec, generate
+from gmkit.data import Dataset, SyntheticSpec, generate
 from gmkit.errors import ConfigError, DimensionError, InvalidInputError
 from gmkit.evaluation import (
     IdentificationReport,
@@ -731,3 +731,47 @@ class TestQuerySetMemo:
             tracemalloc.stop()
         # one pass peaked at 10.0 MiB when each measure embedded and scored its own queries
         assert peak < 10 * 2**20
+
+
+class TestQuerySetFromDataset:
+    def dataset_and_model(self):
+        spec = SyntheticSpec(num_identities=24, samples_per_identity=3, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=42)
+        ds = generate(spec)
+        model = train(ds.enrolled, ModelConfig(code_length=8, sparsity=2, num_groups=6, seed=43, max_outer_iters=3))
+        return ds, model
+
+    def test_built_from_the_dataset_stacks_without_a_second_check(self, monkeypatch):
+        ds, model = self.dataset_and_model()
+        checked = QuerySet(
+            tuple((vec, int(model.assignments.group_of[idx])) for vec, idx in ds.genuine_queries), ds.impostors
+        )
+
+        def no_check(*args):
+            raise AssertionError("query vectors checked again")
+
+        monkeypatch.setattr(evaluation, "_check_query_vectors", no_check)
+        queries = query_set_from_dataset(ds, model)
+        assert all(np.shares_memory(vec, ds._genuine) for vec, _ in queries.genuine)
+        assert all(np.shares_memory(vec, ds._impostors) for vec in queries.impostors)
+        assert np.array_equal(queries._genuine, checked._genuine)
+        assert np.array_equal(queries._impostors, checked._impostors)
+        assert np.array_equal(queries._groups, checked._groups) and not queries._groups.flags.writeable
+        assert [(vec.tolist(), group) for vec, group in queries.genuine] == [
+            (vec.tolist(), group) for vec, group in checked.genuine
+        ]
+        assert [vec.tolist() for vec in queries.impostors] == [vec.tolist() for vec in checked.impostors]
+        assert evaluation_pass(model, queries, ds.enrolled) == evaluation_pass(model, checked, ds.enrolled)
+
+    def test_model_of_other_signatures_rejected(self):
+        ds, _ = self.dataset_and_model()
+        other = train(
+            SignatureMatrix(ds.enrolled.data[:, :12]),
+            ModelConfig(code_length=8, sparsity=2, num_groups=6, seed=43, max_outer_iters=2),
+        )
+        with pytest.raises(DimensionError):
+            query_set_from_dataset(ds, other)
+
+    def test_dataset_without_impostors_rejected(self):
+        ds, model = self.dataset_and_model()
+        with pytest.raises(ConfigError):
+            query_set_from_dataset(Dataset(ds.enrolled, ds.genuine_queries, ()), model)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, ternarize_columns
+from gmkit import learning
 from gmkit.data import SyntheticSpec, generate
 from gmkit.errors import ConfigError, DegenerateProcrustesError, DimensionError, InvalidInputError
 from gmkit.learning import (
@@ -278,26 +279,18 @@ def oracle_means(pts, assign, k):
     return means
 
 
-def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP):
+def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP, initial=None):
     """Brute-force k-means in exact rationals: the reference for ``kmeans``.
 
     The same seeding draws, the same update order and the same rules as
     :func:`oracle_assign`, :func:`oracle_reseed` and :func:`oracle_means`.
+    Given ``initial`` (a list of group indices, every group nonempty), it
+    draws nothing: the centroids start at that assignment's means, the trace
+    opens with its objective, and it counts as the previous assignment.
     Returns (centroids, assignment, objective trace, iterations), all exact.
     """
     pts = [[Fraction(int(v)) for v in row] for row in points]
     n = len(pts)
-    chosen = [int(rng.integers(n))]
-    near = [oracle_d2(p, pts[chosen[0]]) for p in pts]
-    for _ in range(1, k):
-        total = sum(near)
-        if total > 0:
-            idx = int(rng.choice(n, p=np.array([float(v) for v in near]) / float(total)))
-        else:
-            idx = min(i for i in range(n) if i not in chosen)
-        chosen.append(idx)
-        near = [min(a, oracle_d2(p, pts[idx])) for a, p in zip(near, pts)]
-    cents = [list(pts[i]) for i in chosen]
     trace = []
 
     def sse(assign):
@@ -310,7 +303,24 @@ def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP):
             trace.append(sse(assign))
         return assign
 
-    prev = None
+    if initial is None:
+        chosen = [int(rng.integers(n))]
+        near = [oracle_d2(p, pts[chosen[0]]) for p in pts]
+        for _ in range(1, k):
+            total = sum(near)
+            if total > 0:
+                idx = int(rng.choice(n, p=np.array([float(v) for v in near]) / float(total)))
+            else:
+                idx = min(i for i in range(n) if i not in chosen)
+            chosen.append(idx)
+            near = [min(a, oracle_d2(p, pts[idx])) for a, p in zip(near, pts)]
+        cents = [list(pts[i]) for i in chosen]
+        prev = None
+    else:
+        prev = list(initial)
+        cents = oracle_means(pts, prev, k)
+        trace.append(sse(prev))
+
     iterations = 0
     for _ in range(iter_cap):
         iterations += 1
@@ -323,6 +333,20 @@ def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP):
     else:
         assign = assign_step()
     return cents, assign, trace, iterations
+
+
+def oracle_grouping_objective(points, assign, k):
+    """Exact k-means objective of ``assign`` with every group at its mean."""
+    pts = [[Fraction(int(v)) for v in row] for row in points]
+    cents = oracle_means(pts, assign, k)
+    return sum(oracle_d2(p, cents[g]) for p, g in zip(pts, assign))
+
+
+def random_full_assignment(rng, n, k):
+    """A uniformly drawn assignment of n points to k groups, none empty."""
+    group_of = rng.integers(k, size=n)
+    group_of[rng.permutation(n)[:k]] = np.arange(k)
+    return group_of
 
 
 def tie_heavy_codes(rng, n, pool):
@@ -488,6 +512,66 @@ class TestKMeansAndRYStep:
             expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
             assert np.array_equal(reps.codes, expected)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4), st.sampled_from([1, 2, KMEANS_ITER_CAP]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_warm_kmeans_and_ry_step_match_fraction_oracle(self, seed, n, pool, iter_cap, data):
+        # a random valid initial assignment on tie-heavy codes: its means
+        # often coincide and tie, so assignment steps empty groups and reseed
+        rng = np.random.default_rng(seed)
+        codes = tie_heavy_codes(rng, n, pool)
+        k = data.draw(st.integers(1, n))
+        initial = AssignmentMatrix(random_full_assignment(rng, n, k), k)
+        got_rng = np.random.default_rng(seed + 1)
+        untouched = got_rng.bit_generator.state
+        result = kmeans(codes.codes.T, k, got_rng, iter_cap, initial)
+        cents, assign, trace, iterations = oracle_kmeans(codes.codes.T, k, None, iter_cap, initial.group_of.tolist())
+        assert result.assignments.tolist() == assign
+        assert result.iterations == iterations
+        assert result.objective_trace == tuple(float(v) for v in trace)
+        assert as_fractions(result.sums, result.counts) == cents
+        assert got_rng.bit_generator.state == untouched
+        # block descent: no higher than the initial assignment at its means
+        assert trace[0] == oracle_grouping_objective(codes.codes.T, initial.group_of.tolist(), k)
+        assert trace[-1] <= trace[0]
+        if iter_cap == KMEANS_ITER_CAP:
+            reps, assignments = ry_step(codes, 1.0, 0.1, k, got_rng, initial)
+            assert assignments.group_of.tolist() == assign
+            expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
+            assert np.array_equal(reps.codes, expected)
+            assert got_rng.bit_generator.state == untouched
+
+    def test_warm_start_at_a_fixed_point_makes_one_assignment_step(self, monkeypatch):
+        codes = random_hash_matrix(16, 200, 4, np.random.default_rng(33))
+        cold = kmeans(codes.codes.T, 12, np.random.default_rng(34))
+        assert cold.iterations < KMEANS_ITER_CAP  # converged, so a fixed point
+        calls = []
+        real_nearest = learning._nearest
+        monkeypatch.setattr(learning, "_nearest", lambda *args: calls.append(1) or real_nearest(*args))
+        monkeypatch.setattr(learning, "_kmeans_pp_init", None)  # a warm start must not seed
+        warm = kmeans(codes.codes.T, 12, np.random.default_rng(35), initial=AssignmentMatrix(cold.assignments, 12))
+        assert len(calls) == 1
+        assert warm.iterations == 1
+        assert np.array_equal(warm.assignments, cold.assignments)
+        assert np.array_equal(warm.sums, cold.sums) and np.array_equal(warm.counts, cold.counts)
+        assert warm.objective_trace == (cold.objective_trace[-1],) * 2
+
+    @pytest.mark.parametrize(
+        "group_of, num_groups, error",
+        [
+            pytest.param([0, 1, 0, 1], 2, DimensionError, id="too-short"),
+            pytest.param([0, 1, 0, 1, 0, 1], 2, DimensionError, id="too-long"),
+            pytest.param([0, 1, 2, 1, 0], 3, ConfigError, id="more-groups"),
+            pytest.param([0, 0, 0, 0, 0], 1, ConfigError, id="fewer-groups"),
+        ],
+    )
+    def test_bad_initial_assignment_is_a_clean_error(self, group_of, num_groups, error):
+        codes = random_hash_matrix(6, 5, 2, np.random.default_rng(36))
+        initial = AssignmentMatrix(np.array(group_of), num_groups)
+        with pytest.raises(error):
+            kmeans(codes.codes.T, 2, np.random.default_rng(0), initial=initial)
+        with pytest.raises(error):
+            ry_step(codes, 1.0, 0.1, 2, np.random.default_rng(0), initial)
+
     def test_exact_argmin_settles_what_floats_cannot(self):
         # (2**53 + 1) / 2**53 and 1 / 1 are both 1.0 as floats; the second is smaller
         assert _exact_argmin(np.array([[2**53 + 1, 1]]), np.array([2**53, 1])).tolist() == [1]
@@ -609,6 +693,41 @@ class TestTrain:
         assert 1 <= len(model.objective_trace) <= 10
         for entry in model.objective_trace:
             assert np.isfinite(entry.total)
+
+    def test_grouping_step_is_a_block_descent(self, monkeypatch):
+        # every warm k-means call ends no higher than the previous assignment
+        # scores on the new codes, exactly; its trace opens with that value
+        spec = SyntheticSpec(num_identities=48, samples_per_identity=2, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=5)
+        signatures = generate(spec).enrolled
+        config = ModelConfig(code_length=8, sparsity=2, num_groups=6, max_outer_iters=6, seed=13)
+        calls = []
+        real_kmeans = learning.kmeans
+
+        def recording_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP, initial=None):
+            result = real_kmeans(points, k, rng, iter_cap, initial)
+            calls.append((np.array(points), k, initial, result))
+            return result
+
+        monkeypatch.setattr(learning, "kmeans", recording_kmeans)
+        train(signatures, config)
+        assert len(calls) == config.max_outer_iters + 1
+        assert calls[0][2] is None
+        for (_, _, _, before), (points, k, initial, result) in zip(calls, calls[1:]):
+            assert np.array_equal(initial.group_of, before.assignments)
+            previous = oracle_grouping_objective(points, initial.group_of.tolist(), k)
+            reached = oracle_grouping_objective(points, result.assignments.tolist(), k)
+            assert result.objective_trace[0] <= float(previous)
+            assert reached <= previous
+
+    def test_kmeans_pp_seeds_once_per_train(self, monkeypatch):
+        spec = SyntheticSpec(num_identities=48, samples_per_identity=2, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=6)
+        signatures = generate(spec).enrolled
+        config = ModelConfig(code_length=8, sparsity=2, num_groups=6, max_outer_iters=5, seed=14)
+        seeded = []
+        real_init = learning._kmeans_pp_init
+        monkeypatch.setattr(learning, "_kmeans_pp_init", lambda *args: seeded.append(1) or real_init(*args))
+        train(signatures, config)
+        assert len(seeded) == 1
 
     def test_seed_stability_of_final_objective(self):
         spec = SyntheticSpec(num_identities=32, samples_per_identity=2, dim=24, noise_sigma=0.1, impostor_fraction=0.25, seed=3)
