@@ -642,3 +642,47 @@ def test_c10_relabeled_model_golden_bytes(tmp_path):
     changed = [label for label, pinned in GOLDEN_RELABELED_DIGESTS.items() if digests[label] != pinned]
     detail = "model up to group labels, and train.log" if not changed else f"bytes changed: {digests}"
     assert report(10, "relabeled-model-golden-bytes", not changed, detail)
+
+
+# SHA-256 of (enrolled.csv, genuine.csv, impostors.csv) written by ``gen-data``
+# on CLI_CONFIG and on PROTOCOL_SHAPE_CONFIG (data seed set to the named seed).
+# Recorded as GOLDEN_TRAIN_DIGESTS above; a change to how signatures are drawn,
+# normalized or written must keep these bytes exactly.
+GOLDEN_GEN_DATA_DIGESTS = {
+    "cli": (
+        "bcb05a3b4f7872492f1eee616038623ca876f8b3db354e2aac956c13f43b9895",
+        "5eaacf5eb82e6b5050dc975a3392c59e9b760a5df809cc5f6b15a0538f84981b",
+        "e0bc1242d6633d1543ea93e9cf93ce2903185c3b1d01a5882de8f498d4441019",
+    ),
+    "protocol-shape-seed-2": (
+        "775ea0617c5c447c9c1af8f8848588f466a978ec50833a927e607c68b7138263",
+        "76833473b8d873765d94258e539d12838d4019bdc66082dd17672da677ff1c5c",
+        "109d4dc8465d49696fdae3898f9f8b9b0ba365cebb17e4bd3710f5089c6a6f05",
+    ),
+    "protocol-shape-seed-3": (
+        "2a1e9c34b0ee7a5f20357268a557bf7d966d122fde4fb2e40b9bc2c90f35a7c4",
+        "68bba034a8260664d42274702b93c3ee71086ec38d5e45abfc88d0cc7517f63a",
+        "8fadf6855b44160042448d6d1ccc550efaec6449cafe430386eae41b5f48103a",
+    ),
+}
+
+
+def test_c10_gen_data_golden_bytes(tmp_path):
+    digests = {}
+    for label, template, extra in (
+        ("cli", CLI_CONFIG, []),
+        ("protocol-shape-seed-2", PROTOCOL_SHAPE_CONFIG, ["--data_seed=2"]),
+        ("protocol-shape-seed-3", PROTOCOL_SHAPE_CONFIG, ["--data_seed=3"]),
+    ):
+        out = str(tmp_path / label)
+        cfg_path = str(tmp_path / f"{label}.ini")
+        with open(cfg_path, "w") as fh:
+            fh.write(template.format(out=out))
+        assert main(["gen-data", "--config", cfg_path, *extra]) == 0, f"{label} failed"
+        digests[label] = tuple(
+            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ("enrolled.csv", "genuine.csv", "impostors.csv")
+        )
+    changed = [label for label, pinned in GOLDEN_GEN_DATA_DIGESTS.items() if digests[label] != pinned]
+    detail = "enrolled, genuine and impostor CSVs" if not changed else f"bytes changed: {digests}"
+    assert report(10, "gen-data-golden-bytes", not changed, detail)
