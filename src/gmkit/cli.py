@@ -195,7 +195,7 @@ def cmd_gen_data(args, overrides) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data_mod.save_dataset(cfg.out_dir, dataset)
     print(f"wrote dataset bundle ({dataset.enrolled.num_signatures} enrolled, "
-          f"{len(dataset.genuine_queries)} genuine, {len(dataset.impostors)} impostors) to {cfg.out_dir}")
+          f"{len(dataset.genuine)} genuine, {len(dataset.impostors)} impostors) to {cfg.out_dir}")
     return 0
 
 

@@ -23,20 +23,44 @@ UNIT_NORM_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-8
 
 
-def _check_query_vectors(vectors, dim: int, what: str, shape_error: type) -> np.ndarray:
-    """The vectors as the rows of a float64 Q x dim matrix.
+def _as_array(values, what: str, shape_error: type) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy's error for ragged nested sequences
+        raise shape_error(f"{what} are ragged") from None
 
-    Each vector must have shape (dim,) (else ``shape_error``) and unit norm
-    within UNIT_NORM_TOL (else InvalidInputError; a non-finite vector fails
-    too).  Every shape is checked before any norm."""
-    vectors = list(vectors)
-    if any(vec.shape != (dim,) for vec in vectors):
-        raise shape_error(f"{what} dimension mismatch")
-    rows = np.stack(vectors).astype(np.float64, copy=False) if vectors else np.empty((0, dim))
+
+def _check_query_vectors(vectors, dim: int | None, what: str, shape_error: type) -> np.ndarray:
+    """The query vectors, one per row, as a read-only float64 Q x dim matrix.
+
+    A ragged or non-2-D input, or one not ``dim`` wide (any width when
+    ``dim`` is None), raises ``shape_error``; entries that are not real
+    numbers, and rows whose norm is not 1 within UNIT_NORM_TOL (a
+    non-finite row fails too), raise InvalidInputError.  A read-only
+    float64 array is kept as it is, anything else is copied.
+    """
+    rows = _as_array(vectors, f"{what} vectors", shape_error)
+    if rows.ndim != 2 or dim not in (None, rows.shape[1]):
+        raise shape_error(f"{what} dimension mismatch: shape {rows.shape}, expected (Q, {dim})")
+    if rows.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what} entries must be real numbers, got dtype {rows.dtype}")
+    if rows.dtype != np.float64 or rows.flags.writeable:
+        rows = _frozen(rows.astype(np.float64, copy=False))
     # "not <=" so that a NaN norm fails the check
     if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise InvalidInputError(f"{what} is not unit norm")
     return rows
+
+
+def _check_query_labels(labels, count: int, what: str, shape_error: type) -> np.ndarray:
+    """A read-only int64 copy of the labels of ``count`` query rows; another
+    count raises ``shape_error``, a label that is not an integer ConfigError."""
+    a = _as_array(labels, what, shape_error)
+    if a.shape != (count,):
+        raise shape_error(f"{what}: shape {a.shape}, expected one per query, ({count},)")
+    if a.size and a.dtype.kind not in "iu":
+        raise ConfigError(f"{what} must be integers")
+    return _frozen(a.astype(np.int64, copy=False))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

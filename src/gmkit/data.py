@@ -4,7 +4,9 @@ The generator stands in for real biometric feature pipelines: every identity
 gets a mean drawn uniformly on the unit sphere and every sample is the unit
 normalization of mean + Gaussian noise.  One sample per enrolled identity is
 enrolled; the remaining samples become genuine queries; impostor identities
-are generated separately and never enrolled.
+are generated separately and never enrolled.  The enrolled and the impostor
+identities are each one random draw, normalized in place, and a
+:class:`Dataset` holds its queries as matrices, one query per row.
 
 Matrices are stored as plain CSV, one signature per row, full round-trip
 precision, with an optional leading header line ``# d=<d> n=<n>``.
@@ -14,10 +16,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .core import SignatureMatrix, _check_query_vectors
+from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _frozen
 from .errors import ConfigError, InvalidInputError, ParseError
 
 ENROLLED_FILE = "enrolled.csv"
@@ -55,73 +59,78 @@ class SyntheticSpec:
 class Dataset:
     """Enrolled signatures plus held-out genuine and impostor queries.
 
-    ``genuine_queries`` pairs each query vector with the enrolled column
-    index of its identity.  Impostor identities are disjoint from enrolled
-    ones by construction.
-
-    Construction checks the queries once and stacks them into read-only
-    arrays, one query per row, with the identities as an int64 array; the
-    two fields then hold row views of those stacks, so each query is kept
-    once, and the evaluation query set is built from the stacks.
+    ``genuine`` holds one genuine query per row (Q x d) and ``genuine_ids``
+    the enrolled column index of each one's identity; ``impostors`` holds
+    one impostor query per row.  Impostor identities are disjoint from
+    enrolled ones by construction.  Construction checks each matrix once
+    and keeps it read-only (see :func:`gmkit.core._check_query_vectors`).
     """
 
     enrolled: SignatureMatrix
-    genuine_queries: tuple[tuple[np.ndarray, int], ...]
-    impostors: tuple[np.ndarray, ...]
+    genuine: np.ndarray
+    genuine_ids: np.ndarray
+    impostors: np.ndarray
 
     def __post_init__(self):
         d = self.enrolled.dim
-        n = self.enrolled.num_signatures
-        ids = np.array([idx for _, idx in self.genuine_queries])
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ConfigError("genuine query identities must be integers")
-        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        genuine = _check_query_vectors(self.genuine, d, "genuine query", ConfigError)
+        ids = _check_query_labels(self.genuine_ids, len(genuine), "genuine query identities", ConfigError)
+        bad = np.flatnonzero((ids < 0) | (ids >= self.enrolled.num_signatures))
         if bad.size:
             raise ConfigError(f"genuine query identity {ids[bad[0]]} out of range")
-        ids = ids.astype(np.int64)
-        genuine = _check_query_vectors((vec for vec, _ in self.genuine_queries), d, "genuine query", ConfigError)
         impostors = _check_query_vectors(self.impostors, d, "impostor query", ConfigError)
-        for stack in (ids, genuine, impostors):
-            stack.setflags(write=False)
-        object.__setattr__(self, "genuine_queries", tuple(zip(genuine, ids.tolist())))
-        object.__setattr__(self, "impostors", tuple(impostors))
-        object.__setattr__(self, "_genuine_ids", ids)
-        object.__setattr__(self, "_genuine", genuine)
-        object.__setattr__(self, "_impostors", impostors)
+        object.__setattr__(self, "genuine", genuine)
+        object.__setattr__(self, "genuine_ids", ids)
+        object.__setattr__(self, "impostors", impostors)
+
+    @cached_property
+    def genuine_queries(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(vector, identity) pairs: read-only row views of ``genuine``, for
+        callers that take single queries."""
+        return tuple(zip(self.genuine, self.genuine_ids.tolist()))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+def _normalize(vectors: np.ndarray) -> None:
+    """Scale every vector along the last axis to unit norm, in place, bit for
+    bit as v / ||v||: each squared norm is the matmul of the vector with
+    itself, the dot kernel ``np.linalg.norm`` uses."""
+    norms = np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None]))[..., 0]
+    if not np.all(norms):
         raise InvalidInputError("cannot normalize a zero vector")
-    return v / norm
+    vectors /= norms
+
+
+def _draw_part(rng: np.random.Generator, identities: int, spec: SyntheticSpec) -> np.ndarray:
+    """Unit samples (identities x samples x dim) of fresh identities, each the
+    normalization of its identity's unit mean + sigma * noise, computed in
+    the memory of one draw.  Per identity, the draw holds the mean and then
+    each sample's noise: the order of one draw per vector."""
+    block = rng.standard_normal((identities, 1 + spec.samples_per_identity, spec.dim))
+    means, samples = block[:, :1], block[:, 1:]
+    _normalize(means)
+    samples *= spec.noise_sigma
+    samples += means
+    _normalize(samples)
+    return samples
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw a full dataset; bit-deterministic under ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
-    enrolled_cols = []
-    genuine = []
-    for i in range(spec.num_identities):
-        mean = _unit(rng.standard_normal(spec.dim))
-        samples = [
-            _unit(mean + spec.noise_sigma * rng.standard_normal(spec.dim))
-            for _ in range(spec.samples_per_identity)
-        ]
-        enrolled_cols.append(samples[0])
-        genuine.extend((s, i) for s in samples[1:])
-    impostors = []
-    for _ in range(spec.num_impostor_identities):
-        mean = _unit(rng.standard_normal(spec.dim))
-        impostors.extend(
-            _unit(mean + spec.noise_sigma * rng.standard_normal(spec.dim))
-            for _ in range(spec.samples_per_identity)
-        )
-    return Dataset(SignatureMatrix(np.column_stack(enrolled_cols)), tuple(genuine), tuple(impostors))
+    samples = _draw_part(rng, spec.num_identities, spec)
+    enrolled = SignatureMatrix(np.ascontiguousarray(samples[:, 0].T))
+    # read-only copies, one vector per row, which the Dataset keeps as they are
+    genuine = _frozen(samples[:, 1:]).reshape(-1, spec.dim)
+    del samples  # frees the draw before the impostors are drawn
+    impostors = _frozen(_draw_part(rng, spec.num_impostor_identities, spec)).reshape(-1, spec.dim)
+    genuine_ids = np.repeat(np.arange(spec.num_identities), spec.samples_per_identity - 1)
+    return Dataset(enrolled, genuine, genuine_ids, impostors)
 
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def _csv_lines(matrix: np.ndarray) -> Iterator[str]:
+    """One newline-ended CSV line per row, shortest round-trip floats, made
+    as the file is written."""
+    return (",".join(map(repr, row)) + "\n" for row in matrix.tolist())
 
 
 def save_matrix(path: str, matrix: np.ndarray, header: bool = True) -> None:
@@ -129,12 +138,12 @@ def save_matrix(path: str, matrix: np.ndarray, header: bool = True) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ParseError(f"can only save 2-D matrices, got shape {m.shape}")
-    lines = []
-    if header:
-        lines.append(f"# d={m.shape[1]} n={m.shape[0]}")
-    lines.extend(_format_row(row) for row in m)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if header:
+            fh.write(f"# d={m.shape[1]} n={m.shape[0]}\n")
+        elif not len(m):
+            fh.write("\n")  # an empty headerless matrix is one blank line
+        fh.writelines(_csv_lines(m))
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -195,18 +204,10 @@ def save_dataset(directory: str, dataset: Dataset) -> None:
     """Write the dataset bundle (enrolled / genuine / impostors CSVs)."""
     os.makedirs(directory, exist_ok=True)
     save_matrix(os.path.join(directory, ENROLLED_FILE), dataset.enrolled.data.T)
-    genuine_rows = [
-        [float(idx)] + [float(v) for v in vec] for vec, idx in dataset.genuine_queries
-    ]
-    d = dataset.enrolled.dim
     with open(os.path.join(directory, GENUINE_FILE), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# identity column + d={d} coordinates, n={len(genuine_rows)}\n")
-        for row in genuine_rows:
-            fh.write(str(int(row[0])) + "," + _format_row(np.array(row[1:])) + "\n")
-    save_matrix(
-        os.path.join(directory, IMPOSTORS_FILE),
-        np.vstack(dataset.impostors) if dataset.impostors else np.empty((0, d)),
-    )
+        fh.write(f"# identity column + d={dataset.enrolled.dim} coordinates, n={len(dataset.genuine)}\n")
+        fh.writelines(f"{idx},{line}" for idx, line in zip(dataset.genuine_ids.tolist(), _csv_lines(dataset.genuine)))
+    save_matrix(os.path.join(directory, IMPOSTORS_FILE), dataset.impostors)
 
 
 def load_dataset(directory: str) -> Dataset:
@@ -221,7 +222,5 @@ def load_dataset(directory: str) -> Dataset:
         raise ParseError(
             f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not a nonnegative integer"
         )
-    genuine = tuple((row[1:].copy(), int(row[0])) for row in genuine_raw)
-    impostors_raw = load_matrix(os.path.join(directory, IMPOSTORS_FILE))
-    impostors = tuple(row.copy() for row in impostors_raw)
-    return Dataset(enrolled, genuine, impostors)
+    impostors = load_matrix(os.path.join(directory, IMPOSTORS_FILE))
+    return Dataset(enrolled, genuine_raw[:, 1:], ids.astype(np.int64), impostors)

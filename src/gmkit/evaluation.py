@@ -5,11 +5,12 @@ between the query code and that group's representation is at most the
 threshold.  Open-set identification first accepts when the minimum distance
 over all groups is at most the threshold, then names the nearest group.
 
-A :class:`QuerySet` keeps a read-only copy of its vectors, taken and stacked
-into d x Q matrices at construction; later changes to the arrays it was
-built from do not reach the measures.  Queries are embedded and scored once
-per query set and model: the genuine and the impostor queries are each
-embedded with one ``ternarize_columns(W^T Q)`` and scored in one Q x M
+A :class:`QuerySet` holds its genuine and its impostor queries as two
+read-only Q x d matrices, one query per row, checked once at construction;
+later changes to the arrays it was built from do not reach the measures.
+Queries are embedded and scored once per query set and model: the genuine
+and the impostor queries are each embedded with one
+``ternarize_columns(W^T Q^T)`` and scored in one Q x M
 matrix of exact integer distances ||e||^2 + ||r||^2 - 2 e.r, never the
 2S - 2 p.r shortcut, so nothing here relies on the exactly-S contract.  The
 query set keeps those codes and matrices for the last model it was scored
@@ -32,64 +33,44 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_vectors, ternarize_columns
+from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_labels, _check_query_vectors, ternarize_columns
 from .data import Dataset
 from .errors import ConfigError, DimensionError
 from .learning import Model
 
 TARGET_PFP = 0.05
-
-
-def _columns(rows: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered copy of ``rows.T``: one query per column, the
-    layout every measure multiplies by."""
-    columns = np.ascontiguousarray(rows.T)
-    columns.setflags(write=False)
-    return columns
+_NEEDS_BOTH_SIDES = "query set needs at least one genuine and one impostor query"
 
 
 @dataclass(frozen=True)
 class QuerySet:
     """Genuine queries tagged with their true group, plus impostor queries.
 
-    Construction stacks a read-only copy of the vectors, which is what the
-    measures read.  The codes and distances they compute are kept for the
-    last model scored (compared by identity), so the measures of one
-    evaluation pass embed and score each query once.
+    ``genuine`` holds one genuine query per row (Q x d), ``groups`` the true
+    group of each, and ``impostors`` one impostor query per row; construction
+    checks each once and keeps it read-only.  The codes and distances the
+    measures compute are kept for the last model scored (compared by
+    identity), so the measures of one evaluation pass embed and score each
+    query once.
     """
 
-    genuine: tuple[tuple[np.ndarray, int], ...]
-    impostors: tuple[np.ndarray, ...]
+    genuine: np.ndarray
+    groups: np.ndarray
+    impostors: np.ndarray
 
     def __post_init__(self):
-        _require_both_sides(len(self.genuine), len(self.impostors))
-        groups = np.array([group for _, group in self.genuine])
-        if groups.dtype.kind not in "iu":
-            raise ConfigError("genuine query groups must be integers")
+        genuine = _check_query_vectors(self.genuine, None, "genuine query", DimensionError)
+        if not len(genuine):
+            raise ConfigError(_NEEDS_BOTH_SIDES)
+        groups = _check_query_labels(self.groups, len(genuine), "genuine query groups", DimensionError)
         if groups.min() < 0:
             raise ConfigError("negative group index")
-        dim = self.genuine[0][0].size
-        genuine = _check_query_vectors((vec for vec, _ in self.genuine), dim, "genuine query", DimensionError)
-        impostors = _check_query_vectors(self.impostors, dim, "impostor query", DimensionError)
-        self._attach(genuine, groups.astype(np.int64), impostors)
-
-    @classmethod
-    def _from_rows(cls, genuine: np.ndarray, groups: np.ndarray, impostors: np.ndarray) -> "QuerySet":
-        """The query set of already checked stacks, one query per row, and
-        nonnegative int64 ``groups``: nothing is checked again, and the
-        public fields hold row views of the stacks."""
-        _require_both_sides(groups.size, len(impostors))
-        queries = object.__new__(cls)
-        object.__setattr__(queries, "genuine", tuple(zip(genuine, groups.tolist())))
-        object.__setattr__(queries, "impostors", tuple(impostors))
-        queries._attach(genuine, groups, impostors)
-        return queries
-
-    def _attach(self, genuine: np.ndarray, groups: np.ndarray, impostors: np.ndarray) -> None:
-        groups.setflags(write=False)
-        object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_genuine", _columns(genuine))
-        object.__setattr__(self, "_impostors", _columns(impostors))
+        impostors = _check_query_vectors(self.impostors, genuine.shape[1], "impostor query", DimensionError)
+        if not len(impostors):
+            raise ConfigError(_NEEDS_BOTH_SIDES)
+        object.__setattr__(self, "genuine", genuine)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "impostors", impostors)
         object.__setattr__(self, "_scored", (None, {}))
 
     def _memo(self, model: Model, part: str, compute) -> np.ndarray:
@@ -162,28 +143,23 @@ class SecurityReport:
             raise ConfigError("mean squared errors must be nonnegative")
 
 
-def _require_both_sides(num_genuine: int, num_impostors: int) -> None:
-    if not num_genuine or not num_impostors:
-        raise ConfigError("query set needs at least one genuine and one impostor query")
-
-
 def query_set_from_dataset(dataset: Dataset, model: Model) -> QuerySet:
     """Tag each genuine query with the learned group of its enrolled identity.
 
-    The query set is built from the stacks the dataset checked on
-    construction; nothing is checked or stacked again.
+    The query set keeps the dataset's read-only matrices; it checks their
+    norms again but copies nothing.
     """
     if dataset.enrolled.num_signatures != model.assignments.num_signatures:
         raise DimensionError("model was not trained on this dataset's enrolled signatures")
-    groups = model.assignments.group_of[dataset._genuine_ids]
-    return QuerySet._from_rows(dataset._genuine, groups, dataset._impostors)
+    groups = model.assignments.group_of[dataset.genuine_ids]
+    return QuerySet(dataset.genuine, groups, dataset.impostors)
 
 
 def _embed(model: Model, queries: np.ndarray) -> np.ndarray:
-    """Codes (l x Q int8) of the query vectors stored as the columns of ``queries``."""
-    if queries.shape[0] != model.projection.dim:
-        raise DimensionError(f"queries of length {queries.shape[0]} do not match projection rows {model.projection.dim}")
-    return ternarize_columns(model.projection.data.T @ queries, model.config.sparsity)
+    """Codes (l x Q int8) of the query vectors stored as the rows of ``queries``."""
+    if queries.shape[1] != model.projection.dim:
+        raise DimensionError(f"queries of length {queries.shape[1]} do not match projection rows {model.projection.dim}")
+    return ternarize_columns(model.projection.data.T @ queries.T, model.config.sparsity)
 
 
 def _distances(model: Model, codes: np.ndarray) -> np.ndarray:
@@ -200,7 +176,7 @@ def _distances(model: Model, codes: np.ndarray) -> np.ndarray:
 
 
 def _genuine_codes(model: Model, queries: QuerySet) -> np.ndarray:
-    return queries._memo(model, "genuine codes", lambda: _embed(model, queries._genuine))
+    return queries._memo(model, "genuine codes", lambda: _embed(model, queries.genuine))
 
 
 def _genuine_distances(model: Model, queries: QuerySet) -> np.ndarray:
@@ -208,11 +184,11 @@ def _genuine_distances(model: Model, queries: QuerySet) -> np.ndarray:
 
 
 def _impostor_distances(model: Model, queries: QuerySet) -> np.ndarray:
-    return queries._memo(model, "impostor distances", lambda: _distances(model, _embed(model, queries._impostors)))
+    return queries._memo(model, "impostor distances", lambda: _distances(model, _embed(model, queries.impostors)))
 
 
 def _true_groups(model: Model, queries: QuerySet) -> np.ndarray:
-    groups = queries._groups
+    groups = queries.groups
     if groups.max() >= model.representations.num_groups:
         raise ConfigError(f"genuine query group {groups.max()} out of range [0, {model.representations.num_groups})")
     return groups
@@ -328,11 +304,14 @@ def reconstruct(projection: ProjectionMatrix, code: TernaryCode, beta: float) ->
 
 
 def _gain(lifted: np.ndarray, targets: np.ndarray) -> float:
-    """fit_beta on the columns x_i of ``targets`` and W v_i of ``lifted``."""
-    den = float(np.sum(lifted * lifted))
+    """fit_beta on the columns x_i of ``targets`` and W v_i of ``lifted``; both
+    sums run over one product buffer, in the layout each product would get."""
+    product = lifted * lifted
+    den = float(np.sum(product))
     if den == 0.0:
         return 0.0
-    return float(np.sum(targets * lifted)) / den
+    np.multiply(targets, lifted, out=product)
+    return float(np.sum(product)) / den
 
 
 def fit_beta(projection: ProjectionMatrix, codes: list[TernaryCode], targets: list[np.ndarray]) -> float:
@@ -369,7 +348,7 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
     genuine_lifted = w @ _genuine_codes(model, queries).astype(np.float64)
     return SecurityReport(
         mse_security=mse_security,
-        mse_privacy=_residual_mse(queries._genuine, genuine_lifted, beta),
+        mse_privacy=_residual_mse(queries.genuine.T, genuine_lifted, beta),
         beta=beta,
     )
 

@@ -647,8 +647,7 @@ def random_balanced_assignment(
         )
     perm = rng.permutation(num_signatures)
     group_of = np.empty(num_signatures, dtype=np.int64)
-    for g in range(num_groups):
-        group_of[perm[g * group_size : (g + 1) * group_size]] = g
+    group_of[perm] = np.repeat(np.arange(num_groups), group_size)
     return AssignmentMatrix(group_of, num_groups)
 
 

@@ -89,12 +89,6 @@ class ProtocolKeys:
         return cls(*additive_keygen(params.additive_bits, rng))
 
 
-def _require_exact_code(code: TernaryCode) -> None:
-    # TernaryCode already enforces exact sparsity; this guards foreign input
-    if int((code.symbols != 0).sum()) != code.sparsity:
-        raise ProtocolError("protocol requires exactly-S codes")
-
-
 def validate_mask_range(pk: AdditivePublicKey, sparsity: int, tau: int, magnitude: int) -> None:
     """Affine values a*(2S - 2c - tau) + b must stay inside the signed window."""
     worst = magnitude * (4 * sparsity + abs(tau)) + magnitude
@@ -120,7 +114,6 @@ def client_round1_encrypt_query(code: TernaryCode, key: AdditiveKey, rng: random
     ``key`` is the client's public key, or its secret key, which encrypts to
     the same ciphertexts faster (CRT over p^2 and q^2).
     """
-    _require_exact_code(code)
     return [additive_encrypt(key, int(s), rng) for s in code.symbols]
 
 

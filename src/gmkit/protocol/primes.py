@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 
+# the 25 primes below 100: trial divisors, then Miller-Rabin witnesses; the
+# first 13 alone decide primality exactly below 3.3e24 (~2^81)
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
-
-# first 13 primes decide primality exactly below 3.3e24 (~2^81)
-_MR_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -29,7 +28,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -267,6 +267,23 @@ class TestTypes:
             with pytest.raises(InvalidInputError):
                 _check_query_vectors([np.full(4, bad)], 4, "query", DimensionError)
 
+    def test_query_matrix_copied_unless_read_only_float64(self):
+        rows = np.eye(4)[:2]
+        kept = _check_query_vectors(rows, 4, "query", DimensionError)
+        assert not kept.flags.writeable and not np.shares_memory(kept, rows)
+        assert _check_query_vectors(kept, 4, "query", DimensionError) is kept
+        assert _check_query_vectors(kept, None, "query", DimensionError) is kept
+        ints = np.eye(4, dtype=np.int64)[:2]
+        ints.setflags(write=False)
+        converted = _check_query_vectors(ints, 4, "query", DimensionError)
+        assert converted.dtype == np.float64 and np.array_equal(converted, rows) and not converted.flags.writeable
+        for bad in (rows[0], rows[None], np.eye(5)[:2]):
+            with pytest.raises(DimensionError):
+                _check_query_vectors(bad, 4, "query", DimensionError)
+        for bad in (rows.astype(str), rows.astype(complex), rows.astype(object)):
+            with pytest.raises(InvalidInputError):
+                _check_query_vectors(bad, 4, "query", DimensionError)
+
     def test_projection_requires_orthonormal_columns(self):
         with pytest.raises(InvalidInputError):
             ProjectionMatrix(np.ones((4, 2)))

@@ -55,6 +55,36 @@ def load_outcome(load, path):
     return ("ok", m.shape, m.view(np.uint64).tolist())
 
 
+def oracle_generate(spec):
+    """The per-vector generator that ``generate`` replaced: one draw and one
+    normalization per vector.  Returns (enrolled d x N, genuine, ids, impostors)."""
+
+    def unit(v):
+        return v / float(np.linalg.norm(v))
+
+    rng = np.random.default_rng(spec.seed)
+    enrolled, genuine, ids, impostors = [], [], [], []
+    for i in range(spec.num_identities):
+        mean = unit(rng.standard_normal(spec.dim))
+        samples = [
+            unit(mean + spec.noise_sigma * rng.standard_normal(spec.dim)) for _ in range(spec.samples_per_identity)
+        ]
+        enrolled.append(samples[0])
+        genuine.extend(samples[1:])
+        ids.extend([i] * (len(samples) - 1))
+    for _ in range(spec.num_impostor_identities):
+        mean = unit(rng.standard_normal(spec.dim))
+        impostors.extend(
+            unit(mean + spec.noise_sigma * rng.standard_normal(spec.dim)) for _ in range(spec.samples_per_identity)
+        )
+    return np.column_stack(enrolled), np.array(genuine), ids, np.array(impostors)
+
+
+def oracle_format_row(row):
+    """Per-element CSV formatting, as the writers did before they formatted from ``tolist()``."""
+    return ",".join(repr(float(v)) for v in row)
+
+
 EXTREME_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
     1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, 0.1, 1 / 3,
@@ -66,8 +96,29 @@ class TestGenerate:
         a = generate(spec())
         b = generate(spec())
         assert np.array_equal(a.enrolled.data, b.enrolled.data)
-        assert all(np.array_equal(x[0], y[0]) and x[1] == y[1] for x, y in zip(a.genuine_queries, b.genuine_queries))
-        assert all(np.array_equal(x, y) for x, y in zip(a.impostors, b.impostors))
+        assert np.array_equal(a.genuine, b.genuine) and np.array_equal(a.genuine_ids, b.genuine_ids)
+        assert np.array_equal(a.impostors, b.impostors)
+
+    @given(
+        st.integers(1, 40),
+        st.integers(2, 5),
+        st.integers(1, 70),
+        st.sampled_from([0.0, 1e-9, 0.05, 0.3, 2.0]),
+        st.sampled_from([0.01, 0.25, 0.5, 0.9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_vector_oracle(self, identities, samples, dim, sigma, fraction, seed):
+        s = SyntheticSpec(identities, samples, dim, sigma, fraction, seed)
+        ds = generate(s)
+        enrolled, genuine, ids, impostors = oracle_generate(s)
+        assert ds.enrolled.data.flags.c_contiguous
+        assert ds.enrolled.data.tobytes() == enrolled.tobytes()
+        assert ds.genuine.shape == genuine.shape and ds.genuine.tobytes() == genuine.tobytes()
+        assert ds.genuine_ids.tolist() == ids
+        assert ds.impostors.shape == impostors.shape and ds.impostors.tobytes() == impostors.tobytes()
+        for matrix in (ds.genuine, ds.genuine_ids, ds.impostors):
+            assert not matrix.flags.writeable
 
     def test_different_seed_changes_data(self):
         a = generate(spec())
@@ -76,13 +127,13 @@ class TestGenerate:
 
     def test_zero_noise_samples_equal_identity_mean(self):
         ds = generate(spec(noise_sigma=0.0, samples_per_identity=3))
-        for vec, idx in ds.genuine_queries:
+        for vec, idx in zip(ds.genuine, ds.genuine_ids):
             assert np.allclose(vec, ds.enrolled.column(idx))
 
     def test_two_samples_give_one_genuine_query_per_identity(self):
         ds = generate(spec(samples_per_identity=2))
-        assert len(ds.genuine_queries) == 10
-        assert sorted(idx for _, idx in ds.genuine_queries) == list(range(10))
+        assert len(ds.genuine) == 10
+        assert sorted(ds.genuine_ids.tolist()) == list(range(10))
 
     def test_impostor_count_follows_fraction(self):
         ds = generate(spec(impostor_fraction=0.3, samples_per_identity=2))
@@ -91,15 +142,15 @@ class TestGenerate:
     def test_all_outputs_unit_norm(self):
         ds = generate(spec(noise_sigma=0.5))
         assert np.allclose(np.linalg.norm(ds.enrolled.data, axis=0), 1.0)
-        assert all(abs(np.linalg.norm(v) - 1.0) < 1e-9 for v, _ in ds.genuine_queries)
+        assert all(abs(np.linalg.norm(v) - 1.0) < 1e-9 for v in ds.genuine)
         assert all(abs(np.linalg.norm(v) - 1.0) < 1e-9 for v in ds.impostors)
 
     def test_within_identity_cosine_beats_between(self):
         ds = generate(spec(num_identities=30, dim=64, noise_sigma=0.1, samples_per_identity=2, seed=5))
-        within = [float(np.dot(v, ds.enrolled.column(i))) for v, i in ds.genuine_queries]
+        within = [float(np.dot(v, ds.enrolled.column(i))) for v, i in zip(ds.genuine, ds.genuine_ids)]
         rng = np.random.default_rng(0)
         between = []
-        for v, i in ds.genuine_queries:
+        for v, i in zip(ds.genuine, ds.genuine_ids):
             j = int(rng.integers(30))
             if j != i:
                 between.append(float(np.dot(v, ds.enrolled.column(j))))
@@ -202,11 +253,27 @@ class TestDatasetBundle:
         save_dataset(str(tmp_path), ds)
         back = load_dataset(str(tmp_path))
         assert np.array_equal(back.enrolled.data, ds.enrolled.data)
-        assert len(back.genuine_queries) == len(ds.genuine_queries)
-        for (va, ia), (vb, ib) in zip(back.genuine_queries, ds.genuine_queries):
-            assert ia == ib
-            assert np.array_equal(va, vb)
-        assert all(np.array_equal(a, b) for a, b in zip(back.impostors, ds.impostors))
+        assert len(back.genuine) == len(ds.genuine)
+        assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()
+        assert np.array_equal(back.genuine, ds.genuine)
+        assert np.array_equal(back.impostors, ds.impostors)
+
+    def test_save_matches_per_element_formatting(self, tmp_path):
+        ds = generate(spec(num_identities=12, samples_per_identity=3))
+        save_dataset(str(tmp_path), ds)
+        enrolled = ["# d=8 n=12"] + [oracle_format_row(row) for row in ds.enrolled.data.T]
+        genuine = ["# identity column + d=8 coordinates, n=24"] + [
+            str(int(idx)) + "," + oracle_format_row(vec) for vec, idx in zip(ds.genuine, ds.genuine_ids)
+        ]
+        impostors = ["# d=8 n=12"] + [oracle_format_row(row) for row in ds.impostors]
+        for name, lines in (("enrolled.csv", enrolled), ("genuine.csv", genuine), ("impostors.csv", impostors)):
+            assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
+        m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
+        save_matrix(str(tmp_path / "m.csv"), m, header=False)
+        assert (tmp_path / "m.csv").read_text() == "".join(oracle_format_row(row) + "\n" for row in m)
+        for header, text in ((True, "# d=3 n=0\n"), (False, "\n")):
+            save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)), header=header)
+            assert (tmp_path / "empty.csv").read_text() == text
 
     def test_bundle_bytes_deterministic(self, tmp_path):
         d1 = tmp_path / "a"
@@ -219,47 +286,51 @@ class TestDatasetBundle:
     def test_dataset_validates_identity_range(self):
         ds = generate(spec())
         with pytest.raises(ConfigError):
-            Dataset(ds.enrolled, ((ds.genuine_queries[0][0], 99),), ds.impostors)
+            Dataset(ds.enrolled, ds.genuine[:1], [99], ds.impostors)
 
     def test_dataset_rejects_non_integer_identities(self):
         ds = generate(spec())
         for idx in (1.0, 2.5, "3", None):
             with pytest.raises(ConfigError):
-                Dataset(ds.enrolled, ((ds.genuine_queries[0][0], idx),), ds.impostors)
+                Dataset(ds.enrolled, ds.genuine[:1], [idx], ds.impostors)
 
     def test_dataset_keeps_each_query_once_in_read_only_stacks(self):
         ds = generate(spec())
-        genuine = tuple((vec.copy(), idx) for vec, idx in ds.genuine_queries)
-        impostors = tuple(vec.copy() for vec in ds.impostors)
-        kept = Dataset(ds.enrolled, genuine, impostors)
-        assert np.array_equal(kept._genuine, np.stack([vec for vec, _ in genuine]))
-        assert np.array_equal(kept._impostors, np.stack(impostors))
-        assert kept._genuine_ids.tolist() == [idx for _, idx in genuine]
-        for stacked in (kept._genuine, kept._impostors, kept._genuine_ids):
+        genuine, ids, impostors = ds.genuine.copy(), ds.genuine_ids.copy(), ds.impostors.copy()
+        kept = Dataset(ds.enrolled, genuine, ids, impostors)
+        assert np.array_equal(kept.genuine, genuine)
+        assert np.array_equal(kept.impostors, impostors)
+        assert kept.genuine_ids.tolist() == ids.tolist()
+        for stacked in (kept.genuine, kept.impostors, kept.genuine_ids):
             assert not stacked.flags.writeable
-        # the fields are views of the stacks: equal to what was passed, not copies of it
-        for (vec, idx), (given, given_idx) in zip(kept.genuine_queries, genuine):
-            assert np.shares_memory(vec, kept._genuine) and np.array_equal(vec, given) and idx == given_idx
+        # the (vector, identity) pairs are views of the matrix: equal to what was passed, not copies of it
+        assert kept.genuine_queries is kept.genuine_queries
+        for (vec, idx), given, given_idx in zip(kept.genuine_queries, genuine, ids.tolist()):
+            assert np.shares_memory(vec, kept.genuine) and np.array_equal(vec, given) and idx == given_idx
         for vec, given in zip(kept.impostors, impostors):
-            assert np.shares_memory(vec, kept._impostors) and np.array_equal(vec, given)
-        genuine[0][0][:] = 0.0  # the caller's arrays no longer reach the dataset
-        assert np.array_equal(kept._genuine, np.stack([vec for vec, _ in ds.genuine_queries]))
+            assert np.shares_memory(vec, kept.impostors) and np.array_equal(vec, given)
+        genuine[0][:] = 0.0  # the caller's arrays no longer reach the dataset
+        assert np.array_equal(kept.genuine, ds.genuine)
+        # a read-only float64 matrix is kept as it is
+        again = Dataset(ds.enrolled, kept.genuine, kept.genuine_ids, kept.impostors)
+        assert again.genuine is kept.genuine and again.impostors is kept.impostors
 
     def test_dataset_validates_query_vectors(self):
         ds = generate(spec())
-        (vec, idx), (other, other_idx) = ds.genuine_queries[:2]
+        vec, other = ds.genuine[:2]
+        ids = ds.genuine_ids[:2]
         with pytest.raises(ConfigError):
-            Dataset(ds.enrolled, ds.genuine_queries, ds.impostors + (vec[:-1],))
+            Dataset(ds.enrolled, ds.genuine, ds.genuine_ids, [*ds.impostors, vec[:-1]])
         with pytest.raises(InvalidInputError):
-            Dataset(ds.enrolled, ((vec, idx), (2 * other, other_idx)), ds.impostors)
+            Dataset(ds.enrolled, np.stack([vec, 2 * other]), ids, ds.impostors)
         # every shape is checked before any norm
         with pytest.raises(ConfigError):
-            Dataset(ds.enrolled, ((2 * vec, idx), (other[:-1], other_idx)), ds.impostors)
+            Dataset(ds.enrolled, [2 * vec, other[:-1]], ids, ds.impostors)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInputError):
-                Dataset(ds.enrolled, ((vec, idx), (np.full(vec.size, bad), other_idx)), ds.impostors)
+                Dataset(ds.enrolled, np.stack([vec, np.full(vec.size, bad)]), ids, ds.impostors)
             with pytest.raises(InvalidInputError):
-                Dataset(ds.enrolled, ds.genuine_queries, ds.impostors + (np.full(vec.size, bad),))
+                Dataset(ds.enrolled, ds.genuine, ds.genuine_ids, np.vstack([ds.impostors, np.full(vec.size, bad)]))
 
     @pytest.mark.parametrize(
         "identity",
@@ -287,4 +358,4 @@ class TestDatasetBundle:
         assert "\n3," in text
         path.write_text(text.replace("\n3,", "\n3.0,", 1))
         back = load_dataset(str(tmp_path))
-        assert [i for _, i in back.genuine_queries] == [i for _, i in ds.genuine_queries]
+        assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
 from gmkit.data import Dataset, SyntheticSpec, generate
-from gmkit.errors import ConfigError, DimensionError, InvalidInputError
+from gmkit.errors import ConfigError, DimensionError, GmkitError, InvalidInputError
 from gmkit.evaluation import (
     IdentificationReport,
     QuerySet,
@@ -70,6 +70,11 @@ def toy_model(num_groups=2, sparsity=2, dim=6, code_length=4, seed=0):
     return build_model(np.eye(dim)[:, :code_length], codes, reps, group_of, sparsity)
 
 
+def query_set(pairs, impostors):
+    """The query set of (vector, group) pairs and impostor vectors."""
+    return QuerySet(np.array([vec for vec, _ in pairs]), [group for _, group in pairs], np.array(impostors))
+
+
 def query_for_code(model, code):
     """A unit vector whose embedding is exactly the given code."""
     lifted = model.projection.data @ code.symbols.astype(float)
@@ -101,7 +106,9 @@ def oracle_roc(genuine_scores, impostor_scores, max_threshold):
 
 def oracle_verification_sweep(model, queries, rng):
     num_groups = model.representations.num_groups
-    genuine_scores = [oracle_distances(model, oracle_embed(model, vec))[group] for vec, group in queries.genuine]
+    genuine_scores = [
+        oracle_distances(model, oracle_embed(model, vec))[group] for vec, group in zip(queries.genuine, queries.groups)
+    ]
     impostor_scores = [
         oracle_distances(model, oracle_embed(model, vec))[int(rng.integers(num_groups))] for vec in queries.impostors
     ]
@@ -109,14 +116,14 @@ def oracle_verification_sweep(model, queries, rng):
 
 
 def oracle_identification_sweep(model, queries):
-    genuine_scores = [int(np.min(oracle_distances(model, oracle_embed(model, vec)))) for vec, _ in queries.genuine]
+    genuine_scores = [int(np.min(oracle_distances(model, oracle_embed(model, vec)))) for vec in queries.genuine]
     impostor_scores = [int(np.min(oracle_distances(model, oracle_embed(model, vec)))) for vec in queries.impostors]
     return oracle_roc(genuine_scores, impostor_scores, 4 * model.config.sparsity)
 
 
 def oracle_identification_report(model, queries, threshold):
     wrong = accepted = rejected = 0
-    for vec, group in queries.genuine:
+    for vec, group in zip(queries.genuine, queries.groups):
         distances = oracle_distances(model, oracle_embed(model, vec))
         nearest = int(np.argmin(distances))
         if distances[nearest] > threshold:
@@ -148,7 +155,7 @@ def oracle_security_report(signatures, queries, model):
     ]
     priv_errors = [
         float(np.sum((vec - reconstruct(model.projection, oracle_embed(model, vec), beta)) ** 2))
-        for vec, _ in queries.genuine
+        for vec in queries.genuine
     ]
     d = signatures.dim
     return SecurityReport(float(np.mean(sec_errors)) / d, float(np.mean(priv_errors)) / d, beta)
@@ -186,7 +193,7 @@ def tie_heavy_case(seed, num_groups):
     impostors = tuple(query() for _ in range(int(rng.integers(1, 12))))
     near = projection @ reps[:, group_of].astype(float) + 0.5 * rng.standard_normal((dim, n))
     signatures = SignatureMatrix(near / np.linalg.norm(near, axis=0))
-    return model, QuerySet(genuine, impostors), signatures
+    return model, query_set(genuine, impostors), signatures
 
 
 class TestVerify:
@@ -216,7 +223,7 @@ class TestVerify:
         model = toy_model()
         with pytest.raises(ConfigError):
             verify(model, model.representations.column(0), 5, 0)
-        queries = QuerySet(((query_for_code(model, model.representations.column(0)), 2),), (unit(np.ones(6)),))
+        queries = QuerySet(query_for_code(model, model.representations.column(0))[None], [2], unit(np.ones(6))[None])
         with pytest.raises(ConfigError):
             verification_sweep(model, queries, np.random.default_rng(0))
         with pytest.raises(ConfigError):
@@ -226,10 +233,10 @@ class TestVerify:
 class TestVerificationSweep:
     def test_perfect_genuine_gives_zero_pfn(self):
         model = toy_model(num_groups=2, sparsity=2)
-        genuine = tuple((query_for_code(model, model.representations.column(g)), g) for g in (0, 1))
+        genuine = np.array([query_for_code(model, model.representations.column(g)) for g in (0, 1)])
         rng = np.random.default_rng(0)
-        impostors = tuple(unit(rng.standard_normal(6)) for _ in range(5))
-        roc = verification_sweep(model, QuerySet(genuine, impostors), np.random.default_rng(1))
+        impostors = np.array([unit(rng.standard_normal(6)) for _ in range(5)])
+        roc = verification_sweep(model, QuerySet(genuine, [0, 1], impostors), np.random.default_rng(1))
         for tau, _, pfn in roc.points:
             if tau >= 0:
                 assert pfn == 0.0
@@ -237,9 +244,9 @@ class TestVerificationSweep:
     def test_impostors_matching_single_group_give_full_pfp(self):
         model = toy_model(num_groups=1, sparsity=2)
         rep = model.representations.column(0)
-        genuine = ((query_for_code(model, rep), 0),)
-        impostors = tuple(query_for_code(model, rep) for _ in range(4))
-        roc = verification_sweep(model, QuerySet(genuine, impostors), np.random.default_rng(2))
+        genuine = query_for_code(model, rep)[None]
+        impostors = np.array([query_for_code(model, rep) for _ in range(4)])
+        roc = verification_sweep(model, QuerySet(genuine, [0], impostors), np.random.default_rng(2))
         for tau, pfp, _ in roc.points:
             if tau >= 0:
                 assert pfp == 1.0
@@ -249,7 +256,7 @@ class TestVerificationSweep:
         rng = np.random.default_rng(4)
         genuine = tuple((unit(rng.standard_normal(9)), int(rng.integers(3))) for _ in range(12))
         impostors = tuple(unit(rng.standard_normal(9)) for _ in range(15))
-        queries = QuerySet(genuine, impostors)
+        queries = query_set(genuine, impostors)
 
         claims_rng = np.random.default_rng(5)
         roc = verification_sweep(model, queries, claims_rng)
@@ -271,39 +278,39 @@ class TestVerificationSweep:
 
     def test_endpoints_present(self):
         model = toy_model()
-        genuine = ((query_for_code(model, model.representations.column(0)), 0),)
-        impostors = (query_for_code(model, model.representations.column(1)),)
-        roc = verification_sweep(model, QuerySet(genuine, impostors), np.random.default_rng(0))
+        genuine = query_for_code(model, model.representations.column(0))[None]
+        impostors = query_for_code(model, model.representations.column(1))[None]
+        roc = verification_sweep(model, QuerySet(genuine, [0], impostors), np.random.default_rng(0))
         taus = [p[0] for p in roc.points]
         assert taus[0] == -1.0
         assert taus[-1] == 4 * model.config.sparsity
 
     def test_empty_query_set_rejected(self):
         with pytest.raises(ConfigError):
-            QuerySet((), (np.ones(3),))
+            QuerySet(np.empty((0, 3)), [], np.ones((1, 3)))
 
     def test_non_integer_groups_rejected(self):
         e0, e1 = np.eye(6)[:, 0], np.eye(6)[:, 1]
         for group in (1.0, 2.5, -1):
             with pytest.raises(ConfigError):
-                QuerySet(((e0, 0), (e1, group)), (e1,))
+                QuerySet(np.stack([e0, e1]), [0, group], e1[None])
 
     def test_query_vectors_checked(self):
         e0, e1 = np.eye(6)[:, 0], np.eye(6)[:, 1]
         with pytest.raises(DimensionError):
-            QuerySet(((e0, 0),), (np.eye(5)[:, 0],))
+            QuerySet(e0[None], [0], np.eye(5)[:1])
         with pytest.raises(InvalidInputError):
-            QuerySet(((e0, 0), (2 * e1, 1)), (e1,))
+            QuerySet(np.stack([e0, 2 * e1]), [0, 1], e1[None])
         # every shape is checked before any norm
         with pytest.raises(DimensionError):
-            QuerySet(((2 * e0, 0), (np.eye(5)[:, 0], 1)), (e1,))
+            QuerySet([2 * e0, np.eye(5)[:, 0]], [0, 1], e1[None])
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInputError):
-                QuerySet(((np.full(6, bad), 0),), (e1,))
+                QuerySet(np.full((1, 6), bad), [0], e1[None])
             with pytest.raises(InvalidInputError):
-                QuerySet(((e0, 0),), (e1, np.where(e1 > 0, bad, 0.0)))
+                QuerySet(e0[None], [0], np.stack([e1, np.where(e1 > 0, bad, 0.0)]))
         # queries must also match the model's projection
-        queries = QuerySet(((np.eye(7)[:, 0], 0),), (np.eye(7)[:, 1],))
+        queries = QuerySet(np.eye(7)[:1], [0], np.eye(7)[1:2])
         with pytest.raises(DimensionError):
             verification_sweep(toy_model(), queries, np.random.default_rng(0))
 
@@ -322,7 +329,7 @@ class TestPfnAtPfp:
         model = toy_model(num_groups=3, sparsity=2, code_length=6, dim=9, seed=7)
         genuine = tuple((unit(rng.standard_normal(9)), int(rng.integers(3))) for _ in range(20))
         impostors = tuple(unit(rng.standard_normal(9)) for _ in range(20))
-        roc = verification_sweep(model, QuerySet(genuine, impostors), np.random.default_rng(8))
+        roc = verification_sweep(model, query_set(genuine, impostors), np.random.default_rng(8))
         for target in (0.05, 0.1, 0.3, 0.7):
             best = None
             for tau, pfp, pfn in roc.points:
@@ -364,10 +371,10 @@ class TestIdentificationReport:
         model = toy_model(num_groups=2, sparsity=2, seed=12)
         r0, r1 = model.representations.column(0), model.representations.column(1)
         assert not np.array_equal(r0.symbols, r1.symbols)
-        genuine = ((query_for_code(model, r0), 0), (query_for_code(model, r1), 1))
+        genuine = np.stack([query_for_code(model, r0), query_for_code(model, r1)])
         rng = np.random.default_rng(13)
-        impostors = tuple(unit(rng.standard_normal(6)) for _ in range(4))
-        report = identification_report(model, QuerySet(genuine, impostors), 0)
+        impostors = np.array([unit(rng.standard_normal(6)) for _ in range(4)])
+        report = identification_report(model, QuerySet(genuine, [0, 1], impostors), 0)
         assert report.pfn == 0.0
         assert report.p_epsilon == 0.0
         assert report.dir_rate == 1.0
@@ -375,9 +382,9 @@ class TestIdentificationReport:
     def test_single_group_never_misidentifies(self):
         model = toy_model(num_groups=1, sparsity=2, seed=14)
         rng = np.random.default_rng(15)
-        genuine = tuple((unit(rng.standard_normal(6)), 0) for _ in range(6))
-        impostors = tuple(unit(rng.standard_normal(6)) for _ in range(6))
-        report = identification_report(model, QuerySet(genuine, impostors), 4)
+        genuine = np.array([unit(rng.standard_normal(6)) for _ in range(6)])
+        impostors = np.array([unit(rng.standard_normal(6)) for _ in range(6)])
+        report = identification_report(model, QuerySet(genuine, [0] * 6, impostors), 4)
         assert report.p_epsilon == 0.0
 
     def test_matches_brute_force_recount(self):
@@ -385,7 +392,7 @@ class TestIdentificationReport:
         model = toy_model(num_groups=3, sparsity=2, code_length=6, dim=9, seed=17)
         genuine = tuple((unit(rng.standard_normal(9)), int(rng.integers(3))) for _ in range(25))
         impostors = tuple(unit(rng.standard_normal(9)) for _ in range(10))
-        queries = QuerySet(genuine, impostors)
+        queries = query_set(genuine, impostors)
         tau = 3
         report = identification_report(model, queries, tau)
         rejected = wrong = accepted = 0
@@ -407,9 +414,9 @@ class TestIdentificationReport:
     def test_zero_accepted_flagged(self):
         model = toy_model(num_groups=2, sparsity=2, seed=18)
         rng = np.random.default_rng(19)
-        genuine = tuple((unit(rng.standard_normal(6)), 0) for _ in range(3))
-        impostors = (unit(rng.standard_normal(6)),)
-        report = identification_report(model, QuerySet(genuine, impostors), -1)
+        genuine = np.array([unit(rng.standard_normal(6)) for _ in range(3)])
+        impostors = unit(rng.standard_normal(6))[None]
+        report = identification_report(model, QuerySet(genuine, [0] * 3, impostors), -1)
         assert report.no_accepted_genuine
         assert report.p_epsilon == 0.0
         assert report.pfn == 1.0
@@ -481,6 +488,14 @@ class TestReconstruction:
         with pytest.raises(DimensionError):
             fit_beta(proj, [TernaryCode(np.array([1, 1, 0, 0, 0]), 2)], [np.eye(8)[:, 0]])
 
+    def test_gain_sums_match_separate_products_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        for dim, n in ((9, 4), (64, 300), (128, 1000)):
+            lifted = rng.standard_normal((dim, n)) @ np.diag(rng.uniform(0.1, 3.0, n))
+            for targets in (rng.standard_normal((dim, n)), np.asfortranarray(rng.standard_normal((dim, n)))):
+                expected = float(np.sum(targets * lifted)) / float(np.sum(lifted * lifted))
+                assert evaluation._gain(lifted, targets) == expected
+
     def test_near_lossless_code_reconstructs_with_small_residual(self):
         # signature inside the projection range with equal-magnitude support:
         # the fitted gain makes the reconstruction exact
@@ -510,9 +525,9 @@ class TestSecurityReport:
 
     def test_exactly_reconstructable_queries_give_zero_privacy_mse(self):
         model, signatures = self.make_selfcoding_model()
-        genuine = tuple((signatures.column(i), i) for i in range(4))
-        impostors = (unit(np.ones(8)),)
-        report = security_report(signatures, QuerySet(genuine, impostors), model)
+        genuine = signatures.data.T
+        impostors = unit(np.ones(8))[None]
+        report = security_report(signatures, QuerySet(genuine, np.arange(4), impostors), model)
         assert report.mse_privacy == pytest.approx(0.0, abs=1e-18)
         assert report.mse_security == pytest.approx(0.0, abs=1e-18)
 
@@ -556,10 +571,7 @@ class TestSecurityReport:
             model.config.sparsity,
         )
         rotated_sigs = SignatureMatrix(rot @ ds.enrolled.data)
-        rotated_queries = QuerySet(
-            tuple((rot @ v, g) for v, g in queries.genuine),
-            tuple(rot @ v for v in queries.impostors),
-        )
+        rotated_queries = QuerySet(queries.genuine @ rot.T, queries.groups, queries.impostors @ rot.T)
         rotated = security_report(rotated_sigs, rotated_queries, rotated_model)
         assert rotated.mse_security == pytest.approx(base.mse_security, rel=1e-9)
         assert rotated.mse_privacy == pytest.approx(base.mse_privacy, rel=1e-9)
@@ -578,7 +590,7 @@ class TestRocCurveType:
         model = toy_model(num_groups=3, sparsity=2, code_length=6, dim=9, seed=33)
         genuine = tuple((unit(rng.standard_normal(9)), int(rng.integers(3))) for _ in range(15))
         impostors = tuple(unit(rng.standard_normal(9)) for _ in range(15))
-        queries = QuerySet(genuine, impostors)
+        queries = query_set(genuine, impostors)
         roc = identification_sweep(model, queries)
         tau = threshold_at_pfp(roc, 0.2)
         pfp_at_tau = [p for t, p, _ in roc.points if t == tau][0]
@@ -604,7 +616,7 @@ class TestBatchedMatchesOracles:
         assert identification_sweep(model, queries) == oracle_identification_sweep(model, queries)
         for tau in range(-1, 4 * sparsity + 1):
             assert identification_report(model, queries, tau) == oracle_identification_report(model, queries, tau)
-        for vec, _ in queries.genuine:
+        for vec in queries.genuine:
             code = oracle_embed(model, vec)
             assert identify(model, code, 4 * sparsity) == int(np.argmin(oracle_distances(model, code)))
 
@@ -636,7 +648,7 @@ class TestBatchedMatchesOracles:
 
 def shared_signature_models():
     """Two models over the same signatures (dim 9, l = 6, S = 2) with 3 and 4
-    groups, and queries whose claimed groups are valid for both."""
+    groups, and the parts of a query set whose groups are valid for both."""
     rng = np.random.default_rng(50)
     dim, length, sparsity, n = 9, 6, 2, 8
     models = []
@@ -647,9 +659,9 @@ def shared_signature_models():
         models.append(build_model(q, codes, reps, np.arange(n) % num_groups, sparsity))
     near = rng.standard_normal((dim, n))
     signatures = SignatureMatrix(near / np.linalg.norm(near, axis=0))
-    genuine = tuple((unit(rng.standard_normal(dim)), int(rng.integers(3))) for _ in range(14))
-    impostors = tuple(unit(rng.standard_normal(dim)) for _ in range(9))
-    return models, signatures, genuine, impostors
+    pairs = [(unit(rng.standard_normal(dim)), int(rng.integers(3))) for _ in range(14)]
+    impostors = np.array([unit(rng.standard_normal(dim)) for _ in range(9)])
+    return models, signatures, (np.array([vec for vec, _ in pairs]), [group for _, group in pairs], impostors)
 
 
 def evaluation_pass(model, queries, signatures):
@@ -670,22 +682,23 @@ class TestQuerySetMemo:
             return original(matrix, sparsity)
 
         monkeypatch.setattr(evaluation, "ternarize_columns", counted)
-        (model, _), signatures, genuine, impostors = shared_signature_models()
-        queries = QuerySet(genuine, impostors)
+        (model, _), signatures, parts = shared_signature_models()
+        genuine, _, impostors = parts
+        queries = QuerySet(*parts)
         identification_report(model, queries, 4)
         security_report(signatures, queries, model)
         assert calls == [(6, len(genuine))]  # the genuine side only: no impostor embedding yet
         evaluation_pass(model, queries, signatures)
         assert calls == [(6, len(genuine)), (6, len(impostors))]
-        evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+        evaluation_pass(model, QuerySet(*parts), signatures)
         assert len(calls) == 4
 
     def test_switching_models_matches_fresh_query_sets_and_oracles(self):
-        (model_a, model_b), signatures, genuine, impostors = shared_signature_models()
-        shared = QuerySet(genuine, impostors)
+        (model_a, model_b), signatures, parts = shared_signature_models()
+        shared = QuerySet(*parts)
         for model in (model_a, model_b, model_a):
             roc, ident_roc, report, security = evaluation_pass(model, shared, signatures)
-            assert (roc, ident_roc, report, security) == evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+            assert (roc, ident_roc, report, security) == evaluation_pass(model, QuerySet(*parts), signatures)
             assert roc == oracle_verification_sweep(model, shared, np.random.default_rng(3))
             assert ident_roc == oracle_identification_sweep(model, shared)
             assert report == oracle_identification_report(model, shared, threshold_at_pfp(ident_roc, 0.05))
@@ -695,18 +708,17 @@ class TestQuerySetMemo:
         assert evaluation_pass(model_a, shared, signatures)[0] != evaluation_pass(model_b, shared, signatures)[0]
 
     def test_stacked_vectors_are_a_read_only_copy(self):
-        (model, _), signatures, genuine, impostors = shared_signature_models()
-        genuine = tuple((vec.copy(), group) for vec, group in genuine)
-        queries = QuerySet(genuine, impostors)
+        (model, _), signatures, (genuine, groups, impostors) = shared_signature_models()
+        queries = QuerySet(genuine, groups, impostors)
         before = evaluation_pass(model, queries, signatures)
-        for stacked in (queries._genuine, queries._impostors, queries._groups):
+        for stacked in (queries.genuine, queries.impostors, queries.groups):
             assert not stacked.flags.writeable
         with pytest.raises(ValueError):
-            queries._genuine[0, 0] = 0.0
+            queries.genuine[0, 0] = 0.0
         _, parts = queries._scored
         assert parts and not any(part.flags.writeable for part in parts.values())
-        genuine[0][0][:] = impostors[0]
-        assert evaluation_pass(model, QuerySet(queries.genuine, impostors), signatures) != before
+        genuine[0] = impostors[0]
+        assert evaluation_pass(model, QuerySet(genuine, groups, impostors), signatures) != before
         assert evaluation_pass(model, queries, signatures) == before
 
     def test_pass_memory_bounded(self):
@@ -720,12 +732,11 @@ class TestQuerySetMemo:
         model = build_model(projection, codes, reps, np.arange(n) % num_groups, sparsity)
         rows = rng.standard_normal((n + n // 2, dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        genuine = tuple((row, int(g)) for row, g in zip(rows[:n], rng.integers(num_groups, size=n)))
-        impostors = tuple(rows[n:])
+        groups = rng.integers(num_groups, size=n)
         signatures = SignatureMatrix(x)
         tracemalloc.start()
         try:
-            evaluation_pass(model, QuerySet(genuine, impostors), signatures)
+            evaluation_pass(model, QuerySet(rows[:n], groups, rows[n:]), signatures)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -740,24 +751,17 @@ class TestQuerySetFromDataset:
         model = train(ds.enrolled, ModelConfig(code_length=8, sparsity=2, num_groups=6, seed=43, max_outer_iters=3))
         return ds, model
 
-    def test_built_from_the_dataset_stacks_without_a_second_check(self, monkeypatch):
+    def test_built_from_the_dataset_matrices_without_a_copy(self):
         ds, model = self.dataset_and_model()
-        checked = QuerySet(
-            tuple((vec, int(model.assignments.group_of[idx])) for vec, idx in ds.genuine_queries), ds.impostors
-        )
-
-        def no_check(*args):
-            raise AssertionError("query vectors checked again")
-
-        monkeypatch.setattr(evaluation, "_check_query_vectors", no_check)
+        checked = QuerySet(ds.genuine.copy(), model.assignments.group_of[ds.genuine_ids], ds.impostors.copy())
         queries = query_set_from_dataset(ds, model)
-        assert all(np.shares_memory(vec, ds._genuine) for vec, _ in queries.genuine)
-        assert all(np.shares_memory(vec, ds._impostors) for vec in queries.impostors)
-        assert np.array_equal(queries._genuine, checked._genuine)
-        assert np.array_equal(queries._impostors, checked._impostors)
-        assert np.array_equal(queries._groups, checked._groups) and not queries._groups.flags.writeable
-        assert [(vec.tolist(), group) for vec, group in queries.genuine] == [
-            (vec.tolist(), group) for vec, group in checked.genuine
+        assert np.shares_memory(queries.genuine, ds.genuine)
+        assert np.shares_memory(queries.impostors, ds.impostors)
+        assert np.array_equal(queries.genuine, checked.genuine)
+        assert np.array_equal(queries.impostors, checked.impostors)
+        assert np.array_equal(queries.groups, checked.groups) and not queries.groups.flags.writeable
+        assert [(vec.tolist(), group) for vec, group in zip(queries.genuine, queries.groups.tolist())] == [
+            (vec.tolist(), group) for vec, group in zip(checked.genuine, checked.groups.tolist())
         ]
         assert [vec.tolist() for vec in queries.impostors] == [vec.tolist() for vec in checked.impostors]
         assert evaluation_pass(model, queries, ds.enrolled) == evaluation_pass(model, checked, ds.enrolled)
@@ -774,4 +778,92 @@ class TestQuerySetFromDataset:
     def test_dataset_without_impostors_rejected(self):
         ds, model = self.dataset_and_model()
         with pytest.raises(ConfigError):
-            query_set_from_dataset(Dataset(ds.enrolled, ds.genuine_queries, ()), model)
+            query_set_from_dataset(Dataset(ds.enrolled, ds.genuine, ds.genuine_ids, ds.impostors[:0]), model)
+
+
+# A fault in a query matrix or its labels, and the error class each
+# constructor raises for it: a shape fault raises the constructor's shape
+# error (ConfigError for Dataset, DimensionError for QuerySet).
+VECTOR_FAULTS = {
+    "ragged": "shape",
+    "1-D": "shape",
+    "3-D": "shape",
+    "wrong width": "shape",
+    "non-numeric": "input",
+    "non-finite": "input",
+}
+LABEL_FAULTS = {"label count": "shape", "non-integer label": "label"}
+FAULT_ERRORS = {
+    Dataset: {"shape": ConfigError, "input": InvalidInputError, "label": ConfigError},
+    QuerySet: {"shape": DimensionError, "input": InvalidInputError, "label": ConfigError},
+}
+
+
+def with_vector_fault(rows, fault, rng):
+    """The unit rows (Q x d) with one fault that the constructors must reject."""
+    if fault == "ragged":
+        return [*rows, rows[0][:-1]]
+    if fault == "1-D":
+        return rows[0]
+    if fault == "3-D":
+        return rows[None]
+    if fault == "wrong width":  # a zero column keeps every row unit norm
+        return np.hstack([rows, np.zeros((len(rows), 1))])
+    if fault == "non-numeric":
+        kind = rng.integers(4)
+        if kind == 0:
+            return rows.astype(str)
+        if kind == 1:
+            return rows.astype(complex)
+        bad = rows.astype(object)
+        bad[rng.integers(len(rows)), rng.integers(rows.shape[1])] = None if kind == 2 else "x"
+        return bad
+    bad = rows.copy()
+    bad[rng.integers(len(rows)), rng.integers(rows.shape[1])] = rng.choice([np.nan, np.inf, -np.inf])
+    return bad
+
+
+def with_label_fault(labels, fault, rng):
+    if fault == "label count":
+        return labels[:-1] if rng.integers(2) else [*labels, 0]
+    kind = rng.integers(4)
+    return [(float(x), str(x), None, bool(x % 2))[kind] for x in labels]
+
+
+class TestMalformedQueryMatrices:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([Dataset, QuerySet]),
+        st.sampled_from([*VECTOR_FAULTS, *LABEL_FAULTS]),
+        st.sampled_from(["genuine", "impostors"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_fault_raises_its_library_error(self, seed, cls, fault, side):
+        rng = np.random.default_rng(seed)
+        dim, num_enrolled = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        rows = rng.standard_normal((int(rng.integers(2, 6)) + int(rng.integers(1, 6)), dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        num_genuine = int(rng.integers(1, len(rows)))
+        parts = {
+            "genuine": rows[:num_genuine],
+            "labels": rng.integers(num_enrolled, size=num_genuine).tolist(),
+            "impostors": rows[num_genuine:],
+        }
+        enrolled = rng.standard_normal((dim, num_enrolled))
+        enrolled = SignatureMatrix(enrolled / np.linalg.norm(enrolled, axis=0))
+
+        def build():
+            if cls is Dataset:
+                return Dataset(enrolled, parts["genuine"], parts["labels"], parts["impostors"])
+            return QuerySet(parts["genuine"], parts["labels"], parts["impostors"])
+
+        build()  # the unbroken parts are accepted
+        if fault in VECTOR_FAULTS:
+            parts[side] = with_vector_fault(parts[side], fault, rng)
+            expected = FAULT_ERRORS[cls][VECTOR_FAULTS[fault]]
+        else:
+            parts["labels"] = with_label_fault(parts["labels"], fault, rng)
+            expected = FAULT_ERRORS[cls][LABEL_FAULTS[fault]]
+        with pytest.raises(GmkitError) as caught:
+            build()
+        assert type(caught.value) is expected, f"{fault} in {side}: {caught.value!r}"

@@ -765,6 +765,19 @@ class TestRandomAssignmentBaseline:
         assert np.array_equal(model.assignments.group_of, expected.group_of)
         assert model.assignments.group_sizes().tolist() == [2, 2, 2, 2]
 
+    def test_partition_matches_per_group_loop(self):
+        for num_groups, group_size, seed in ((1, 1, 0), (1, 7, 1), (5, 1, 2), (4, 3, 3), (16, 16, 4)):
+            n = num_groups * group_size
+            rng = np.random.default_rng(seed)
+            assignment = random_balanced_assignment(n, num_groups, group_size, rng)
+            replay = np.random.default_rng(seed)
+            perm = replay.permutation(n)
+            expected = np.empty(n, dtype=np.int64)
+            for g in range(num_groups):
+                expected[perm[g * group_size : (g + 1) * group_size]] = g
+            assert assignment.group_of.tolist() == expected.tolist()
+            assert rng.bit_generator.state == replay.bit_generator.state
+
     def test_learned_within_not_worse_on_clustered_data(self):
         spec = SyntheticSpec(num_identities=24, samples_per_identity=2, dim=24, noise_sigma=0.05, impostor_fraction=0.25, seed=4)
         signatures = generate(spec).enrolled
