@@ -7,12 +7,12 @@ over all groups is at most the threshold, then names the nearest group.
 
 A :class:`QuerySet` holds its genuine and its impostor queries as two
 read-only Q x d matrices, one query per row, checked once at construction;
-later changes to the arrays it was built from do not reach the measures.
-Queries are embedded and scored once per query set and model: the genuine
-and the impostor queries are each embedded with one
-``ternarize_columns(W^T Q^T)`` and scored in one Q x M
-matrix of exact integer distances ||e||^2 + ||r||^2 - 2 e.r, never the
-2S - 2 p.r shortcut, so nothing here relies on the exactly-S contract.  The
+a writeable array it is built from is copied, so later changes to it do not
+reach the measures.  Queries are embedded and scored once per query set and
+model: the genuine and the impostor queries are each embedded with one
+``ternarize_columns(W^T Q^T)`` and scored in one Q x M matrix of exact
+integer distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r
+shortcut, so nothing here relies on the exactly-S contract.  The
 query set keeps those codes and matrices for the last model it was scored
 against, and the sweeps, the report and the security measure index them.
 e.r is a float64 matrix product and still exact: every entry is in
