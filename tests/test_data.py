@@ -228,7 +228,13 @@ class TestMatrixIO:
             pytest.param(lambda line: "nan," + line.split(",", 1)[1], id="nan"),
             pytest.param(lambda line: "-nan," + line.split(",", 1)[1], id="minus-nan"),
             pytest.param(lambda line: "-inf," + line.split(",", 1)[1], id="minus-inf"),
+            pytest.param(lambda line: line + "#", id="trailing-hash"),  # a comment to np.loadtxt
+            pytest.param(lambda line: line.replace(",", "#,", 1), id="hash-in-row"),
             pytest.param(lambda line: line + "\x1f", id="unit-separator"),  # np.loadtxt only
+            pytest.param(lambda line: line.replace(",", "\x1f,", 1), id="unit-separator-in-row"),
+            pytest.param(lambda line: line.replace(",", ",\x0b", 1), id="vertical-tab"),  # splitlines cuts here
+            pytest.param(lambda line: line + "\x0c", id="form-feed"),
+            pytest.param(lambda line: " \t ", id="whitespace-line"),
             pytest.param(lambda line: " " + line.replace(",", " , ") + "\t", id="spaces"),
             pytest.param(lambda line: "", id="blank-line"),
             pytest.param(lambda line: "  # comment", id="comment-line"),
