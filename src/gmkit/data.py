@@ -14,7 +14,9 @@ precision, with an optional leading header line ``# d=<d> n=<n>``.
 
 from __future__ import annotations
 
+import itertools
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -27,6 +29,8 @@ from .errors import ConfigError, InvalidInputError, ParseError
 ENROLLED_FILE = "enrolled.csv"
 GENUINE_FILE = "genuine.csv"
 IMPOSTORS_FILE = "impostors.csv"
+
+_CHUNK = 1 << 20  # bytes per read when scanning or hashing a file
 
 
 @dataclass(frozen=True)
@@ -152,30 +156,67 @@ def load_matrix(path: str) -> np.ndarray:
     Raises :class:`ParseError` naming the offending row (and column for bad
     tokens) on empty files, ragged rows or non-numeric entries.  Blank lines
     and lines starting with ``#`` are skipped; a ``#`` anywhere else is a bad
-    token.
+    token.  Lines end where ``str.splitlines`` ends them.
     """
+    if _plain(path):
+        # np.loadtxt reads a plain file from its path in blocks, as the token
+        # scan reads it, except that it refuses "1_0", whitespace-only and
+        # indented comment lines; the scan settles those and names every fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            try:
+                matrix = np.loadtxt(path, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
+            except ValueError:
+                matrix = None
+        if matrix is not None and matrix.size:
+            return matrix
+    return _scan_matrix(path)
+
+
+_PLAIN_BYTES = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
+
+
+def _plain(path: str) -> bool:
+    """Whether the file holds only tab, newline and printable ASCII, with
+    every ``#`` in a line that starts with one.  np.loadtxt would take the
+    other control characters as whitespace (``"\\x1f"``) or as part of a line
+    that ``splitlines`` cuts (``"\\x0b"``, ``"\\r"``), and a ``#`` after data as
+    the start of a comment.  Reads the file in blocks of whole lines."""
+    tail = b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CHUNK), b""):
+            lines, _, tail = (tail + chunk).rpartition(b"\n")
+            if not _plain_lines(lines):
+                return False
+    return _plain_lines(tail)
+
+
+def _plain_lines(block: bytes) -> bool:
+    if block.translate(None, _PLAIN_BYTES):
+        return False
+    pos = block.find(b"#")
+    while pos >= 0:
+        if block[block.rfind(b"\n", 0, pos) + 1 : pos].strip(b" \t"):
+            return False  # data before the "#" on its line
+        end = block.find(b"\n", pos)
+        pos = -1 if end < 0 else block.find(b"#", end)
+    return True
+
+
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each data row: lines that are not blank and do
+    not start with ``#``, cut by ``str.splitlines``."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
-    data = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
-    # np.loadtxt reads a field as float() does, except that it also strips
-    # "\x1f" as whitespace (splitlines already cut at "\x1c".."\x1e") and
-    # refuses "1_0"; the token scan settles those and names every fault
-    if data and "\x1f" not in raw:
-        try:
-            return np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    return _scan_matrix(path, lines)
+        lines = fh.read().splitlines()
+    return ((n, line) for n, line in enumerate(lines, start=1) if line.strip() and not line.lstrip().startswith("#"))
 
 
-def _scan_matrix(path: str, lines: list[str]) -> np.ndarray:
-    """Token-by-token parse with ``float``; the error path of :func:`load_matrix`."""
+def _scan_matrix(path: str) -> np.ndarray:
+    """Token-by-token parse with ``float``; the path of :func:`load_matrix`
+    for files that are not plain, and its error path."""
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         values = []
         for colno, token in enumerate(line.split(","), start=1):
             try:
@@ -194,10 +235,7 @@ def _scan_matrix(path: str, lines: list[str]) -> np.ndarray:
 
 def _data_line(path: str, k: int) -> int:
     """File line number of the k-th (0-based) data row, as counted by :func:`load_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    data = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.lstrip().startswith("#")]
-    return data[k]
+    return next(itertools.islice(_data_lines(path), k, None))[0]
 
 
 def save_dataset(directory: str, dataset: Dataset) -> None:
