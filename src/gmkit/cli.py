@@ -127,7 +127,10 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentCo
         raw = get(key, str)
         if raw is None:
             return fallback
-        parts = [float(tok) for tok in raw.split(",") if tok.strip()]
+        try:
+            parts = [float(tok) for tok in raw.split(",") if tok.strip()]
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from None
         if len(parts) != 1:
             raise ConfigError(f"{key} supports exactly one value per run, got {raw!r}")
         return parts[0]

@@ -9,13 +9,21 @@ identities are each one random draw, normalized in place, and a
 :class:`Dataset` holds its queries as matrices, one query per row.
 
 Matrices are stored as plain CSV, one signature per row, full round-trip
-precision, with an optional leading header line ``# d=<d> n=<n>``.
+precision, with an optional leading header line ``# d=<d> n=<n>``.  A
+dataset bundle (:func:`save_dataset`) also keeps a binary ``.npy`` copy of
+each parsed matrix and a SHA-256 manifest of all six files.
+:func:`load_dataset` takes a copy only when the manifest's digests match it
+and its CSV, so a bundle is parsed once, by its writer, and each later read
+costs a hash and a binary load; an edited or hand-made bundle is parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
+import re
+import tokenize
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +37,7 @@ from .errors import ConfigError, InvalidInputError, ParseError
 ENROLLED_FILE = "enrolled.csv"
 GENUINE_FILE = "genuine.csv"
 IMPOSTORS_FILE = "impostors.csv"
+MANIFEST_FILE = "bundle.sha256"
 
 _CHUNK = 1 << 20  # bytes per read when scanning or hashing a file
 
@@ -192,6 +201,7 @@ def _plain(path: str) -> bool:
 
 
 def _plain_lines(block: bytes) -> bool:
+    """:func:`_plain` for a block of whole lines."""
     if block.translate(None, _PLAIN_BYTES):
         return False
     pos = block.find(b"#")
@@ -238,21 +248,119 @@ def _data_line(path: str, k: int) -> int:
     return next(itertools.islice(_data_lines(path), k, None))[0]
 
 
+def _copy_path(csv_path: str) -> str:
+    """The binary copy kept next to a bundle CSV: the same name with ``.npy``."""
+    return os.path.splitext(csv_path)[0] + ".npy"
+
+
+def _file_digest(path: str) -> str:
+    """Hex SHA-256 of a file, read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def save_dataset(directory: str, dataset: Dataset) -> None:
-    """Write the dataset bundle (enrolled / genuine / impostors CSVs)."""
+    """Write the dataset bundle.
+
+    ``enrolled.csv`` holds one enrolled signature per row, ``genuine.csv``
+    the identity and then the coordinates of one genuine query per row, and
+    ``impostors.csv`` one impostor query per row.  The CSVs are the
+    interchange format and the source of truth.  Next to each CSV a ``.npy``
+    copy holds the float64 matrix :func:`load_matrix` returns for it, and
+    ``bundle.sha256`` lists the SHA-256 of all six files in ``sha256sum``
+    format.  The old manifest is removed before anything is written and the
+    new one replaces it in one rename, so a write cut short leaves no
+    manifest that matches.
+    """
     os.makedirs(directory, exist_ok=True)
-    save_matrix(os.path.join(directory, ENROLLED_FILE), dataset.enrolled.data.T)
-    with open(os.path.join(directory, GENUINE_FILE), "w", encoding="ascii", newline="\n") as fh:
+    manifest = os.path.join(directory, MANIFEST_FILE)
+    try:
+        os.remove(manifest)
+    except FileNotFoundError:
+        pass
+    enrolled_path, genuine_path, impostors_path = (
+        os.path.join(directory, name) for name in (ENROLLED_FILE, GENUINE_FILE, IMPOSTORS_FILE)
+    )
+    enrolled = dataset.enrolled.data.T
+    save_matrix(enrolled_path, enrolled)
+    with open(genuine_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# identity column + d={dataset.enrolled.dim} coordinates, n={len(dataset.genuine)}\n")
         fh.writelines(f"{idx},{line}" for idx, line in zip(dataset.genuine_ids.tolist(), _csv_lines(dataset.genuine)))
-    save_matrix(os.path.join(directory, IMPOSTORS_FILE), dataset.impostors)
+    save_matrix(impostors_path, dataset.impostors)
+    genuine = np.column_stack((dataset.genuine_ids.astype(np.float64), dataset.genuine))
+    lines = []
+    for path, matrix in ((enrolled_path, enrolled), (genuine_path, genuine), (impostors_path, dataset.impostors)):
+        copy = _copy_path(path)
+        np.save(copy, np.ascontiguousarray(matrix))  # C order, as load_matrix returns it
+        lines += (f"{_file_digest(name)}  {os.path.basename(name)}\n" for name in (path, copy))
+    temp = manifest + ".tmp"
+    with open(temp, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(lines)
+    os.replace(temp, manifest)
+
+
+_MANIFEST_LINE = re.compile(r"([0-9a-f]{64}) [ *](.+)")
+
+
+def _read_manifest(path: str) -> dict[str, str]:
+    """{file name: hex SHA-256} from a ``sha256sum`` listing.  A missing
+    manifest lists nothing, and lines of another form are ignored."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii", "replace")
+    except OSError:
+        return {}
+    return {m[2]: m[1] for m in map(_MANIFEST_LINE.fullmatch, text.splitlines()) if m}
+
+
+def _listed(digests: dict[str, str], path: str) -> bool:
+    """Whether the file exists and has the SHA-256 the manifest lists for its name."""
+    listed = digests.get(os.path.basename(path))
+    if listed is None:
+        return False
+    try:
+        return _file_digest(path) == listed
+    except OSError:
+        return False
+
+
+def _load_copy(path: str) -> np.ndarray:
+    """The matrix in a ``.npy`` copy, read without unpickling.  A copy that
+    cannot be read, or is not a nonempty 2-D float64 matrix, is a ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, tokenize.TokenError) as err:  # numpy tokenizes the header
+        raise ParseError(f"{path}: {err}") from None
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or not matrix.size:
+        raise ParseError(f"{path}: holds a {matrix.dtype} array of shape {matrix.shape}, not a float64 matrix")
+    return matrix
 
 
 def load_dataset(directory: str) -> Dataset:
-    """Read a dataset bundle written by :func:`save_dataset`."""
-    enrolled = SignatureMatrix(load_matrix(os.path.join(directory, ENROLLED_FILE)).T)
+    """Read a dataset bundle written by :func:`save_dataset`.
+
+    Each matrix comes from its ``.npy`` copy when ``bundle.sha256`` lists
+    the digests of both the CSV and the copy and both files match them;
+    otherwise it is parsed from the CSV with :func:`load_matrix`.  A content
+    digest, not a size or a time stamp, because a CSV edited in place can
+    keep both.  Both ways give the same arrays, bit for bit, and the checks
+    that follow are the same.  Nothing in the directory is written.
+    """
+    digests = _read_manifest(os.path.join(directory, MANIFEST_FILE))
+
+    def read(path: str) -> np.ndarray:
+        copy = _copy_path(path)
+        if _listed(digests, path) and _listed(digests, copy):
+            return _load_copy(copy)
+        return load_matrix(path)
+
+    enrolled = SignatureMatrix(read(os.path.join(directory, ENROLLED_FILE)).T)
     genuine_path = os.path.join(directory, GENUINE_FILE)
-    genuine_raw = load_matrix(genuine_path)
+    genuine_raw = read(genuine_path)
     ids = genuine_raw[:, 0]
     bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids != np.trunc(ids)))
     if bad.size:
@@ -260,5 +368,5 @@ def load_dataset(directory: str) -> Dataset:
         raise ParseError(
             f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not a nonnegative integer"
         )
-    impostors = load_matrix(os.path.join(directory, IMPOSTORS_FILE))
+    impostors = read(os.path.join(directory, IMPOSTORS_FILE))
     return Dataset(enrolled, genuine_raw[:, 1:], ids.astype(np.int64), impostors)

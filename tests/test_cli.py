@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gmkit import data as data_mod
 from gmkit.cli import main
 from gmkit.core import squared_distance
 from gmkit.learning import random_balanced_assignment
@@ -116,6 +117,38 @@ class TestGenData:
         assert capsys.readouterr().err == "ERROR:input:impostor query is not unit norm\n"
 
 
+class TestBundleCopy:
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The paths data.load_matrix is called with."""
+        calls = []
+        parse = data_mod.load_matrix
+
+        def counting(path):
+            calls.append(os.path.basename(path))
+            return parse(path)
+
+        monkeypatch.setattr(data_mod, "load_matrix", counting)
+        return calls
+
+    def test_train_and_eval_parse_only_edited_files(self, tmp_path, config_path, parsed):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        cfg = config_path(tmp_path / "run")
+        chain = (["train", "--config", cfg, "--dataset", str(bundle)],
+                 ["eval-verify", "--config", cfg, "--dataset", str(bundle)])
+        for argv in chain:
+            assert main(argv) == 0
+        assert parsed == []
+        first = read_tree(tmp_path / "run")
+        path = bundle / "impostors.csv"
+        path.write_text(path.read_text() + "\n")  # the same matrix, other bytes
+        for argv in chain:
+            assert main(argv) == 0
+        assert parsed == ["impostors.csv", "impostors.csv"]
+        assert read_tree(tmp_path / "run") == first
+
+
 class TestTrain:
     def test_model_file_written_and_deterministic(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -167,6 +200,19 @@ class TestTrain:
         cfg = config_path(tmp_path / "x")
         assert main(["train", "--config", cfg, "--within_weights=1.0,2.0"]) != 0
         assert capsys.readouterr().err.startswith("ERROR:config:")
+
+    @pytest.mark.parametrize("key", ["within_weights", "between_weights"])
+    def test_non_numeric_weight_list_is_config_error(self, tmp_path, config_path, capsys, key):
+        cfg = config_path(tmp_path / "x")
+        assert main(["train", "--config", cfg, f"--{key}=abc"]) == 1
+        assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: 'abc'\n"
+        with open(cfg) as fh:
+            text = fh.read()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("group_sizes = 2,4", f"group_sizes = 2,4\n{key} = 1.0,x"))
+        assert main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: '1.0,x'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_env_seed_overrides_config(self, tmp_path, config_path, monkeypatch):
         out_a = tmp_path / "a"

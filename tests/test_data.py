@@ -1,10 +1,14 @@
+import hashlib
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmkit import data as data_mod
 from gmkit.data import (
     Dataset,
     SyntheticSpec,
@@ -14,7 +18,7 @@ from gmkit.data import (
     save_dataset,
     save_matrix,
 )
-from gmkit.errors import ConfigError, InvalidInputError, ParseError
+from gmkit.errors import ConfigError, GmkitError, InvalidInputError, ParseError
 
 
 def spec(**overrides):
@@ -402,3 +406,187 @@ class TestDatasetBundle:
         path.write_text(text.replace("\n3,", "\n3.0,", 1))
         back = load_dataset(str(tmp_path))
         assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()
+
+
+BUNDLE_FILES = ("enrolled.csv", "enrolled.npy", "genuine.csv", "genuine.npy", "impostors.csv", "impostors.npy")
+
+
+def dataset_outcome(directory):
+    """Every bit and the layout of each loaded array, or the error's type and text."""
+    try:
+        ds = load_dataset(str(directory))
+    except GmkitError as err:
+        return ("error", type(err).__name__, str(err))
+    arrays = (ds.enrolled.data, ds.genuine, ds.genuine_ids, ds.impostors)
+    return ("ok", *((a.dtype.str, a.shape, a.strides, a.view(np.int64).tolist()) for a in arrays))
+
+
+def write_manifest(directory, text=None):
+    """Replace the manifest with ``text``, or with one that matches the files as they are now."""
+    if text is None:
+        text = "".join(f"{hashlib.sha256((directory / n).read_bytes()).hexdigest()}  {n}\n" for n in BUNDLE_FILES)
+    (directory / "bundle.sha256").write_bytes(text.encode("latin-1"))
+
+
+def edit_keeping_mtime(path, edit):
+    """Rewrite a file with ``edit(text)`` and put its modification time back."""
+    before = os.stat(path)
+    path.write_text(edit(path.read_text()))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+
+def next_digit_at_end_of_first_row(text):
+    """The same text with the last digit of the first data row changed: same
+    length, a value that differs in the last place."""
+    header, row, rest = text.split("\n", 2)
+    return f"{header}\n{row[:-1]}{(int(row[-1]) + 1) % 10}\n{rest}"
+
+
+def flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+class TestBundleCopy:
+    """The .npy copies and the digest manifest that save_dataset writes next to the CSVs."""
+
+    @given(
+        st.integers(1, 12),
+        st.integers(2, 4),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.05, 2.0]),
+        st.sampled_from([0.25, 0.9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_copy_loads_bit_identical_to_parse(self, tmp_path_factory, identities, samples, dim, sigma, fraction, seed):
+        directory = tmp_path_factory.mktemp("bundle")
+        save_dataset(str(directory), generate(SyntheticSpec(identities, samples, dim, sigma, fraction, seed)))
+        with mock.patch.object(data_mod, "load_matrix", side_effect=AssertionError("parsed a CSV")):
+            from_copy = dataset_outcome(directory)
+        for name in ("enrolled.npy", "genuine.npy", "impostors.npy"):
+            (directory / name).unlink()
+        assert from_copy[0] == "ok"
+        assert from_copy == dataset_outcome(directory)
+
+    def test_manifest_lists_all_six_files(self, tmp_path):
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((*BUNDLE_FILES, "bundle.sha256"))
+        expected = "".join(f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}\n" for n in BUNDLE_FILES)
+        assert (tmp_path / "bundle.sha256").read_text() == expected
+        genuine = np.load(tmp_path / "genuine.npy", allow_pickle=False)
+        assert genuine.dtype == np.float64 and genuine.flags.c_contiguous
+        assert genuine.view(np.int64).tolist() == load_matrix(str(tmp_path / "genuine.csv")).view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda d: (d / "bundle.sha256").unlink(), id="no-manifest"),
+            pytest.param(lambda d: (d / "genuine.npy").unlink(), id="no-copy"),
+            pytest.param(
+                lambda d: edit_keeping_mtime(d / "impostors.csv", next_digit_at_end_of_first_row), id="same-length-value"
+            ),
+            pytest.param(
+                lambda d: edit_keeping_mtime(d / "genuine.csv", lambda t: t.replace("\n0,", "\n9,", 1)),
+                id="same-length-identity",
+            ),
+            pytest.param(
+                lambda d: edit_keeping_mtime(d / "genuine.csv", lambda t: t.replace("\n0,", "\nnan,", 1)),
+                id="longer-bad-identity",
+            ),
+            pytest.param(lambda d: edit_keeping_mtime(d / "enrolled.csv", lambda t: t + "0.5\n"), id="longer-ragged"),
+            pytest.param(
+                lambda d: (d / "genuine.npy").write_bytes((d / "genuine.npy").read_bytes()[:-8]), id="truncated-copy"
+            ),
+            pytest.param(lambda d: flip_byte(d / "impostors.npy", -5), id="flipped-copy-byte"),
+            pytest.param(lambda d: write_manifest(d, "garbage\n\xff\x00 not a digest\n" + "g" * 64 + "  enrolled.csv\n"),
+                         id="garbage-manifest"),
+            pytest.param(
+                lambda d: write_manifest(d, "junk\n" + (d / "bundle.sha256").read_text() + "\x00\n"),
+                id="garbage-around-valid-lines",
+            ),
+            pytest.param(
+                lambda d: write_manifest(d, (d / "bundle.sha256").read_text().replace("  enrolled.csv", "  x", 1)),
+                id="csv-not-listed",
+            ),
+        ],
+    )
+    def test_damaged_bundle_loads_as_its_csvs(self, tmp_path, damage):
+        save_dataset(str(tmp_path), generate(spec()))
+        damage(tmp_path)
+        outcome = dataset_outcome(tmp_path)
+        for name in ("bundle.sha256", "enrolled.npy", "genuine.npy", "impostors.npy"):
+            (tmp_path / name).unlink(missing_ok=True)
+        assert outcome == dataset_outcome(tmp_path)
+
+    def test_edit_keeping_length_and_mtime_is_seen(self, tmp_path):
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        edit_keeping_mtime(tmp_path / "impostors.csv", next_digit_at_end_of_first_row)
+        back = load_dataset(str(tmp_path))
+        assert not np.array_equal(back.impostors, ds.impostors)
+        assert np.array_equal(back.impostors[1:], ds.impostors[1:])
+
+    @pytest.mark.parametrize(
+        "name, forge",
+        [
+            pytest.param("enrolled.npy", lambda m: np.hstack([m, np.zeros((len(m), 1))]), id="enrolled-wider"),
+            pytest.param("genuine.npy", lambda m: m[:, 1:], id="genuine-without-identities"),
+            pytest.param("impostors.npy", lambda m: m[:, :-1], id="impostors-narrower"),
+            pytest.param("genuine.npy", lambda m: m[:0], id="no-rows"),
+            pytest.param("enrolled.npy", lambda m: m.ravel(), id="one-dimensional"),
+            pytest.param("impostors.npy", lambda m: m[None], id="three-dimensional"),
+            pytest.param("genuine.npy", lambda m: m.astype(np.int64), id="integer"),
+            pytest.param("enrolled.npy", lambda m: np.array([[None]], dtype=object), id="pickled-object"),
+        ],
+    )
+    def test_wrong_copy_under_a_matching_manifest_is_a_library_error(self, tmp_path, name, forge):
+        save_dataset(str(tmp_path), generate(spec()))
+        np.save(tmp_path / name, forge(np.load(tmp_path / name)))
+        write_manifest(tmp_path)
+        with pytest.raises(GmkitError):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("keep", [0, 1, 10, 100])
+    def test_truncated_copy_under_a_matching_manifest_is_a_parse_error(self, tmp_path, keep):
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / "genuine.npy"
+        path.write_bytes(path.read_bytes()[:keep])
+        write_manifest(tmp_path)
+        with pytest.raises(ParseError, match="genuine.npy"):
+            load_dataset(str(tmp_path))
+
+    def test_load_writes_nothing(self, tmp_path):
+        save_dataset(str(tmp_path), generate(spec()))
+        edit_keeping_mtime(tmp_path / "genuine.csv", lambda t: t.replace("\n0,", "\n9,", 1))
+
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns, p.stat().st_size) for p in tmp_path.iterdir())
+
+        before = listing()
+        load_dataset(str(tmp_path))
+        assert listing() == before
+
+    def test_save_cut_short_leaves_no_manifest(self, tmp_path, monkeypatch):
+        save_dataset(str(tmp_path), generate(spec()))
+        newer = generate(spec(seed=1))
+        saved = []
+
+        def save_then_fail(path, matrix):
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            with open(path, "wb") as fh:
+                np.lib.format.write_array(fh, matrix)
+
+        monkeypatch.setattr(np, "save", save_then_fail)
+        with pytest.raises(OSError):
+            save_dataset(str(tmp_path), newer)
+        monkeypatch.undo()
+        assert not (tmp_path / "bundle.sha256").exists()
+        back = load_dataset(str(tmp_path))
+        assert np.array_equal(back.genuine, newer.genuine) and np.array_equal(back.impostors, newer.impostors)
+        save_dataset(str(tmp_path), newer)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((*BUNDLE_FILES, "bundle.sha256"))
