@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 Everything is seeded; the verdicts are stable across runs.
 """
 
+import ctypes
+import glob
 import hashlib
 import os
 import random
@@ -64,6 +66,25 @@ def report(number, name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number:02d} {name}: {verdict}{suffix}")
     return ok
+
+
+def openblas_core():
+    """The OpenBLAS kernel numpy runs on, such as "SkylakeX", for golden-digest
+    failure messages: another kernel may move the last bits of float results."""
+    here = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the library numpy has loaded, so the kernel it picked
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode("ascii", "replace")
+    return "unknown"
 
 
 def unit_columns(a):
@@ -408,8 +429,9 @@ def test_c10_cli_determinism(tmp_path):
 
 
 # SHA-256 of (model.txt, train.log) written by ``train`` on CLI_CONFIG.
-# Recorded with Python 3.11, numpy 2.4.6 on x86-64; another BLAS/LAPACK build
-# may move the last bits of the SVD and so the bytes.  A change that alters
+# Recorded with Python 3.11, numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX
+# kernel (x86-64); another BLAS/LAPACK build or kernel may move the last bits
+# of the SVD and so the bytes.  A change that alters
 # fixed-seed output must update these digests and say so in CHANGES.md.
 GOLDEN_TRAIN_DIGESTS = {
     "train": (
@@ -437,7 +459,8 @@ def test_c10_cli_golden_bytes(tmp_path):
             for name in ("model.txt", "train.log")
         )
     changed = [label for label, pinned in GOLDEN_TRAIN_DIGESTS.items() if digests[label] != pinned]
-    assert report(10, "cli-golden-bytes", not changed, "model.txt and train.log" if not changed else f"bytes changed: {changed}")
+    detail = "model.txt and train.log" if not changed else f"bytes changed: {changed}; OpenBLAS core {openblas_core()}"
+    assert report(10, "cli-golden-bytes", not changed, detail)
 
 
 # SHA-256 of (transcript.bin, decision.txt) written by ``protocol-demo`` on the
@@ -477,7 +500,7 @@ def test_c10_protocol_demo_golden_bytes(tmp_path):
             for name in ("transcript.bin", "decision.txt")
         )
     changed = [label for label, pinned in GOLDEN_DEMO_DIGESTS.items() if digests[label] != pinned]
-    detail = "transcript.bin and decision.txt" if not changed else f"bytes changed: {digests}"
+    detail = "transcript.bin and decision.txt" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "protocol-demo-golden-bytes", not changed, detail)
 
 
@@ -539,7 +562,7 @@ def test_c10_protocol_shape_golden_bytes(tmp_path):
             for name in ("model.txt", "train.log")
         )
     changed = [label for label, pinned in GOLDEN_PROTOCOL_SHAPE_DIGESTS.items() if digests[label] != pinned]
-    detail = "model.txt and train.log" if not changed else f"bytes changed: {digests}"
+    detail = "model.txt and train.log" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "protocol-shape-golden-bytes", not changed, detail)
 
 
@@ -577,7 +600,7 @@ def test_c10_eval_golden_bytes(tmp_path):
             with open(os.path.join(out, f"{csv}-metrics.csv"), "rb") as fh:
                 digests[label][mode] = hashlib.sha256(fh.read()).hexdigest()
     changed = [label for label, pinned in GOLDEN_EVAL_DIGESTS.items() if digests[label] != pinned]
-    detail = "verify, identify and security CSVs" if not changed else f"bytes changed: {digests}"
+    detail = "verify, identify and security CSVs" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "eval-golden-bytes", not changed, detail)
 
 
@@ -640,7 +663,7 @@ def test_c10_relabeled_model_golden_bytes(tmp_path):
         assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         digests[label] = relabeled_model_digests(out)
     changed = [label for label, pinned in GOLDEN_RELABELED_DIGESTS.items() if digests[label] != pinned]
-    detail = "model up to group labels, and train.log" if not changed else f"bytes changed: {digests}"
+    detail = "model up to group labels, and train.log" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "relabeled-model-golden-bytes", not changed, detail)
 
 
@@ -684,5 +707,5 @@ def test_c10_gen_data_golden_bytes(tmp_path):
             for name in ("enrolled.csv", "genuine.csv", "impostors.csv")
         )
     changed = [label for label, pinned in GOLDEN_GEN_DATA_DIGESTS.items() if digests[label] != pinned]
-    detail = "enrolled, genuine and impostor CSVs" if not changed else f"bytes changed: {digests}"
+    detail = "enrolled, genuine and impostor CSVs" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "gen-data-golden-bytes", not changed, detail)
