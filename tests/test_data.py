@@ -549,11 +549,19 @@ class TestBundleCopy:
         with pytest.raises(GmkitError):
             load_dataset(str(tmp_path))
 
-    @pytest.mark.parametrize("keep", [0, 1, 10, 100])
-    def test_truncated_copy_under_a_matching_manifest_is_a_parse_error(self, tmp_path, keep):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda b: b[:0], id="empty"),
+            pytest.param(lambda b: b[:10], id="cut-in-header"),
+            pytest.param(lambda b: b[:-8], id="cut-in-data"),
+            pytest.param(lambda b: b[:10] + b"z" + b[11:], id="header-not-a-dict"),  # numpy's tokenizer fails
+        ],
+    )
+    def test_unreadable_copy_under_a_matching_manifest_is_a_parse_error(self, tmp_path, damage):
         save_dataset(str(tmp_path), generate(spec()))
         path = tmp_path / "genuine.npy"
-        path.write_bytes(path.read_bytes()[:keep])
+        path.write_bytes(damage(path.read_bytes()))
         write_manifest(tmp_path)
         with pytest.raises(ParseError, match="genuine.npy"):
             load_dataset(str(tmp_path))
