@@ -7,9 +7,9 @@ one affinely masked, encrypted value per group, and the user decrypts and
 returns them.  The server unmasks them and accepts iff some group sits
 within the threshold.
 
-This hides the query code from the server, but not the distances: the
-server learns the query's distance to every group, and the user sees one
-masked value per group and knows which group it belongs to.
+The server learns the query's distance to every group, and with M >= l
+groups that gives it the query code itself (README, "Security scale"); the
+user sees one masked value per group and knows which group it belongs to.
 """
 
 import random

@@ -4,9 +4,11 @@ The library learns a projection, per-signature ternary hash codes, group
 assignments and ternary group representations jointly, evaluates the
 verification / identification / reconstruction trade-offs, and runs a
 three-message homomorphic protocol that verifies membership.  The protocol
-hides the query code from the server, but the server learns the query's
-distance to every group and the querying user sees one masked value per
-group (README, "Security scale").
+does not hide the query from the server: the server learns the query's
+distance to every group, d_g = 2S - 2 p.r_g, and so R^T p, from which it
+recovers the whole query code p when R has rank l (which needs M >= l).
+The querying user sees one masked value per group (README, "Security
+scale").
 """
 
 from .core import (
@@ -45,14 +47,11 @@ from .learning import (
     Model,
     ObjectiveBreakdown,
     e_step,
-    embedding_cost,
     kmeans,
     objective,
     ry_step,
-    scatter_traces,
     train,
     train_random_assignment_baseline,
-    w_step,
 )
 from .modelio import load_model, save_model
 from .protocol import ProtocolDecision, ProtocolKeys, ProtocolTranscript, SecurityParams, run_protocol
@@ -82,7 +81,6 @@ __all__ = [
     "correlation",
     "e_step",
     "embed",
-    "embedding_cost",
     "fit_beta",
     "generate",
     "identification_report",
@@ -101,7 +99,6 @@ __all__ = [
     "save_dataset",
     "save_matrix",
     "save_model",
-    "scatter_traces",
     "security_report",
     "squared_distance",
     "ternarize",
@@ -111,5 +108,4 @@ __all__ = [
     "train_random_assignment_baseline",
     "verification_sweep",
     "verify",
-    "w_step",
 ]

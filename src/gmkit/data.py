@@ -215,9 +215,16 @@ def _plain_lines(block: bytes) -> bool:
 
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, line) of each data row: lines that are not blank and do
-    not start with ``#``, cut by ``str.splitlines``."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    not start with ``#``, cut by ``str.splitlines``.  A byte outside ASCII
+    is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as err:
+        # the line the byte ends: the lines before it, plus the one it is on
+        line = len((raw[: err.start].decode("ascii") + "x").splitlines())
+        raise ParseError(f"{path}: row {line}: byte {raw[err.start]:#04x} is not ASCII") from None
     return ((n, line) for n, line in enumerate(lines, start=1) if line.strip() and not line.lstrip().startswith("#"))
 
 
@@ -362,11 +369,13 @@ def load_dataset(directory: str) -> Dataset:
     genuine_path = os.path.join(directory, GENUINE_FILE)
     genuine_raw = read(genuine_path)
     ids = genuine_raw[:, 0]
-    bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids != np.trunc(ids)))
+    # checked before the int64 cast, which would wrap an identity such as 1e300
+    n = enrolled.num_signatures
+    bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids >= n) | (ids != np.trunc(ids)))
     if bad.size:
         k = int(bad[0])
         raise ParseError(
-            f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not a nonnegative integer"
+            f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not an integer in [0, {n})"
         )
     impostors = read(os.path.join(directory, IMPOSTORS_FILE))
     return Dataset(enrolled, genuine_raw[:, 1:], ids.astype(np.int64), impostors)

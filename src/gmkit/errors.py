@@ -34,20 +34,6 @@ class ConfigError(GmkitError):
     category = "config"
 
 
-class DegenerateProcrustesError(GmkitError):
-    """Projection update hit a rank-deficient cross matrix.
-
-    ``rank`` is the achieved numerical rank; the caller may re-randomize the
-    code matrix and retry.
-    """
-
-    category = "procrustes"
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
-
-
 class ParseError(GmkitError):
     """Malformed matrix / model / config file."""
 

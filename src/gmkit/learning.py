@@ -57,7 +57,7 @@ from .core import (
     SignatureMatrix,
     ternarize_columns,
 )
-from .errors import ConfigError, DegenerateProcrustesError, DimensionError, GmkitError, InvalidInputError
+from .errors import ConfigError, DimensionError, GmkitError, InvalidInputError
 
 KMEANS_ITER_CAP = 100
 
@@ -135,138 +135,77 @@ class Model:
             raise DimensionError("assignment group count does not match representations")
 
 
-def embedding_cost(signatures: SignatureMatrix, projection: ProjectionMatrix, codes: CodeMatrix) -> float:
-    """Quantization loss ||E - W^T X||_F^2."""
-    if projection.dim != signatures.dim:
-        raise DimensionError("projection rows must match signature dimension")
-    if codes.codes.shape != (projection.code_length, signatures.num_signatures):
-        raise DimensionError("code matrix shape does not match projection / signatures")
-    return _embedding_cost(codes, projection.data.T @ signatures.data)
-
-
-def _embedding_cost(codes: CodeMatrix, projected: np.ndarray) -> float:
-    """||E - P||_F^2 for the projected signatures P = W^T X."""
-    resid = codes.codes.astype(np.float64) - projected
-    return float(np.sum(resid * resid))
-
-
-def scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: AssignmentMatrix) -> tuple[float, float]:
-    """(trace of within-group scatter, trace of between-group scatter).
-
-    Computed through the Frobenius identities ||E - R Y||_F^2 and
-    ||R Y||_F^2; the l x l scatter matrices are never materialized.
-    """
-    if codes.code_length != representations.code_length:
-        raise DimensionError("code length mismatch between codes and representations")
-    if assignments.num_signatures != codes.codes.shape[1]:
-        raise DimensionError("assignment length does not match number of codes")
-    if assignments.num_groups != representations.num_groups:
-        raise DimensionError("assignment group count does not match representations")
-    return _scatter_traces(codes, representations, assignments)
-
-
-def _scatter_traces(codes: CodeMatrix, representations: CodeMatrix, assignments: AssignmentMatrix) -> tuple[float, float]:
-    """The two traces in exact int64 from the group sums s_g and counts n_g:
-    between = sum_g n_g ||r_g||^2 and within = sum_i ||e_i||^2 + between
-    - 2 sum_g r_g . s_g.  A ternary vector's squared norm is its nonzero count."""
-    sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
-    between = int(counts @ np.count_nonzero(representations.codes, axis=0))
-    cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
-    return float(np.count_nonzero(codes.codes) + between - 2 * cross), float(between)
-
-
-def _check_weights(within_weight: float, between_weight: float) -> None:
-    if not within_weight > between_weight > 0:
-        raise ConfigError(f"need within_weight > between_weight > 0, got {within_weight} vs {between_weight}")
-
-
 def objective(
-    signatures: SignatureMatrix,
-    projection: ProjectionMatrix,
+    projected: np.ndarray,
     codes: CodeMatrix,
     representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
     between_weight: float,
 ) -> ObjectiveBreakdown:
-    """Full objective breakdown; requires within_weight > between_weight > 0."""
-    _check_weights(within_weight, between_weight)
-    emb = embedding_cost(signatures, projection, codes)
-    within, between = scatter_traces(codes, representations, assignments)
-    return ObjectiveBreakdown.from_parts(emb, within, between, within_weight, between_weight)
+    """Objective breakdown for the projected signatures P = W^T X.
+
+    The embedding cost is ||E - P||_F^2.  The two traces are ||E - R Y||_F^2
+    and ||R Y||_F^2, computed in exact int64 from the group sums s_g and
+    counts n_g: between = sum_g n_g ||r_g||^2 and within = sum_i ||e_i||^2 +
+    between - 2 sum_g r_g . s_g, since a ternary vector's squared norm is its
+    nonzero count.  The l x l scatter matrices are never materialized.
+    """
+    if np.shape(projected) != codes.codes.shape:
+        raise DimensionError(f"projected signatures of shape {np.shape(projected)} do not match codes {codes.codes.shape}")
+    _check_grouping(codes.code_length, codes.codes.shape[1], representations, assignments)
+    embedding = float(np.sum(np.square(codes.codes.astype(np.float64) - projected)))
+    sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
+    between = int(counts @ np.count_nonzero(representations.codes, axis=0))
+    cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
+    within = np.count_nonzero(codes.codes) + between - 2 * cross
+    return ObjectiveBreakdown.from_parts(embedding, float(within), float(between), within_weight, between_weight)
 
 
-def _cross_svd(signatures: SignatureMatrix, codes: CodeMatrix):
-    """The cross matrix X E^T and its thin SVD (u, s, vt)."""
+def _check_grouping(code_length: int, num_codes: int, representations: CodeMatrix, assignments: AssignmentMatrix) -> None:
+    if representations.code_length != code_length:
+        raise DimensionError("representation code length does not match the codes")
+    if assignments.num_signatures != num_codes:
+        raise DimensionError("assignment length does not match number of codes")
+    if assignments.num_groups != representations.num_groups:
+        raise DimensionError("assignment group count does not match representations")
+
+
+def _svd_projection(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
+    """Projection update: orthogonality-constrained least squares.
+
+    With S = X E^T the update is W = U V^T from the thin SVD S = U diag s V^T,
+    the one-shot solution prescribed for this step: it maximizes tr(W^T S)
+    over orthonormal-column W (equivalent to pairing the top eigenvectors of
+    S S^T with those of S^T S, but better conditioned).
+
+    Never raises on rank deficiency; converged clusterings legitimately
+    collapse the codes onto few distinct columns.  When S has rank r < l,
+    only r columns of W are fixed and the SVD supplies an orthonormal
+    completion for the rest.  That completion is deterministic on one BLAS
+    kernel only: another kernel (another OpenBLAS core type, say) can return
+    different free columns for the same input.
+    """
     if codes.codes.shape[1] != signatures.num_signatures:
         raise DimensionError("codes and signatures count differ")
     if not codes.code_length < signatures.dim:
         raise DimensionError("code length must be smaller than the signature dimension")
-    cross = signatures.data @ codes.codes.astype(np.float64).T
-    return cross, np.linalg.svd(cross, full_matrices=False)
-
-
-def _svd_projection(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
-    """W = U V^T from the thin SVD of X E^T; never raises on deficiency.
-
-    When X E^T is rank deficient the SVD supplies an orthonormal completion
-    for the undetermined directions (deterministic for a given input).
-    """
-    _, (u, _, vt) = _cross_svd(signatures, codes)
-    return ProjectionMatrix(u @ vt)
-
-
-def w_step(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
-    """Orthogonality-constrained least squares update of the projection.
-
-    With S = X E^T the update is W = U V^T from the thin SVD S = U diag s V^T,
-    the one-shot solution prescribed for this step (equivalent to pairing the
-    top eigenvectors of S S^T with those of S^T S, but better conditioned).
-
-    Raises :class:`DegenerateProcrustesError` when the numerical rank of
-    X E^T falls short of what the signatures can support, i.e. the
-    deficiency is attributable to the codes and a different code matrix can
-    fix it.  When the signatures themselves span fewer than l directions the
-    deficiency is structural, no code matrix can do better, and the SVD's
-    orthonormal completion is returned instead.  The training loop bypasses
-    this guard: converged clusterings legitimately collapse the code matrix
-    onto few distinct columns.
-    """
-    cross, (u, sv, vt) = _cross_svd(signatures, codes)
-    rank = int(np.sum(sv > sv[0] * max(cross.shape) * np.finfo(np.float64).eps)) if sv[0] > 0 else 0
-    if rank < codes.code_length:
-        sig_rank = int(np.linalg.matrix_rank(signatures.data))
-        if rank < min(codes.code_length, sig_rank):
-            raise DegenerateProcrustesError(
-                f"cross matrix X E^T has numerical rank {rank} < {min(codes.code_length, sig_rank)}", rank=rank
-            )
+    u, _, vt = np.linalg.svd(signatures.data @ codes.codes.astype(np.float64).T, full_matrices=False)
     return ProjectionMatrix(u @ vt)
 
 
 def e_step(
-    projection: ProjectionMatrix,
-    signatures: SignatureMatrix,
+    projected: np.ndarray,
     representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
     sparsity: int,
 ) -> CodeMatrix:
-    """Code update: columnwise ternarization of W^T X + lambda * R Y."""
-    if within_weight < 0:
-        raise ConfigError("within_weight must be nonnegative")
-    if projection.dim != signatures.dim:
-        raise DimensionError("projection rows must match signature dimension")
-    if representations.code_length != projection.code_length:
-        raise DimensionError("representation code length does not match projection")
-    if assignments.num_signatures != signatures.num_signatures:
-        raise DimensionError("assignment length does not match signatures")
-    return _code_update(projection.data.T @ signatures.data, representations, assignments, within_weight, sparsity)
-
-
-def _code_update(
-    projected: np.ndarray, representations: CodeMatrix, assignments: AssignmentMatrix, within_weight: float, sparsity: int
-) -> CodeMatrix:
-    """Ternarize P + lambda * R Y for the projected signatures P = W^T X."""
+    """Code update: columnwise ternarization of P + lambda * R Y for the
+    projected signatures P = W^T X."""
+    if np.ndim(projected) != 2:
+        raise DimensionError(f"projected signatures must be 2-D, got shape {np.shape(projected)}")
+    _check_grouping(projected.shape[0], projected.shape[1], representations, assignments)
     target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
     return CodeMatrix(ternarize_columns(target, sparsity), sparsity)
 
@@ -531,8 +470,6 @@ def kmeans(
 
 def ry_step(
     codes: CodeMatrix,
-    within_weight: float,
-    between_weight: float,
     num_groups: int,
     rng: np.random.Generator,
     previous: AssignmentMatrix | None = None,
@@ -542,10 +479,10 @@ def ry_step(
     Expanding lambda * ||E - RY||^2 - gamma * ||RY||^2 shows the relaxed
     problem is k-means on the columns of c * E with c = lambda/(lambda-gamma).
     A positive c scales every squared distance by c^2, so k-means runs on the
-    integer codes themselves.  Each final centroid is ternarized to produce
-    its group representation; its integer group sum has the same signs and
-    the same ranking of magnitudes, so the sum is ternarized, free of any
-    rounding.
+    integer codes themselves and the two weights do not enter this step.
+    Each final centroid is ternarized to produce its group representation;
+    its integer group sum has the same signs and the same ranking of
+    magnitudes, so the sum is ternarized, free of any rounding.
 
     Given the ``previous`` assignment, k-means starts from it (see
     :func:`kmeans`) and draws nothing from ``rng``, so the relaxed grouping
@@ -554,7 +491,6 @@ def ry_step(
     """
     if num_groups > codes.codes.shape[1]:
         raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
-    _check_weights(within_weight, between_weight)
     result = kmeans(codes.codes.T, num_groups, rng, initial=previous)
     return _ternarized_sums(result.sums, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 
@@ -599,14 +535,9 @@ def _alternate(
         projection = _svd_projection(signatures, codes)
         # W^T X once per iteration, for the code update and the embedding cost
         projected = projection.data.T @ signatures.data
-        codes = _code_update(projected, reps, assign, config.within_weight, config.sparsity)
+        codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
         reps, assign = group(codes, assign)
-        breakdown = ObjectiveBreakdown.from_parts(
-            _embedding_cost(codes, projected),
-            *_scatter_traces(codes, reps, assign),
-            config.within_weight,
-            config.between_weight,
-        )
+        breakdown = objective(projected, codes, reps, assign, config.within_weight, config.between_weight)
         trace.append(breakdown)
         if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
             break
@@ -631,9 +562,7 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
         signatures,
         config,
         rng,
-        lambda codes, previous: ry_step(
-            codes, config.within_weight, config.between_weight, config.num_groups, rng, previous
-        ),
+        lambda codes, previous: ry_step(codes, config.num_groups, rng, previous),
     )
 
 

@@ -14,26 +14,20 @@ from .engine import (
     validate_mask_range,
 )
 from .paillier import (
-    AdditivePublicKey,
-    AdditiveSecretKey,
     additive_add,
     additive_decrypt,
     additive_encrypt,
     additive_keygen,
     additive_scalar_mul,
 )
-from .transcript import CLIENT, SERVER, ProtocolMessage, ProtocolTranscript, decode_message
+from .transcript import ProtocolMessage, ProtocolTranscript, decode_message
 
 __all__ = [
-    "AdditivePublicKey",
-    "AdditiveSecretKey",
-    "CLIENT",
     "MaskPair",
     "ProtocolDecision",
     "ProtocolKeys",
     "ProtocolMessage",
     "ProtocolTranscript",
-    "SERVER",
     "SecurityParams",
     "additive_add",
     "additive_decrypt",

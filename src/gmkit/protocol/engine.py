@@ -18,8 +18,9 @@ clear); every ciphertext is under the client's additive key:
 
 The server unmasks and accepts iff some d_g - tau is <= 0, that is, iff some
 squared distance is <= tau.  What each party learns: the server learns
-d_g - tau for every group, in group order; the client learns one masked
-value per group and which group it belongs to.  The README section
+d_g - tau for every group, in group order, and so R^T p, which gives it
+the whole query code when R has rank l (M >= l); the client learns one
+masked value per group and which group it belongs to.  The README section
 "Security scale" lists these leaks.
 """
 

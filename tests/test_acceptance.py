@@ -10,6 +10,7 @@ import hashlib
 import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,15 +37,13 @@ from gmkit.evaluation import (
 )
 from gmkit.learning import (
     AssignmentMatrix,
+    _svd_projection,
     e_step,
-    embedding_cost,
     kmeans,
     objective,
     ry_step,
-    scatter_traces,
     train,
     train_random_assignment_baseline,
-    w_step,
 )
 from gmkit.modelio import load_model
 from gmkit.protocol import (
@@ -136,10 +135,18 @@ def test_c01_procrustes_optimality():
     for _ in range(50):
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((16, 50))))
         codes = random_hash_matrix(8, 50, 3, rng)
-        fit = embedding_cost(signatures, w_step(signatures, codes), codes)
+        # every code in one group: the objective's embedding cost ||E - W^T X||^2
+        reps = CodeMatrix(codes.codes[:, :1], codes.sparsity)
+        one_group = AssignmentMatrix(np.zeros(50, dtype=np.int64), 1)
+
+        def embedding_cost(projection):
+            projected = projection.data.T @ signatures.data
+            return objective(projected, codes, reps, one_group, 1.0, 0.1).embedding_cost
+
+        fit = embedding_cost(_svd_projection(signatures, codes))
         for _ in range(100):
             q, _ = np.linalg.qr(rng.standard_normal((16, 8)))
-            competitor = embedding_cost(signatures, ProjectionMatrix(q), codes)
+            competitor = embedding_cost(ProjectionMatrix(q))
             worst_margin = min(worst_margin, competitor - fit)
     elapsed = time.perf_counter() - start
     ok = worst_margin >= -1e-9 and elapsed < 10.0
@@ -155,7 +162,7 @@ def test_c02_kmeans_inner_monotonicity():
         result = kmeans(points, 6, np.random.default_rng(seed))
         trace = result.objective_trace
         violations += sum(b > a for a, b in zip(trace, trace[1:]))
-        ry_step(codes, 1.0, 0.1, 6, np.random.default_rng(seed))  # internal check must not raise
+        ry_step(codes, 6, np.random.default_rng(seed))  # internal check must not raise
     ok = violations == 0
     assert report(2, "kmeans-inner-monotonicity", ok, "20 seeded runs, every update")
 
@@ -197,20 +204,19 @@ def test_c03_substep_oracle_equivalence():
             e = codes.codes[:, i].astype(float)
             within_o += float(np.sum((e - r) ** 2))
             between_o += float(np.sum(r * r))
-        within, between = scatter_traces(codes, reps, assignments)
-        worst = max(worst, abs(within - within_o), abs(between - between_o))
+        target = projection.data.T @ signatures.data
+        breakdown = objective(target, codes, reps, assignments, lam, gam)
+        worst = max(worst, abs(breakdown.within_trace - within_o), abs(breakdown.between_trace - between_o))
 
         # objective: loop recomputation of eq. parts
         emb_o = 0.0
-        target = q.T @ signatures.data
         for i in range(code_length):
             for j in range(n):
                 emb_o += (float(codes.codes[i, j]) - target[i, j]) ** 2
-        breakdown = objective(signatures, projection, codes, reps, assignments, lam, gam)
         worst = max(worst, abs(breakdown.total - (emb_o + lam * within_o - gam * between_o)))
 
         # e_step: per-column sum-then-sort oracle
-        new_codes = e_step(projection, signatures, reps, assignments, lam, sparsity)
+        new_codes = e_step(target, reps, assignments, lam, sparsity)
         for j in range(n):
             col = target[:, j] + lam * reps.codes[:, group_of[j]].astype(float)
             ranked = sorted(range(code_length), key=lambda i: (-abs(col[i]), i))
@@ -408,7 +414,7 @@ def test_c10_cli_determinism(tmp_path):
     results["gen-data"] = run_twice("gen-data", ["gen-data", "--config", cfg_path], out)
     results["train"] = run_twice("train", ["train", "--config", cfg_path], out)
     model_path = os.path.join(out, "model.txt")
-    model_bytes = open(model_path, "rb").read()
+    model_bytes = Path(model_path).read_bytes()
     for mode in ("eval-verify", "eval-identify", "eval-security"):
         results[mode] = run_twice(mode, [mode, "--config", cfg_path], out)
     demo_out = str(tmp_path / "demo")
@@ -455,7 +461,7 @@ def test_c10_cli_golden_bytes(tmp_path):
     for label, extra in (("train", []), ("baseline", ["--baseline-group-size", "4"])):
         assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         digests[label] = tuple(
-            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            hashlib.sha256(Path(os.path.join(out, name)).read_bytes()).hexdigest()
             for name in ("model.txt", "train.log")
         )
     changed = [label for label, pinned in GOLDEN_TRAIN_DIGESTS.items() if digests[label] != pinned]
@@ -496,7 +502,7 @@ def test_c10_protocol_demo_golden_bytes(tmp_path):
         ]
         assert main(argv) == 0, f"protocol-demo {label} failed"
         digests[label] = tuple(
-            hashlib.sha256(open(os.path.join(demo_out, name), "rb").read()).hexdigest()
+            hashlib.sha256(Path(os.path.join(demo_out, name)).read_bytes()).hexdigest()
             for name in ("transcript.bin", "decision.txt")
         )
     changed = [label for label, pinned in GOLDEN_DEMO_DIGESTS.items() if digests[label] != pinned]
@@ -558,7 +564,7 @@ def test_c10_protocol_shape_golden_bytes(tmp_path):
         argv = ["train", "--config", cfg_path, f"--seed={seed}", f"--data_seed={seed}", *extra]
         assert main(argv) == 0, f"{label} failed"
         digests[label] = tuple(
-            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            hashlib.sha256(Path(os.path.join(out, name)).read_bytes()).hexdigest()
             for name in ("model.txt", "train.log")
         )
     changed = [label for label, pinned in GOLDEN_PROTOCOL_SHAPE_DIGESTS.items() if digests[label] != pinned]
@@ -626,7 +632,7 @@ def relabeled_model_digests(out):
         model.representations.codes[:, order],
     ):
         h.update(np.ascontiguousarray(part).tobytes())
-    return h.hexdigest(), hashlib.sha256(open(os.path.join(out, "train.log"), "rb").read()).hexdigest()
+    return h.hexdigest(), hashlib.sha256(Path(os.path.join(out, "train.log")).read_bytes()).hexdigest()
 
 
 # relabeled_model_digests of ``train`` on CLI_CONFIG and on PROTOCOL_SHAPE_CONFIG
@@ -703,7 +709,7 @@ def test_c10_gen_data_golden_bytes(tmp_path):
             fh.write(template.format(out=out))
         assert main(["gen-data", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         digests[label] = tuple(
-            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            hashlib.sha256(Path(os.path.join(out, name)).read_bytes()).hexdigest()
             for name in ("enrolled.csv", "genuine.csv", "impostors.csv")
         )
     changed = [label for label, pinned in GOLDEN_GEN_DATA_DIGESTS.items() if digests[label] != pinned]

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def read_tree(root):
     for dirpath, _, filenames in os.walk(root):
         for name in filenames:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -102,6 +103,33 @@ class TestGenData:
         rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"ERROR:io:{path}: row 2: identity nan is not")
+
+    @pytest.mark.parametrize("command", ["train", "eval-verify"])
+    def test_identity_past_enrolled_count_is_parse_error(self, tmp_path, config_path, capsys, command):
+        # 1e300 is a finite, nonnegative integer that int64 cannot hold
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        path = bundle / "genuine.csv"
+        lines = path.read_text().split("\n")
+        lines[1] = "1e300," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines))
+        capsys.readouterr()
+        rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ERROR:io:{path}: row 2: identity 1e+300 is not an integer in [0, 16)\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval-verify"])
+    def test_non_ascii_byte_is_parse_error(self, tmp_path, config_path, capsys, command):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        path = bundle / "impostors.csv"
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"\xc3\xa9")
+        capsys.readouterr()
+        rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"ERROR:io:{path}: row {line}: byte 0xc3 is not ASCII\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_impostor_is_input_error(self, tmp_path, config_path, capsys, bad):

@@ -397,6 +397,32 @@ class TestDatasetBundle:
         with pytest.raises(ParseError, match=rf"genuine\.csv: row 3: identity {float(identity)!r} is not"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("identity", ["10", "10.0", "1e300", "9.3e18"])
+    def test_identity_past_enrolled_count_names_file_row_and_value(self, tmp_path, identity):
+        # spec() enrolls 10 identities; 1e300 and 9.3e18 lie beyond int64
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / "genuine.csv"
+        lines = path.read_text().split("\n")
+        lines[4] = identity + "," + lines[4].split(",", 1)[1]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}: row 5: identity {float(identity)!r} is not an integer in [0, 10)"
+
+    def test_non_ascii_byte_names_file_and_row(self, tmp_path):
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / "enrolled.csv"
+        raw = path.read_bytes().split(b"\n")
+        raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}: row 4: byte 0xe9 is not ASCII"
+        # a line cut by "\r" or "\x0b" counts as splitlines counts it
+        path.write_bytes(b"# d=2 n=3\r\n0.6,0.8\r1.0,0.0\x0b\xff\n0.0,1.0\n")
+        with pytest.raises(ParseError, match=r"row 4: byte 0xff is not ASCII"):
+            load_matrix(str(path))
+
     def test_integer_valued_identity_loads(self, tmp_path):
         ds = generate(spec())
         save_dataset(str(tmp_path), ds)

@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, ternarize_columns
 from gmkit import learning
 from gmkit.data import SyntheticSpec, generate
-from gmkit.errors import ConfigError, DegenerateProcrustesError, DimensionError, InvalidInputError
+from gmkit.errors import ConfigError, DimensionError, InvalidInputError
 from gmkit.learning import (
     KMEANS_ITER_CAP,
     AssignmentMatrix,
     ObjectiveBreakdown,
     e_step,
-    embedding_cost,
     kmeans,
     objective,
     random_balanced_assignment,
     ry_step,
-    scatter_traces,
     train,
     train_random_assignment_baseline,
-    w_step,
 )
-from gmkit.learning import _exact_argmin, _fix_empty, _group_sums, _nearest
+from gmkit.learning import _exact_argmin, _fix_empty, _group_sums, _nearest, _svd_projection
 
 
 def unit_columns(a):
@@ -50,6 +47,36 @@ def random_instance(rng, d=10, code_length=4, n=7, sparsity=2, num_groups=3):
     group_of[:num_groups] = np.arange(num_groups)  # no empty group
     assignments = AssignmentMatrix(group_of, num_groups)
     return signatures, projection, codes, CodeMatrix(reps.codes, sparsity), assignments
+
+
+def one_group(n):
+    return AssignmentMatrix(np.zeros(n, dtype=np.int64), 1)
+
+
+def embedding_cost(signatures, projection, codes):
+    """The embedding part of :func:`objective`, with every code in one group."""
+    reps = CodeMatrix(codes.codes[:, :1], codes.sparsity)
+    projected = projection.data.T @ signatures.data
+    return objective(projected, codes, reps, one_group(codes.num_groups), 1.0, 0.5).embedding_cost
+
+
+def scatter_traces(codes, reps, assignments):
+    """The (within, between) traces of :func:`objective`."""
+    breakdown = objective(np.zeros(codes.codes.shape), codes, reps, assignments, 1.0, 0.5)
+    return breakdown.within_trace, breakdown.between_trace
+
+
+def loop_objective_parts(signatures, projection, codes, reps, assignments):
+    """(embedding cost, within trace, between trace) by elementwise loops."""
+    target = projection.data.T @ signatures.data
+    emb = within = between = 0.0
+    for j in range(codes.num_groups):
+        r = reps.codes[:, assignments.group_of[j]].astype(float)
+        e = codes.codes[:, j].astype(float)
+        emb += sum((e[i] - target[i, j]) ** 2 for i in range(codes.code_length))
+        within += float(np.sum((e - r) ** 2))
+        between += float(np.sum(r * r))
+    return emb, within, between
 
 
 class TestEmbeddingCost:
@@ -79,10 +106,9 @@ class TestEmbeddingCost:
             assert embedding_cost(signatures, projection, codes) == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        proj = ProjectionMatrix(np.eye(3)[:, :2])
-        x = SignatureMatrix(np.eye(3)[:, :1])
+        codes = CodeMatrix(np.array([[1], [0], [0]], dtype=np.int8), 1)
         with pytest.raises(DimensionError):
-            embedding_cost(x, proj, CodeMatrix(np.array([[1], [0], [0]], dtype=np.int8), 1))
+            objective(np.zeros((2, 1)), codes, codes, one_group(1), 1.0, 0.5)
 
 
 class TestScatterTraces:
@@ -111,19 +137,13 @@ class TestScatterTraces:
 
 
 class TestObjective:
-    def test_rejects_equal_weights(self):
-        rng = np.random.default_rng(12)
-        signatures, projection, codes, reps, assignments = random_instance(rng)
-        with pytest.raises(ConfigError):
-            objective(signatures, projection, codes, reps, assignments, 1.0, 1.0)
-
     def test_perfect_fit_total_is_minus_gamma_between(self):
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.eye(3)[:, :1])
         codes = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         reps = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         assignments = AssignmentMatrix(np.zeros(1, dtype=int), 1)
-        breakdown = objective(x, proj, codes, reps, assignments, 1.0, 0.25)
+        breakdown = objective(proj.data.T @ x.data, codes, reps, assignments, 1.0, 0.25)
         assert breakdown.embedding_cost == pytest.approx(0.0)
         assert breakdown.within_trace == pytest.approx(0.0)
         assert breakdown.total == pytest.approx(-0.25 * breakdown.between_trace)
@@ -132,10 +152,23 @@ class TestObjective:
         rng = np.random.default_rng(13)
         for _ in range(20):
             signatures, projection, codes, reps, assignments = random_instance(rng)
-            breakdown = objective(signatures, projection, codes, reps, assignments, 2.0, 0.5)
-            emb = embedding_cost(signatures, projection, codes)
-            within, between = scatter_traces(codes, reps, assignments)
+            projected = projection.data.T @ signatures.data
+            breakdown = objective(projected, codes, reps, assignments, 2.0, 0.5)
+            emb, within, between = loop_objective_parts(signatures, projection, codes, reps, assignments)
             assert breakdown.total == pytest.approx(emb + 2.0 * within - 0.5 * between, rel=1e-9)
+
+    def test_shape_mismatch_is_dimension_error(self):
+        rng = np.random.default_rng(15)
+        codes = random_hash_matrix(4, 2, 1, rng)
+        reps = random_hash_matrix(4, 1, 1, rng)
+        objective(np.zeros((4, 2)), codes, reps, one_group(2), 1.0, 0.5)
+        for projected, r, assignments in [
+            (np.zeros((4, 2)), random_hash_matrix(3, 1, 1, rng), one_group(2)),
+            (np.zeros((4, 2)), reps, one_group(3)),
+            (np.zeros((4, 2)), reps, AssignmentMatrix(np.array([0, 1]), 2)),
+        ]:
+            with pytest.raises(DimensionError):
+                objective(projected, codes, r, assignments, 1.0, 0.5)
 
     def test_from_parts_total_recomputable(self):
         breakdown = ObjectiveBreakdown.from_parts(3.0, 2.0, 5.0, 1.5, 0.5)
@@ -147,7 +180,7 @@ class TestWStep:
     def test_aligned_case_recovers_axes(self):
         x = SignatureMatrix(np.eye(4)[:, :2])
         codes = CodeMatrix(np.eye(2, dtype=np.int8), 1)
-        w = w_step(x, codes)
+        w = _svd_projection(x, codes)
         assert embedding_cost(x, w, codes) <= 1e-18
         assert np.allclose(np.abs(w.data[:2, :]), np.eye(2))
 
@@ -162,7 +195,7 @@ class TestWStep:
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             x = SignatureMatrix(q)
             codes = random_hash_matrix(code_length, d, 2, rng)
-            w = w_step(x, codes)
+            w = _svd_projection(x, codes)
             fit = embedding_cost(x, w, codes)
             dense = codes.codes.astype(float)
             nuclear = float(np.sum(np.linalg.svd(q @ dense.T, compute_uv=False)))
@@ -174,7 +207,7 @@ class TestWStep:
         d, code_length, n = 16, 8, 50
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((d, n))))
         codes = random_hash_matrix(code_length, n, 3, rng)
-        w = w_step(signatures, codes)
+        w = _svd_projection(signatures, codes)
         fit = embedding_cost(signatures, w, codes)
         for _ in range(100):
             q, _ = np.linalg.qr(rng.standard_normal((d, code_length)))
@@ -185,19 +218,23 @@ class TestWStep:
         rng = np.random.default_rng(17)
         for _ in range(10):
             signatures, _, codes, _, _ = random_instance(rng)
-            w = w_step(signatures, codes)
+            w = _svd_projection(signatures, codes)
             gram = w.data.T @ w.data
             assert np.max(np.abs(gram - np.eye(codes.code_length))) <= 1e-8
 
-    def test_degenerate_codes_raise_with_achieved_rank(self):
+    def test_degenerate_codes_use_completion(self):
+        # a rank-1 code matrix fixes one column of W: the completion is
+        # orthonormal, and tr(W^T X E^T) still reaches the nuclear norm of X E^T
         rng = np.random.default_rng(18)
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((5, 8))))
         one_col = np.zeros((3, 1), dtype=np.int8)
         one_col[0] = 1
-        codes = CodeMatrix(np.repeat(one_col, 8, axis=1), 1)  # rank-1 code matrix
-        with pytest.raises(DegenerateProcrustesError) as err:
-            w_step(signatures, codes)
-        assert err.value.rank == 1
+        codes = CodeMatrix(np.repeat(one_col, 8, axis=1), 1)
+        w = _svd_projection(signatures, codes)
+        assert np.max(np.abs(w.data.T @ w.data - np.eye(3))) <= 1e-8
+        cross = signatures.data @ codes.codes.T.astype(float)
+        nuclear = float(np.sum(np.linalg.svd(cross, compute_uv=False)))
+        assert float(np.trace(w.data.T @ cross)) == pytest.approx(nuclear, abs=1e-9)
 
     def test_rank_deficient_signatures_use_completion(self):
         # all identical signatures: no code matrix can raise the rank, so the
@@ -205,7 +242,7 @@ class TestWStep:
         col = unit_columns(np.ones((5, 1)))
         signatures = SignatureMatrix(np.repeat(col, 6, axis=1))
         codes = random_hash_matrix(2, 6, 1, np.random.default_rng(19))
-        w = w_step(signatures, codes)
+        w = _svd_projection(signatures, codes)
         assert np.max(np.abs(w.data.T @ w.data - np.eye(2))) <= 1e-8
 
 
@@ -213,14 +250,14 @@ class TestEStep:
     def test_zero_weight_reduces_to_plain_embedding(self):
         rng = np.random.default_rng(20)
         signatures, projection, _, reps, assignments = random_instance(rng)
-        codes = e_step(projection, signatures, reps, assignments, 0.0, 2)
+        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 0.0, 2)
         expected = ternarize_columns(projection.data.T @ signatures.data, 2)
         assert np.array_equal(codes.codes, expected)
 
     def test_huge_weight_copies_group_representations(self):
         rng = np.random.default_rng(21)
         signatures, projection, _, reps, assignments = random_instance(rng)
-        codes = e_step(projection, signatures, reps, assignments, 1e6, 2)
+        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 1e6, 2)
         expected = reps.codes[:, assignments.group_of]
         assert np.array_equal(codes.codes, expected)
 
@@ -229,7 +266,7 @@ class TestEStep:
         for _ in range(20):
             signatures, projection, _, reps, assignments = random_instance(rng)
             lam = float(rng.uniform(0.1, 3.0))
-            codes = e_step(projection, signatures, reps, assignments, lam, 2)
+            codes = e_step(projection.data.T @ signatures.data, reps, assignments, lam, 2)
             for j in range(signatures.num_signatures):
                 column_target = projection.data.T @ signatures.data[:, j] + lam * reps.codes[
                     :, assignments.group_of[j]
@@ -239,6 +276,17 @@ class TestEStep:
                 for i in ranked[:2]:
                     expected[i] = -1 if column_target[i] < 0 else 1
                 assert codes.codes[:, j].tolist() == expected.tolist()
+
+    def test_shape_mismatch_is_dimension_error(self):
+        rng = np.random.default_rng(23)
+        signatures, projection, _, reps, assignments = random_instance(rng)
+        projected = projection.data.T @ signatures.data
+        with pytest.raises(DimensionError):
+            e_step(projected[:, 1:], reps, assignments, 1.0, 2)
+        with pytest.raises(DimensionError):
+            e_step(projected[1:], reps, assignments, 1.0, 2)
+        with pytest.raises(DimensionError):
+            e_step(projected[0], reps, assignments, 1.0, 2)
 
 
 def oracle_d2(p, c):
@@ -375,7 +423,7 @@ class TestKMeansAndRYStep:
     def test_singleton_groups_reproduce_codes(self):
         rng = np.random.default_rng(23)
         codes = random_hash_matrix(8, 5, 3, rng)
-        reps, assignments = ry_step(codes, 10.0, 1.0, 5, np.random.default_rng(0))
+        reps, assignments = ry_step(codes, 5, np.random.default_rng(0))
         # every group holds exactly one code and its representation equals it
         assert sorted(assignments.group_of.tolist()) == [0, 1, 2, 3, 4]
         for i in range(5):
@@ -389,7 +437,7 @@ class TestKMeansAndRYStep:
         b[6:] = -1
         cols = np.column_stack([a, a, a, b, b, b])
         codes = CodeMatrix(cols, 2)
-        reps, assignments = ry_step(codes, 1.0, 0.1, 2, np.random.default_rng(1))
+        reps, assignments = ry_step(codes, 2, np.random.default_rng(1))
         groups = assignments.group_of
         assert groups[0] == groups[1] == groups[2]
         assert groups[3] == groups[4] == groups[5]
@@ -446,7 +494,7 @@ class TestKMeansAndRYStep:
         col[0] = 1
         cols = np.repeat(col.reshape(-1, 1), 7, axis=1)  # all seven codes identical
         codes = CodeMatrix(cols, 1)
-        reps, assignments = ry_step(codes, 1.0, 0.5, 4, np.random.default_rng(4))
+        reps, assignments = ry_step(codes, 4, np.random.default_rng(4))
         assert assignments.num_groups == 4  # AssignmentMatrix forbids empty groups
         assert reps.num_groups == 4
 
@@ -507,7 +555,7 @@ class TestKMeansAndRYStep:
         assert as_fractions(result.sums, result.counts) == cents
         assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
         if iter_cap == KMEANS_ITER_CAP:
-            reps, assignments = ry_step(codes, 1.0, 0.1, k, np.random.default_rng(seed + 1))
+            reps, assignments = ry_step(codes, k, np.random.default_rng(seed + 1))
             assert assignments.group_of.tolist() == assign
             expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
             assert np.array_equal(reps.codes, expected)
@@ -534,7 +582,7 @@ class TestKMeansAndRYStep:
         assert trace[0] == oracle_grouping_objective(codes.codes.T, initial.group_of.tolist(), k)
         assert trace[-1] <= trace[0]
         if iter_cap == KMEANS_ITER_CAP:
-            reps, assignments = ry_step(codes, 1.0, 0.1, k, got_rng, initial)
+            reps, assignments = ry_step(codes, k, got_rng, initial)
             assert assignments.group_of.tolist() == assign
             expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
             assert np.array_equal(reps.codes, expected)
@@ -570,7 +618,7 @@ class TestKMeansAndRYStep:
         with pytest.raises(error):
             kmeans(codes.codes.T, 2, np.random.default_rng(0), initial=initial)
         with pytest.raises(error):
-            ry_step(codes, 1.0, 0.1, 2, np.random.default_rng(0), initial)
+            ry_step(codes, 2, np.random.default_rng(0), initial)
 
     def test_exact_argmin_settles_what_floats_cannot(self):
         # (2**53 + 1) / 2**53 and 1 / 1 are both 1.0 as floats; the second is smaller
@@ -650,12 +698,6 @@ class TestKMeansAndRYStep:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_requires_valid_weights(self):
-        rng = np.random.default_rng(26)
-        codes = random_hash_matrix(6, 5, 2, rng)
-        with pytest.raises(ConfigError):
-            ry_step(codes, 0.5, 0.5, 2, np.random.default_rng(0))
-
 
 class TestTrain:
     def test_singleton_groups_reach_zero_within(self):
@@ -728,6 +770,32 @@ class TestTrain:
         monkeypatch.setattr(learning, "_kmeans_pp_init", lambda *args: seeded.append(1) or real_init(*args))
         train(signatures, config)
         assert len(seeded) == 1
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["learned", "baseline"])
+    def test_loop_calls_each_step_once_per_iteration(self, monkeypatch, baseline):
+        # the loop reaches every step through its module-level name, so a
+        # wrapper put there (a counter here, a timing span elsewhere) sees it
+        spec = SyntheticSpec(num_identities=24, samples_per_identity=2, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=7)
+        signatures = generate(spec).enrolled
+        config = ModelConfig(code_length=8, sparsity=2, num_groups=6, max_outer_iters=4, seed=15)
+        calls = dict.fromkeys(("_svd_projection", "e_step", "ry_step", "objective"), 0)
+        for name in calls:
+            real = getattr(learning, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(learning, name, counting)
+        if baseline:
+            model = train_random_assignment_baseline(signatures, config, group_size=4)
+        else:
+            model = train(signatures, config)
+        iters = config.max_outer_iters
+        assert len(model.objective_trace) == iters
+        # the learned loop also groups the initial codes before its first iteration
+        expected_ry = 0 if baseline else iters + 1
+        assert calls == {"_svd_projection": iters, "e_step": iters, "ry_step": expected_ry, "objective": iters}
 
     def test_seed_stability_of_final_objective(self):
         spec = SyntheticSpec(num_identities=32, samples_per_identity=2, dim=24, noise_sigma=0.1, impostor_fraction=0.25, seed=3)
