@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .core import ModelConfig
+from .core import _MODEL_FIELDS, ModelConfig
 from .errors import ConfigError, GmkitError, ParseError
 from .learning import Model, train, train_random_assignment_baseline
 from .modelio import load_model, save_model
@@ -54,16 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-_MODEL_KEYS = {
-    "code_length": int,
-    "sparsity": int,
-    "num_groups": int,
-    "within_weight": float,
-    "between_weight": float,
-    "max_outer_iters": int,
-    "convergence_tol": float,
-    "seed": int,
-}
 _DATA_KEYS = {
     "num_identities": int,
     "samples_per_identity": int,
@@ -76,7 +66,7 @@ _DATA_KEYS = {
 _SWEEP_KEYS = {"group_sizes": str, "sparsity_levels": str, "within_weights": str, "between_weights": str}
 _OUTPUT_KEYS = {"out_dir": str}
 
-_ALL_SECTIONS = {"model": _MODEL_KEYS, "data": _DATA_KEYS, "sweep": _SWEEP_KEYS, "output": _OUTPUT_KEYS}
+_ALL_SECTIONS = {"model": _MODEL_FIELDS, "data": _DATA_KEYS, "sweep": _SWEEP_KEYS, "output": _OUTPUT_KEYS}
 
 
 def _parse_overrides(extras: list[str]) -> dict[str, str]:
@@ -205,14 +195,7 @@ def cmd_gen_data(args, overrides) -> int:
 def _train_log_lines(model: Model, source: str) -> list[str]:
     cfg = model.config
     lines = ["gmkit training log", f"data: {source}"]
-    lines.append(
-        "config: "
-        + " ".join(
-            f"{name}={getattr(cfg, name)!r}"
-            for name in ("code_length", "sparsity", "num_groups", "within_weight",
-                         "between_weight", "max_outer_iters", "convergence_tol", "seed")
-        )
-    )
+    lines.append("config: " + " ".join(f"{name}={getattr(cfg, name)!r}" for name in _MODEL_FIELDS))
     for i, ob in enumerate(model.objective_trace, start=1):
         lines.append(
             f"iter {i}: embedding={ob.embedding_cost!r} within={ob.within_trace!r} "

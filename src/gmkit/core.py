@@ -8,6 +8,7 @@ magnitudes.  Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,11 @@ class ModelConfig:
             raise ConfigError("max_outer_iters must be positive")
         if self.convergence_tol < 0:
             raise ConfigError("convergence_tol must be nonnegative")
+
+
+# {name: int or float} of each ModelConfig field, in declaration order: the
+# [model] keys of an experiment config and the [config] keys of a model file
+_MODEL_FIELDS: dict[str, type] = typing.get_type_hints(ModelConfig)
 
 
 def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:

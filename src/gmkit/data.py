@@ -9,8 +9,12 @@ identities are each one random draw, normalized in place, and a
 :class:`Dataset` holds its queries as matrices, one query per row.
 
 Matrices are stored as plain CSV, one signature per row, full round-trip
-precision, with an optional leading header line ``# d=<d> n=<n>``.  A
-dataset bundle (:func:`save_dataset`) also keeps a binary ``.npy`` copy of
+precision, with an optional leading header line ``# d=<d> n=<n>``.  This
+module holds the package's one numeric-CSV reader, which also reads the
+numeric sections of model files (:mod:`gmkit.modelio`): the file is read
+in blocks of whole lines into ``np.loadtxt``, and whatever that refuses
+goes to a token scan that names the bad token's row and column, or the
+ragged row.  A dataset bundle (:func:`save_dataset`) also keeps a binary ``.npy`` copy of
 each parsed matrix and a SHA-256 manifest of all six files.
 :func:`load_dataset` takes a copy only when the manifest's digests match it
 and its CSV, so a bundle is parsed once, by its writer, and each later read
@@ -24,10 +28,9 @@ import itertools
 import os
 import re
 import tokenize
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +42,8 @@ GENUINE_FILE = "genuine.csv"
 IMPOSTORS_FILE = "impostors.csv"
 MANIFEST_FILE = "bundle.sha256"
 
-_CHUNK = 1 << 20  # bytes per read when scanning or hashing a file
+_CHUNK = 1 << 20  # bytes per read when hashing a file
+_LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
 
 
 @dataclass(frozen=True)
@@ -167,87 +171,70 @@ def load_matrix(path: str) -> np.ndarray:
     and lines starting with ``#`` are skipped; a ``#`` anywhere else is a bad
     token.  Lines end where ``str.splitlines`` ends them.
     """
-    if _plain(path):
-        # np.loadtxt reads a plain file from its path in blocks, as the token
-        # scan reads it, except that it refuses "1_0", whitespace-only and
-        # indented comment lines; the scan settles those and names every fault
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            try:
-                matrix = np.loadtxt(path, dtype=np.float64, delimiter=",", comments="#", ndmin=2)
-            except ValueError:
-                matrix = None
-        if matrix is not None and matrix.size:
-            return matrix
-    return _scan_matrix(path)
-
-
-_PLAIN_BYTES = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)])
-
-
-def _plain(path: str) -> bool:
-    """Whether the file holds only tab, newline and printable ASCII, with
-    every ``#`` in a line that starts with one.  np.loadtxt would take the
-    other control characters as whitespace (``"\\x1f"``) or as part of a line
-    that ``splitlines`` cuts (``"\\x0b"``, ``"\\r"``), and a ``#`` after data as
-    the start of a comment.  Reads the file in blocks of whole lines."""
-    tail = b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_CHUNK), b""):
-            lines, _, tail = (tail + chunk).rpartition(b"\n")
-            if not _plain_lines(lines):
-                return False
-    return _plain_lines(tail)
-
-
-def _plain_lines(block: bytes) -> bool:
-    """:func:`_plain` for a block of whole lines."""
-    if block.translate(None, _PLAIN_BYTES):
-        return False
-    pos = block.find(b"#")
-    while pos >= 0:
-        if block[block.rfind(b"\n", 0, pos) + 1 : pos].strip(b" \t"):
-            return False  # data before the "#" on its line
-        end = block.find(b"\n", pos)
-        pos = -1 if end < 0 else block.find(b"#", end)
-    return True
+    return _parse_rows(lambda: _data_lines(path), float, f"{path}:")
 
 
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, line) of each data row: lines that are not blank and do
-    not start with ``#``, cut by ``str.splitlines``.  A byte outside ASCII
-    is a ParseError naming its line."""
+    not start with ``#``, cut by ``str.splitlines``.  Reads the file in
+    blocks of whole lines; a byte outside ASCII is a ParseError naming its
+    line."""
+    n = 0
     with open(path, "rb") as fh:
-        raw = fh.read()
+        while block := b"".join(fh.readlines(_LINES_HINT)):
+            try:
+                lines = block.decode("ascii").splitlines()
+            except UnicodeDecodeError as err:
+                # the line the byte ends: the lines before it, plus the one it is on
+                line = n + len((block[: err.start].decode("ascii") + "x").splitlines())
+                raise ParseError(f"{path}: row {line}: byte {block[err.start]:#04x} is not ASCII") from None
+            for n, line in enumerate(lines, start=n + 1):
+                text = line.lstrip()
+                if text and text[0] != "#":
+                    yield n, line
+
+
+def _parse_rows(numbered: Callable[[], Iterator[tuple[int, str]]], kind: type, prefix: str) -> np.ndarray:
+    """The comma-separated rows of ``numbered()``, (line number, line)
+    pairs, as a 2-D float64 (``kind`` float) or int64 (``kind`` int) matrix.
+
+    np.loadtxt reads a field as float() and int() do, except that it strips
+    ``"\\x1f"`` as whitespace and refuses some fields they accept (``"1_0"``).
+    So a line holding ``"\\x1f"``, and every input np.loadtxt refuses, goes to
+    a token scan, which calls ``numbered()`` again and names the first fault
+    in an error text that starts with ``prefix``: a bad token by row and
+    column, a ragged row, or no rows at all.
+    """
+    dtype = np.float64 if kind is float else np.int64
+
+    def lines() -> Iterator[str]:
+        for _, line in numbered():
+            if "\x1f" in line:
+                raise ValueError
+            yield line
+
+    rest = lines()
     try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as err:
-        # the line the byte ends: the lines before it, plus the one it is on
-        line = len((raw[: err.start].decode("ascii") + "x").splitlines())
-        raise ParseError(f"{path}: row {line}: byte {raw[err.start]:#04x} is not ASCII") from None
-    return ((n, line) for n, line in enumerate(lines, start=1) if line.strip() and not line.lstrip().startswith("#"))
-
-
-def _scan_matrix(path: str) -> np.ndarray:
-    """Token-by-token parse with ``float``; the path of :func:`load_matrix`
-    for files that are not plain, and its error path."""
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in _data_lines(path):
+        first = next(rest, None)
+        if first is not None:  # np.loadtxt warns on no lines
+            return np.loadtxt(itertools.chain([first], rest), dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    cast = float if kind is float else np.int64  # np.int64 is int() that refuses values past int64
+    rows: list[list] = []
+    for lineno, line in numbered():
         values = []
         for colno, token in enumerate(line.split(","), start=1):
             try:
-                values.append(float(token))
-            except ValueError:
-                raise ParseError(f"{path}: row {lineno}, column {colno}: bad number {token!r}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(f"{path}: row {lineno} has {len(values)} columns, expected {width}")
+                values.append(cast(token))
+            except (ValueError, OverflowError):
+                raise ParseError(f"{prefix} row {lineno}, column {colno}: bad number {token!r}") from None
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(f"{prefix} row {lineno} has {len(values)} columns, expected {len(rows[0])}")
         rows.append(values)
     if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+        raise ParseError(f"{prefix} no data rows")
+    return np.array(rows, dtype=dtype)
 
 
 def _data_line(path: str, k: int) -> int:

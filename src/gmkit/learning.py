@@ -417,7 +417,9 @@ def kmeans(
     moves that point onto its new centroid and therefore never increases the
     objective; the full objective trace (after every assignment, reseed and
     centroid update) is checked to be non-increasing on its exact rational
-    values and returned rounded to floats.  Raises
+    values and returned rounded to floats.  A run that reaches ``iter_cap``
+    ends with one more assignment step and centroid update, so the returned
+    sums and counts are always those of the returned assignment.  Raises
     :class:`InvalidInputError` on non-finite or non-integer points.
     """
     pts, pf = _integer_points(points)
@@ -462,8 +464,10 @@ def kmeans(
         prev = assign
         sums, counts = update_step(assign)
     else:
-        # iteration cap: restore assignment consistency with the last centroids
+        # iteration cap: assign to the last centroids, then move them to the
+        # means of that assignment, so the sums and counts returned are its own
         assign = assign_step(sums, counts)
+        sums, counts = update_step(assign)
     _check_non_increasing(trace)
     return KMeansResult(sums, counts, assign, tuple(float(v) for v in trace), iterations)
 

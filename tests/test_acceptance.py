@@ -360,6 +360,34 @@ def test_c09_aggregation_secures_enrolled(verification_runs):
     assert report(9, "aggregation-secures-enrolled", worse_every_run, detail)
 
 
+def test_c11_tradeoff_grows_with_group_size():
+    # the paper's trade-off: as groups grow (m members each), verification
+    # gets worse and security and privacy better, on every seed.  Seeds 4-6
+    # were fixed before the first run.  The learned-beats-random DIR
+    # comparison is left out: seed 5 breaks it at m = 8 (see ROADMAP item 6)
+    group_sizes = (2, 8, 32)
+    ok = True
+    details = []
+    for seed in (4, 5, 6):
+        dataset = generate(
+            SyntheticSpec(
+                num_identities=1024, samples_per_identity=3, dim=128,
+                noise_sigma=0.05, impostor_fraction=0.5, seed=seed,
+            )
+        )
+        cells = []
+        for m in group_sizes:
+            config = ModelConfig(code_length=64, sparsity=8, num_groups=1024 // m, max_outer_iters=10, seed=seed)
+            model = train(dataset.enrolled, config)
+            queries = query_set_from_dataset(dataset, model)
+            pfn = pfn_at_pfp(verification_sweep(model, queries, np.random.default_rng([seed, 7])), 0.05)
+            security = security_report(dataset.enrolled, queries, model)
+            cells.append((pfn, security.mse_security, security.mse_privacy))
+        ok = ok and all(a <= b for prev, cell in zip(cells, cells[1:]) for a, b in zip(prev, cell))
+        details.append(f"seed {seed}: pfn " + "/".join(f"{c[0]:.3f}" for c in cells))
+    assert report(11, "tradeoff-grows-with-group-size", ok, "; ".join(details))
+
+
 CLI_CONFIG = """\
 [model]
 code_length = 8

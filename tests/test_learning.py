@@ -380,6 +380,8 @@ def oracle_kmeans(points, k, rng, iter_cap=KMEANS_ITER_CAP, initial=None):
         trace.append(sse(assign))
     else:
         assign = assign_step()
+        cents = oracle_means(pts, assign, k)
+        trace.append(sse(assign))
     return cents, assign, trace, iterations
 
 
@@ -602,6 +604,18 @@ class TestKMeansAndRYStep:
         assert np.array_equal(warm.assignments, cold.assignments)
         assert np.array_equal(warm.sums, cold.sums) and np.array_equal(warm.counts, cold.counts)
         assert warm.objective_trace == (cold.objective_trace[-1],) * 2
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_iteration_cap_returns_the_sums_of_its_assignment(self, warm):
+        codes = random_hash_matrix(16, 200, 4, np.random.default_rng(37))
+        points, k = codes.codes.T, 12
+        initial = AssignmentMatrix(random_full_assignment(np.random.default_rng(38), 200, k), k) if warm else None
+        assert kmeans(points, k, np.random.default_rng(39), initial=initial).iterations > 2  # not converged at 1
+        result = kmeans(points, k, np.random.default_rng(39), iter_cap=1, initial=initial)
+        sums, counts = _group_sums(points, result.assignments, k)
+        assert np.array_equal(result.sums, sums) and np.array_equal(result.counts, counts)
+        trace = result.objective_trace
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize(
         "group_of, num_groups, error",

@@ -153,3 +153,45 @@ def test_ragged_section_is_parse_error(model, tmp_path):
     path.write_text(text[:end] + ",0" + text[end:])
     with pytest.raises(ParseError, match=r"\[codes\] row 2 has 5 columns, expected 6"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "section, row, column",
+    [("projection", 3, 2), ("codes", 1, 5), ("representations", 2, 1), ("assignments", 1, 7), ("objective_trace", 2, 4)],
+)
+def test_bad_token_names_section_row_and_column(model, tmp_path, section, row, column):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    at = lines.index(f"[{section}]") + row  # rows count from 1 within the section
+    tokens = lines[at].split(",")
+    tokens[column - 1] = "oops"
+    lines[at] = ",".join(tokens)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [{section}] row {row}, column {column}: bad number 'oops'"
+
+
+@pytest.mark.parametrize("section", ["projection", "codes", "representations", "assignments", "objective_trace"])
+def test_empty_numeric_section_is_parse_error_naming_it(model, tmp_path, section):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    start = lines.index(f"[{section}]") + 1 + (section == "objective_trace")  # keeps the trace header
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("[") or not lines[i])
+    path.write_text("\n".join(lines[:start] + lines[end:]))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [{section}] no data rows"
+
+
+def test_non_ascii_byte_names_file_and_row(model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    raw = path.read_bytes().split(b"\n")
+    raw[12] = raw[12][:3] + b"\xe9" + raw[12][3:]
+    path.write_bytes(b"\n".join(raw))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: row 13: byte 0xe9 is not ASCII"
