@@ -18,21 +18,23 @@ import configparser
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import data as data_mod
 from . import evaluation as eval_mod
-from .core import _MODEL_FIELDS, ModelConfig
+from .core import _MODEL_FIELDS, ModelConfig, _read_fields
 from .errors import ConfigError, GmkitError, ParseError
 from .learning import Model, train, train_random_assignment_baseline
 from .modelio import load_model, save_model
 from .protocol import ProtocolKeys, SecurityParams, run_protocol
+from .protocol.engine import DEFAULT_ADDITIVE_BITS, DEFAULT_MASK_MAGNITUDE
 
 TRANSCRIPT_FILE = "transcript.bin"
 DECISION_FILE = "decision.txt"
+DEFAULT_OUT_DIR = "gmkit-out"
 
 ENV_SEED = "GMK_SEED"
 _CLAIM_STREAM = 1779033703  # fixed stream tag for impostor claim draws
@@ -54,19 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-_DATA_KEYS = {
-    "num_identities": int,
-    "samples_per_identity": int,
-    "dim": int,
-    "noise_sigma": float,
-    "impostor_fraction": float,
-    "data_seed": int,
-    "dataset_dir": str,
-}
-_SWEEP_KEYS = {"group_sizes": str, "sparsity_levels": str, "within_weights": str, "between_weights": str}
-_OUTPUT_KEYS = {"out_dir": str}
+# SyntheticSpec's [data] key where it differs from the field name, and the
+# defaults of the fields the dataclass leaves without one
+_DATA_RENAMES = {"seed": "data_seed"}
+_DATA_DEFAULTS = {"samples_per_identity": 2, "noise_sigma": 0.1, "impostor_fraction": 0.25}
 
-_ALL_SECTIONS = {"model": _MODEL_FIELDS, "data": _DATA_KEYS, "sweep": _SWEEP_KEYS, "output": _OUTPUT_KEYS}
+_ALL_SECTIONS = {
+    "model": set(_MODEL_FIELDS),
+    "data": {_DATA_RENAMES.get(f.name, f.name) for f in fields(data_mod.SyntheticSpec)} | {"dataset_dir"},
+    "sweep": {"group_sizes", "sparsity_levels"},
+    "output": {"out_dir"},
+}
 
 
 def _parse_overrides(extras: list[str]) -> dict[str, str]:
@@ -77,6 +77,17 @@ def _parse_overrides(extras: list[str]) -> dict[str, str]:
         key, value = item[2:].split("=", 1)
         overrides[key] = value
     return overrides
+
+
+def _env_seed() -> Optional[int]:
+    """The seed that ``GMK_SEED`` sets, or None when it is unset."""
+    raw = os.environ.get(ENV_SEED)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"bad value for {ENV_SEED}: {raw!r}") from None
 
 
 def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentConfig:
@@ -93,80 +104,36 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentCo
             if key not in _ALL_SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = value
-    known = {k for keys in _ALL_SECTIONS.values() for k in keys}
+    known = set().union(*_ALL_SECTIONS.values())
     for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown override key {key!r}")
         values[key] = value
-    env_seed = os.environ.get(ENV_SEED)
+    env_seed = _env_seed()
     if env_seed is not None:
-        values["seed"] = env_seed
-        values["data_seed"] = env_seed
+        values["seed"] = values["data_seed"] = str(env_seed)
 
-    def get(key, cast, default=None, required=False):
-        if key in values:
-            try:
-                return cast(values[key])
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {values[key]!r}") from None
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-
-    def singleton_weight(key, fallback):
-        raw = get(key, str)
-        if raw is None:
-            return fallback
-        try:
-            parts = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from None
-        if len(parts) != 1:
-            raise ConfigError(f"{key} supports exactly one value per run, got {raw!r}")
-        return parts[0]
-
-    model = ModelConfig(
-        code_length=get("code_length", int, required=True),
-        sparsity=get("sparsity", int, required=True),
-        num_groups=get("num_groups", int, required=True),
-        within_weight=singleton_weight("within_weights", get("within_weight", float, 1.0)),
-        between_weight=singleton_weight("between_weights", get("between_weight", float, 0.1)),
-        max_outer_iters=get("max_outer_iters", int, 30),
-        convergence_tol=get("convergence_tol", float, 0.0),
-        seed=get("seed", int, 0),
-    )
-
-    dataset_dir = get("dataset_dir", str)
+    model = _read_fields(ModelConfig, values, ConfigError)
+    dataset_dir = values.get("dataset_dir")
     synthetic = None
     if dataset_dir is None:
-        synthetic = data_mod.SyntheticSpec(
-            num_identities=get("num_identities", int, required=True),
-            samples_per_identity=get("samples_per_identity", int, 2),
-            dim=get("dim", int, required=True),
-            noise_sigma=get("noise_sigma", float, 0.1),
-            impostor_fraction=get("impostor_fraction", float, 0.25),
-            seed=get("data_seed", int, 0),
-        )
+        synthetic = _read_fields(data_mod.SyntheticSpec, values, ConfigError,
+                                 keys=_DATA_RENAMES, defaults=_DATA_DEFAULTS)
 
     def int_list(key):
-        raw = get(key, str)
-        if raw is None:
-            return []
+        raw = values.get(key, "")
         try:
             return [int(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"bad integer list for {key}: {raw!r}") from None
 
-    group_sizes = int_list("group_sizes")
-    sparsity_levels = int_list("sparsity_levels")
-
     return ExperimentConfig(
         model=model,
         synthetic=synthetic,
         dataset_dir=dataset_dir,
-        group_sizes=group_sizes,
-        sparsity_levels=sparsity_levels,
-        out_dir=get("out_dir", str, "gmkit-out"),
+        group_sizes=int_list("group_sizes"),
+        sparsity_levels=int_list("sparsity_levels"),
+        out_dir=values.get("out_dir", DEFAULT_OUT_DIR),
     )
 
 
@@ -292,13 +259,8 @@ def _run_eval(args, overrides, mode: str) -> int:
 def cmd_protocol_demo(args, overrides) -> int:
     if overrides:
         raise ConfigError("protocol-demo takes flags only, no config overrides")
-    seed = args.seed
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"bad value for {ENV_SEED}: {env_seed!r}") from None
+    env_seed = _env_seed()
+    seed = args.seed if env_seed is None else env_seed
     model = load_model(args.model)
     num_codes = model.assignments.num_signatures
     if not 0 <= args.query_index < num_codes:
@@ -343,9 +305,9 @@ def build_parser() -> _Parser:
     p_demo.add_argument("--query-index", type=int, required=True)
     p_demo.add_argument("--tau", type=int, required=True)
     p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--out-dir", default="gmkit-out")
-    p_demo.add_argument("--additive-bits", type=int, default=128)
-    p_demo.add_argument("--mask-magnitude", type=int, default=2**16)
+    p_demo.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
+    p_demo.add_argument("--additive-bits", type=int, default=DEFAULT_ADDITIVE_BITS)
+    p_demo.add_argument("--mask-magnitude", type=int, default=DEFAULT_MASK_MAGNITUDE)
     return parser
 
 

@@ -9,7 +9,8 @@ magnitudes.  Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -243,6 +244,34 @@ class ModelConfig:
 # {name: int or float} of each ModelConfig field, in declaration order: the
 # [model] keys of an experiment config and the [config] keys of a model file
 _MODEL_FIELDS: dict[str, type] = typing.get_type_hints(ModelConfig)
+
+
+def _read_fields(cls, values: Mapping[str, str], error: type, where: str = "", *,
+                 keys: Mapping[str, str] = {}, defaults: Mapping[str, object] = {}, strict: bool = False):
+    """An instance of the dataclass ``cls`` built from key=value text.
+
+    Each field is read from ``values[key]``, where the key is
+    ``keys.get(name, name)``, and cast to its annotated type.  A missing key
+    falls back to ``defaults[name]``, then to the field's own default; with
+    ``strict`` every key is required.  A value the cast rejects, and a
+    missing required key, raise ``error`` with a message that starts with
+    ``where`` and names the key.
+    """
+    kinds = typing.get_type_hints(cls)
+    kwargs = {}
+    for field in fields(cls):
+        name = field.name
+        key = keys.get(name, name)
+        if key in values:
+            try:
+                kwargs[name] = kinds[name](values[key])
+            except ValueError:
+                raise error(f"{where}bad value for {key}: {values[key]!r}") from None
+        elif name in defaults and not strict:
+            kwargs[name] = defaults[name]
+        elif strict or field.default is MISSING:
+            raise error(f"{where}missing required config key {key!r}")
+    return cls(**kwargs)
 
 
 def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:

@@ -126,13 +126,9 @@ class Model:
     objective_trace: tuple[ObjectiveBreakdown, ...]
 
     def __post_init__(self):
-        l = self.projection.code_length
-        if self.codes.code_length != l or self.representations.code_length != l:
-            raise DimensionError("code length mismatch across model members")
-        if self.assignments.num_signatures != self.codes.codes.shape[1]:
-            raise DimensionError("assignment length does not match number of codes")
-        if self.assignments.num_groups != self.representations.num_groups:
-            raise DimensionError("assignment group count does not match representations")
+        if self.codes.code_length != self.projection.code_length:
+            raise DimensionError("code length does not match the projection")
+        _check_grouping(self.codes.code_length, self.codes.codes.shape[1], self.representations, self.assignments)
 
 
 def objective(

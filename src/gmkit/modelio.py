@@ -10,7 +10,9 @@ formatting so a saved model reloads bit-identically.
 The numeric sections are written and read by the CSV code of
 :mod:`gmkit.data`, so a bad token is a :class:`ParseError` naming its
 section, its row within the section and its column, and an empty section
-is one naming the section.
+is one naming the section.  A ``[config]`` value that does not cast to its
+field's type, or a missing ``[config]`` key, is a :class:`ParseError`
+naming the key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .core import _MODEL_FIELDS, CodeMatrix, ModelConfig, ProjectionMatrix
+from .core import _MODEL_FIELDS, CodeMatrix, ModelConfig, ProjectionMatrix, _read_fields
 from .data import _csv_lines, _data_lines, _parse_rows
 from .errors import ParseError
 from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
@@ -75,10 +77,7 @@ def load_model(path: str) -> Model:
             raise ParseError(f"{path}: bad config line {line!r}")
         key, value = line.split("=", 1)
         raw_config[key.strip()] = value.strip()
-    try:
-        config = ModelConfig(**{name: kind(raw_config[name]) for name, kind in _MODEL_FIELDS.items()})
-    except KeyError as exc:
-        raise ParseError(f"{path}: config is missing key {exc}") from None
+    config = _read_fields(ModelConfig, raw_config, ParseError, f"{path}: [config] ", strict=True)
 
     def parse_rows(name: str, kind: type, first: int = 0) -> np.ndarray:
         """The rows of a section from its line ``first`` on, numbered within the section."""
@@ -100,11 +99,7 @@ def load_model(path: str) -> Model:
         if len(row) != 4:
             raise ParseError(f"{path}: [objective_trace] row {lineno} needs 4 columns")
         entry = ObjectiveBreakdown(*row)
-        recomputed = (
-            entry.embedding_cost
-            + config.within_weight * entry.within_trace
-            - config.between_weight * entry.between_trace
-        )
+        recomputed = ObjectiveBreakdown.from_parts(*row[:3], config.within_weight, config.between_weight).total
         if abs(recomputed - entry.total) > 1e-9 * max(1.0, abs(entry.total)):
             raise ParseError(f"{path}: [objective_trace] row {lineno} total is inconsistent with its parts")
         trace.append(entry)

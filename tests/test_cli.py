@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gmkit import data as data_mod
-from gmkit.cli import main
-from gmkit.core import squared_distance
+from gmkit.cli import load_experiment_config, main
+from gmkit.core import _MODEL_FIELDS, ModelConfig, squared_distance
 from gmkit.learning import random_balanced_assignment
 from gmkit.modelio import load_model
 from gmkit.protocol import ProtocolTranscript
@@ -60,6 +60,37 @@ def read_tree(root):
             full = os.path.join(dirpath, name)
             out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
+
+
+class TestConfig:
+    def test_every_key_flows_into_its_field(self, tmp_path, config_path):
+        cfg = load_experiment_config(config_path(tmp_path / "x"), {"within_weight": "2.5", "convergence_tol": "0.5"})
+        assert cfg.model == ModelConfig(code_length=8, sparsity=2, num_groups=4, within_weight=2.5,
+                                        between_weight=0.1, max_outer_iters=10, convergence_tol=0.5, seed=3)
+        assert cfg.synthetic == data_mod.SyntheticSpec(16, 2, 16, 0.05, 0.25, seed=4)
+        assert (cfg.group_sizes, cfg.sparsity_levels, cfg.out_dir) == ([2, 4], [], str(tmp_path / "x"))
+
+    def test_optional_keys_take_their_defaults(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[model]\ncode_length = 8\nsparsity = 2\nnum_groups = 4\n[data]\nnum_identities = 16\ndim = 16\n")
+        cfg = load_experiment_config(str(path), {})
+        assert cfg.model == ModelConfig(code_length=8, sparsity=2, num_groups=4)
+        assert cfg.synthetic == data_mod.SyntheticSpec(16, 2, 16, 0.1, 0.25, seed=0)
+        assert (cfg.group_sizes, cfg.sparsity_levels, cfg.out_dir) == ([], [], "gmkit-out")
+
+    @pytest.mark.parametrize("key", [*_MODEL_FIELDS, "num_identities", "samples_per_identity", "dim",
+                                     "noise_sigma", "impostor_fraction", "data_seed"])
+    def test_bad_value_names_its_key(self, tmp_path, config_path, capsys, key):
+        assert main(["train", "--config", config_path(tmp_path / "x"), f"--{key}=x"]) == 1
+        assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: 'x'\n"
+
+    @pytest.mark.parametrize("key", ["code_length", "sparsity", "num_groups", "num_identities", "dim"])
+    def test_missing_required_key_is_named(self, tmp_path, config_path, capsys, key):
+        cfg = config_path(tmp_path / "x")
+        text = Path(cfg).read_text()
+        Path(cfg).write_text("\n".join(line for line in text.splitlines() if line.split("=")[0].strip() != key))
+        assert main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"ERROR:config:missing required config key {key!r}\n"
 
 
 class TestGenData:
@@ -216,30 +247,21 @@ class TestTrain:
         assert main(["train", "--config", config_path(out_b), "--seed=99"]) == 0
         assert (out_a / "model.txt").read_bytes() != (out_b / "model.txt").read_bytes()
 
-    def test_weight_list_keys_flow_into_training(self, tmp_path, config_path):
-        out = tmp_path / "run"
-        cfg = config_path(out)
-        assert main(["train", "--config", cfg, "--within_weights=2.5", "--between_weights=0.25"]) == 0
-        model = load_model(str(out / "model.txt"))
-        assert model.config.within_weight == 2.5
-        assert model.config.between_weight == 0.25
-
     def test_multi_valued_weight_list_rejected(self, tmp_path, config_path, capsys):
         cfg = config_path(tmp_path / "x")
         assert main(["train", "--config", cfg, "--within_weights=1.0,2.0"]) != 0
         assert capsys.readouterr().err.startswith("ERROR:config:")
 
-    @pytest.mark.parametrize("key", ["within_weights", "between_weights"])
-    def test_non_numeric_weight_list_is_config_error(self, tmp_path, config_path, capsys, key):
+    def test_weight_list_alias_is_unknown_key(self, tmp_path, config_path, capsys):
         cfg = config_path(tmp_path / "x")
-        assert main(["train", "--config", cfg, f"--{key}=abc"]) == 1
-        assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: 'abc'\n"
-        with open(cfg) as fh:
-            text = fh.read()
-        with open(cfg, "w") as fh:
-            fh.write(text.replace("group_sizes = 2,4", f"group_sizes = 2,4\n{key} = 1.0,x"))
-        assert main(["train", "--config", cfg]) == 1
-        assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: '1.0,x'\n"
+        assert main(["train", "--config", cfg, "--within_weights=2.5"]) == 1
+        assert capsys.readouterr().err == "ERROR:config:unknown override key 'within_weights'\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_non_integer_env_seed_names_the_variable(self, tmp_path, config_path, monkeypatch, capsys):
+        monkeypatch.setenv("GMK_SEED", "abc")
+        assert main(["train", "--config", config_path(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "ERROR:config:bad value for GMK_SEED: 'abc'\n"
         assert not (tmp_path / "x").exists()
 
     def test_env_seed_overrides_config(self, tmp_path, config_path, monkeypatch):
@@ -300,6 +322,16 @@ class TestEval:
         assert main(["eval-verify", "--config", cfg2, "--model", str(out_train / "model.txt")]) == 0
         model_rows = (out_eval / "verify-metrics.csv").read_text()
         assert model_rows == sweep_rows
+
+    def test_bad_model_config_value_is_io_error(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        cfg = config_path(out)
+        assert main(["train", "--config", cfg]) == 0
+        model_path = out / "model.txt"
+        model_path.write_text(model_path.read_text().replace("code_length=8\n", "code_length=x\n"))
+        capsys.readouterr()
+        assert main(["eval-verify", "--config", cfg, "--model", str(model_path)]) == 1
+        assert capsys.readouterr().err == f"ERROR:io:{model_path}: [config] bad value for code_length: 'x'\n"
 
     def test_eval_deterministic(self, tmp_path, config_path):
         out = tmp_path / "run"

@@ -713,6 +713,31 @@ class TestKMeansAndRYStep:
         assert peak < 8 * 2**20
 
 
+class TestModel:
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            ("codes", "code length does not match the projection"),
+            ("representations", "representation code length does not match the codes"),
+            ("assignments", "assignment length does not match number of codes"),
+            ("groups", "assignment group count does not match representations"),
+        ],
+    )
+    def test_mismatched_members_are_dimension_errors(self, member, message):
+        rng = np.random.default_rng(31)
+        _, projection, codes, reps, assignments = random_instance(rng)
+        members = dict(projection=projection, codes=codes, representations=reps, assignments=assignments)
+        if member == "groups":
+            members["representations"] = CodeMatrix(np.hstack([reps.codes, reps.codes[:, :1]]), 2)
+        elif member == "assignments":
+            members["assignments"] = AssignmentMatrix(assignments.group_of[:-1], assignments.num_groups)
+        else:
+            members[member] = CodeMatrix(np.vstack([members[member].codes, np.zeros_like(members[member].codes[:1])]), 2)
+        config = ModelConfig(code_length=4, sparsity=2, num_groups=3)
+        with pytest.raises(DimensionError, match=message):
+            learning.Model(config=config, objective_trace=(), **members)
+
+
 class TestTrain:
     def test_singleton_groups_reach_zero_within(self):
         rng = np.random.default_rng(27)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmkit.core import ModelConfig
+from gmkit.core import _MODEL_FIELDS, ModelConfig
 from gmkit.data import SyntheticSpec, generate
 from gmkit.errors import ParseError
 from gmkit.learning import train
@@ -184,6 +184,22 @@ def test_empty_numeric_section_is_parse_error_naming_it(model, tmp_path, section
     with pytest.raises(ParseError) as err:
         load_model(str(path))
     assert str(err.value) == f"{path}: [{section}] no data rows"
+
+
+@pytest.mark.parametrize("key", list(_MODEL_FIELDS))
+def test_bad_or_missing_config_value_names_its_key(model, tmp_path, key):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+    path.write_text("\n".join(lines[:at] + [f"{key}=x"] + lines[at + 1:]))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [config] bad value for {key}: 'x'"
+    path.write_text("\n".join(lines[:at] + lines[at + 1:]))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [config] missing required config key {key!r}"
 
 
 def test_non_ascii_byte_names_file_and_row(model, tmp_path):
