@@ -137,9 +137,7 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentCo
     )
 
 
-def _load_dataset(cfg: ExperimentConfig, dataset_flag: Optional[str]) -> data_mod.Dataset:
-    if dataset_flag:
-        return data_mod.load_dataset(dataset_flag)
+def _load_dataset(cfg: ExperimentConfig) -> data_mod.Dataset:
     if cfg.dataset_dir:
         return data_mod.load_dataset(cfg.dataset_dir)
     if cfg.synthetic is None:
@@ -177,8 +175,8 @@ def _train_log_lines(model: Model, source: str) -> list[str]:
 
 def cmd_train(args, overrides) -> int:
     cfg = load_experiment_config(args.config, overrides)
-    dataset = _load_dataset(cfg, args.dataset)
-    source = args.dataset or cfg.dataset_dir or "synthetic"
+    dataset = _load_dataset(cfg)
+    source = cfg.dataset_dir or "synthetic"
     if args.baseline_group_size is not None:
         model = train_random_assignment_baseline(dataset.enrolled, cfg.model, args.baseline_group_size)
         source += f" (random-assignment baseline, group_size={args.baseline_group_size})"
@@ -224,7 +222,7 @@ def _write_metrics_csv(path: str, axis: str, rows: list[tuple[int, dict[str, flo
 
 def _run_eval(args, overrides, mode: str) -> int:
     cfg = load_experiment_config(args.config, overrides)
-    dataset = _load_dataset(cfg, args.dataset)
+    dataset = _load_dataset(cfg)
     n = dataset.enrolled.num_signatures
     os.makedirs(cfg.out_dir, exist_ok=True)
     axis = "S" if mode == "security" else "m"
@@ -287,7 +285,7 @@ def build_parser() -> _Parser:
     def add_config_command(name, help_text, with_model=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--dataset", help="dataset bundle directory (overrides config)")
+        p.add_argument("--dataset", help="dataset bundle directory (sets dataset_dir)")
         if with_model:
             p.add_argument("--model", help="evaluate a saved model file instead of sweeping")
         return p
@@ -326,6 +324,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args, extras = parser.parse_known_args(argv)
         overrides = _parse_overrides(extras)
+        if getattr(args, "dataset", None):  # --dataset DIR is --dataset_dir=DIR
+            overrides["dataset_dir"] = args.dataset
         return _HANDLERS[args.command](args, overrides)
     except GmkitError as exc:
         print(f"ERROR:{exc.category}:{exc}", file=sys.stderr)

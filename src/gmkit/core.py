@@ -25,69 +25,79 @@ UNIT_NORM_TOL = 1e-6
 ORTHONORMAL_TOL = 1e-8
 
 
-def _as_array(values, what: str, shape_error: type) -> np.ndarray:
+def _as_array(values, what: str, ndim: int, shape_error: type, integers: bool = False) -> np.ndarray:
+    """``values`` as an ``ndim``-D array, not copied: a ragged input or another
+    ``ndim`` raises ``shape_error``, an entry that is not a real number
+    InvalidInputError, and, with ``integers``, one that is not an integer
+    ConfigError.  The dtype of an empty array is not checked."""
     try:
-        return np.asarray(values)
+        a = np.asarray(values)
     except ValueError:  # numpy's error for ragged nested sequences
         raise shape_error(f"{what} are ragged") from None
+    if a.ndim != ndim:
+        raise shape_error(f"{what} must be {ndim}-D, got shape {a.shape}")
+    if a.size and a.dtype.kind not in ("iu" if integers else "biuf"):
+        if integers:
+            raise ConfigError(f"{what} must be integers, got dtype {a.dtype}")
+        raise InvalidInputError(f"{what} must be real numbers, got dtype {a.dtype}")
+    return a
+
+
+def _held(a: np.ndarray, dtype: type) -> np.ndarray:
+    """A checked input as it is kept: read-only, of ``dtype``, and out of
+    reach of every writeable array.  That is ``a`` itself when it has the
+    dtype and it and every array it is a view of are read-only (an array
+    frozen after a writeable view of it was taken also passes); anything
+    else is copied once, in ``a``'s layout, and the copy made read-only."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None or a.dtype != dtype:
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
 
 
 def _check_query_vectors(vectors, dim: int | None, what: str, shape_error: type) -> np.ndarray:
-    """The query vectors, one per row, as a read-only float64 Q x dim matrix.
+    """The query vectors, one per row, held as a read-only float64 Q x dim
+    matrix (see :func:`_held`).
 
     A ragged or non-2-D input, or one not ``dim`` wide (any width when
     ``dim`` is None), raises ``shape_error``; entries that are not real
-    numbers, and rows whose norm is not 1 within UNIT_NORM_TOL (a
-    non-finite row fails too), raise InvalidInputError.  A read-only
-    float64 array is kept as it is, anything else is copied.
+    numbers, and rows whose float64 norm is not 1 within UNIT_NORM_TOL (a
+    non-finite row fails too), raise InvalidInputError.
     """
-    rows = _as_array(vectors, f"{what} vectors", shape_error)
-    if rows.ndim != 2 or dim not in (None, rows.shape[1]):
+    rows = _as_array(vectors, f"{what} vectors", 2, shape_error)
+    if dim not in (None, rows.shape[1]):
         raise shape_error(f"{what} dimension mismatch: shape {rows.shape}, expected (Q, {dim})")
-    if rows.dtype.kind not in "biuf":
-        raise InvalidInputError(f"{what} entries must be real numbers, got dtype {rows.dtype}")
-    if rows.dtype != np.float64 or rows.flags.writeable:
-        rows = _frozen(rows.astype(np.float64, copy=False))
     # "not <=" so that a NaN norm fails the check
-    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= UNIT_NORM_TOL):
+    if not np.all(np.abs(np.linalg.norm(rows.astype(np.float64, copy=False), axis=1) - 1.0) <= UNIT_NORM_TOL):
         raise InvalidInputError(f"{what} is not unit norm")
-    return rows
+    return _held(rows, np.float64)
 
 
 def _check_query_labels(labels, count: int, what: str, shape_error: type) -> np.ndarray:
-    """A read-only int64 copy of the labels of ``count`` query rows; another
-    count raises ``shape_error``, a label that is not an integer ConfigError."""
-    a = _as_array(labels, what, shape_error)
-    if a.shape != (count,):
+    """The labels of ``count`` query rows, held as a read-only int64 vector;
+    another count raises ``shape_error``, a label that is not an integer
+    ConfigError."""
+    a = _as_array(labels, what, 1, shape_error, integers=True)
+    if len(a) != count:
         raise shape_error(f"{what}: shape {a.shape}, expected one per query, ({count},)")
-    if a.size and a.dtype.kind not in "iu":
-        raise ConfigError(f"{what} must be integers")
-    return _frozen(a.astype(np.int64, copy=False))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
+    return _held(a, np.int64)
 
 
 @dataclass(frozen=True)
 class SignatureMatrix:
-    """Enrolled signatures, one unit-norm column per enrollee (d x N)."""
+    """Enrolled signatures, one unit-norm column per enrollee (d x N), checked
+    and held by :func:`_check_query_vectors` on the transpose."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionError(f"signature matrix must be 2-D and nonempty, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("signature matrix contains non-finite entries")
-        norms = np.linalg.norm(a, axis=0)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > UNIT_NORM_TOL:
-            raise InvalidInputError(f"signature columns must have unit norm (worst deviation {worst:.3g})")
-        object.__setattr__(self, "data", _frozen(a))
+        a = _as_array(self.data, "signature matrix", 2, DimensionError)
+        if not a.size:
+            raise DimensionError(f"signature matrix must be nonempty, got shape {a.shape}")
+        object.__setattr__(self, "data", _check_query_vectors(a.T, None, "signature", DimensionError).T)
 
     @property
     def dim(self) -> int:
@@ -108,19 +118,16 @@ class ProjectionMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 2:
-            raise DimensionError(f"projection must be 2-D, got shape {a.shape}")
+        a = _as_array(self.data, "projection", 2, DimensionError)
         d, code_len = a.shape
         if not code_len < d:
             raise DimensionError(f"projection needs fewer columns than rows, got {d} x {code_len}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("projection contains non-finite entries")
-        gram = a.T @ a
-        worst = float(np.max(np.abs(gram - np.eye(code_len))))
-        if worst > ORTHONORMAL_TOL:
+        f = a.astype(np.float64, copy=False)
+        worst = float(np.max(np.abs(f.T @ f - np.eye(code_len))))
+        # "not <=" so that a non-finite entry, which makes ``worst`` NaN, fails the check
+        if not worst <= ORTHONORMAL_TOL:
             raise InvalidInputError(f"projection columns must be orthonormal (worst deviation {worst:.3g})")
-        object.__setattr__(self, "data", _frozen(a))
+        object.__setattr__(self, "data", _held(a, np.float64))
 
     @property
     def dim(self) -> int:
@@ -132,16 +139,15 @@ class ProjectionMatrix:
 
 
 def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
-    """Read-only int8 copy of a code (``ndim`` 1) or of l x K codes stored
-    columnwise (``ndim`` 2), after checking that every entry lies in
-    {-1, 0, +1} and every column has exactly ``sparsity`` nonzeros.
+    """A code (``ndim`` 1) or l x K codes stored columnwise (``ndim`` 2),
+    held as a read-only int8 array (see :func:`_held`) after checking that
+    every entry lies in {-1, 0, +1} and every column has exactly
+    ``sparsity`` nonzeros.
 
     Integer-valued floats are accepted.  The alphabet is checked before the
     sparsity, over the whole array at once.
     """
-    s = np.asarray(symbols)
-    if s.ndim != ndim:
-        raise DimensionError(f"codes must be {ndim}-D, got shape {s.shape}")
+    s = _as_array(symbols, "codes", ndim, DimensionError)
     if not np.all((s == 0) | (s == 1) | (s == -1)):
         raise InvalidInputError("code symbols must lie in {-1, 0, +1}")
     length = s.shape[0]
@@ -152,7 +158,7 @@ def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
     if wrong.size:
         j = wrong[0]
         raise InvalidSparsityError(f"code {j} has {nnz[j]} nonzeros, declared sparsity {sparsity}")
-    return _frozen(s.astype(np.int8, copy=False))
+    return _held(s, np.int8)
 
 
 @dataclass(frozen=True)
@@ -307,24 +313,20 @@ def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:
 
 def ternarize(values: np.ndarray, sparsity: int) -> TernaryCode:
     """Quantize a real vector to a :class:`TernaryCode` with exact sparsity."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {v.shape}")
+    v = _as_array(values, "values", 1, DimensionError).astype(np.float64, copy=False)
     return TernaryCode(_ternarize_checked(v[:, None], sparsity)[:, 0], sparsity)
 
 
 def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
     """Columnwise ternarization of an l x N real matrix (int8 result)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {m.shape}")
+    m = _as_array(matrix, "values", 2, DimensionError).astype(np.float64, copy=False)
     return _ternarize_checked(m, sparsity)
 
 
 def embed(projection: ProjectionMatrix, signature: np.ndarray, sparsity: int) -> TernaryCode:
     """Sparsifying transform coding: ternarize the projection of a signature."""
-    x = np.asarray(signature, dtype=np.float64)
-    if x.ndim != 1 or x.size != projection.dim:
+    x = _as_array(signature, "signature", 1, DimensionError).astype(np.float64, copy=False)
+    if x.size != projection.dim:
         raise DimensionError(f"signature of length {x.size} does not match projection rows {projection.dim}")
     return ternarize(projection.data.T @ x, sparsity)
 

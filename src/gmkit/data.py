@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _frozen
+from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _held
 from .errors import ConfigError, InvalidInputError, ParseError
 
 ENROLLED_FILE = "enrolled.csv"
@@ -80,7 +80,8 @@ class Dataset:
     the enrolled column index of each one's identity; ``impostors`` holds
     one impostor query per row.  Impostor identities are disjoint from
     enrolled ones by construction.  Construction checks each matrix once
-    and keeps it read-only (see :func:`gmkit.core._check_query_vectors`).
+    and holds it read-only: an array that no writeable array reaches is kept
+    as it is, any other is copied once (see :func:`gmkit.core._held`).
     """
 
     enrolled: SignatureMatrix
@@ -137,9 +138,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
     samples = _draw_part(rng, spec.num_identities, spec)
     enrolled = SignatureMatrix(np.ascontiguousarray(samples[:, 0].T))
     # read-only copies, one vector per row, which the Dataset keeps as they are
-    genuine = _frozen(samples[:, 1:]).reshape(-1, spec.dim)
+    genuine = _held(samples[:, 1:], np.float64).reshape(-1, spec.dim)
     del samples  # frees the draw before the impostors are drawn
-    impostors = _frozen(_draw_part(rng, spec.num_impostor_identities, spec)).reshape(-1, spec.dim)
+    impostors = _held(_draw_part(rng, spec.num_impostor_identities, spec), np.float64).reshape(-1, spec.dim)
     genuine_ids = np.repeat(np.arange(spec.num_identities), spec.samples_per_identity - 1)
     return Dataset(enrolled, genuine, genuine_ids, impostors)
 

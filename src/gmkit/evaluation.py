@@ -7,17 +7,16 @@ over all groups is at most the threshold, then names the nearest group.
 
 A :class:`QuerySet` holds its genuine and its impostor queries as two
 read-only Q x d matrices, one query per row, checked once at construction;
-a writeable array it is built from is copied, so later changes to it do not
-reach the measures.  Queries are embedded and scored once per query set and
-model: the genuine and the impostor queries are each embedded with one
-``ternarize_columns(W^T Q^T)`` and scored in one Q x M matrix of exact
+an array that a writeable array can reach is copied, so later changes to
+it do not reach the measures.  The first measure to score a model embeds
+the genuine and the impostor queries, each with one
+``ternarize_columns(W^T Q^T)``, and scores each in one Q x M matrix of exact
 integer distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r
-shortcut, so nothing here relies on the exactly-S contract.  The
-query set keeps those codes and matrices for the last model it was scored
-against, and the sweeps, the report and the security measure index them.
-e.r is a float64 matrix product and still exact: every entry is in
-{-1, 0, +1}, so every partial sum is an integer of magnitude at most
-l < 2**53, whatever order BLAS adds in.
+shortcut, so nothing here relies on the exactly-S contract.  The query set
+keeps the genuine codes and both matrices for the last model it was scored
+against, and the sweeps, the report and the security measure index them.  e.r is a float64 matrix product and still exact:
+every entry is in {-1, 0, +1}, so every partial sum is an integer of
+magnitude at most l < 2**53, whatever order BLAS adds in.
 
 The reconstruction attacks model a curious server that knows the projection:
 a code v is mapped back as beta * W v with a scalar gain beta fitted by
@@ -48,10 +47,10 @@ class QuerySet:
 
     ``genuine`` holds one genuine query per row (Q x d), ``groups`` the true
     group of each, and ``impostors`` one impostor query per row; construction
-    checks each once and keeps it read-only.  The codes and distances the
-    measures compute are kept for the last model scored (compared by
-    identity), so the measures of one evaluation pass embed and score each
-    query once.
+    checks each once and holds it read-only (see :func:`gmkit.core._held`).
+    The first measure to score a model computes the genuine codes and both
+    distance matrices, kept until another model (compared by identity) is
+    scored, so one evaluation pass embeds and scores each query once.
     """
 
     genuine: np.ndarray
@@ -71,24 +70,7 @@ class QuerySet:
         object.__setattr__(self, "genuine", genuine)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "impostors", impostors)
-        object.__setattr__(self, "_scored", (None, {}))
-
-    def _memo(self, model: Model, part: str, compute) -> np.ndarray:
-        """``part`` of this query set under ``model``, computed on first use.
-
-        One slot: scoring another model drops what the previous one left.
-        The slot is replaced, never edited, so a concurrent caller scoring
-        another model keeps its own parts.
-        """
-        scored_model, parts = self._scored
-        if scored_model is not model:
-            parts = {}
-            object.__setattr__(self, "_scored", (model, parts))
-        if part not in parts:
-            value = compute()
-            value.setflags(write=False)
-            parts[part] = value
-        return parts[part]
+        object.__setattr__(self, "_scored", (None, None))
 
 
 @dataclass(frozen=True)
@@ -175,16 +157,20 @@ def _distances(model: Model, codes: np.ndarray) -> np.ndarray:
     return d.astype(np.int32)
 
 
-def _genuine_codes(model: Model, queries: QuerySet) -> np.ndarray:
-    return queries._memo(model, "genuine codes", lambda: _embed(model, queries.genuine))
-
-
-def _genuine_distances(model: Model, queries: QuerySet) -> np.ndarray:
-    return queries._memo(model, "genuine distances", lambda: _distances(model, _genuine_codes(model, queries)))
-
-
-def _impostor_distances(model: Model, queries: QuerySet) -> np.ndarray:
-    return queries._memo(model, "impostor distances", lambda: _distances(model, _embed(model, queries.impostors)))
+def _scores(model: Model, queries: QuerySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only genuine codes (l x Q int8) and genuine and impostor distances
+    (Q x M int32) of ``queries`` under ``model``, computed together once and
+    kept in the query set's one slot until another model is scored.  The
+    slot is replaced, never edited, so a concurrent caller scoring another
+    model keeps its own scores."""
+    scored_model, scores = queries._scored
+    if scored_model is not model:
+        codes = _embed(model, queries.genuine)
+        scores = (codes, _distances(model, codes), _distances(model, _embed(model, queries.impostors)))
+        for part in scores:
+            part.setflags(write=False)
+        object.__setattr__(queries, "_scored", (model, scores))
+    return scores
 
 
 def _true_groups(model: Model, queries: QuerySet) -> np.ndarray:
@@ -227,9 +213,10 @@ def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator
     all) are always included.
     """
     groups = _true_groups(model, queries)
-    genuine = _genuine_distances(model, queries)[np.arange(len(groups)), groups]
+    _, genuine, impostor = _scores(model, queries)
     claims = rng.integers(model.representations.num_groups, size=len(queries.impostors))
-    impostor = _impostor_distances(model, queries)[np.arange(len(claims)), claims]
+    genuine = genuine[np.arange(len(groups)), groups]
+    impostor = impostor[np.arange(len(claims)), claims]
     return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
 
 
@@ -269,9 +256,8 @@ def identify(model: Model, code: TernaryCode, threshold: float) -> Optional[int]
 
 def identification_sweep(model: Model, queries: QuerySet) -> RocCurve:
     """ROC of the open-set acceptance step (minimum distance over groups)."""
-    genuine = _genuine_distances(model, queries).min(axis=1)
-    impostor = _impostor_distances(model, queries).min(axis=1)
-    return _roc_from_scores(genuine, impostor, 4 * model.config.sparsity)
+    _, genuine, impostor = _scores(model, queries)
+    return _roc_from_scores(genuine.min(axis=1), impostor.min(axis=1), 4 * model.config.sparsity)
 
 
 def threshold_at_pfp(roc: RocCurve, target: float) -> float:
@@ -286,7 +272,7 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     step; with zero accepted queries it is defined as 0 and flagged.
     """
     groups = _true_groups(model, queries)
-    distances = _genuine_distances(model, queries)
+    distances = _scores(model, queries)[1]
     nearest = np.argmin(distances, axis=1)
     accepted_rows = distances.min(axis=1) <= threshold
     accepted = int(np.count_nonzero(accepted_rows))
@@ -345,7 +331,7 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
     beta = _gain(enrolled_lifted, signatures.data)
     mse_security = _residual_mse(signatures.data, enrolled_lifted, beta)
     del enrolled_lifted  # d x N: freed before the queries are lifted, which lowers the peak
-    genuine_lifted = w @ _genuine_codes(model, queries).astype(np.float64)
+    genuine_lifted = w @ _scores(model, queries)[0].astype(np.float64)
     return SecurityReport(
         mse_security=mse_security,
         mse_privacy=_residual_mse(queries.genuine.T, genuine_lifted, beta),

@@ -55,6 +55,8 @@ from .core import (
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
+    _as_array,
+    _held,
     ternarize_columns,
 )
 from .errors import ConfigError, DimensionError, GmkitError, InvalidInputError
@@ -70,10 +72,7 @@ class AssignmentMatrix:
     num_groups: int
 
     def __post_init__(self):
-        g = np.asarray(self.group_of)
-        if g.ndim != 1:
-            raise DimensionError(f"assignment must be 1-D, got shape {g.shape}")
-        g = g.astype(np.int64)
+        g = _as_array(self.group_of, "assignment", 1, DimensionError, integers=True)
         if self.num_groups < 1:
             raise ConfigError("num_groups must be positive")
         if g.size and (g.min() < 0 or g.max() >= self.num_groups):
@@ -81,8 +80,7 @@ class AssignmentMatrix:
         present = np.unique(g)
         if present.size != self.num_groups:
             raise ConfigError(f"every group must be nonempty: {self.num_groups - present.size} empty")
-        g.setflags(write=False)
-        object.__setattr__(self, "group_of", g)
+        object.__setattr__(self, "group_of", _held(g, np.int64))
 
     @property
     def num_signatures(self) -> int:
@@ -224,11 +222,9 @@ class KMeansResult:
 _NEAR_TIE = 1e-9
 
 
-def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
-    """(int64, float64) copies of integer-valued points, within exact range."""
-    pf = np.ascontiguousarray(points, dtype=np.float64)
-    if pf.ndim != 2:
-        raise DimensionError(f"points must be 2-D, got shape {pf.shape}")
+def _integer_points(points) -> np.ndarray:
+    """The one copy k-means reads: integer-valued points as float64, within exact range."""
+    pf = np.ascontiguousarray(_as_array(points, "k-means points", 2, DimensionError), dtype=np.float64)
     if not np.all(np.isfinite(pf)):
         raise InvalidInputError("k-means points must be finite")
     if not np.array_equal(pf, np.round(pf)):
@@ -239,7 +235,7 @@ def _integer_points(points) -> tuple[np.ndarray, np.ndarray]:
     # most dim * N * amax**2; the int64 objective numerators reach 4 * dim * N**3 * amax**2
     if dim * n * amax**2 >= 2**53 or 4 * dim * n**3 * amax**2 >= 2**63:
         raise InvalidInputError(f"k-means points too large for exact arithmetic: max |p| = {amax}, N = {n}, dim = {dim}")
-    return pf.astype(np.int64), pf
+    return pf
 
 
 def _group_sums(points: np.ndarray, group_of: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,15 +333,16 @@ def _nearest(pf: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.
     return assign, na * na * sq_norms - 2 * na * dots + sq_sums[assign]
 
 
-def _kmeans_pp_init(points: np.ndarray, pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
+def _kmeans_pp_init(pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
     """Seeded k-means++ seeding on exact squared distances; degenerate
-    all-coincident tails fall back to the lowest unchosen indices."""
-    n = points.shape[0]
+    all-coincident tails fall back to the lowest unchosen indices.  Returns
+    the chosen points as int64 group sums."""
+    n = pf.shape[0]
     pf_t = np.ascontiguousarray(pf.T)
 
     def dist2(i: int) -> np.ndarray:
         # p_i . p summed over the support of p_i only: exact integers in float64
-        support = np.flatnonzero(points[i])
+        support = np.flatnonzero(pf[i])
         return sq_norms + sq_norms[i] - 2 * (pf[i, support] @ pf_t[support]).astype(np.int64)
 
     chosen = [int(rng.integers(n))]
@@ -355,10 +352,10 @@ def _kmeans_pp_init(points: np.ndarray, pf: np.ndarray, sq_norms: np.ndarray, k:
         idx = int(rng.choice(n, p=d2 / total)) if total > 0 else min(set(range(n)) - set(chosen))
         chosen.append(idx)
         np.minimum(d2, dist2(idx), out=d2)
-    return points[chosen].copy()
+    return pf[chosen].astype(np.int64)
 
 
-def _fix_empty(points: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> bool:
+def _fix_empty(pf: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> bool:
     """Reseed every empty group with the point farthest from its own centroid,
     taken from a group with at least two members; ``dist`` holds the scaled
     distances returned by :func:`_nearest` and is updated in place."""
@@ -368,7 +365,7 @@ def _fix_empty(points: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: n
         eligible = np.flatnonzero(members[assign] >= 2)
         scale = counts[assign[eligible]]
         stolen = int(eligible[_exact_argmin(-dist[eligible][None, :], scale * scale)[0]])
-        sums[g] = points[stolen]
+        sums[g] = pf[stolen]
         counts[g] = 1
         members[assign[stolen]] -= 1
         members[g] = 1
@@ -418,8 +415,8 @@ def kmeans(
     sums and counts are always those of the returned assignment.  Raises
     :class:`InvalidInputError` on non-finite or non-integer points.
     """
-    pts, pf = _integer_points(points)
-    n = pts.shape[0]
+    pf = _integer_points(points)
+    n = pf.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= number of points, got k={k} n={n}")
     if initial is not None:
@@ -427,14 +424,14 @@ def kmeans(
             raise DimensionError(f"initial assignment has {initial.num_signatures} entries for {n} points")
         if initial.num_groups != k:
             raise ConfigError(f"initial assignment has {initial.num_groups} groups, expected k={k}")
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    sq_norms = np.einsum("ij,ij->i", pf, pf).astype(np.int64)
     total_sq = int(sq_norms.sum())
     trace: list[Fraction] = []
 
     def assign_step(sums, counts):
         assign, dist = _nearest(pf, sq_norms, sums, counts)
         trace.append(_exact_sum(dist, counts[assign] ** 2))
-        if _fix_empty(pts, assign, dist, sums, counts):
+        if _fix_empty(pf, assign, dist, sums, counts):
             trace.append(_exact_sum(dist, counts[assign] ** 2))
         return assign
 
@@ -445,7 +442,7 @@ def kmeans(
         return sums, counts
 
     if initial is None:
-        sums = _kmeans_pp_init(pts, pf, sq_norms, k, rng)
+        sums = _kmeans_pp_init(pf, sq_norms, k, rng)
         counts = np.ones(k, dtype=np.int64)
         prev = None
     else:

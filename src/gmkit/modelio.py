@@ -12,7 +12,8 @@ The numeric sections are written and read by the CSV code of
 section, its row within the section and its column, and an empty section
 is one naming the section.  A ``[config]`` value that does not cast to its
 field's type, or a missing ``[config]`` key, is a :class:`ParseError`
-naming the key.
+naming the key, and a non-finite ``[objective_trace]`` value one naming
+its row.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import _MODEL_FIELDS, CodeMatrix, ModelConfig, ProjectionMatrix, _read_fields
 from .data import _csv_lines, _data_lines, _parse_rows
-from .errors import ParseError
+from .errors import GmkitError, ParseError
 from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
 
 _HEADER = "# gmkit model v1"
@@ -98,7 +99,10 @@ def load_model(path: str) -> Model:
     for lineno, row in enumerate(parse_rows("objective_trace", float, 1).tolist(), start=2):
         if len(row) != 4:
             raise ParseError(f"{path}: [objective_trace] row {lineno} needs 4 columns")
-        entry = ObjectiveBreakdown(*row)
+        try:
+            entry = ObjectiveBreakdown(*row)
+        except GmkitError as err:  # a non-finite value
+            raise ParseError(f"{path}: [objective_trace] row {lineno}: {err}") from None
         recomputed = ObjectiveBreakdown.from_parts(*row[:3], config.within_weight, config.between_weight).total
         if abs(recomputed - entry.total) > 1e-9 * max(1.0, abs(entry.total)):
             raise ParseError(f"{path}: [objective_trace] row {lineno} total is inconsistent with its parts")

@@ -247,6 +247,20 @@ class TestTrain:
         assert main(["train", "--config", config_path(out_b), "--seed=99"]) == 0
         assert (out_a / "model.txt").read_bytes() != (out_b / "model.txt").read_bytes()
 
+    def test_dataset_flag_needs_no_data_section(self, tmp_path, config_path):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        cfg = Path(config_path(tmp_path / "run"))
+        text = cfg.read_text()
+        cfg.write_text(text[:text.index("[data]")] + text[text.index("[sweep]"):])
+        for command in ("train", "eval-verify"):
+            assert main([command, "--config", str(cfg), "--dataset", str(bundle)]) == 0
+        flagged = read_tree(tmp_path / "run")
+        assert f"data: {bundle}\n" in flagged["train.log"].decode()
+        for command in ("train", "eval-verify"):
+            assert main([command, "--config", str(cfg), f"--dataset_dir={bundle}"]) == 0
+        assert read_tree(tmp_path / "run") == flagged
+
     def test_multi_valued_weight_list_rejected(self, tmp_path, config_path, capsys):
         cfg = config_path(tmp_path / "x")
         assert main(["train", "--config", cfg, "--within_weights=1.0,2.0"]) != 0

@@ -19,6 +19,7 @@ from gmkit.core import _check_query_vectors
 from gmkit.errors import (
     ConfigError,
     DimensionError,
+    GmkitError,
     InvalidInputError,
     InvalidSparsityError,
 )
@@ -273,6 +274,10 @@ class TestTypes:
         assert not kept.flags.writeable and not np.shares_memory(kept, rows)
         assert _check_query_vectors(kept, 4, "query", DimensionError) is kept
         assert _check_query_vectors(kept, None, "query", DimensionError) is kept
+        view = rows[:]  # read-only, but its writeable base still reaches its memory
+        view.setflags(write=False)
+        held = _check_query_vectors(view, 4, "query", DimensionError)
+        assert not held.flags.writeable and not np.shares_memory(held, rows)
         ints = np.eye(4, dtype=np.int64)[:2]
         ints.setflags(write=False)
         converted = _check_query_vectors(ints, 4, "query", DimensionError)
@@ -283,6 +288,25 @@ class TestTypes:
         for bad in (rows.astype(str), rows.astype(complex), rows.astype(object)):
             with pytest.raises(InvalidInputError):
                 _check_query_vectors(bad, 4, "query", DimensionError)
+
+    @pytest.mark.parametrize("build, valid", [
+        pytest.param(SignatureMatrix, np.eye(3)[:, :2], id="SignatureMatrix"),
+        pytest.param(ProjectionMatrix, np.eye(3)[:, :2], id="ProjectionMatrix"),
+        pytest.param(lambda m: CodeMatrix(m, 1), np.eye(3)[:, :2], id="CodeMatrix"),
+        pytest.param(lambda m: TernaryCode(m, 1), np.eye(3)[0], id="TernaryCode"),
+    ])
+    def test_malformed_input_raises_library_error(self, build, valid):
+        build(valid)
+        faults = [
+            ([valid.tolist(), valid.tolist()[:-1]], DimensionError),  # ragged
+            (valid.astype(str), InvalidInputError),
+            (valid.astype(complex), InvalidInputError),  # not cast to real, which would drop the imaginary part
+            (valid.astype(object), InvalidInputError),
+        ]
+        for bad, expected in faults:
+            with pytest.raises(GmkitError) as caught:
+                build(bad)
+            assert type(caught.value) is expected
 
     def test_projection_requires_orthonormal_columns(self):
         with pytest.raises(InvalidInputError):

@@ -686,8 +686,8 @@ class TestQuerySetMemo:
         genuine, _, impostors = parts
         queries = QuerySet(*parts)
         identification_report(model, queries, 4)
+        assert calls == [(6, len(genuine)), (6, len(impostors))]  # the first measure scores both sides
         security_report(signatures, queries, model)
-        assert calls == [(6, len(genuine))]  # the genuine side only: no impostor embedding yet
         evaluation_pass(model, queries, signatures)
         assert calls == [(6, len(genuine)), (6, len(impostors))]
         evaluation_pass(model, QuerySet(*parts), signatures)
@@ -715,8 +715,8 @@ class TestQuerySetMemo:
             assert not stacked.flags.writeable
         with pytest.raises(ValueError):
             queries.genuine[0, 0] = 0.0
-        _, parts = queries._scored
-        assert parts and not any(part.flags.writeable for part in parts.values())
+        _, scores = queries._scored
+        assert len(scores) == 3 and not any(part.flags.writeable for part in scores)
         genuine[0] = impostors[0]
         assert evaluation_pass(model, QuerySet(genuine, groups, impostors), signatures) != before
         assert evaluation_pass(model, queries, signatures) == before
@@ -765,6 +765,24 @@ class TestQuerySetFromDataset:
         ]
         assert [vec.tolist() for vec in queries.impostors] == [vec.tolist() for vec in checked.impostors]
         assert evaluation_pass(model, queries, ds.enrolled) == evaluation_pass(model, checked, ds.enrolled)
+
+    def test_read_only_views_of_writeable_arrays_are_copied(self):
+        ds, model = self.dataset_and_model()
+        bases = [ds.enrolled.data.copy(), ds.genuine.copy(), ds.genuine_ids.copy(),
+                 model.assignments.group_of[ds.genuine_ids], ds.impostors.copy()]
+        enrolled, genuine, ids, groups, impostors = views = [base[:] for base in bases]
+        for view in views:
+            view.setflags(write=False)
+        dataset = Dataset(SignatureMatrix(enrolled), genuine, ids, impostors)
+        queries = QuerySet(genuine, groups, impostors)
+        held = [dataset.enrolled.data, dataset.genuine, dataset.genuine_ids, dataset.impostors,
+                queries.genuine, queries.groups, queries.impostors]
+        before = [array.copy() for array in held]
+        for base in bases:
+            base[0] = np.nan if base.dtype == np.float64 else 99
+        for array, kept in zip(held, before):
+            assert not array.flags.writeable and np.array_equal(array, kept)
+            assert not any(np.shares_memory(array, base) for base in bases)
 
     def test_model_of_other_signatures_rejected(self):
         ds, _ = self.dataset_and_model()

@@ -695,11 +695,27 @@ class TestKMeansAndRYStep:
             pytest.param([[0.0, 1.0], [np.inf, 0.0]], InvalidInputError, id="inf"),
             pytest.param([[0.0, 1.0], [2.0**40, 0.0]], InvalidInputError, id="past-exact-range"),
             pytest.param([0.0, 1.0], DimensionError, id="one-dimensional"),
+            pytest.param([[0.0, 1.0], [1.0]], DimensionError, id="ragged"),
+            pytest.param(np.array([[0, 1], [1, 0]], dtype=complex), InvalidInputError, id="complex"),
+            pytest.param(np.array([["0", "1"], ["1", "0"]]), InvalidInputError, id="string"),
         ],
     )
     def test_kmeans_rejects_points_outside_exact_integers(self, bad, error):
         with pytest.raises(error):
-            kmeans(np.array(bad), 1, np.random.default_rng(0))
+            kmeans(bad, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "group_of, error",
+        [
+            pytest.param([0, [1]], DimensionError, id="ragged"),
+            pytest.param([0.0, 1.0], ConfigError, id="float"),
+            pytest.param(["0", "1"], ConfigError, id="string"),
+            pytest.param(np.array([0, 1], dtype=complex), ConfigError, id="complex"),
+        ],
+    )
+    def test_assignment_indices_must_be_integers(self, group_of, error):
+        with pytest.raises(error):
+            AssignmentMatrix(group_of, 2)
 
     def test_kmeans_memory_bounded_in_n_times_m(self):
         # an N x M x l float64 broadcast would take 64 MiB here

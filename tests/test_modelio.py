@@ -211,3 +211,16 @@ def test_non_ascii_byte_names_file_and_row(model, tmp_path):
     with pytest.raises(ParseError) as err:
         load_model(str(path))
     assert str(err.value) == f"{path}: row 13: byte 0xe9 is not ASCII"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_trace_value_names_its_row(model, tmp_path, bad):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    at = lines.index("[objective_trace]") + 2  # the first row under the header
+    lines[at] = bad + lines[at][lines[at].index(","):]
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [objective_trace] row 2: objective component embedding_cost is not finite"
