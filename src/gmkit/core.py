@@ -215,9 +215,15 @@ class ModelConfig:
     rescaled by within/(within - between), which must be positive, so
     ``within_weight > between_weight > 0`` is required.
 
-    ``convergence_tol`` stops training early when the total objective moves
+    Training runs at most ``max_outer_iters`` outer iterations, and stops
+    at the first one whose codes, representations and assignment all equal
+    the previous iteration's: that state is an exact fixed point, which
+    every later iteration would repeat bit for bit, so the stop changes no
+    model.
+
+    ``convergence_tol`` also stops training when the total objective moves
     less than the tolerance between outer iterations.  It defaults to 0 (no
-    early stop): the grouping step continues from the previous assignment,
+    such stop): the grouping step continues from the previous assignment,
     but the projection and code updates round onto ternary codes and need
     not lower the objective, so an unchanged total does not mean a fixed
     point.

@@ -343,19 +343,28 @@ def load_dataset(directory: str) -> Dataset:
     otherwise it is parsed from the CSV with :func:`load_matrix`.  A content
     digest, not a size or a time stamp, because a CSV edited in place can
     keep both.  Both ways give the same arrays, bit for bit, and the checks
-    that follow are the same.  Nothing in the directory is written.
+    that follow are the same: a non-finite coordinate, and an identity that
+    is not an enrolled column index, are a ParseError naming the CSV and
+    its row.  Nothing in the directory is written.
     """
     digests = _read_manifest(os.path.join(directory, MANIFEST_FILE))
 
-    def read(path: str) -> np.ndarray:
+    def read(path: str, first: int = 0) -> np.ndarray:
+        """The matrix of one bundle CSV; a non-finite entry in a column from
+        ``first`` on is a ParseError naming its row and column."""
         copy = _copy_path(path)
-        if _listed(digests, path) and _listed(digests, copy):
-            return _load_copy(copy)
-        return load_matrix(path)
+        m = _load_copy(copy) if _listed(digests, path) and _listed(digests, copy) else load_matrix(path)
+        finite = np.isfinite(m[:, first:])
+        if not finite.all():
+            k, j = (int(i) for i in np.argwhere(~finite)[0])
+            value = float(m[k, first + j])
+            raise ParseError(f"{path}: row {_data_line(path, k)}, column {first + j + 1}: {value!r} is not finite")
+        return m
 
     enrolled = SignatureMatrix(read(os.path.join(directory, ENROLLED_FILE)).T)
     genuine_path = os.path.join(directory, GENUINE_FILE)
-    genuine_raw = read(genuine_path)
+    # the identity column is checked below, with its own message
+    genuine_raw = read(genuine_path, first=1)
     ids = genuine_raw[:, 0]
     # checked before the int64 cast, which would wrap an identity such as 1e300
     n = enrolled.num_signatures

@@ -22,6 +22,24 @@ three block updates are:
   assignment scores on the new codes, and stops after one assignment step
   when the assignment is already a fixed point.
 
+Two of the objective's terms do less than its form suggests.  The code
+update collapses onto the representations at large lambda: on r_g's support
+each magnitude of p + lambda r_g is at least lambda - |p_j|, and off it
+|p_j|, so lambda > 2 max|P| gives e = r_g exactly, the code of every member
+of group g.  |p_j| <= 1 always, since signatures are unit norm and W has
+orthonormal columns, so any lambda > 2 makes E = R Y whatever W is; at the
+default lambda = 1 it takes every entry of W^T X below 1/2.  And every
+representation has exactly S nonzeros, so ||R Y||_F^2 = N S at every
+iteration: gamma offsets the reported total by the constant -gamma N S and
+changes no update.
+
+An outer iteration is a function of the (E, R, Y) it starts from: W is a
+function of E, and every grouping step after the first is deterministic.
+So training stops at the first iteration that ends in the same state as
+the iteration before it; every later one would repeat it bit for bit, and
+the model and trace are those of the full run, less the repeats of the last
+trace row.
+
 The total objective is not guaranteed monotone across outer iterations (the
 ternary projections break monotonicity); the per-iteration trace is recorded
 and only required to stay finite.  Inside the grouping step, however, the
@@ -521,13 +539,17 @@ def _alternate(
 
     ``group`` is the grouping step: it maps the current codes and the
     current assignment (None on the first call) to the group
-    representations and the new assignment.
+    representations and the new assignment.  Every call after the first
+    must be deterministic and draw nothing from ``rng``: the loop stops at
+    the first iteration that ends in the same state as the one before it,
+    which is sound only if such a state repeats forever (see the module
+    docstring).
     """
     projection, codes = _init_state(signatures, config, rng)
     reps, assign = group(codes, None)
 
     trace: list[ObjectiveBreakdown] = []
-    prev_total = None
+    prev_total = prev_state = None
     for _ in range(config.max_outer_iters):
         projection = _svd_projection(signatures, codes)
         # W^T X once per iteration, for the code update and the embedding cost
@@ -536,9 +558,12 @@ def _alternate(
         reps, assign = group(codes, assign)
         breakdown = objective(projected, codes, reps, assign, config.within_weight, config.between_weight)
         trace.append(breakdown)
+        state = (codes.codes, reps.codes, assign.group_of)
+        if prev_state is not None and all(map(np.array_equal, state, prev_state)):
+            break
         if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
             break
-        prev_total = breakdown.total
+        prev_total, prev_state = breakdown.total, state
     return Model(projection, codes, reps, assign, config, tuple(trace))
 
 
@@ -549,9 +574,12 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
     first ternarization pass, grouping from a seeded k-means++ run on those
     codes.  Every later grouping step warm-starts k-means from the current
     assignment, so k-means++ runs once per training run and nothing is
-    drawn from the rng after it.  Stops after ``max_outer_iters`` iterations, or earlier
-    when a positive ``convergence_tol`` exceeds the change of the total
-    objective.
+    drawn from the rng after it.  Stops after ``max_outer_iters``
+    iterations, or earlier at the first iteration whose codes,
+    representations and assignment equal the previous iteration's (an
+    exact fixed point: the model is the one ``max_outer_iters`` iterations
+    give, and the trace lacks only the repeats of its last row), or when a
+    positive ``convergence_tol`` exceeds the change of the total objective.
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)

@@ -469,12 +469,12 @@ def test_c10_cli_determinism(tmp_path):
 # fixed-seed output must update these digests and say so in CHANGES.md.
 GOLDEN_TRAIN_DIGESTS = {
     "train": (
-        "9ed13b83f3b4e95936b8b05d39d00b66e230334cc02afe83c8adb03d3a070708",
-        "6be2f31ae60f003391ec62e10a98b46d0999b973210de9ae6f911577434535fe",
+        "64be648fdc15bbb9057d4ff33fe7083ebc60eaebd2bfe1837bbf9ab17bcafba6",
+        "dbeac20773788520bac98ec82a489fedddc930e4de8cf61dabc0e2414fcb6434",
     ),
     "baseline": (
-        "4385b5be4892efa53f98d42ee1e088dcd047604f9972672a07865a8d540ac0ff",
-        "3749522ce0d4cd260c377c20c87b3762bca1dd905ba78cd9d4f71fd5a399943b",
+        "eddcaadd951bfb9fc4929fafbba0b7697233673338b5600eca0820dd9372e945",
+        "0999901ad8304c4c5839b5b521b403f508528855d0d3bc1869cf482816b71a90",
     ),
 }
 
@@ -564,16 +564,16 @@ out_dir = {out}
 # these bytes exactly.
 GOLDEN_PROTOCOL_SHAPE_DIGESTS = {
     "seed-2": (
-        "278df2dd0f4bfd751a4b2eb5ccae21e0348d9739e1410ff6edb157f4e73c46f2",
-        "df2a9092fd358fdfaec2bbb818fef690c7c904bc4be4d2e76e1be7e5ac0457c3",
+        "e726f965aeb0e3d0f07c74e43c04d48cba39374981ce180ecc19d32a509660f9",
+        "bc7c4c258528e1e197e629405bc1c907c626bd5a39caec9e9fb05e84460288a1",
     ),
     "seed-3": (
-        "0392cd88abde98907f31c2b01df2dbe34b83737fad96ba60fcc2e56f1ce04606",
-        "cd9275d87109340d77d93a97d9c4897c1dcf9a0432f1dfa4862024a0e0f8c286",
+        "d9cc77add08bfadec50f1aeb400f545668c5b01886065bf798eb0c0d700f2b1f",
+        "86ea3fda57e9715c2c6ce2dd996c533f93dc78e5115448b8f403f8fc387d557e",
     ),
     "baseline-16-seed-2": (
-        "873d92bd45722b6a489fa8382e693fa8f7c9873447123ff901f223e62467ff6b",
-        "d67dc438946abc99e919eba7a99576b0ecc6bcf074974599e8a50615f3cba992",
+        "85435f624909f1ab7a4029abfacd2a9348a8479fdc0a657bd7fbfeb4baae1481",
+        "262b44f37b76ae08f4ff72b92c070239b0b2a8871d584ead7ea180bcf08d0a64",
     ),
 }
 
@@ -670,15 +670,15 @@ def relabeled_model_digests(out):
 GOLDEN_RELABELED_DIGESTS = {
     "cli": (
         "82bf3e261a7c036eb3cf20f8bf1cfd44795899c411b8c6ebb7ec226c5250403e",
-        "6be2f31ae60f003391ec62e10a98b46d0999b973210de9ae6f911577434535fe",
+        "dbeac20773788520bac98ec82a489fedddc930e4de8cf61dabc0e2414fcb6434",
     ),
     "protocol-shape-seed-2": (
         "f8d73decf5b657a6aad6c6a15e2f6147a959a0f05dc67afecc04e493c35fd3e2",
-        "df2a9092fd358fdfaec2bbb818fef690c7c904bc4be4d2e76e1be7e5ac0457c3",
+        "bc7c4c258528e1e197e629405bc1c907c626bd5a39caec9e9fb05e84460288a1",
     ),
     "protocol-shape-seed-3": (
         "3d8bb60b2bdbf209156d4c7ba8b91cb55fe661337f010639a4accf8ae37bc89f",
-        "cd9275d87109340d77d93a97d9c4897c1dcf9a0432f1dfa4862024a0e0f8c286",
+        "86ea3fda57e9715c2c6ce2dd996c533f93dc78e5115448b8f403f8fc387d557e",
     ),
 }
 

@@ -173,7 +173,8 @@ class TestGenData:
         capsys.readouterr()
         rc = main(["eval-verify", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
         assert rc == 1
-        assert capsys.readouterr().err == "ERROR:input:impostor query is not unit norm\n"
+        # named by file, row and column, not reported as a norm failure of some query
+        assert capsys.readouterr().err == f"ERROR:io:{path}: row 2, column 1: {float(bad)!r} is not finite\n"
 
 
 class TestBundleCopy:

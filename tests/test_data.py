@@ -592,6 +592,28 @@ class TestBundleCopy:
         with pytest.raises(ParseError, match="genuine.npy"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("via_copy", [False, True], ids=["csv", "copy"])
+    @pytest.mark.parametrize(
+        "name, column, token", [("enrolled.csv", 3, "nan"), ("genuine.csv", 2, "inf"), ("impostors.csv", 8, "-inf")]
+    )
+    def test_non_finite_entry_names_file_row_and_column(self, tmp_path, name, column, token, via_copy):
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / name
+        lines = path.read_text().split("\n")
+        cells = lines[3].split(",")  # the third data row, after the header
+        cells[column - 1] = token
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        if via_copy:  # a bundle whose copy and manifest match the edited CSV
+            np.save(path.with_suffix(".npy"), load_matrix(str(path)))
+            write_manifest(tmp_path)
+        else:  # a bundle without a manifest: every CSV is parsed
+            (tmp_path / "bundle.sha256").unlink()
+        unused = "load_matrix" if via_copy else "_load_copy"
+        with mock.patch.object(data_mod, unused, side_effect=AssertionError(unused)), pytest.raises(ParseError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}: row 4, column {column}: {float(token)!r} is not finite"
+
     def test_load_writes_nothing(self, tmp_path):
         save_dataset(str(tmp_path), generate(spec()))
         edit_keeping_mtime(tmp_path / "genuine.csv", lambda t: t.replace("\n0,", "\n9,", 1))

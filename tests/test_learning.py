@@ -806,8 +806,9 @@ class TestTrain:
             return result
 
         monkeypatch.setattr(learning, "kmeans", recording_kmeans)
-        train(signatures, config)
-        assert len(calls) == config.max_outer_iters + 1
+        model = train(signatures, config)
+        # one warm call per recorded iteration, after the seeded first one
+        assert len(calls) == len(model.objective_trace) + 1
         assert calls[0][2] is None
         for (_, _, _, before), (points, k, initial, result) in zip(calls, calls[1:]):
             assert np.array_equal(initial.group_of, before.assignments)
@@ -815,6 +816,11 @@ class TestTrain:
             reached = oracle_grouping_objective(points, result.assignments.tolist(), k)
             assert result.objective_trace[0] <= float(previous)
             assert reached <= previous
+        if len(model.objective_trace) < config.max_outer_iters:
+            # an early stop is a repeated state: the same codes, grouped the same way
+            (points_a, _, _, a), (points_b, _, _, b) = calls[-2:]
+            assert np.array_equal(points_a, points_b)
+            assert np.array_equal(a.assignments, b.assignments) and np.array_equal(a.sums, b.sums)
 
     def test_kmeans_pp_seeds_once_per_train(self, monkeypatch):
         spec = SyntheticSpec(num_identities=48, samples_per_identity=2, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=6)
@@ -834,11 +840,14 @@ class TestTrain:
         signatures = generate(spec).enrolled
         config = ModelConfig(code_length=8, sparsity=2, num_groups=6, max_outer_iters=4, seed=15)
         calls = dict.fromkeys(("_svd_projection", "e_step", "ry_step", "objective"), 0)
+        states = []  # the (E, R, Y) each iteration ends in, as the objective sees it
         for name in calls:
             real = getattr(learning, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
+                if _name == "objective":
+                    states.append(tuple(np.array(a) for a in (args[1].codes, args[2].codes, args[3].group_of)))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(learning, name, counting)
@@ -846,11 +855,15 @@ class TestTrain:
             model = train_random_assignment_baseline(signatures, config, group_size=4)
         else:
             model = train(signatures, config)
-        iters = config.max_outer_iters
-        assert len(model.objective_trace) == iters
+        iters = len(model.objective_trace)
+        assert 1 <= iters <= config.max_outer_iters
         # the learned loop also groups the initial codes before its first iteration
         expected_ry = 0 if baseline else iters + 1
         assert calls == {"_svd_projection": iters, "e_step": iters, "ry_step": expected_ry, "objective": iters}
+        if iters < config.max_outer_iters:
+            # an early stop (convergence_tol is 0) is a repeated state
+            assert iters >= 2
+            assert all(np.array_equal(a, b) for a, b in zip(states[-2], states[-1]))
 
     def test_seed_stability_of_final_objective(self):
         spec = SyntheticSpec(num_identities=32, samples_per_identity=2, dim=24, noise_sigma=0.1, impostor_fraction=0.25, seed=3)
@@ -860,6 +873,122 @@ class TestTrain:
             config = ModelConfig(code_length=12, sparsity=3, num_groups=8, seed=seed)
             totals.append(train(signatures, config).objective_trace[-1].total)
         assert abs(totals[0] - totals[1]) <= 0.10 * max(abs(totals[0]), abs(totals[1]))
+
+
+# (data spec, model config, baseline group size) of the shapes the
+# fixed-point stop is checked on: the CLI acceptance config, the
+# protocol-session benchmark shape at seeds 2 and 3, and a small
+# verify-batch-like shape, which at within_weight 0.2 stops after 10
+# (learned) and 17 (baseline) of its 30 iterations
+STOP_SHAPES = {
+    "cli": (
+        dict(num_identities=16, samples_per_identity=2, dim=16, noise_sigma=0.05, impostor_fraction=0.25, seed=4),
+        dict(code_length=8, sparsity=2, num_groups=4, max_outer_iters=8, seed=3),
+        4,
+    ),
+    **{
+        f"protocol-session-seed-{seed}": (
+            dict(num_identities=1024, samples_per_identity=4, dim=128, noise_sigma=0.07, impostor_fraction=0.25, seed=seed),
+            dict(code_length=64, sparsity=8, num_groups=64, max_outer_iters=10, seed=seed),
+            16,
+        )
+        for seed in (2, 3)
+    },
+    "verify-batch-like": (
+        dict(num_identities=128, samples_per_identity=2, dim=32, noise_sigma=0.1, impostor_fraction=0.5, seed=1),
+        dict(code_length=16, sparsity=4, num_groups=16, max_outer_iters=30, seed=1),
+        8,
+    ),
+}
+
+
+def stop_shape(name, within_weight):
+    spec, model, group_size = STOP_SHAPES[name]
+    return generate(SyntheticSpec(**spec)).enrolled, ModelConfig(within_weight=within_weight, **model), group_size
+
+
+def train_either(signatures, config, group_size, baseline):
+    if baseline:
+        return train_random_assignment_baseline(signatures, config, group_size)
+    return train(signatures, config)
+
+
+def full_run_oracle(signatures, config, group_size, baseline):
+    """(W, E, R, Y, trace) after all ``max_outer_iters`` iterations, with no
+    stop: the loop's steps driven one by one from the same seeded generator."""
+    rng = np.random.default_rng(config.seed)
+    if baseline:
+        fixed = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
+
+        def group(codes, _previous):
+            sums, _ = _group_sums(codes.codes.T, fixed.group_of, fixed.num_groups)
+            return CodeMatrix(ternarize_columns(sums.T, codes.sparsity), codes.sparsity), fixed
+    else:
+        def group(codes, previous):
+            return ry_step(codes, config.num_groups, rng, previous)
+
+    projection, codes = learning._init_state(signatures, config, rng)
+    reps, assign = group(codes, None)
+    trace = []
+    for _ in range(config.max_outer_iters):
+        projection = _svd_projection(signatures, codes)
+        projected = projection.data.T @ signatures.data
+        codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
+        reps, assign = group(codes, assign)
+        trace.append(objective(projected, codes, reps, assign, config.within_weight, config.between_weight))
+    return projection, codes, reps, assign, trace
+
+
+class TestFixedPointStop:
+    """Training stops at the first iteration that repeats its predecessor's
+    (E, R, Y), and the stopped model is the one the full run gives."""
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["learned", "baseline"])
+    @pytest.mark.parametrize("within_weight", [1.0, 0.2])
+    @pytest.mark.parametrize("shape", list(STOP_SHAPES))
+    def test_stopped_model_is_the_full_run(self, shape, within_weight, baseline):
+        signatures, config, group_size = stop_shape(shape, within_weight)
+        model = train_either(signatures, config, group_size, baseline)
+        projection, codes, reps, assign, trace = full_run_oracle(signatures, config, group_size, baseline)
+        assert np.array_equal(model.projection.data, projection.data)
+        assert np.array_equal(model.codes.codes, codes.codes)
+        assert np.array_equal(model.representations.codes, reps.codes)
+        assert np.array_equal(model.assignments.group_of, assign.group_of)
+        stopped = list(model.objective_trace)
+        assert trace[: len(stopped)] == stopped
+        assert all(row == stopped[-1] for row in trace[len(stopped):])
+        if within_weight == 1.0:
+            # the codes copy their representations, and the loop settles after two iterations
+            assert len(stopped) == 2
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 12), st.floats(0.0, 4.0), st.booleans())
+    def test_weight_above_twice_max_projection_copies_representations(self, seed, code_length, n, scale, at_bound):
+        # on r_g's support |p_j + lambda r_gj| >= lambda - |p_j| > max|P|, and
+        # off it the magnitude is |p_j| <= max|P|: e = r_g whenever lambda > 2 max|P|
+        rng = np.random.default_rng(seed)
+        sparsity = int(rng.integers(1, code_length))
+        num_groups = int(rng.integers(1, n + 1))
+        projected = scale * rng.uniform(-1.0, 1.0, (code_length, n))
+        reps = random_hash_matrix(code_length, num_groups, sparsity, rng)
+        group_of = rng.integers(num_groups, size=n)
+        group_of[:num_groups] = np.arange(num_groups)  # no empty group
+        assignments = AssignmentMatrix(group_of, num_groups)
+        bound = 2 * float(np.max(np.abs(projected)))
+        lam = float(np.nextafter(bound, np.inf)) if at_bound else bound * float(rng.uniform(1.0, 3.0)) + 1e-12
+        codes = e_step(projected, reps, assignments, lam, sparsity)
+        assert np.array_equal(codes.codes, reps.codes[:, group_of])
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["learned", "baseline"])
+    @pytest.mark.parametrize("within_weight", [1.0, 0.2])
+    @pytest.mark.parametrize("shape", ["cli", "verify-batch-like"])
+    def test_between_trace_is_n_times_s(self, shape, within_weight, baseline):
+        # every representation has exactly S nonzeros, so ||R Y||^2 = N S and
+        # between_weight only offsets the total
+        signatures, config, group_size = stop_shape(shape, within_weight)
+        model = train_either(signatures, config, group_size, baseline)
+        constant = signatures.num_signatures * config.sparsity
+        assert [row.between_trace for row in model.objective_trace] == [constant] * len(model.objective_trace)
 
 
 class TestRandomAssignmentBaseline:
