@@ -14,7 +14,9 @@ user sees one masked value per group and knows which group it belongs to.
 
 import random
 
-from gmkit import ModelConfig, ProtocolKeys, SecurityParams, SyntheticSpec, generate, run_protocol, squared_distance, train
+import numpy as np
+
+from gmkit import ModelConfig, ProtocolKeys, SecurityParams, SyntheticSpec, generate, run_protocol, train
 
 # train a small model to get realistic codes and representations
 dataset = generate(SyntheticSpec(num_identities=24, samples_per_identity=2, dim=32,
@@ -29,7 +31,8 @@ keys = ProtocolKeys.generate(params, rng)
 print(f"additive modulus: {keys.additive_public.modulus.bit_length()} bits")
 
 query = model.codes.column(0)
-distances = [squared_distance(query, reps.column(g)) for g in range(reps.num_groups)]
+diff = reps.codes.astype(np.int64) - query.symbols[:, None]
+distances = np.sum(diff * diff, axis=0).tolist()  # the query's squared distance to every group
 true_distance = min(distances)
 print(f"\nquery = enrolled member 0; nearest group distance (plaintext): {true_distance}")
 

@@ -17,10 +17,7 @@ from .core import (
     ProjectionMatrix,
     SignatureMatrix,
     TernaryCode,
-    correlation,
     embed,
-    squared_distance,
-    ternarize,
     ternarize_columns,
 )
 from .data import Dataset, SyntheticSpec, generate, load_dataset, load_matrix, save_dataset, save_matrix
@@ -30,17 +27,13 @@ from .evaluation import (
     QuerySet,
     RocCurve,
     SecurityReport,
-    fit_beta,
     identification_report,
     identification_sweep,
-    identify,
     pfn_at_pfp,
     query_set_from_dataset,
-    reconstruct,
     security_report,
     threshold_at_pfp,
     verification_sweep,
-    verify,
 )
 from .learning import (
     AssignmentMatrix,
@@ -78,14 +71,11 @@ __all__ = [
     "SignatureMatrix",
     "SyntheticSpec",
     "TernaryCode",
-    "correlation",
     "e_step",
     "embed",
-    "fit_beta",
     "generate",
     "identification_report",
     "identification_sweep",
-    "identify",
     "kmeans",
     "load_dataset",
     "load_matrix",
@@ -93,19 +83,15 @@ __all__ = [
     "objective",
     "pfn_at_pfp",
     "query_set_from_dataset",
-    "reconstruct",
     "run_protocol",
     "ry_step",
     "save_dataset",
     "save_matrix",
     "save_model",
     "security_report",
-    "squared_distance",
-    "ternarize",
     "ternarize_columns",
     "threshold_at_pfp",
     "train",
     "train_random_assignment_baseline",
     "verification_sweep",
-    "verify",
 ]

@@ -1,9 +1,13 @@
-"""Domain types and the sparse ternary code primitives.
+"""Domain types and the ternarizer.
 
 A signature is a unit-norm column of a real d x N matrix.  Codes live in
 {-1, 0, +1}^l with exactly ``sparsity`` nonzero symbols; they are produced by
 projecting onto an orthonormal-column matrix and keeping the largest
-magnitudes.  Everything here is immutable and side-effect free.
+magnitudes, and are stored as the columns of a :class:`CodeMatrix`.  One
+ternarizer quantizes every code, whole matrices at a time
+(:func:`ternarize_columns`); the evaluation module compares codes in
+batches.  :class:`TernaryCode` and :func:`embed` are the protocol's
+one-query forms.  Everything here is immutable and side-effect free.
 """
 
 from __future__ import annotations
@@ -107,9 +111,6 @@ class SignatureMatrix:
     def num_signatures(self) -> int:
         return self.data.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.data[:, i]
-
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
@@ -163,7 +164,14 @@ def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TernaryCode:
-    """Length-l vector over {-1, 0, +1} with exactly ``sparsity`` nonzeros."""
+    """Length-l vector over {-1, 0, +1} with exactly ``sparsity`` nonzeros.
+
+    The protocol's one-query type: :func:`embed` returns it and
+    :func:`gmkit.protocol.run_protocol` takes it.  Every measure works on
+    :class:`CodeMatrix` columns instead.  It stays, with :func:`embed` and
+    :meth:`CodeMatrix.column`, because perfbench's protocol workload builds
+    each query with them and reads ``symbols``.
+    """
 
     symbols: np.ndarray
     sparsity: int
@@ -174,9 +182,6 @@ class TernaryCode:
     @property
     def length(self) -> int:
         return self.symbols.size
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -203,6 +208,8 @@ class CodeMatrix:
         return self.codes.shape[1]
 
     def column(self, j: int) -> TernaryCode:
+        """Column ``j`` as the protocol's one-query type (kept for perfbench,
+        see :class:`TernaryCode`)."""
         return TernaryCode(self.codes[:, j], self.sparsity)
 
 
@@ -317,12 +324,6 @@ def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:
     return keep.view(np.int8) - 2 * (keep & (m < 0)).view(np.int8)
 
 
-def ternarize(values: np.ndarray, sparsity: int) -> TernaryCode:
-    """Quantize a real vector to a :class:`TernaryCode` with exact sparsity."""
-    v = _as_array(values, "values", 1, DimensionError).astype(np.float64, copy=False)
-    return TernaryCode(_ternarize_checked(v[:, None], sparsity)[:, 0], sparsity)
-
-
 def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
     """Columnwise ternarization of an l x N real matrix (int8 result)."""
     m = _as_array(matrix, "values", 2, DimensionError).astype(np.float64, copy=False)
@@ -330,27 +331,13 @@ def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
 
 
 def embed(projection: ProjectionMatrix, signature: np.ndarray, sparsity: int) -> TernaryCode:
-    """Sparsifying transform coding: ternarize the projection of a signature."""
+    """Sparsifying transform coding of one signature: its projection W^T x,
+    ternarized as a one-column matrix.
+
+    The protocol's per-query entry point (kept for perfbench, see
+    :class:`TernaryCode`); the measures embed all queries at once.
+    """
     x = _as_array(signature, "signature", 1, DimensionError).astype(np.float64, copy=False)
     if x.size != projection.dim:
         raise DimensionError(f"signature of length {x.size} does not match projection rows {projection.dim}")
-    return ternarize(projection.data.T @ x, sparsity)
-
-
-def correlation(a: TernaryCode, b: TernaryCode) -> int:
-    """Inner product of two ternary codes (in [-S, S] for exactly-S codes)."""
-    if a.length != b.length:
-        raise DimensionError(f"code lengths differ: {a.length} vs {b.length}")
-    return int(a.symbols.astype(np.int64) @ b.symbols.astype(np.int64))
-
-
-def squared_distance(a: TernaryCode, b: TernaryCode) -> int:
-    """Integer squared Euclidean distance between two ternary codes.
-
-    For codes with exactly S nonzeros this equals 2S - 2*correlation(a, b)
-    and ranges over [0, 4S] (opposed signs on a shared support reach 4S).
-    """
-    if a.length != b.length:
-        raise DimensionError(f"code lengths differ: {a.length} vs {b.length}")
-    diff = a.symbols.astype(np.int64) - b.symbols.astype(np.int64)
-    return int(diff @ diff)
+    return TernaryCode(_ternarize_checked((projection.data.T @ x)[:, None], sparsity)[:, 0], sparsity)

@@ -3,7 +3,11 @@
 Verification accepts a claimed group when the integer squared distance
 between the query code and that group's representation is at most the
 threshold.  Open-set identification first accepts when the minimum distance
-over all groups is at most the threshold, then names the nearest group.
+over all groups is at most the threshold, then names the nearest group
+(ties go to the lowest group index).  Each rule, and the reconstruction
+attack below, is implemented once, over every query of a :class:`QuerySet`
+at a time: the sweeps and the report apply the rules to a distance matrix,
+and there is no per-code form.
 
 A :class:`QuerySet` holds its genuine and its impostor queries as two
 read-only Q x d matrices, one query per row, checked once at construction;
@@ -14,9 +18,10 @@ the genuine and the impostor queries, each with one
 integer distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r
 shortcut, so nothing here relies on the exactly-S contract.  The query set
 keeps the genuine codes and both matrices for the last model it was scored
-against, and the sweeps, the report and the security measure index them.  e.r is a float64 matrix product and still exact:
-every entry is in {-1, 0, +1}, so every partial sum is an integer of
-magnitude at most l < 2**53, whatever order BLAS adds in.
+against, and the sweeps, the report and the security measure index them.
+e.r is a float64 matrix product and still exact: every entry is in
+{-1, 0, +1}, so every partial sum is an integer of magnitude at most
+l < 2**53, whatever order BLAS adds in.
 
 The reconstruction attacks model a curious server that knows the projection:
 a code v is mapped back as beta * W v with a scalar gain beta fitted by
@@ -28,11 +33,10 @@ used for both the security and the privacy mean squared errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import ProjectionMatrix, SignatureMatrix, TernaryCode, _check_query_labels, _check_query_vectors, ternarize_columns
+from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, ternarize_columns
 from .data import Dataset
 from .errors import ConfigError, DimensionError
 from .learning import Model
@@ -180,20 +184,6 @@ def _true_groups(model: Model, queries: QuerySet) -> np.ndarray:
     return groups
 
 
-def group_distances(model: Model, code: TernaryCode) -> np.ndarray:
-    """Integer squared distances from a code to every group representation."""
-    if code.length != model.representations.code_length:
-        raise DimensionError("code length does not match the model")
-    return _distances(model, code.symbols[:, None])[0].astype(np.int64)
-
-
-def verify(model: Model, code: TernaryCode, group: int, threshold: float) -> bool:
-    """Accept the claim iff squared_distance(code, representation) <= threshold."""
-    if not 0 <= group < model.representations.num_groups:
-        raise ConfigError(f"group index {group} out of range [0, {model.representations.num_groups})")
-    return bool(group_distances(model, code)[group] <= threshold)
-
-
 def _roc_from_scores(genuine_scores: np.ndarray, impostor_scores: np.ndarray, max_threshold: int) -> RocCurve:
     thresholds = np.unique(np.concatenate([genuine_scores, impostor_scores, [-1, max_threshold]]))
     impostors_at_most = np.searchsorted(np.sort(impostor_scores), thresholds, side="right")
@@ -242,18 +232,6 @@ def pfn_at_pfp(roc: RocCurve, target: float) -> float:
     return _operating_point(roc, target)[2]
 
 
-def identify(model: Model, code: TernaryCode, threshold: float) -> Optional[int]:
-    """Nearest group index if its distance is within the threshold, else None.
-
-    Ties are broken toward the lowest group index.
-    """
-    distances = group_distances(model, code)
-    nearest = int(np.argmin(distances))
-    if distances[nearest] > threshold:
-        return None
-    return nearest
-
-
 def identification_sweep(model: Model, queries: QuerySet) -> RocCurve:
     """ROC of the open-set acceptance step (minimum distance over groups)."""
     _, genuine, impostor = _scores(model, queries)
@@ -282,38 +260,19 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
 
 
-def reconstruct(projection: ProjectionMatrix, code: TernaryCode, beta: float) -> np.ndarray:
-    """Linear reconstruction beta * W v of a signature from its code."""
-    if code.length != projection.code_length:
-        raise DimensionError("code length does not match projection columns")
-    return beta * (projection.data @ code.symbols.astype(np.float64))
-
-
 def _gain(lifted: np.ndarray, targets: np.ndarray) -> float:
-    """fit_beta on the columns x_i of ``targets`` and W v_i of ``lifted``; both
-    sums run over one product buffer, in the layout each product would get."""
+    """Scalar least squares gain argmin_beta sum_i ||x_i - beta W v_i||^2 over
+    the columns x_i of ``targets`` and W v_i of ``lifted``.
+
+    Closed form beta = sum_i x_i . W v_i / sum_i ||W v_i||^2; all-zero codes
+    yield beta = 0.  Both sums run over one product buffer, in the layout
+    each product would get."""
     product = lifted * lifted
     den = float(np.sum(product))
     if den == 0.0:
         return 0.0
     np.multiply(targets, lifted, out=product)
     return float(np.sum(product)) / den
-
-
-def fit_beta(projection: ProjectionMatrix, codes: list[TernaryCode], targets: list[np.ndarray]) -> float:
-    """Scalar least squares gain: argmin_beta sum_i ||x_i - beta W v_i||^2.
-
-    Closed form beta = sum_i x_i . W v_i / sum_i ||W v_i||^2; all-zero codes
-    yield beta = 0.
-    """
-    if not codes or len(codes) != len(targets):
-        raise ConfigError("need equally many codes and targets, at least one pair")
-    if any(np.shape(target) != (projection.dim,) for target in targets):
-        raise DimensionError("target dimension does not match projection rows")
-    if any(code.length != projection.code_length for code in codes):
-        raise DimensionError("code length does not match projection columns")
-    symbols = np.stack([code.symbols for code in codes], axis=1)
-    return _gain(projection.data @ symbols.astype(np.float64), np.stack(targets, axis=1))
 
 
 def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model) -> SecurityReport:
@@ -324,7 +283,7 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
     query vectors.  Both are normalized per coordinate and share the beta
     fitted on the enrolled pairs.
     """
-    if signatures.num_signatures != model.assignments.num_signatures:
+    if signatures.data.shape != (model.projection.dim, model.assignments.num_signatures):
         raise DimensionError("model was not trained on this signature matrix")
     w = model.projection.data
     enrolled_lifted = w @ model.representations.codes[:, model.assignments.group_of].astype(np.float64)

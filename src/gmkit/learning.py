@@ -162,11 +162,17 @@ def objective(
     counts n_g: between = sum_g n_g ||r_g||^2 and within = sum_i ||e_i||^2 +
     between - 2 sum_g r_g . s_g, since a ternary vector's squared norm is its
     nonzero count.  The l x l scatter matrices are never materialized.
+
+    A ragged, non-2-D or mis-shaped ``projected`` raises DimensionError, and
+    an entry that is not a finite real number InvalidInputError.
     """
-    if np.shape(projected) != codes.codes.shape:
-        raise DimensionError(f"projected signatures of shape {np.shape(projected)} do not match codes {codes.codes.shape}")
+    projected = _as_array(projected, "projected signatures", 2, DimensionError)
+    if projected.shape != codes.codes.shape:
+        raise DimensionError(f"projected signatures of shape {projected.shape} do not match codes {codes.codes.shape}")
     _check_grouping(codes.code_length, codes.codes.shape[1], representations, assignments)
     embedding = float(np.sum(np.square(codes.codes.astype(np.float64) - projected)))
+    if not np.isfinite(embedding):
+        raise InvalidInputError("embedding cost is not finite: projected signatures must be finite")
     sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
     between = int(counts @ np.count_nonzero(representations.codes, axis=0))
     cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
@@ -214,9 +220,12 @@ def e_step(
     sparsity: int,
 ) -> CodeMatrix:
     """Code update: columnwise ternarization of P + lambda * R Y for the
-    projected signatures P = W^T X."""
-    if np.ndim(projected) != 2:
-        raise DimensionError(f"projected signatures must be 2-D, got shape {np.shape(projected)}")
+    projected signatures P = W^T X.
+
+    A ragged, non-2-D or mis-shaped ``projected`` raises DimensionError, and
+    an entry that is not a finite real number InvalidInputError.
+    """
+    projected = _as_array(projected, "projected signatures", 2, DimensionError)
     _check_grouping(projected.shape[0], projected.shape[1], representations, assignments)
     target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
     return CodeMatrix(ternarize_columns(target, sparsity), sparsity)

@@ -26,6 +26,7 @@ masked value per group and which group it belongs to.  The README section
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -202,8 +203,13 @@ def run_protocol(
     """Execute the three messages end to end and record the transcript.
 
     Deterministic given ``rng``; pass pre-generated ``keys`` to amortize key
-    generation across runs.
+    generation across runs.  ``tau`` must be an integer (a numpy integer
+    too); anything else raises ProtocolError before round 1.
     """
+    try:
+        tau = operator.index(tau)
+    except TypeError:
+        raise ProtocolError(f"tau must be an integer, got {tau!r}") from None
     params = params or SecurityParams()
     if code.sparsity != representations.sparsity:
         raise ProtocolError("query and representations must share the sparsity level")

@@ -11,6 +11,7 @@ import os
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from gmkit.core import (
     ProjectionMatrix,
     SignatureMatrix,
     TernaryCode,
-    correlation,
-    squared_distance,
 )
 from gmkit.data import SyntheticSpec, generate
 from gmkit.evaluation import (
+    _distances,
     identification_report,
     identification_sweep,
     pfn_at_pfp,
@@ -103,6 +103,11 @@ def random_protocol_code(length, sparsity, rng):
     for i in rng.sample(range(length), sparsity):
         symbols[i] = rng.choice((-1, 1))
     return TernaryCode(symbols, sparsity)
+
+
+def plain_distance(a, b):
+    """Integer squared distance between two codes, one symbol at a time."""
+    return sum((int(x) - int(y)) ** 2 for x, y in zip(a.symbols, b.symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +193,12 @@ def test_c03_substep_oracle_equivalence():
         group_of[:num_groups] = np.arange(num_groups)
         assignments = AssignmentMatrix(group_of, num_groups)
 
-        # correlation / squared distance: exact integer loop oracles
-        a = codes.column(0)
-        b = codes.column(n - 1)
-        corr_oracle = sum(int(a.symbols[i]) * int(b.symbols[i]) for i in range(code_length))
-        dist_oracle = sum((int(a.symbols[i]) - int(b.symbols[i])) ** 2 for i in range(code_length))
-        assert correlation(a, b) == corr_oracle
-        assert squared_distance(a, b) == dist_oracle
+        # batched code-to-representation distances: exact integer loop oracle
+        distances = _distances(SimpleNamespace(representations=reps), codes.codes)
+        for j in (0, n - 1):
+            for g in range(num_groups):
+                dist_oracle = sum((int(codes.codes[i, j]) - int(reps.codes[i, g])) ** 2 for i in range(code_length))
+                assert distances[j, g] == dist_oracle
 
         # scatter traces: definition double sums
         within_o = 0.0
@@ -244,7 +248,7 @@ def test_c04_protocol_end_to_end():
         )
         tau = rng.randint(-1, 4 * sparsity)
         decision, _ = run_protocol(code, reps, tau, rng, params, keys)
-        plain = any(squared_distance(code, reps.column(g)) <= tau for g in range(num_groups))
+        plain = any(plain_distance(code, reps.column(g)) <= tau for g in range(num_groups))
         agree += decision.accept == plain
     elapsed = time.perf_counter() - start
     ok = agree == trials and elapsed < 60.0
@@ -284,7 +288,7 @@ def test_c06_masking_blindness():
         _, transcript = run_protocol(code, reps, tau, rng, params, keys)
         residue = transcript.message(3).payloads[0]
         revealed = residue - n_mod if residue > n_mod // 2 else residue
-        truth = (squared_distance(code, reps.column(0)) - tau) > 0
+        truth = (plain_distance(code, reps.column(0)) - tau) > 0
         hits += (revealed > 0) == truth
     accuracy = hits / rounds
     ok = 0.48 <= accuracy <= 0.52

@@ -6,7 +6,7 @@ import pytest
 
 from gmkit import data as data_mod
 from gmkit.cli import load_experiment_config, main
-from gmkit.core import _MODEL_FIELDS, ModelConfig, squared_distance
+from gmkit.core import _MODEL_FIELDS, ModelConfig
 from gmkit.learning import random_balanced_assignment
 from gmkit.modelio import load_model
 from gmkit.protocol import ProtocolTranscript
@@ -399,7 +399,7 @@ class TestProtocolDemo:
             assert rc == 0
             code = model.codes.column(idx)
             plain = any(
-                squared_distance(code, model.representations.column(g)) <= tau
+                sum((int(x) - int(y)) ** 2 for x, y in zip(code.symbols, model.representations.codes[:, g])) <= tau
                 for g in range(model.representations.num_groups)
             )
             assert ((out / "decision.txt").read_text().strip() == "accept") == plain

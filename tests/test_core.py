@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,11 @@ from gmkit.core import (
     ProjectionMatrix,
     SignatureMatrix,
     TernaryCode,
-    correlation,
     embed,
-    squared_distance,
-    ternarize,
     ternarize_columns,
 )
 from gmkit.core import _check_query_vectors
+from gmkit.evaluation import _distances
 from gmkit.errors import (
     ConfigError,
     DimensionError,
@@ -35,6 +35,11 @@ def reference_ternarize(v, sparsity):
     return out
 
 
+def ternarize_one(v, sparsity):
+    """One vector through the batched ternarizer, as a one-column matrix."""
+    return ternarize_columns(np.asarray(v, dtype=float)[:, None], sparsity)[:, 0]
+
+
 def random_code(length, sparsity, rng):
     symbols = np.zeros(length, dtype=np.int8)
     support = rng.choice(length, size=sparsity, replace=False)
@@ -44,12 +49,12 @@ def random_code(length, sparsity, rng):
 
 class TestTernarize:
     def test_keeps_largest_magnitudes_by_sign(self):
-        code = ternarize(np.array([0.5, -2.0, 0.1, 3.0]), 2)
-        assert code.symbols.tolist() == [0, -1, 0, 1]
+        code = ternarize_one(np.array([0.5, -2.0, 0.1, 3.0]), 2)
+        assert code.tolist() == [0, -1, 0, 1]
 
     def test_all_zero_input_tie_breaks_to_lowest_index(self):
-        code = ternarize(np.zeros(4), 1)
-        assert code.symbols.tolist() == [1, 0, 0, 0]
+        code = ternarize_one(np.zeros(4), 1)
+        assert code.tolist() == [1, 0, 0, 0]
         m = np.zeros((4, 3))
         m[:, 1] = [0.0, -1.0, 2.0, 0.0]  # one nonzero column between all-zero ones
         assert ternarize_columns(m, 1).T.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
@@ -58,7 +63,7 @@ class TestTernarize:
         rng = np.random.default_rng(7)
         for _ in range(50):
             v = rng.standard_normal(64)
-            assert ternarize(v, 16).symbols.tolist() == reference_ternarize(v, 16).tolist()
+            assert ternarize_one(v, 16).tolist() == reference_ternarize(v, 16).tolist()
         m = rng.standard_normal((64, 40))
         batched = ternarize_columns(m, 16)
         assert batched.dtype == np.int8
@@ -70,7 +75,7 @@ class TestTernarize:
         for _ in range(50):
             # quantized entries force plenty of magnitude ties
             v = np.round(rng.standard_normal(12) * 2) / 2
-            assert ternarize(v, 4).symbols.tolist() == reference_ternarize(v, 4).tolist()
+            assert ternarize_one(v, 4).tolist() == reference_ternarize(v, 4).tolist()
         for sparsity in (1, 4, 11):
             m = np.round(rng.standard_normal((12, 60)) * 2) / 2
             m[:, 7] = 0.0  # all-zero column
@@ -104,22 +109,22 @@ class TestTernarize:
         got = ternarize_columns(m, sparsity)
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, expected)
-        assert ternarize(m[:, 0], sparsity).symbols.tolist() == expected[:, 0].tolist()
+        assert ternarize_one(m[:, 0], sparsity).tolist() == expected[:, 0].tolist()
 
     def test_rejects_sparsity_at_or_above_length(self):
         with pytest.raises(InvalidSparsityError):
-            ternarize(np.ones(4), 4)
+            ternarize_one(np.ones(4), 4)
         with pytest.raises(InvalidSparsityError):
-            ternarize(np.ones(4), 0)
+            ternarize_one(np.ones(4), 0)
         for sparsity in (0, 4, 5):
             with pytest.raises(InvalidSparsityError):
                 ternarize_columns(np.ones((4, 3)), sparsity)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            ternarize(np.array([1.0, np.nan, 0.0]), 1)
+            ternarize_one(np.array([1.0, np.nan, 0.0]), 1)
         with pytest.raises(InvalidInputError):
-            ternarize(np.array([1.0, np.inf, 0.0]), 1)
+            ternarize_one(np.array([1.0, np.inf, 0.0]), 1)
         for bad in (np.nan, np.inf, -np.inf):
             m = np.ones((3, 4))
             m[1, 2] = bad
@@ -132,16 +137,16 @@ class TestTernarize:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(16)
         scale = 2.0**exponent  # exact float scaling preserves magnitude order
-        assert np.array_equal(ternarize(v, 5).symbols, ternarize(scale * v, 5).symbols)
+        assert np.array_equal(ternarize_one(v, 5), ternarize_one(scale * v, 5))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_idempotent_on_own_output(self, seed):
         rng = np.random.default_rng(seed)
-        code = ternarize(rng.standard_normal(12), 4)
+        code = ternarize_one(rng.standard_normal(12), 4)
         for scale in (0.5, 1.0, 3.0):
-            again = ternarize(scale * code.symbols.astype(float), 4)
-            assert np.array_equal(again.symbols, code.symbols)
+            again = ternarize_one(scale * code.astype(float), 4)
+            assert np.array_equal(again, code)
 
 
 class TestEmbed:
@@ -163,8 +168,8 @@ class TestEmbed:
             q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
             w = ProjectionMatrix(q)
             x = rng.standard_normal(12)
-            expected = ternarize(q.T @ x, 2)
-            assert np.array_equal(embed(w, x, 2).symbols, expected.symbols)
+            expected = reference_ternarize(q.T @ x, 2)
+            assert np.array_equal(embed(w, x, 2).symbols, expected)
 
     def test_depends_only_on_projected_coordinates(self):
         rng = np.random.default_rng(5)
@@ -182,26 +187,45 @@ class TestEmbed:
             embed(w, np.zeros(5), 1)
 
 
+def batched_distance(a, b):
+    """||a - b||^2 through the evaluation module's batched distances, with b
+    as the one representation."""
+    model = SimpleNamespace(representations=CodeMatrix(b.symbols[:, None], b.sparsity))
+    return int(_distances(model, a.symbols[:, None])[0, 0])
+
+
+def batched_correlation(a, b):
+    """a.b read off the batched distance, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b."""
+    return (int(np.count_nonzero(a.symbols)) + int(np.count_nonzero(b.symbols)) - batched_distance(a, b)) // 2
+
+
+def naive_correlation(a, b):
+    return sum(int(x) * int(y) for x, y in zip(a.symbols, b.symbols))
+
+
 class TestCorrelationAndDistance:
+    """The batched code distance, the one implementation left, against
+    integer loops; the correlation enters through the distance identity."""
+
     def test_self_correlation_is_sparsity(self):
         rng = np.random.default_rng(0)
         code = random_code(16, 5, rng)
-        assert correlation(code, code) == 5
+        assert batched_correlation(code, code) == 5
 
     def test_disjoint_supports(self):
         a = TernaryCode(np.array([1, -1, 0, 0]), 2)
         b = TernaryCode(np.array([0, 0, 1, 1]), 2)
-        assert correlation(a, b) == 0
-        assert squared_distance(a, b) == 2 * 2  # disjoint supports sit at 2S
+        assert batched_correlation(a, b) == 0
+        assert batched_distance(a, b) == 2 * 2  # disjoint supports sit at 2S
 
     def test_correlation_matches_naive_loop(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = random_code(24, 6, rng)
             b = random_code(24, 6, rng)
-            naive = sum(int(a.symbols[i]) * int(b.symbols[i]) for i in range(24))
-            assert correlation(a, b) == naive
-            assert -6 <= correlation(a, b) <= 6
+            naive = naive_correlation(a, b)
+            assert batched_correlation(a, b) == naive
+            assert -6 <= batched_correlation(a, b) <= 6
 
     def test_distance_matches_naive_loop(self):
         rng = np.random.default_rng(2)
@@ -209,13 +233,13 @@ class TestCorrelationAndDistance:
             a = random_code(24, 6, rng)
             b = random_code(24, 6, rng)
             naive = sum((int(a.symbols[i]) - int(b.symbols[i])) ** 2 for i in range(24))
-            assert squared_distance(a, b) == naive
+            assert batched_distance(a, b) == naive
 
     def test_identical_and_opposed_codes(self):
         a = TernaryCode(np.array([1, 0, -1, 0, 1]), 3)
-        assert squared_distance(a, a) == 0
+        assert batched_distance(a, a) == 0
         opposed = TernaryCode(-a.symbols, 3)
-        assert squared_distance(a, opposed) == 4 * 3  # range exceeds 2S on shared support
+        assert batched_distance(a, opposed) == 4 * 3  # range exceeds 2S on shared support
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -224,15 +248,7 @@ class TestCorrelationAndDistance:
         sparsity = int(rng.integers(1, 8))
         a = random_code(16, sparsity, rng)
         b = random_code(16, sparsity, rng)
-        assert squared_distance(a, b) == 2 * sparsity - 2 * correlation(a, b)
-
-    def test_length_mismatch(self):
-        a = TernaryCode(np.array([1, 0, 0]), 1)
-        b = TernaryCode(np.array([1, 0, 0, 0]), 1)
-        with pytest.raises(DimensionError):
-            correlation(a, b)
-        with pytest.raises(DimensionError):
-            squared_distance(a, b)
+        assert batched_distance(a, b) == 2 * sparsity - 2 * naive_correlation(a, b)
 
 
 class TestTypes:

@@ -141,7 +141,7 @@ class TestGenerate:
     def test_zero_noise_samples_equal_identity_mean(self):
         ds = generate(spec(noise_sigma=0.0, samples_per_identity=3))
         for vec, idx in zip(ds.genuine, ds.genuine_ids):
-            assert np.allclose(vec, ds.enrolled.column(idx))
+            assert np.allclose(vec, ds.enrolled.data[:, idx])
 
     def test_two_samples_give_one_genuine_query_per_identity(self):
         ds = generate(spec(samples_per_identity=2))
@@ -160,13 +160,13 @@ class TestGenerate:
 
     def test_within_identity_cosine_beats_between(self):
         ds = generate(spec(num_identities=30, dim=64, noise_sigma=0.1, samples_per_identity=2, seed=5))
-        within = [float(np.dot(v, ds.enrolled.column(i))) for v, i in zip(ds.genuine, ds.genuine_ids)]
+        within = [float(np.dot(v, ds.enrolled.data[:, i])) for v, i in zip(ds.genuine, ds.genuine_ids)]
         rng = np.random.default_rng(0)
         between = []
         for v, i in zip(ds.genuine, ds.genuine_ids):
             j = int(rng.integers(30))
             if j != i:
-                between.append(float(np.dot(v, ds.enrolled.column(j))))
+                between.append(float(np.dot(v, ds.enrolled.data[:, j])))
         assert np.mean(within) > np.mean(between)
 
     def test_spec_validation(self):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, with
+every warning raised as an error (``python -W error``)."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((REPO / "demos").glob("*.py"))
 def test_demo_exits_cleanly(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed, squared_distance
+from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed
 from gmkit.data import Dataset, SyntheticSpec, generate
 from gmkit.errors import ConfigError, DimensionError, GmkitError, InvalidInputError
 from gmkit.evaluation import (
@@ -15,17 +15,15 @@ from gmkit.evaluation import (
     RocCurve,
     SecurityReport,
     _distances,
-    fit_beta,
+    _gain,
+    _residual_mse,
     identification_report,
     identification_sweep,
-    identify,
     pfn_at_pfp,
     query_set_from_dataset,
-    reconstruct,
     security_report,
     threshold_at_pfp,
     verification_sweep,
-    verify,
 )
 from gmkit import evaluation
 from gmkit.learning import AssignmentMatrix, Model, train
@@ -137,6 +135,10 @@ def oracle_identification_report(model, queries, threshold):
     return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
 
 
+def oracle_reconstruct(projection, code, beta):
+    return beta * (projection.data @ code.symbols.astype(np.float64))
+
+
 def oracle_fit_beta(projection, codes, targets):
     num = den = 0.0
     for code, target in zip(codes, targets):
@@ -148,13 +150,13 @@ def oracle_fit_beta(projection, codes, targets):
 
 def oracle_security_report(signatures, queries, model):
     rep_codes = [model.representations.column(int(g)) for g in model.assignments.group_of]
-    enrolled = [signatures.column(i) for i in range(signatures.num_signatures)]
+    enrolled = list(signatures.data.T)
     beta = oracle_fit_beta(model.projection, rep_codes, enrolled)
     sec_errors = [
-        float(np.sum((x - reconstruct(model.projection, code, beta)) ** 2)) for code, x in zip(rep_codes, enrolled)
+        float(np.sum((x - oracle_reconstruct(model.projection, code, beta)) ** 2)) for code, x in zip(rep_codes, enrolled)
     ]
     priv_errors = [
-        float(np.sum((vec - reconstruct(model.projection, oracle_embed(model, vec), beta)) ** 2))
+        float(np.sum((vec - oracle_reconstruct(model.projection, oracle_embed(model, vec), beta)) ** 2))
         for vec in queries.genuine
     ]
     d = signatures.dim
@@ -197,32 +199,38 @@ def tie_heavy_case(seed, num_groups):
 
 
 class TestVerify:
+    """The verification rule, distance to the claimed group <= threshold, as
+    the sweep applies it."""
+
     def test_exact_match_accepts_at_zero(self):
         model = toy_model()
-        rep = model.representations.column(0)
-        assert verify(model, rep, 0, 0)
+        genuine = query_for_code(model, model.representations.column(0))[None]
+        roc = verification_sweep(model, QuerySet(genuine, [0], unit(np.ones(6))[None]), np.random.default_rng(0))
+        assert [pfn for tau, _, pfn in roc.points if tau == 0] == [0.0]
 
     def test_disjoint_support_rejects_below_two_s(self):
         reps = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int8)
         model = build_model(np.eye(6)[:, :4], np.column_stack([reps[:, 0]] * 3), reps, np.array([0, 0, 1]), 2)
         probe = model.representations.column(1)
-        assert squared_distance(probe, model.representations.column(0)) == 4
-        assert not verify(model, probe, 0, 3)
+        assert oracle_distances(model, probe)[0] == 4
+        genuine = query_for_code(model, probe)[None]
+        roc = verification_sweep(model, QuerySet(genuine, [0], genuine), np.random.default_rng(0))
+        assert all(pfn == (1.0 if tau <= 3 else 0.0) for tau, _, pfn in roc.points)
 
     def test_batch_matches_plaintext_loop(self):
         rng = np.random.default_rng(1)
         model = toy_model(num_groups=4, sparsity=3, code_length=8, dim=10, seed=2)
-        for _ in range(100):
-            code = random_code(8, 3, rng)
-            g = int(rng.integers(4))
-            tau = int(rng.integers(0, 13))
-            expected = squared_distance(code, model.representations.column(g)) <= tau
-            assert verify(model, code, g, tau) == expected
+        codes = [random_code(8, 3, rng) for _ in range(100)]
+        groups = rng.integers(4, size=len(codes))
+        genuine = np.array([query_for_code(model, code) for code in codes])
+        roc = verification_sweep(model, QuerySet(genuine, groups, genuine[:1]), np.random.default_rng(0))
+        # the points hold every observed distance, where alone the step function pfn(tau) can move
+        for tau, _, pfn in roc.points:
+            accepted = sum(int(oracle_distances(model, code)[g]) <= tau for code, g in zip(codes, groups))
+            assert pfn == (len(codes) - accepted) / len(codes)
 
     def test_group_out_of_range(self):
         model = toy_model()
-        with pytest.raises(ConfigError):
-            verify(model, model.representations.column(0), 5, 0)
         queries = QuerySet(query_for_code(model, model.representations.column(0))[None], [2], unit(np.ones(6))[None])
         with pytest.raises(ConfigError):
             verification_sweep(model, queries, np.random.default_rng(0))
@@ -266,12 +274,12 @@ class TestVerificationSweep:
         gen_scores = []
         for vec, group in genuine:
             code = embed(model.projection, vec, 2)
-            gen_scores.append(squared_distance(code, model.representations.column(group)))
+            gen_scores.append(int(oracle_distances(model, code)[group]))
         imp_scores = []
         for vec in impostors:
             code = embed(model.projection, vec, 2)
             claim = int(replay.integers(3))
-            imp_scores.append(squared_distance(code, model.representations.column(claim)))
+            imp_scores.append(int(oracle_distances(model, code)[claim]))
         for tau, pfp, pfn in roc.points:
             assert pfp == pytest.approx(sum(s <= tau for s in imp_scores) / len(imp_scores))
             assert pfn == pytest.approx(sum(s > tau for s in gen_scores) / len(gen_scores))
@@ -344,26 +352,42 @@ class TestPfnAtPfp:
 
 
 class TestIdentify:
+    """The identification rule, the nearest group if it is within the
+    threshold (the lowest index on ties), as the report applies it."""
+
     def test_exact_representation_found_at_any_nonnegative_tau(self):
         model = toy_model(num_groups=3, sparsity=2, code_length=6, dim=8, seed=9)
-        assert identify(model, model.representations.column(2), 0) == 2
+        genuine = query_for_code(model, model.representations.column(2))[None]
+        for tau in range(0, 4 * 2 + 1):
+            report = identification_report(model, QuerySet(genuine, [2], genuine), tau)
+            assert (report.pfn, report.p_epsilon) == (0.0, 0.0)
 
     def test_negative_tau_returns_none(self):
         model = toy_model()
-        assert identify(model, model.representations.column(0), -1) is None
+        genuine = query_for_code(model, model.representations.column(0))[None]
+        report = identification_report(model, QuerySet(genuine, [0], genuine), -1)
+        assert report.pfn == 1.0 and report.no_accepted_genuine
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(10)
         model = toy_model(num_groups=4, sparsity=2, code_length=8, dim=10, seed=11)
-        for _ in range(100):
-            code = random_code(8, 2, rng)
-            tau = int(rng.integers(-1, 9))
-            distances = [squared_distance(code, model.representations.column(g)) for g in range(4)]
-            expected = None
-            for g, dist in enumerate(distances):
-                if dist <= tau and (expected is None or dist < distances[expected]):
-                    expected = g
-            assert identify(model, code, tau) == expected
+        codes = [random_code(8, 2, rng) for _ in range(100)]
+        genuine = np.array([query_for_code(model, code) for code in codes])
+        for tau in range(-1, 9):
+            named = []
+            for code in codes:
+                distances = [int(d) for d in oracle_distances(model, code)]
+                expected = None
+                for g, dist in enumerate(distances):
+                    if dist <= tau and (expected is None or dist < distances[expected]):
+                        expected = g
+                named.append(expected)
+            # each accepted query claims the group the scan names, so any other name is an error
+            groups = [0 if g is None else g for g in named]
+            report = identification_report(model, QuerySet(genuine, groups, genuine[:1]), tau)
+            accepted = sum(g is not None for g in named)
+            assert report.pfn == (len(codes) - accepted) / len(codes)
+            assert report.p_epsilon == 0.0
 
 
 class TestIdentificationReport:
@@ -398,7 +422,7 @@ class TestIdentificationReport:
         rejected = wrong = accepted = 0
         for vec, group in genuine:
             code = embed(model.projection, vec, 2)
-            dists = [squared_distance(code, model.representations.column(g)) for g in range(3)]
+            dists = [int(d) for d in oracle_distances(model, code)]
             dmin = min(dists)
             if dmin > tau:
                 rejected += 1
@@ -423,42 +447,43 @@ class TestIdentificationReport:
 
 
 class TestReconstruction:
+    """The attack's lift beta * W v and its fitted gain, as the security
+    measure computes them for all codes at once."""
+
     def test_zero_gain_gives_zero_vector(self):
         model = toy_model()
-        out = reconstruct(model.projection, model.representations.column(0), 0.0)
-        assert np.array_equal(out, np.zeros(6))
+        lifted = model.projection.data @ model.representations.codes.astype(np.float64)
+        targets = np.random.default_rng(19).standard_normal(lifted.shape)
+        assert _residual_mse(targets, lifted, 0.0) == float(np.mean(targets**2))
 
     def test_matches_matrix_vector_oracle(self):
         rng = np.random.default_rng(20)
         q, _ = np.linalg.qr(rng.standard_normal((10, 6)))
-        proj = ProjectionMatrix(q)
         for _ in range(20):
             code = random_code(6, 2, rng)
             beta = float(rng.uniform(-2, 2))
             expected = np.zeros(10)
             for i in range(6):
                 expected += beta * q[:, i] * float(code.symbols[i])
-            assert np.allclose(reconstruct(proj, code, beta), expected, atol=1e-12)
+            lifted = q @ code.symbols.astype(float)[:, None]
+            # the residual against the loop's reconstruction is the reconstruction's own error
+            assert _residual_mse(expected[:, None], lifted, beta) <= 1e-24
 
     def test_fit_beta_recovers_exact_gain(self):
         rng = np.random.default_rng(21)
         q, _ = np.linalg.qr(rng.standard_normal((10, 6)))
-        proj = ProjectionMatrix(q)
-        codes = [random_code(6, 2, rng) for _ in range(5)]
-        targets = [0.75 * (q @ c.symbols.astype(float)) for c in codes]
-        assert fit_beta(proj, codes, targets) == pytest.approx(0.75)
+        codes = np.column_stack([random_code(6, 2, rng).symbols for _ in range(5)]).astype(float)
+        assert _gain(q @ codes, 0.75 * (q @ codes)) == pytest.approx(0.75)
 
     def test_fit_beta_orthogonal_targets_give_zero(self):
         q = np.eye(8)[:, :4]
-        proj = ProjectionMatrix(q)
-        code = TernaryCode(np.array([1, 1, 0, 0]), 2)
-        targets = [np.eye(8)[:, 7]]  # orthogonal to the projection range
-        assert fit_beta(proj, [code], targets) == 0.0
+        code = np.array([[1], [1], [0], [0]], dtype=float)
+        targets = np.eye(8)[:, 7:]  # orthogonal to the projection range
+        assert _gain(q @ code, targets) == 0.0
 
     def test_fit_beta_matches_golden_section_oracle(self):
         rng = np.random.default_rng(22)
         q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
-        proj = ProjectionMatrix(q)
         codes = [random_code(5, 2, rng) for _ in range(8)]
         targets = [rng.standard_normal(12) for _ in range(8)]
 
@@ -474,19 +499,17 @@ class TestReconstruction:
                 hi = m2
             else:
                 lo = m1
-        assert fit_beta(proj, codes, targets) == pytest.approx((lo + hi) / 2, abs=1e-6)
+        lifted = q @ np.column_stack([c.symbols for c in codes]).astype(float)
+        assert _gain(lifted, np.column_stack(targets)) == pytest.approx((lo + hi) / 2, abs=1e-6)
 
     def test_fit_beta_rejects_mismatched_pairs(self):
-        proj = ProjectionMatrix(np.eye(8)[:, :4])
-        code = TernaryCode(np.array([1, 1, 0, 0]), 2)
-        with pytest.raises(ConfigError):
-            fit_beta(proj, [], [])
-        with pytest.raises(ConfigError):
-            fit_beta(proj, [code, code], [np.eye(8)[:, 0]])
+        model = toy_model()  # d = 6, three enrolled signatures
+        queries = QuerySet(np.eye(6)[:1], [0], np.eye(6)[1:2])
+        security_report(SignatureMatrix(np.eye(6)[:, :3]), queries, model)
         with pytest.raises(DimensionError):
-            fit_beta(proj, [code, code], [np.eye(8)[:, 0], np.eye(7)[:, 0]])
+            security_report(SignatureMatrix(np.eye(6)[:, :2]), queries, model)
         with pytest.raises(DimensionError):
-            fit_beta(proj, [TernaryCode(np.array([1, 1, 0, 0, 0]), 2)], [np.eye(8)[:, 0]])
+            security_report(SignatureMatrix(np.eye(7)[:, :3]), queries, model)
 
     def test_gain_sums_match_separate_products_bit_for_bit(self):
         rng = np.random.default_rng(44)
@@ -500,12 +523,11 @@ class TestReconstruction:
         # signature inside the projection range with equal-magnitude support:
         # the fitted gain makes the reconstruction exact
         q, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((9, 4)))
-        proj = ProjectionMatrix(q)
         coeffs = np.array([0.5, -0.5, 0.5, 0.0])
         x = q @ coeffs
-        code = TernaryCode(np.sign(coeffs).astype(np.int8), 3)
-        beta = fit_beta(proj, [code], [x])
-        assert np.linalg.norm(x - reconstruct(proj, code, beta)) <= 1e-9
+        lifted = q @ np.sign(coeffs)[:, None]
+        beta = _gain(lifted, x[:, None])
+        assert _residual_mse(x[:, None], lifted, beta) * len(x) <= 1e-18
 
 
 class TestSecurityReport:
@@ -616,19 +638,11 @@ class TestBatchedMatchesOracles:
         assert identification_sweep(model, queries) == oracle_identification_sweep(model, queries)
         for tau in range(-1, 4 * sparsity + 1):
             assert identification_report(model, queries, tau) == oracle_identification_report(model, queries, tau)
-        for vec in queries.genuine:
-            code = oracle_embed(model, vec)
-            assert identify(model, code, 4 * sparsity) == int(np.argmin(oracle_distances(model, code)))
 
         report = security_report(signatures, queries, model)
         expected = oracle_security_report(signatures, queries, model)
         for field in ("mse_security", "mse_privacy", "beta"):
             assert getattr(report, field) == pytest.approx(getattr(expected, field), rel=1e-12, abs=0)
-        rep_codes = [model.representations.column(int(g)) for g in model.assignments.group_of]
-        targets = [signatures.column(i) for i in range(signatures.num_signatures)]
-        assert fit_beta(model.projection, rep_codes, targets) == pytest.approx(
-            oracle_fit_beta(model.projection, rep_codes, targets), rel=1e-12, abs=0
-        )
 
     def test_float_product_matches_int64_at_long_codes(self):
         rng = np.random.default_rng(40)

@@ -49,6 +49,13 @@ def random_instance(rng, d=10, code_length=4, n=7, sparsity=2, num_groups=3):
     return signatures, projection, codes, CodeMatrix(reps.codes, sparsity), assignments
 
 
+def with_entry(a, value):
+    """A copy of ``a`` with one entry replaced by ``value``."""
+    a = a.copy()
+    a[1, 2] = value
+    return a
+
+
 def one_group(n):
     return AssignmentMatrix(np.zeros(n, dtype=np.int64), 1)
 
@@ -703,6 +710,27 @@ class TestKMeansAndRYStep:
     def test_kmeans_rejects_points_outside_exact_integers(self, bad, error):
         with pytest.raises(error):
             kmeans(bad, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            pytest.param(lambda p: with_entry(p, np.nan), InvalidInputError, id="nan"),
+            pytest.param(lambda p: with_entry(p, np.inf), InvalidInputError, id="inf"),
+            pytest.param(lambda p: p[0], DimensionError, id="one-dimensional"),
+            pytest.param(lambda p: [row.tolist() for row in p[:-1]] + [p[-1, 1:].tolist()], DimensionError,
+                         id="ragged"),
+            pytest.param(lambda p: p.astype(complex), InvalidInputError, id="complex"),
+            pytest.param(lambda p: p.astype(str), InvalidInputError, id="string"),
+            pytest.param(lambda p: p.astype(object), InvalidInputError, id="object"),
+        ],
+    )
+    def test_steps_reject_projected_outside_finite_real_matrices(self, bad, error):
+        signatures, projection, codes, reps, assignments = random_instance(np.random.default_rng(25))
+        projected = bad(projection.data.T @ signatures.data)
+        with pytest.raises(error):
+            e_step(projected, reps, assignments, 1.0, 2)
+        with pytest.raises(error):
+            objective(projected, codes, reps, assignments, 1.0, 0.5)
 
     @pytest.mark.parametrize(
         "group_of, error",

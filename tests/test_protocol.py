@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkit.core import CodeMatrix, TernaryCode, squared_distance
-from gmkit.errors import ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
+from gmkit.core import CodeMatrix, TernaryCode
+from gmkit.errors import DimensionError, ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
 from gmkit.protocol import engine
 from gmkit.protocol import (
     MaskPair,
@@ -39,6 +39,11 @@ def random_code(length, sparsity, rng):
     for i in support:
         symbols[i] = rng.choice((-1, 1))
     return TernaryCode(symbols, sparsity)
+
+
+def plain_distance(a, b):
+    """Integer squared distance between two codes, one symbol at a time."""
+    return sum((int(x) - int(y)) ** 2 for x, y in zip(a.symbols, b.symbols))
 
 
 def random_reps(length, sparsity, num_groups, rng):
@@ -242,7 +247,7 @@ class TestRunProtocol:
             reps = random_reps(16, 3, 4, rng)
             tau = rng.randint(-1, 12)
             decision, _ = run_protocol(code, reps, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
-            plain = any(squared_distance(code, reps.column(g)) <= tau for g in range(4))
+            plain = any(plain_distance(code, reps.column(g)) <= tau for g in range(4))
             assert decision.accept == plain
 
     def test_deterministic_for_fixed_seed(self, roomy_keys):
@@ -269,7 +274,7 @@ class TestRunProtocol:
             rng = random.Random(28)
             decision, transcript = run_protocol(code, rep_obj, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
             plain = sorted(
-                squared_distance(code, rep_obj.column(g)) - tau for g in range(rep_obj.num_groups)
+                plain_distance(code, rep_obj.column(g)) - tau for g in range(rep_obj.num_groups)
             )
             return decision.accept, plain
 
@@ -286,6 +291,30 @@ class TestRunProtocol:
         code = random_code(12, 2, rng)
         with pytest.raises(ProtocolError):
             run_protocol(code, reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+
+    def test_code_length_mismatch_rejected(self, roomy_keys):
+        rng = random.Random(30)
+        reps = random_reps(12, 3, 3, rng)
+        with pytest.raises(DimensionError):
+            run_protocol(random_code(11, 3, rng), reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+
+    def test_non_integer_tau_rejected_before_round_1(self, roomy_keys):
+        reps = random_reps(12, 3, 3, random.Random(31))
+        code = reps.column(0)
+        for tau in (0.5, 2.0, math.nan, math.inf, "2", None, np.float64(2.0)):
+            rng = random.Random(32)
+            with pytest.raises(ProtocolError, match="tau must be an integer"):
+                run_protocol(code, reps, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
+            assert rng.getstate() == random.Random(32).getstate()  # round 1 drew nothing
+
+    def test_numpy_integer_tau_gives_the_same_transcript(self, roomy_keys):
+        reps = random_reps(12, 3, 3, random.Random(33))
+        code = random_code(12, 3, random.Random(34))
+        runs = set()
+        for tau in (5, np.int64(5), np.int8(5), np.uint16(5)):
+            decision, transcript = run_protocol(code, reps, tau, random.Random(35), SecurityParams(additive_bits=64), roomy_keys)
+            runs.add((decision.accept, transcript.to_bytes()))
+        assert len(runs) == 1
 
 
 class TestPartyViews:
@@ -311,7 +340,7 @@ class TestPartyViews:
                 quotient, remainder = divmod(value - mask.b, mask.a)
                 assert remainder == 0
                 unmasked.append(quotient)
-            assert unmasked == [squared_distance(code, reps.column(g)) - tau for g in range(reps.num_groups)]
+            assert unmasked == [plain_distance(code, reps.column(g)) - tau for g in range(reps.num_groups)]
 
     def test_reused_query_ciphertexts_give_fresh_message2(self, roomy_keys):
         rng = random.Random(35)
@@ -344,7 +373,7 @@ class TestMaskingBlindness:
             revealed = transcript.message(3).payloads[0]
             n = roomy_keys.additive_public.modulus
             value = revealed - n if revealed > n // 2 else revealed
-            truth = squared_distance(code, reps.column(0)) - tau > 0
+            truth = plain_distance(code, reps.column(0)) - tau > 0
             predicted = value > 0
             hits += predicted == truth
         assert 0.4 <= hits / trials <= 0.6
@@ -410,7 +439,7 @@ def oracle_round2(encrypted_query, reps, pk, tau, masks, rng):
     for g, mask in enumerate(masks):
         rep = reps.column(g)
         acc = None
-        for i in rep.support():
+        for i in np.flatnonzero(rep.symbols):
             factor = encrypted_query[i]
             if rep.symbols[i] < 0:
                 factor = pow(factor, -1, pk.modulus_squared)
