@@ -162,14 +162,9 @@ def _train_log_lines(model: Model, source: str) -> list[str]:
     lines = ["gmkit training log", f"data: {source}"]
     lines.append("config: " + " ".join(f"{name}={getattr(cfg, name)!r}" for name in _MODEL_FIELDS))
     for i, ob in enumerate(model.objective_trace, start=1):
-        lines.append(
-            f"iter {i}: embedding={ob.embedding_cost!r} within={ob.within_trace!r} "
-            f"between={ob.between_trace!r} total={ob.total!r}"
-        )
-    last = model.objective_trace[-1]
-    stopped = "converged" if len(model.objective_trace) < cfg.max_outer_iters else "hit max_outer_iters"
-    lines.append(f"{stopped} after {len(model.objective_trace)} iterations")
-    lines.append(f"final within_trace={last.within_trace!r}")
+        lines.append(f"iter {i}: embedding={ob.embedding_cost!r} within={ob.within_trace!r} total={ob.total!r}")
+    lines.append(f"stopped after {len(model.objective_trace)} iterations (max_outer_iters={cfg.max_outer_iters})")
+    lines.append(f"final within_trace={model.objective_trace[-1].within_trace!r}")
     return lines
 
 

@@ -217,10 +217,9 @@ class CodeMatrix:
 class ModelConfig:
     """Hyper-parameters of the joint embedding / grouping optimization.
 
-    ``within_weight`` and ``between_weight`` weigh the within-group and
-    between-group scatter terms; the grouping step is k-means on the codes
-    rescaled by within/(within - between), which must be positive, so
-    ``within_weight > between_weight > 0`` is required.
+    ``within_weight`` (lambda) weighs the within-group scatter term and must
+    be finite and positive; the paper's between-group term is a constant and
+    is not modelled (see :mod:`gmkit.learning`).
 
     Training runs at most ``max_outer_iters`` outer iterations, and stops
     at the first one whose codes, representations and assignment all equal
@@ -240,7 +239,6 @@ class ModelConfig:
     sparsity: int
     num_groups: int
     within_weight: float = 1.0
-    between_weight: float = 0.1
     max_outer_iters: int = 30
     convergence_tol: float = 0.0
     seed: int = 0
@@ -250,10 +248,8 @@ class ModelConfig:
             raise ConfigError(f"need 1 <= sparsity < code_length, got {self.sparsity} vs {self.code_length}")
         if self.num_groups < 1:
             raise ConfigError("num_groups must be positive")
-        if not self.within_weight > self.between_weight > 0:
-            raise ConfigError(
-                f"need within_weight > between_weight > 0, got {self.within_weight} vs {self.between_weight}"
-            )
+        if not (self.within_weight > 0 and np.isfinite(self.within_weight)):
+            raise ConfigError(f"within_weight must be finite and > 0, got {self.within_weight}")
         if self.max_outer_iters < 1:
             raise ConfigError("max_outer_iters must be positive")
         if self.convergence_tol < 0:
@@ -272,9 +268,9 @@ def _read_fields(cls, values: Mapping[str, str], error: type, where: str = "", *
     Each field is read from ``values[key]``, where the key is
     ``keys.get(name, name)``, and cast to its annotated type.  A missing key
     falls back to ``defaults[name]``, then to the field's own default; with
-    ``strict`` every key is required.  A value the cast rejects, and a
-    missing required key, raise ``error`` with a message that starts with
-    ``where`` and names the key.
+    ``strict`` every key is required and no other is allowed.  A value the
+    cast rejects, and a missing required or unknown key, raise ``error``
+    with a message that starts with ``where`` and names the key.
     """
     kinds = typing.get_type_hints(cls)
     kwargs = {}
@@ -290,6 +286,8 @@ def _read_fields(cls, values: Mapping[str, str], error: type, where: str = "", *
             kwargs[name] = defaults[name]
         elif strict or field.default is MISSING:
             raise error(f"{where}missing required config key {key!r}")
+    if strict and (unknown := values.keys() - {keys.get(name, name) for name in kinds}):
+        raise error(f"{where}unknown key {min(unknown)!r}")
     return cls(**kwargs)
 
 

@@ -3,35 +3,31 @@ group representations by alternating minimization.
 
 The objective being minimized is
 
-    ||E - W^T X||_F^2  +  lambda * ||E - R Y||_F^2  -  gamma * ||R Y||_F^2
+    ||E - W^T X||_F^2  +  lambda * ||E - R Y||_F^2
 
 over an orthonormal-column projection W, exactly-S ternary codes E, ternary
 group representations R and a one-group-per-signature assignment Y.  The
-three block updates are:
+paper also subtracts gamma * ||R Y||_F^2, which is not modelled: every
+representation has exactly S nonzeros, so ||R Y||_F^2 = N S is constant.
+The three block updates are:
 
 * projection update: an orthogonality-constrained least squares fit solved
   in one shot through the SVD of X E^T (the classical eigenvector recipe,
   computed via SVD for conditioning);
 * code update: columnwise ternarization of W^T X + lambda * R Y;
-* grouping update: k-means on the columns of E, followed by ternarization
-  of the final centroids.  The relaxed grouping problem is k-means on
-  c * E with c = lambda / (lambda - gamma); a positive c scales every
-  squared distance by c^2 and so moves no assignment.  Only the first
-  grouping update seeds k-means with k-means++; every later one starts
-  Lloyd from the current assignment, so it ends no higher than that
-  assignment scores on the new codes, and stops after one assignment step
-  when the assignment is already a fixed point.
+* grouping update: k-means on the columns of E (the grouping problem with
+  R relaxed to real values), followed by ternarization of the final
+  centroids.  Only the first grouping update seeds k-means with k-means++;
+  every later one starts Lloyd from the current assignment, so it ends no
+  higher than that assignment scores on the new codes, and stops after one
+  assignment step when the assignment is already a fixed point.
 
-Two of the objective's terms do less than its form suggests.  The code
-update collapses onto the representations at large lambda: on r_g's support
-each magnitude of p + lambda r_g is at least lambda - |p_j|, and off it
-|p_j|, so lambda > 2 max|P| gives e = r_g exactly, the code of every member
-of group g.  |p_j| <= 1 always, since signatures are unit norm and W has
-orthonormal columns, so any lambda > 2 makes E = R Y whatever W is; at the
-default lambda = 1 it takes every entry of W^T X below 1/2.  And every
-representation has exactly S nonzeros, so ||R Y||_F^2 = N S at every
-iteration: gamma offsets the reported total by the constant -gamma N S and
-changes no update.
+The code update collapses onto the representations at large lambda: on
+r_g's support each magnitude of p + lambda r_g is at least lambda - |p_j|,
+and off it |p_j|, so lambda > 2 max|P| gives e = r_g exactly, the code of
+every member of group g.  |p_j| <= 1 always, since signatures are unit norm
+and W has orthonormal columns, so any lambda > 2 makes E = R Y whatever W
+is; at the default lambda = 1 it takes every entry of W^T X below 1/2.
 
 An outer iteration is a function of the (E, R, Y) it starts from: W is a
 function of E, and every grouping step after the first is deterministic.
@@ -110,24 +106,20 @@ class AssignmentMatrix:
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """Per-iteration objective value and its three summands."""
+    """Per-iteration objective, embedding + lambda * within, and its two parts."""
 
     embedding_cost: float
     within_trace: float
-    between_trace: float
     total: float
 
     def __post_init__(self):
-        for name in ("embedding_cost", "within_trace", "between_trace", "total"):
+        for name in ("embedding_cost", "within_trace", "total"):
             if not np.isfinite(getattr(self, name)):
                 raise GmkitError(f"objective component {name} is not finite")
 
     @classmethod
-    def from_parts(
-        cls, embedding_cost: float, within_trace: float, between_trace: float, within_weight: float, between_weight: float
-    ) -> "ObjectiveBreakdown":
-        total = embedding_cost + within_weight * within_trace - between_weight * between_trace
-        return cls(embedding_cost, within_trace, between_trace, total)
+    def from_parts(cls, embedding_cost: float, within_trace: float, within_weight: float) -> "ObjectiveBreakdown":
+        return cls(embedding_cost, within_trace, embedding_cost + within_weight * within_trace)
 
 
 @dataclass(frozen=True)
@@ -153,31 +145,38 @@ def objective(
     representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
-    between_weight: float,
 ) -> ObjectiveBreakdown:
     """Objective breakdown for the projected signatures P = W^T X.
 
-    The embedding cost is ||E - P||_F^2.  The two traces are ||E - R Y||_F^2
-    and ||R Y||_F^2, computed in exact int64 from the group sums s_g and
-    counts n_g: between = sum_g n_g ||r_g||^2 and within = sum_i ||e_i||^2 +
-    between - 2 sum_g r_g . s_g, since a ternary vector's squared norm is its
-    nonzero count.  The l x l scatter matrices are never materialized.
+    The embedding cost is ||E - P||_F^2.  The within trace ||E - R Y||_F^2
+    is computed in exact int64 from the group sums s_g and counts n_g as
+    sum_i ||e_i||^2 + sum_g n_g ||r_g||^2 - 2 sum_g r_g . s_g, since a
+    ternary vector's squared norm is its nonzero count.  The l x l scatter
+    matrices are never materialized.
 
-    A ragged, non-2-D or mis-shaped ``projected`` raises DimensionError, and
-    an entry that is not a finite real number InvalidInputError.
+    A non-finite ``within_weight`` raises InvalidInputError; a ragged,
+    non-2-D or mis-shaped ``projected`` DimensionError, and an entry that is
+    not a finite real number, or too large to square, InvalidInputError.
     """
+    _check_weight(within_weight)
     projected = _as_array(projected, "projected signatures", 2, DimensionError)
     if projected.shape != codes.codes.shape:
         raise DimensionError(f"projected signatures of shape {projected.shape} do not match codes {codes.codes.shape}")
     _check_grouping(codes.code_length, codes.codes.shape[1], representations, assignments)
-    embedding = float(np.sum(np.square(codes.codes.astype(np.float64) - projected)))
+    with np.errstate(over="ignore"):
+        embedding = float(np.sum(np.square(codes.codes.astype(np.float64) - projected)))
     if not np.isfinite(embedding):
-        raise InvalidInputError("embedding cost is not finite: projected signatures must be finite")
+        raise InvalidInputError("embedding cost is not a finite float64: projected signatures are non-finite or too large")
     sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
-    between = int(counts @ np.count_nonzero(representations.codes, axis=0))
+    rep_norms = int(counts @ np.count_nonzero(representations.codes, axis=0))
     cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
-    within = np.count_nonzero(codes.codes) + between - 2 * cross
-    return ObjectiveBreakdown.from_parts(embedding, float(within), float(between), within_weight, between_weight)
+    within = np.count_nonzero(codes.codes) + rep_norms - 2 * cross
+    return ObjectiveBreakdown.from_parts(embedding, float(within), within_weight)
+
+
+def _check_weight(within_weight: float) -> None:
+    if not np.isfinite(within_weight):
+        raise InvalidInputError(f"within_weight must be finite, got {within_weight!r}")
 
 
 def _check_grouping(code_length: int, num_codes: int, representations: CodeMatrix, assignments: AssignmentMatrix) -> None:
@@ -222,12 +221,15 @@ def e_step(
     """Code update: columnwise ternarization of P + lambda * R Y for the
     projected signatures P = W^T X.
 
-    A ragged, non-2-D or mis-shaped ``projected`` raises DimensionError, and
-    an entry that is not a finite real number InvalidInputError.
+    A non-finite ``within_weight`` raises InvalidInputError; a ragged,
+    non-2-D or mis-shaped ``projected`` DimensionError, and an entry that is
+    not a finite real number, or a sum that overflows, InvalidInputError.
     """
+    _check_weight(within_weight)
     projected = _as_array(projected, "projected signatures", 2, DimensionError)
     _check_grouping(projected.shape[0], projected.shape[1], representations, assignments)
-    target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
+    with np.errstate(over="ignore"):
+        target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
     return CodeMatrix(ternarize_columns(target, sparsity), sparsity)
 
 
@@ -500,10 +502,9 @@ def ry_step(
 ) -> tuple[CodeMatrix, AssignmentMatrix]:
     """Grouping update: k-means on the codes, then ternarize centroids.
 
-    Expanding lambda * ||E - RY||^2 - gamma * ||RY||^2 shows the relaxed
-    problem is k-means on the columns of c * E with c = lambda/(lambda-gamma).
-    A positive c scales every squared distance by c^2, so k-means runs on the
-    integer codes themselves and the two weights do not enter this step.
+    With R relaxed to real values, lambda * ||E - RY||^2 is lambda times the
+    k-means objective on the columns of E, so k-means runs on the integer
+    codes themselves and lambda does not enter this step.
     Each final centroid is ternarized to produce its group representation;
     its integer group sum has the same signs and the same ranking of
     magnitudes, so the sum is ternarized, free of any rounding.
@@ -565,7 +566,7 @@ def _alternate(
         projected = projection.data.T @ signatures.data
         codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
         reps, assign = group(codes, assign)
-        breakdown = objective(projected, codes, reps, assign, config.within_weight, config.between_weight)
+        breakdown = objective(projected, codes, reps, assign, config.within_weight)
         trace.append(breakdown)
         state = (codes.codes, reps.codes, assign.group_of)
         if prev_state is not None and all(map(np.array_equal, state, prev_state)):

@@ -1,19 +1,20 @@
 """Plain-text model files.
 
-A trained model is stored as one inspectable text file with bracketed
-sections: the config echo as key=value lines, the projection as CSV floats
-(one feature dimension per row), codes and representations as integer CSV
-(one code per row), the assignment as a single integer row, and the
-objective trace as CSV under a header line.  Floats use shortest round-trip
-formatting so a saved model reloads bit-identically.
+A trained model is stored as one inspectable text file: the version line
+``# gmkit model v2``, then bracketed sections: the config echo as key=value
+lines, the projection as CSV floats (one feature dimension per row), codes
+and representations as integer CSV (one code per row), the assignment as a
+single integer row, and the objective trace as CSV under a header line.
+Floats use shortest round-trip formatting so a saved model reloads
+bit-identically.  Any other first line is a :class:`ParseError` quoting it.
 
 The numeric sections are written and read by the CSV code of
 :mod:`gmkit.data`, so a bad token is a :class:`ParseError` naming its
 section, its row within the section and its column, and an empty section
 is one naming the section.  A ``[config]`` value that does not cast to its
-field's type, or a missing ``[config]`` key, is a :class:`ParseError`
-naming the key, and a non-finite ``[objective_trace]`` value one naming
-its row.
+field's type, or a missing or unknown ``[config]`` key, is a
+:class:`ParseError` naming the key, and a non-finite ``[objective_trace]``
+value one naming its row.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .data import _csv_lines, _data_lines, _parse_rows
 from .errors import GmkitError, ParseError
 from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
 
-_HEADER = "# gmkit model v1"
+_HEADER = "# gmkit model v2"
 
-_TRACE_HEADER = "embedding_cost,within_trace,between_trace,total"
+_TRACE_HEADER = "embedding_cost,within_trace,total"
 
 
 def save_model(path: str, model: Model) -> None:
@@ -67,6 +68,10 @@ def _split_sections(path: str) -> dict[str, list[str]]:
 
 
 def load_model(path: str) -> Model:
+    with open(path, "rb") as fh:
+        first = fh.readline().rstrip(b"\r\n").decode("ascii", "backslashreplace")
+    if first != _HEADER:
+        raise ParseError(f"{path}: first line is {first!r}, expected {_HEADER!r}")
     sections = _split_sections(path)
     for required in ("config", "projection", "codes", "representations", "assignments", "objective_trace"):
         if required not in sections:
@@ -97,13 +102,13 @@ def load_model(path: str) -> Model:
         raise ParseError(f"{path}: [objective_trace] must start with {_TRACE_HEADER!r}")
     trace = []
     for lineno, row in enumerate(parse_rows("objective_trace", float, 1).tolist(), start=2):
-        if len(row) != 4:
-            raise ParseError(f"{path}: [objective_trace] row {lineno} needs 4 columns")
+        if len(row) != 3:
+            raise ParseError(f"{path}: [objective_trace] row {lineno} needs 3 columns")
         try:
             entry = ObjectiveBreakdown(*row)
         except GmkitError as err:  # a non-finite value
             raise ParseError(f"{path}: [objective_trace] row {lineno}: {err}") from None
-        recomputed = ObjectiveBreakdown.from_parts(*row[:3], config.within_weight, config.between_weight).total
+        recomputed = ObjectiveBreakdown.from_parts(*row[:2], config.within_weight).total
         if abs(recomputed - entry.total) > 1e-9 * max(1.0, abs(entry.total)):
             raise ParseError(f"{path}: [objective_trace] row {lineno} total is inconsistent with its parts")
         trace.append(entry)

@@ -115,7 +115,7 @@ def plain_distance(a, b):
 
 VERIF_SPEC = dict(num_identities=128, samples_per_identity=4, dim=64, impostor_fraction=0.5)
 VERIF_CONFIG = dict(
-    code_length=32, sparsity=8, within_weight=1.0, between_weight=0.1,
+    code_length=32, sparsity=8, within_weight=1.0,
     max_outer_iters=20, convergence_tol=0.0,
 )
 
@@ -146,7 +146,7 @@ def test_c01_procrustes_optimality():
 
         def embedding_cost(projection):
             projected = projection.data.T @ signatures.data
-            return objective(projected, codes, reps, one_group, 1.0, 0.1).embedding_cost
+            return objective(projected, codes, reps, one_group, 1.0).embedding_cost
 
         fit = embedding_cost(_svd_projection(signatures, codes))
         for _ in range(100):
@@ -182,7 +182,6 @@ def test_c03_substep_oracle_equivalence():
         sparsity = int(rng.integers(1, code_length))
         num_groups = int(rng.integers(1, n + 1))
         lam = float(rng.uniform(0.2, 3.0))
-        gam = float(rng.uniform(0.01, lam * 0.9))
 
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((d, n))))
         q, _ = np.linalg.qr(rng.standard_normal((d, code_length)))
@@ -200,24 +199,22 @@ def test_c03_substep_oracle_equivalence():
                 dist_oracle = sum((int(codes.codes[i, j]) - int(reps.codes[i, g])) ** 2 for i in range(code_length))
                 assert distances[j, g] == dist_oracle
 
-        # scatter traces: definition double sums
+        # within trace: definition double sum
         within_o = 0.0
-        between_o = 0.0
         for i in range(n):
             r = reps.codes[:, group_of[i]].astype(float)
             e = codes.codes[:, i].astype(float)
             within_o += float(np.sum((e - r) ** 2))
-            between_o += float(np.sum(r * r))
         target = projection.data.T @ signatures.data
-        breakdown = objective(target, codes, reps, assignments, lam, gam)
-        worst = max(worst, abs(breakdown.within_trace - within_o), abs(breakdown.between_trace - between_o))
+        breakdown = objective(target, codes, reps, assignments, lam)
+        worst = max(worst, abs(breakdown.within_trace - within_o))
 
         # objective: loop recomputation of eq. parts
         emb_o = 0.0
         for i in range(code_length):
             for j in range(n):
                 emb_o += (float(codes.codes[i, j]) - target[i, j]) ** 2
-        worst = max(worst, abs(breakdown.total - (emb_o + lam * within_o - gam * between_o)))
+        worst = max(worst, abs(breakdown.total - (emb_o + lam * within_o)))
 
         # e_step: per-column sum-then-sort oracle
         new_codes = e_step(target, reps, assignments, lam, sparsity)
@@ -473,12 +470,12 @@ def test_c10_cli_determinism(tmp_path):
 # fixed-seed output must update these digests and say so in CHANGES.md.
 GOLDEN_TRAIN_DIGESTS = {
     "train": (
-        "64be648fdc15bbb9057d4ff33fe7083ebc60eaebd2bfe1837bbf9ab17bcafba6",
-        "dbeac20773788520bac98ec82a489fedddc930e4de8cf61dabc0e2414fcb6434",
+        "8437a24b0c646981bf06cf384b0cbe25ff438010b24299dcd390edbbb3b0ffbb",
+        "420e1df795dd1e93d4a2081859bd6ed53ae0c2f06a4671275903237a08954197",
     ),
     "baseline": (
-        "eddcaadd951bfb9fc4929fafbba0b7697233673338b5600eca0820dd9372e945",
-        "0999901ad8304c4c5839b5b521b403f508528855d0d3bc1869cf482816b71a90",
+        "65955eaf06df4da51cf820d21eab73b9a38109f19674b07bf986bc2247b3a21c",
+        "56b9f326c60fd8c205ac474d39a464d82fe83fba0f1e948a89c8d688c843a748",
     ),
 }
 
@@ -568,16 +565,16 @@ out_dir = {out}
 # these bytes exactly.
 GOLDEN_PROTOCOL_SHAPE_DIGESTS = {
     "seed-2": (
-        "e726f965aeb0e3d0f07c74e43c04d48cba39374981ce180ecc19d32a509660f9",
-        "bc7c4c258528e1e197e629405bc1c907c626bd5a39caec9e9fb05e84460288a1",
+        "b2d1bb7268bea0f7832b35747891df57abee927861e2bcc15657231499d8f1bc",
+        "c669ad7c06ab0080b01cdab98a7afbd058bb7ef51c5d2b1c513d2c2f1169d8dd",
     ),
     "seed-3": (
-        "d9cc77add08bfadec50f1aeb400f545668c5b01886065bf798eb0c0d700f2b1f",
-        "86ea3fda57e9715c2c6ce2dd996c533f93dc78e5115448b8f403f8fc387d557e",
+        "72cda2b2f772c9441fdcc111c2d5f491e2302e482fc8342442105b231bd5192b",
+        "9ff2e3fee7becf99461c1ba7141a33a86f29c5361ccd9b2163486eede344699e",
     ),
     "baseline-16-seed-2": (
-        "85435f624909f1ab7a4029abfacd2a9348a8479fdc0a657bd7fbfeb4baae1481",
-        "262b44f37b76ae08f4ff72b92c070239b0b2a8871d584ead7ea180bcf08d0a64",
+        "7a310e608f8528fc1d33e78666959e7ee11c0dfdbc8d4915cc8471f0ddf40daf",
+        "aad51c46640ef4027932a796fb88a3c673cc94b784452e61f499bcf2a9292f0f",
     ),
 }
 
@@ -674,15 +671,15 @@ def relabeled_model_digests(out):
 GOLDEN_RELABELED_DIGESTS = {
     "cli": (
         "82bf3e261a7c036eb3cf20f8bf1cfd44795899c411b8c6ebb7ec226c5250403e",
-        "dbeac20773788520bac98ec82a489fedddc930e4de8cf61dabc0e2414fcb6434",
+        "420e1df795dd1e93d4a2081859bd6ed53ae0c2f06a4671275903237a08954197",
     ),
     "protocol-shape-seed-2": (
         "f8d73decf5b657a6aad6c6a15e2f6147a959a0f05dc67afecc04e493c35fd3e2",
-        "bc7c4c258528e1e197e629405bc1c907c626bd5a39caec9e9fb05e84460288a1",
+        "c669ad7c06ab0080b01cdab98a7afbd058bb7ef51c5d2b1c513d2c2f1169d8dd",
     ),
     "protocol-shape-seed-3": (
         "3d8bb60b2bdbf209156d4c7ba8b91cb55fe661337f010639a4accf8ae37bc89f",
-        "86ea3fda57e9715c2c6ce2dd996c533f93dc78e5115448b8f403f8fc387d557e",
+        "9ff2e3fee7becf99461c1ba7141a33a86f29c5361ccd9b2163486eede344699e",
     ),
 }
 

@@ -17,7 +17,6 @@ code_length = 8
 sparsity = 2
 num_groups = 4
 within_weight = 1.0
-between_weight = 0.1
 max_outer_iters = 10
 seed = 3
 
@@ -66,7 +65,7 @@ class TestConfig:
     def test_every_key_flows_into_its_field(self, tmp_path, config_path):
         cfg = load_experiment_config(config_path(tmp_path / "x"), {"within_weight": "2.5", "convergence_tol": "0.5"})
         assert cfg.model == ModelConfig(code_length=8, sparsity=2, num_groups=4, within_weight=2.5,
-                                        between_weight=0.1, max_outer_iters=10, convergence_tol=0.5, seed=3)
+                                        max_outer_iters=10, convergence_tol=0.5, seed=3)
         assert cfg.synthetic == data_mod.SyntheticSpec(16, 2, 16, 0.05, 0.25, seed=4)
         assert (cfg.group_sizes, cfg.sparsity_levels, cfg.out_dir) == ([2, 4], [], str(tmp_path / "x"))
 
@@ -83,6 +82,24 @@ class TestConfig:
     def test_bad_value_names_its_key(self, tmp_path, config_path, capsys, key):
         assert main(["train", "--config", config_path(tmp_path / "x"), f"--{key}=x"]) == 1
         assert capsys.readouterr().err == f"ERROR:config:bad value for {key}: 'x'\n"
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0", "-1.5"])
+    def test_within_weight_outside_finite_positive_is_named(self, tmp_path, config_path, capsys, value):
+        assert main(["train", "--config", config_path(tmp_path / "x"), f"--within_weight={value}"]) == 1
+        assert capsys.readouterr().err == f"ERROR:config:within_weight must be finite and > 0, got {float(value)}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_readme_example_loads_at_the_defaults_it_shows(self, tmp_path):
+        # an unknown key fails to load, so a removed key cannot linger in the docs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "exp.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_experiment_config(str(path), {})
+        # the README shows every optional [model] and [data] key at its default
+        assert cfg.model == ModelConfig(code_length=32, sparsity=8, num_groups=16)
+        assert cfg.synthetic == data_mod.SyntheticSpec(num_identities=128, samples_per_identity=2, dim=64,
+                                                       noise_sigma=0.1, impostor_fraction=0.25, seed=0)
+        assert (cfg.dataset_dir, cfg.group_sizes, cfg.sparsity_levels, cfg.out_dir) == (None, [2, 8, 32], [4, 8, 16], "out")
 
     @pytest.mark.parametrize("key", ["code_length", "sparsity", "num_groups", "num_identities", "dim"])
     def test_missing_required_key_is_named(self, tmp_path, config_path, capsys, key):
@@ -221,6 +238,18 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         assert read_tree(out) == first
 
+    @pytest.mark.parametrize("cap", [1, 2, 10])
+    def test_log_states_iterations_and_cap_only(self, tmp_path, config_path, cap):
+        # on this config the state repeats at iteration 2, so a cap of 2 and
+        # a repeat end the run at once: the log names neither as the reason
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_path(out, max_outer_iters=str(cap))]) == 0
+        ran = len(load_model(str(out / "model.txt")).objective_trace)
+        assert ran == min(cap, 2)
+        lines = (out / "train.log").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("iter ")] == [f"iter {i}" for i in range(1, ran + 1)]
+        assert lines[-2] == f"stopped after {ran} iterations (max_outer_iters={cap})"
+
     def test_log_reports_final_within_trace(self, tmp_path, config_path):
         out = tmp_path / "run"
         assert main(["train", "--config", config_path(out)]) == 0
@@ -271,6 +300,10 @@ class TestTrain:
         cfg = config_path(tmp_path / "x")
         assert main(["train", "--config", cfg, "--within_weights=2.5"]) == 1
         assert capsys.readouterr().err == "ERROR:config:unknown override key 'within_weights'\n"
+        # the retired between-group weight, in [model]
+        Path(cfg).write_text(Path(cfg).read_text().replace("[model]\n", "[model]\nbetween_weight = 0.1\n"))
+        assert main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "ERROR:config:unknown key 'between_weight' in section [model]\n"
         assert not (tmp_path / "x").exists()
 
     def test_non_integer_env_seed_names_the_variable(self, tmp_path, config_path, monkeypatch, capsys):

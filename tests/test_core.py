@@ -383,10 +383,9 @@ class TestTypes:
     def test_model_config_invariants(self):
         with pytest.raises(ConfigError):
             ModelConfig(code_length=8, sparsity=8, num_groups=2)
-        with pytest.raises(ConfigError):
-            ModelConfig(code_length=8, sparsity=2, num_groups=2, within_weight=1.0, between_weight=1.0)
-        with pytest.raises(ConfigError):
-            ModelConfig(code_length=8, sparsity=2, num_groups=2, within_weight=0.5, between_weight=-0.1)
+        for weight in (0.0, -0.5, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="within_weight must be finite and > 0"):
+                ModelConfig(code_length=8, sparsity=2, num_groups=2, within_weight=weight)
 
     def test_ternarize_columns_shape(self):
         rng = np.random.default_rng(9)

@@ -560,7 +560,7 @@ class TestSecurityReport:
         # embeddings so the pairing is exact
         spec = SyntheticSpec(num_identities=12, samples_per_identity=2, dim=16, noise_sigma=0.0, impostor_fraction=0.25, seed=25)
         ds = generate(spec)
-        config = ModelConfig(code_length=8, sparsity=7, num_groups=12, within_weight=1e-6, between_weight=1e-7, seed=26)
+        config = ModelConfig(code_length=8, sparsity=7, num_groups=12, within_weight=1e-6, seed=26)
         model = train(ds.enrolled, config)
         queries = query_set_from_dataset(ds, model)
         report = security_report(ds.enrolled, queries, model)

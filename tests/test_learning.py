@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -64,26 +65,24 @@ def embedding_cost(signatures, projection, codes):
     """The embedding part of :func:`objective`, with every code in one group."""
     reps = CodeMatrix(codes.codes[:, :1], codes.sparsity)
     projected = projection.data.T @ signatures.data
-    return objective(projected, codes, reps, one_group(codes.num_groups), 1.0, 0.5).embedding_cost
+    return objective(projected, codes, reps, one_group(codes.num_groups), 1.0).embedding_cost
 
 
-def scatter_traces(codes, reps, assignments):
-    """The (within, between) traces of :func:`objective`."""
-    breakdown = objective(np.zeros(codes.codes.shape), codes, reps, assignments, 1.0, 0.5)
-    return breakdown.within_trace, breakdown.between_trace
+def within_trace(codes, reps, assignments):
+    """The within trace of :func:`objective`."""
+    return objective(np.zeros(codes.codes.shape), codes, reps, assignments, 1.0).within_trace
 
 
 def loop_objective_parts(signatures, projection, codes, reps, assignments):
-    """(embedding cost, within trace, between trace) by elementwise loops."""
+    """(embedding cost, within trace) by elementwise loops."""
     target = projection.data.T @ signatures.data
-    emb = within = between = 0.0
+    emb = within = 0.0
     for j in range(codes.num_groups):
         r = reps.codes[:, assignments.group_of[j]].astype(float)
         e = codes.codes[:, j].astype(float)
         emb += sum((e[i] - target[i, j]) ** 2 for i in range(codes.code_length))
         within += float(np.sum((e - r) ** 2))
-        between += float(np.sum(r * r))
-    return emb, within, between
+    return emb, within
 
 
 class TestEmbeddingCost:
@@ -115,7 +114,7 @@ class TestEmbeddingCost:
     def test_dimension_mismatch(self):
         codes = CodeMatrix(np.array([[1], [0], [0]], dtype=np.int8), 1)
         with pytest.raises(DimensionError):
-            objective(np.zeros((2, 1)), codes, codes, one_group(1), 1.0, 0.5)
+            objective(np.zeros((2, 1)), codes, codes, one_group(1), 1.0)
 
 
 class TestScatterTraces:
@@ -123,63 +122,57 @@ class TestScatterTraces:
         codes = CodeMatrix(np.array([[1, 1], [-1, -1], [0, 0]], dtype=np.int8), 2)
         reps = CodeMatrix(np.array([[1], [-1], [0]], dtype=np.int8), 2)
         assignments = AssignmentMatrix(np.zeros(2, dtype=int), 1)
-        within, between = scatter_traces(codes, reps, assignments)
-        assert within == 0.0
-        assert between == 2 * 2  # N * S for a single group
+        assert within_trace(codes, reps, assignments) == 0.0
 
     def test_matches_definition_double_sum(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             _, _, codes, reps, assignments = random_instance(rng)
             within = 0.0
-            between = 0.0
             for i in range(codes.num_groups):
                 r = reps.codes[:, assignments.group_of[i]].astype(float)
                 e = codes.codes[:, i].astype(float)
                 within += float(np.sum((e - r) ** 2))
-                between += float(np.sum(r * r))
-            got_within, got_between = scatter_traces(codes, reps, assignments)
-            assert got_within == pytest.approx(within, abs=1e-9)
-            assert got_between == pytest.approx(between, abs=1e-9)
+            assert within_trace(codes, reps, assignments) == pytest.approx(within, abs=1e-9)
 
 
 class TestObjective:
-    def test_perfect_fit_total_is_minus_gamma_between(self):
+    def test_perfect_fit_total_is_zero(self):
         proj = ProjectionMatrix(np.eye(3)[:, :2])
         x = SignatureMatrix(np.eye(3)[:, :1])
         codes = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         reps = CodeMatrix(np.array([[1], [0]], dtype=np.int8), 1)
         assignments = AssignmentMatrix(np.zeros(1, dtype=int), 1)
-        breakdown = objective(proj.data.T @ x.data, codes, reps, assignments, 1.0, 0.25)
+        breakdown = objective(proj.data.T @ x.data, codes, reps, assignments, 1.0)
         assert breakdown.embedding_cost == pytest.approx(0.0)
         assert breakdown.within_trace == pytest.approx(0.0)
-        assert breakdown.total == pytest.approx(-0.25 * breakdown.between_trace)
+        assert breakdown.total == pytest.approx(0.0)
 
     def test_matches_sum_of_component_oracles(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             signatures, projection, codes, reps, assignments = random_instance(rng)
             projected = projection.data.T @ signatures.data
-            breakdown = objective(projected, codes, reps, assignments, 2.0, 0.5)
-            emb, within, between = loop_objective_parts(signatures, projection, codes, reps, assignments)
-            assert breakdown.total == pytest.approx(emb + 2.0 * within - 0.5 * between, rel=1e-9)
+            breakdown = objective(projected, codes, reps, assignments, 2.0)
+            emb, within = loop_objective_parts(signatures, projection, codes, reps, assignments)
+            assert breakdown.total == pytest.approx(emb + 2.0 * within, rel=1e-9)
 
     def test_shape_mismatch_is_dimension_error(self):
         rng = np.random.default_rng(15)
         codes = random_hash_matrix(4, 2, 1, rng)
         reps = random_hash_matrix(4, 1, 1, rng)
-        objective(np.zeros((4, 2)), codes, reps, one_group(2), 1.0, 0.5)
+        objective(np.zeros((4, 2)), codes, reps, one_group(2), 1.0)
         for projected, r, assignments in [
             (np.zeros((4, 2)), random_hash_matrix(3, 1, 1, rng), one_group(2)),
             (np.zeros((4, 2)), reps, one_group(3)),
             (np.zeros((4, 2)), reps, AssignmentMatrix(np.array([0, 1]), 2)),
         ]:
             with pytest.raises(DimensionError):
-                objective(projected, codes, r, assignments, 1.0, 0.5)
+                objective(projected, codes, r, assignments, 1.0)
 
     def test_from_parts_total_recomputable(self):
-        breakdown = ObjectiveBreakdown.from_parts(3.0, 2.0, 5.0, 1.5, 0.5)
-        recomputed = breakdown.embedding_cost + 1.5 * breakdown.within_trace - 0.5 * breakdown.between_trace
+        breakdown = ObjectiveBreakdown.from_parts(3.0, 2.0, 1.5)
+        recomputed = breakdown.embedding_cost + 1.5 * breakdown.within_trace
         assert abs(breakdown.total - recomputed) <= 1e-9 * max(1.0, abs(breakdown.total))
 
 
@@ -730,7 +723,30 @@ class TestKMeansAndRYStep:
         with pytest.raises(error):
             e_step(projected, reps, assignments, 1.0, 2)
         with pytest.raises(error):
-            objective(projected, codes, reps, assignments, 1.0, 0.5)
+            objective(projected, codes, reps, assignments, 1.0)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_steps_reject_non_finite_weight_before_arithmetic(self, weight):
+        signatures, projection, codes, reps, assignments = random_instance(np.random.default_rng(25))
+        projected = projection.data.T @ signatures.data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="within_weight must be finite"):
+                e_step(projected, reps, assignments, weight, 2)
+            with pytest.raises(InvalidInputError, match="within_weight must be finite"):
+                objective(projected, codes, reps, assignments, weight)
+
+    def test_steps_reject_overflowing_projected_without_warning(self):
+        # finite entries whose square (objective) or weighted sum (e_step)
+        # overflows float64
+        signatures, projection, codes, reps, assignments = random_instance(np.random.default_rng(25))
+        projected = with_entry(projection.data.T @ signatures.data, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="embedding cost is not a finite float64"):
+                objective(projected, codes, reps, assignments, 1.0)
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                e_step(np.full(projected.shape, 1e308), reps, assignments, 1e308, 2)
 
     @pytest.mark.parametrize(
         "group_of, error",
@@ -786,7 +802,7 @@ class TestTrain:
     def test_singleton_groups_reach_zero_within(self):
         rng = np.random.default_rng(27)
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((12, 6))))
-        config = ModelConfig(code_length=6, sparsity=2, num_groups=6, within_weight=10.0, between_weight=1.0, seed=5)
+        config = ModelConfig(code_length=6, sparsity=2, num_groups=6, within_weight=10.0, seed=5)
         model = train(signatures, config)
         assert model.objective_trace[-1].within_trace == pytest.approx(0.0)
 
@@ -942,8 +958,9 @@ def train_either(signatures, config, group_size, baseline):
 
 
 def full_run_oracle(signatures, config, group_size, baseline):
-    """(W, E, R, Y, trace) after all ``max_outer_iters`` iterations, with no
-    stop: the loop's steps driven one by one from the same seeded generator."""
+    """(W, E, R, Y, trace, ||R Y||^2 per iteration) after all
+    ``max_outer_iters`` iterations, with no stop: the loop's steps driven one
+    by one from the same seeded generator."""
     rng = np.random.default_rng(config.seed)
     if baseline:
         fixed = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
@@ -957,14 +974,15 @@ def full_run_oracle(signatures, config, group_size, baseline):
 
     projection, codes = learning._init_state(signatures, config, rng)
     reps, assign = group(codes, None)
-    trace = []
+    trace, rep_norms = [], []
     for _ in range(config.max_outer_iters):
         projection = _svd_projection(signatures, codes)
         projected = projection.data.T @ signatures.data
         codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
         reps, assign = group(codes, assign)
-        trace.append(objective(projected, codes, reps, assign, config.within_weight, config.between_weight))
-    return projection, codes, reps, assign, trace
+        trace.append(objective(projected, codes, reps, assign, config.within_weight))
+        rep_norms.append(int(np.sum(reps.codes[:, assign.group_of].astype(np.int64) ** 2)))
+    return projection, codes, reps, assign, trace, rep_norms
 
 
 class TestFixedPointStop:
@@ -977,7 +995,7 @@ class TestFixedPointStop:
     def test_stopped_model_is_the_full_run(self, shape, within_weight, baseline):
         signatures, config, group_size = stop_shape(shape, within_weight)
         model = train_either(signatures, config, group_size, baseline)
-        projection, codes, reps, assign, trace = full_run_oracle(signatures, config, group_size, baseline)
+        projection, codes, reps, assign, trace, _ = full_run_oracle(signatures, config, group_size, baseline)
         assert np.array_equal(model.projection.data, projection.data)
         assert np.array_equal(model.codes.codes, codes.codes)
         assert np.array_equal(model.representations.codes, reps.codes)
@@ -1011,12 +1029,12 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("within_weight", [1.0, 0.2])
     @pytest.mark.parametrize("shape", ["cli", "verify-batch-like"])
     def test_between_trace_is_n_times_s(self, shape, within_weight, baseline):
-        # every representation has exactly S nonzeros, so ||R Y||^2 = N S and
-        # between_weight only offsets the total
+        # every representation has exactly S nonzeros, so the paper's
+        # between-group term ||R Y||^2 is N S in every iteration: a constant,
+        # which is why the objective leaves it out
         signatures, config, group_size = stop_shape(shape, within_weight)
-        model = train_either(signatures, config, group_size, baseline)
-        constant = signatures.num_signatures * config.sparsity
-        assert [row.between_trace for row in model.objective_trace] == [constant] * len(model.objective_trace)
+        *_, rep_norms = full_run_oracle(signatures, config, group_size, baseline)
+        assert rep_norms == [signatures.num_signatures * config.sparsity] * config.max_outer_iters
 
 
 class TestRandomAssignmentBaseline:

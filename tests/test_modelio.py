@@ -50,7 +50,7 @@ def test_inconsistent_trace_total_rejected(model, tmp_path):
     save_model(str(path), model)
     lines = path.read_text().splitlines()
     # corrupt the total column of the first trace row
-    idx = lines.index("embedding_cost,within_trace,between_trace,total") + 1
+    idx = lines.index("embedding_cost,within_trace,total") + 1
     parts = lines[idx].split(",")
     parts[-1] = repr(float(parts[-1]) + 1.0)
     lines[idx] = ",".join(parts)
@@ -157,7 +157,7 @@ def test_ragged_section_is_parse_error(model, tmp_path):
 
 @pytest.mark.parametrize(
     "section, row, column",
-    [("projection", 3, 2), ("codes", 1, 5), ("representations", 2, 1), ("assignments", 1, 7), ("objective_trace", 2, 4)],
+    [("projection", 3, 2), ("codes", 1, 5), ("representations", 2, 1), ("assignments", 1, 7), ("objective_trace", 2, 3)],
 )
 def test_bad_token_names_section_row_and_column(model, tmp_path, section, row, column):
     path = tmp_path / "model.txt"
@@ -200,6 +200,27 @@ def test_bad_or_missing_config_value_names_its_key(model, tmp_path, key):
     with pytest.raises(ParseError) as err:
         load_model(str(path))
     assert str(err.value) == f"{path}: [config] missing required config key {key!r}"
+
+
+def test_unknown_config_key_is_parse_error_naming_it(model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    path.write_text(path.read_text().replace("[config]\n", "[config]\nbogus_key=1\n", 1))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [config] unknown key 'bogus_key'"
+
+
+@pytest.mark.parametrize("first", ["# gmkit model v1", "# gmkit model v3", "# gmkit model", "[config]"])
+def test_other_version_line_is_parse_error_naming_it(model, tmp_path, first):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "# gmkit model v2"
+    path.write_text("\n".join(lines[1:] if first == "[config]" else [first] + lines[1:]))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: first line is {first!r}, expected '# gmkit model v2'"
 
 
 def test_non_ascii_byte_names_file_and_row(model, tmp_path):
