@@ -3,9 +3,9 @@
 The server holds the group representations in the clear; the querying user
 holds only their code.  Every ciphertext is under the user's additive
 (Paillier) key: the user sends the encrypted code, the server answers with
-one affinely masked, encrypted value per group, and the user decrypts and
-returns them.  The server unmasks them and accepts iff some group sits
-within the threshold.
+one affinely masked value per group, packed several groups to a ciphertext,
+and the user decrypts, unpacks and returns them.  The server unmasks them
+and accepts iff some group sits within the threshold.
 
 The server learns the query's distance to every group, and with M >= l
 groups that gives it the query code itself (README, "Security scale"); the
@@ -43,7 +43,9 @@ for tau in (-1, 0, 8):
           f"plaintext rule says {'accept' if plain else 'reject'}")
     assert decision.accept == plain
 
-# the transcript records the full three-message exchange, replayable from disk
+# the transcript records the full three-message exchange, replayable from disk;
+# message 2 packs the groups' masked values several to a ciphertext, so it
+# holds fewer payloads than there are groups
 decision, transcript = run_protocol(query, reps, 8, rng, params, keys)
 print("\ntranscript:")
 for msg in transcript.messages:

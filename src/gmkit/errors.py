@@ -51,6 +51,8 @@ class PlaintextRangeError(ProtocolError):
 class ProtocolIntegrityError(ProtocolError):
     """A protocol value is malformed or inconsistent.
 
-    Raised for a ciphertext outside [1, n^2) or not coprime to n, and for
-    revealed values that do not unmask exactly with the server's masks.
+    Raised for a ciphertext outside [1, n^2) or not coprime to n, for a
+    message 2 with the wrong number of ciphertexts or a packed plaintext
+    outside its slots, and for revealed values that do not unmask exactly
+    with the server's masks.
     """

@@ -8,7 +8,9 @@ Each message is encoded bit-exactly as
 Payloads are nonnegative big integers (ciphertext residues, or masked
 values as least nonnegative residues modulo the additive modulus).  A
 transcript is the header ``GMKT | version u8`` followed by the three
-messages in order.
+messages in order.  In version 3, message 2 holds ceil(M / K) packed
+ciphertexts, K groups each, the first group in the top slot; messages 1 and
+3 hold one payload per code component and per group.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ KIND_BY_ROUND = {
 }
 
 _MAGIC = b"GMKT"
-_VERSION = 2
+_VERSION = 3
 
 EXPECTED_SENDERS = {1: CLIENT, 2: SERVER, 3: CLIENT}
 

@@ -506,11 +506,11 @@ def test_c10_cli_golden_bytes(tmp_path):
 # order must update them and say so in CHANGES.md.
 GOLDEN_DEMO_DIGESTS = {
     "128-bit": (
-        "d6092b23b5ab093d7f1212b326f6f2c40335830a3ccf63d452ebcd6867fadc81",
+        "ebb55449ec95ff26ae57be7c5828af192fd4cab33dc5f6d04febb45db930b6a0",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
     "64-bit": (
-        "d173b09e36429387be8d5fac846144752f1cd43661cdbdcbb0459f1ade40d518",
+        "c0d3bfb4cedf834c4f0f70b50ba81f95e983ad05b6e20529132d2798c3de01dc",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
 }

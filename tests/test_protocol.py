@@ -61,6 +61,11 @@ def roomy_keys():
     return ProtocolKeys.generate(SecurityParams(additive_bits=64), random.Random(104))
 
 
+@pytest.fixture(scope="module")
+def default_keys():
+    return ProtocolKeys.generate(SecurityParams(), random.Random(105))
+
+
 class TestAdditiveScheme:
     def test_add_decrypts_to_sum(self, add_keys):
         pk, sk = add_keys
@@ -102,10 +107,11 @@ class TestAdditiveScheme:
 
 def correlations(keys, enc, reps, rng):
     # with a = 1, b = 0 and tau = 0 message 2 decrypts to 2S - 2 p.r_g
+    width = validate_mask_range(keys.additive_public, reps.sparsity, 0, 1)
     blinded = server_round2_blind_threshold(
-        enc, reps, keys.additive_public, 0, [MaskPair(1, 0)] * reps.num_groups, rng
+        enc, reps, keys.additive_public, 0, [MaskPair(1, 0)] * reps.num_groups, width, rng
     )
-    values = client_round3_decrypt_reveal(blinded, keys.additive_secret)
+    values = client_round3_decrypt_reveal(blinded, keys.additive_secret, reps.num_groups, width)
     return [(2 * reps.sparsity - value) / 2 for value in values]
 
 
@@ -160,8 +166,10 @@ class TestRounds:
             r_sym[sparsity + i] = 1
         r = CodeMatrix(r_sym.reshape(-1, 1), sparsity)
         enc = client_round1_encrypt_query(p, keys.additive_public, rng)
-        blinded = server_round2_blind_threshold(enc, r, keys.additive_public, tau, [mask], rng)
-        return client_round3_decrypt_reveal(blinded, keys.additive_secret)[0]
+        # slots sized for the default magnitude, so an oversized mask reaches round 2's check
+        width = validate_mask_range(keys.additive_public, sparsity, tau, SecurityParams().mask_magnitude)
+        blinded = server_round2_blind_threshold(enc, r, keys.additive_public, tau, [mask], width, rng)
+        return client_round3_decrypt_reveal(blinded, keys.additive_secret, 1, width)[0]
 
     def test_round4_exact_match_boundary(self, roomy_keys):
         rng = random.Random(16)
@@ -198,8 +206,9 @@ class TestRounds:
         tau = 3
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
         masks = draw_masks(4, 50, rng)
-        blinded = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, tau, masks, rng)
-        values = client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret)
+        width = validate_mask_range(roomy_keys.additive_public, 2, tau, 50)
+        blinded = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, tau, masks, width, rng)
+        values = client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, 4, width)
         for g, (value, mask) in enumerate(zip(values, masks)):
             corr = int(code.symbols.astype(int) @ reps.codes[:, g].astype(int))
             assert value == mask.a * (2 * 2 - 2 * corr - tau) + mask.b
@@ -316,6 +325,16 @@ class TestRunProtocol:
             runs.add((decision.accept, transcript.to_bytes()))
         assert len(runs) == 1
 
+    def test_numpy_integer_mask_magnitude_gives_the_same_transcript(self, roomy_keys):
+        reps = random_reps(12, 3, 3, random.Random(36))
+        code = random_code(12, 3, random.Random(37))
+        runs = set()
+        for magnitude in (2**16, np.int64(2**16)):
+            params = SecurityParams(additive_bits=64, mask_magnitude=magnitude)
+            decision, transcript = run_protocol(code, reps, 5, random.Random(38), params, roomy_keys)
+            runs.add((decision.accept, transcript.to_bytes()))
+        assert len(runs) == 1
+
 
 class TestPartyViews:
     def test_server_recovers_every_distance_in_group_order(self, roomy_keys):
@@ -348,12 +367,85 @@ class TestPartyViews:
         reps = random_reps(12, 3, 6, rng)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
         masks = draw_masks(reps.num_groups, 50, rng)
-        first = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, rng)
-        second = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, rng)
+        width = validate_mask_range(roomy_keys.additive_public, 3, 4, 50)
+        first = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, width, rng)
+        second = server_round2_blind_threshold(enc, reps, roomy_keys.additive_public, 4, masks, width, rng)
         assert not set(first) & set(second)
-        assert client_round3_decrypt_reveal(first, roomy_keys.additive_secret) == client_round3_decrypt_reveal(
-            second, roomy_keys.additive_secret
-        )
+        sk = roomy_keys.additive_secret
+        assert client_round3_decrypt_reveal(first, sk, 6, width) == client_round3_decrypt_reveal(second, sk, 6, width)
+
+
+class TestPacking:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.booleans(), min_size=1, max_size=11),
+        st.integers(-12, 0),
+        st.sampled_from(["unit", "default", "one-slot"]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_worst_case_slots_round_trip(self, roomy_keys, default_keys, seed, signs, tau, magnitude_mode, wide):
+        # every group's representation is the negated query, so 2S - 2 p.r_g = 4S;
+        # with tau <= 0 and a = b = +-magnitude each value is +-worst
+        keys = default_keys if wide else roomy_keys
+        pk = keys.additive_public
+        rng = random.Random(seed)
+        sparsity = 3
+        code = random_code(8, sparsity, rng)
+        spread = 4 * sparsity + abs(tau) + 1
+        usable = pk.modulus.bit_length() - 2
+        magnitude = {
+            "unit": 1,
+            "default": SecurityParams().mask_magnitude,
+            "one-slot": (2 ** (usable - 1) - 1) // spread,  # the largest that validate_mask_range accepts
+        }[magnitude_mode]
+        width = validate_mask_range(pk, sparsity, tau, magnitude)
+        slots = usable // width
+        if magnitude_mode == "one-slot":
+            assert slots == 1
+        reps = CodeMatrix(np.column_stack([-code.symbols] * len(signs)), sparsity)
+        masks = [MaskPair(m, m) for m in (magnitude if up else -magnitude for up in signs)]
+        enc = client_round1_encrypt_query(code, pk, rng)
+        blinded = server_round2_blind_threshold(enc, reps, pk, tau, masks, width, rng)
+        assert len(blinded) == math.ceil(len(signs) / slots)
+        values = client_round3_decrypt_reveal(blinded, keys.additive_secret, len(signs), width)
+        assert values == [magnitude * spread if up else -magnitude * spread for up in signs]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_round2_fills_a_slot_and_no_more(self, roomy_keys, sign):
+        # a mask pair whose value reaches 2^(w-1) - 1 fills its slot exactly; one more raises
+        pk, sk = roomy_keys.additive_public, roomy_keys.additive_secret
+        rng = random.Random(37)
+        sparsity, tau = 3, -2
+        code = random_code(8, sparsity, rng)
+        reps = CodeMatrix(np.column_stack([-code.symbols] * 3), sparsity)  # 2S - 2 p.r_g - tau = 4S + 2
+        width = validate_mask_range(pk, sparsity, tau, SecurityParams().mask_magnitude)
+        a = 5 * sign
+        b = sign * (2 ** (width - 1) - 1) - a * (4 * sparsity + 2)
+        enc = client_round1_encrypt_query(code, pk, rng)
+        masks = [MaskPair(a, b), MaskPair(-a, -b), MaskPair(1, 0)]
+        blinded = server_round2_blind_threshold(enc, reps, pk, tau, masks, width, rng)
+        top = 2 ** (width - 1) - 1
+        assert client_round3_decrypt_reveal(blinded, sk, 3, width) == [sign * top, -sign * top, 4 * sparsity + 2]
+        with pytest.raises(PlaintextRangeError, match=f"{width}-bit slot"):
+            server_round2_blind_threshold(enc, reps, pk, tau, [MaskPair(a, b + sign)] + masks[1:], width, rng)
+
+    def test_packed_plaintext_outside_its_slots_rejected(self, roomy_keys):
+        pk, sk = roomy_keys.additive_public, roomy_keys.additive_secret
+        rng = random.Random(36)
+        width = validate_mask_range(pk, 2, 2, 50)
+        slots = (pk.modulus.bit_length() - 2) // width
+        assert slots >= 2
+        num_groups = slots + 1  # one full ciphertext, then one with a single slot
+        full, single = 2 ** (slots * width), 2**width
+        good = [additive_encrypt(pk, full - 1, rng), additive_encrypt(pk, single - 1, rng)]
+        assert len(client_round3_decrypt_reveal(good, sk, num_groups, width)) == num_groups
+        for first, last in ((full, single - 1), (-1, single - 1), (full - 1, single), (full - 1, -1)):
+            blinded = [additive_encrypt(pk, first, rng), additive_encrypt(pk, last, rng)]
+            with pytest.raises(ProtocolIntegrityError, match="outside its"):
+                client_round3_decrypt_reveal(blinded, sk, num_groups, width)
+        with pytest.raises(ProtocolIntegrityError, match="expected 2"):
+            client_round3_decrypt_reveal(good[:1], sk, num_groups, width)
 
 
 class TestMaskingBlindness:
@@ -431,22 +523,48 @@ class TestWireFormat:
         with pytest.raises(PlaintextRangeError):
             validate_mask_range(roomy_keys.additive_public, 8, 32, 2**61)
 
+    @pytest.mark.parametrize("sparsity, tau", [(8, 32), (2, -5), (1, 0)])
+    def test_mask_range_boundary_is_one_slot(self, roomy_keys, default_keys, sparsity, tau):
+        # the widest slot that fits is |n| - 2 bits: worst must stay below 2^(|n| - 3)
+        for keys in (roomy_keys, default_keys):
+            pk = keys.additive_public
+            usable = pk.modulus.bit_length() - 2
+            last = (2 ** (usable - 1) - 1) // (4 * sparsity + abs(tau) + 1)
+            assert validate_mask_range(pk, sparsity, tau, last) == usable
+            with pytest.raises(PlaintextRangeError, match=f"{usable + 1}-bit slots"):
+                validate_mask_range(pk, sparsity, tau, last + 1)
 
-def oracle_round2(encrypted_query, reps, pk, tau, masks, rng):
-    """Round 2 one symbol at a time: one inversion per negative symbol, then a
-    signed scalar multiplication (another inversion when -2a < 0)."""
+    def test_version_2_transcript_rejected(self, roomy_keys):
+        rng = random.Random(33)
+        reps = random_reps(10, 2, 3, rng)
+        _, transcript = run_protocol(reps.column(0), reps, 2, rng, SecurityParams(additive_bits=64), roomy_keys)
+        raw = transcript.to_bytes()
+        assert raw[4] == 3
+        with pytest.raises(ParseError, match="unsupported transcript version 2"):
+            ProtocolTranscript.from_bytes(raw[:4] + bytes([2]) + raw[5:])
+
+
+def oracle_round2(encrypted_query, reps, pk, tau, masks, slot_width, rng):
+    """Packed round 2 one symbol at a time: one inversion per negative symbol,
+    then a signed scalar multiplication by -2a * 2^(w*slot) (another inversion
+    when it is negative), K groups per ciphertext with the first in the top
+    slot, and one fresh encryption of the packed constants per ciphertext."""
+    slots = (pk.modulus.bit_length() - 2) // slot_width
     blinded = []
-    for g, mask in enumerate(masks):
-        rep = reps.column(g)
-        acc = None
-        for i in np.flatnonzero(rep.symbols):
-            factor = encrypted_query[i]
-            if rep.symbols[i] < 0:
-                factor = pow(factor, -1, pk.modulus_squared)
-            acc = factor if acc is None else additive_add(pk, acc, factor)
-        scaled = additive_scalar_mul(pk, acc, -2 * mask.a)
-        constant = additive_encrypt(pk, mask.a * (2 * reps.sparsity - tau) + mask.b, rng)
-        blinded.append(additive_add(pk, scaled, constant))
+    for first in range(0, len(masks), slots):
+        chunk = range(first, min(first + slots, len(masks)))
+        acc, constants = None, 0
+        for g in chunk:
+            weight = 2 ** (slot_width * (chunk[-1] - g))
+            mask, rep = masks[g], reps.column(g)
+            for i in np.flatnonzero(rep.symbols):
+                factor = encrypted_query[i]
+                if rep.symbols[i] < 0:
+                    factor = pow(factor, -1, pk.modulus_squared)
+                term = additive_scalar_mul(pk, factor, -2 * mask.a * weight)
+                acc = term if acc is None else additive_add(pk, acc, term)
+            constants += weight * (mask.a * (2 * reps.sparsity - tau) + mask.b + 2 ** (slot_width - 1))
+        blinded.append(additive_add(pk, acc, additive_encrypt(pk, constants, rng)))
     return blinded
 
 
@@ -495,14 +613,15 @@ class TestExactOracles:
             size = 1 if mask_mode == "unit" else self.MAGNITUDE
             masks = [MaskPair(rng.choice((-size, size)), rng.randint(-size, size)) for _ in range(num_groups)]
         enc = client_round1_encrypt_query(code, pk, rng)
+        width = validate_mask_range(pk, sparsity, tau, self.MAGNITUDE)
         state = rng.getstate()
-        fast = server_round2_blind_threshold(enc, reps, pk, tau, masks, rng)
+        fast = server_round2_blind_threshold(enc, reps, pk, tau, masks, width, rng)
         after = rng.getstate()
         rng.setstate(state)
-        assert fast == oracle_round2(enc, reps, pk, tau, masks, rng)
+        assert fast == oracle_round2(enc, reps, pk, tau, masks, width, rng)
         assert rng.getstate() == after
 
-    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
     def test_secret_key_encryption_matches_public_key(self, bits):
         pk, sk = additive_keygen(bits, random.Random(bits))
         rng = random.Random(bits + 1)
@@ -541,25 +660,27 @@ class TestMalformedCiphertexts:
         reps = random_reps(8, 2, 3, rng)
         enc = client_round1_encrypt_query(code, roomy_keys.additive_public, rng)
         masks = draw_masks(3, 50, rng)
+        width = validate_mask_range(roomy_keys.additive_public, 2, 2, 50)
         for bad in self._bad_values(roomy_keys.additive_secret):
             for slot in (0, 5):
                 tampered = list(enc)
                 tampered[slot] = bad
                 with pytest.raises(ProtocolIntegrityError):
-                    server_round2_blind_threshold(tampered, reps, roomy_keys.additive_public, 2, masks, rng)
+                    server_round2_blind_threshold(tampered, reps, roomy_keys.additive_public, 2, masks, width, rng)
 
     def test_decrypt_rejects_invalid_ciphertexts(self, roomy_keys):
         for bad in self._bad_values(roomy_keys.additive_secret):
             with pytest.raises(ProtocolIntegrityError):
                 additive_decrypt(roomy_keys.additive_secret, bad)
+        one_slot = roomy_keys.additive_public.modulus.bit_length() - 2  # K = 1: two groups, two ciphertexts
         with pytest.raises(ProtocolIntegrityError):
-            client_round3_decrypt_reveal([1, 0], roomy_keys.additive_secret)
+            client_round3_decrypt_reveal([1, 0], roomy_keys.additive_secret, 2, one_slot)
 
 
 class TestWorkCounts:
     def test_run_protocol_work_per_query(self, roomy_keys, monkeypatch):
-        # per query: l + M encryptions, M decryptions and exactly one modular
-        # inversion, made by the batch helper in round 2
+        # per query: l + ceil(M/K) encryptions, ceil(M/K) decryptions and
+        # exactly one modular inversion, made by the batch helper in round 2
         counts = {"encrypt": 0, "decrypt": 0, "batch": 0, "inverse": 0}
 
         def counted(name, fn):
@@ -586,4 +707,6 @@ class TestWorkCounts:
             for key in counts:
                 counts[key] = 0
             run_protocol(code, reps, 4, rng, params, roomy_keys)
-            assert counts == {"encrypt": length + num_groups, "decrypt": num_groups, "batch": 1, "inverse": 1}
+            width = validate_mask_range(roomy_keys.additive_public, sparsity, 4, params.mask_magnitude)
+            packed = math.ceil(num_groups / ((roomy_keys.additive_public.modulus.bit_length() - 2) // width))
+            assert counts == {"encrypt": length + packed, "decrypt": packed, "batch": 1, "inverse": 1}
