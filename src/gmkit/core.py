@@ -12,6 +12,7 @@ one-query forms.  Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import operator
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
@@ -139,6 +140,14 @@ class ProjectionMatrix:
         return self.data.shape[1]
 
 
+def as_int(value, name: str, error: type) -> int:
+    """``value`` as a Python int (numpy integers too); anything else raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
     """A code (``ndim`` 1) or l x K codes stored columnwise (``ndim`` 2),
     held as a read-only int8 array (see :func:`_held`) after checking that
@@ -177,6 +186,7 @@ class TernaryCode:
     sparsity: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sparsity", as_int(self.sparsity, "sparsity", InvalidSparsityError))
         object.__setattr__(self, "symbols", _checked_codes(self.symbols, self.sparsity, 1))
 
     @property
@@ -197,6 +207,7 @@ class CodeMatrix:
     sparsity: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sparsity", as_int(self.sparsity, "sparsity", InvalidSparsityError))
         object.__setattr__(self, "codes", _checked_codes(self.codes, self.sparsity, 2))
 
     @property

@@ -506,11 +506,11 @@ def test_c10_cli_golden_bytes(tmp_path):
 # order must update them and say so in CHANGES.md.
 GOLDEN_DEMO_DIGESTS = {
     "128-bit": (
-        "ebb55449ec95ff26ae57be7c5828af192fd4cab33dc5f6d04febb45db930b6a0",
+        "a869d9dd925429e4514f351599df82b9e4edb8a04ef9db62ff2a5ec14ee4503d",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
     "64-bit": (
-        "c0d3bfb4cedf834c4f0f70b50ba81f95e983ad05b6e20529132d2798c3de01dc",
+        "b6e9417edaea56b2055e049b91a958b564b90a929be2b19407e8c84651956fed",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
 }

@@ -332,6 +332,16 @@ class TestTypes:
         with pytest.raises(DimensionError):
             ProjectionMatrix(np.eye(3))
 
+    def test_code_types_store_sparsity_as_int(self):
+        for sparsity in (1, np.int64(1), np.uint32(1)):
+            assert type(TernaryCode(np.array([1, 0, 0]), sparsity).sparsity) is int
+            assert type(CodeMatrix(np.array([[1], [0], [0]]), sparsity).sparsity) is int
+        for sparsity in (1.0, "1", None):
+            with pytest.raises(InvalidSparsityError, match="sparsity must be an integer"):
+                TernaryCode(np.array([1, 0, 0]), sparsity)
+            with pytest.raises(InvalidSparsityError, match="sparsity must be an integer"):
+                CodeMatrix(np.array([[1], [0], [0]]), sparsity)
+
     def test_ternary_code_enforces_exact_sparsity(self):
         with pytest.raises(InvalidSparsityError):
             TernaryCode(np.array([1, 0, 0, 0]), 2)

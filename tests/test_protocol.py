@@ -31,6 +31,7 @@ from gmkit.protocol import (
     server_round2_blind_threshold,
     validate_mask_range,
 )
+from gmkit.protocol.paillier import AdditivePublicKey, AdditiveSecretKey
 
 
 def random_code(length, sparsity, rng):
@@ -103,6 +104,22 @@ class TestAdditiveScheme:
     def test_keygen_rejects_tiny_moduli(self):
         with pytest.raises(ProtocolError):
             additive_keygen(32, random.Random(5))
+
+    def test_secret_key_accepts_coprime_totient(self):
+        assert AdditiveSecretKey(AdditivePublicKey(35), 5, 7).p_squared == 25
+
+    @pytest.mark.parametrize(
+        "modulus, p, q, reason",
+        [
+            (49, 7, 7, "distinct primes"),
+            (35, 5, 11, "product is the public modulus"),
+            (55, 5, 7, "product is the public modulus"),
+            (21, 3, 7, "gcd"),  # gcd(21, 2 * 6) = 3
+        ],
+    )
+    def test_secret_key_rejects_bad_primes(self, modulus, p, q, reason):
+        with pytest.raises(ProtocolError, match=reason):
+            AdditiveSecretKey(AdditivePublicKey(modulus), p, q)
 
 
 def correlations(keys, enc, reps, rng):
@@ -329,11 +346,32 @@ class TestRunProtocol:
         reps = random_reps(12, 3, 3, random.Random(36))
         code = random_code(12, 3, random.Random(37))
         runs = set()
-        for magnitude in (2**16, np.int64(2**16)):
+        for magnitude in (2**16, np.int64(2**16), np.uint32(2**16)):
             params = SecurityParams(additive_bits=64, mask_magnitude=magnitude)
+            assert type(params.mask_magnitude) is int
             decision, transcript = run_protocol(code, reps, 5, random.Random(38), params, roomy_keys)
             runs.add((decision.accept, transcript.to_bytes()))
         assert len(runs) == 1
+
+    def test_numpy_integer_sizes_give_the_same_transcript(self):
+        # sparsity meets the modulus in round 2 and additive_bits drives key generation
+        reps = random_reps(12, 3, 3, random.Random(39))
+        code = random_code(12, 3, random.Random(40))
+        runs = set()
+        for size in (int, np.int64, np.uint32):
+            params = SecurityParams(additive_bits=size(128))
+            assert type(params.additive_bits) is int
+            keys = ProtocolKeys.generate(params, random.Random(41))
+            sized_code, sized_reps = TernaryCode(code.symbols, size(3)), CodeMatrix(reps.codes, size(3))
+            decision, transcript = run_protocol(sized_code, sized_reps, 5, random.Random(42), params, keys)
+            runs.add((decision.accept, transcript.to_bytes()))
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("field", ["additive_bits", "mask_magnitude"])
+    def test_non_integer_sizes_rejected(self, field):
+        for value in (128.0, "128", None):
+            with pytest.raises(ProtocolError, match=f"{field} must be an integer"):
+                SecurityParams(**{field: value})
 
 
 class TestPartyViews:
@@ -350,7 +388,7 @@ class TestPartyViews:
             seed = rng.randint(0, 2**62)
             _, transcript = run_protocol(code, reps, tau, random.Random(seed), params, roomy_keys)
             replay = random.Random(seed)
-            enc = client_round1_encrypt_query(code, roomy_keys.additive_public, replay)
+            enc = client_round1_encrypt_query(code, roomy_keys.additive_secret, replay)
             assert tuple(enc) == transcript.message(1).payloads
             masks = draw_masks(reps.num_groups, params.mask_magnitude, replay)
             unmasked = []
@@ -621,16 +659,71 @@ class TestExactOracles:
         assert fast == oracle_round2(enc, reps, pk, tau, masks, width, rng)
         assert rng.getstate() == after
 
+    def test_keyholder_randomizers_are_exactly_the_nth_residues(self):
+        # p = 5, q = 7: every (u_p, u_q) gives a distinct r^n mod n^2, and together they
+        # are all of them, so uniform (u_p, u_q) gives uniform randomizers
+        p, q = 5, 7
+        n = p * q
+        sk = AdditiveSecretKey(AdditivePublicKey(n), p, q)
+
+        class Drawn:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def randrange(self, start, stop):
+                value = next(self.values)
+                assert start <= value < stop
+                return value
+
+        randomizers = [
+            additive_encrypt(sk, 0, Drawn((u_p, u_q))) for u_p in range(1, p) for u_q in range(1, q)
+        ]
+        assert len(set(randomizers)) == len(randomizers) == (p - 1) * (q - 1)
+        assert set(randomizers) == {pow(r, n, n * n) for r in range(1, n) if math.gcd(r, n) == 1}
+
     @pytest.mark.parametrize("bits", [64, 128, 256, 512])
-    def test_secret_key_encryption_matches_public_key(self, bits):
+    def test_keyholder_randomizer_is_nth_residue(self, bits):
+        # c (1 + mn)^-1 is r^n exactly when its phi(n)-th power is 1, as gcd(n, phi(n)) = 1
         pk, sk = additive_keygen(bits, random.Random(bits))
+        n, n2 = pk.modulus, pk.modulus_squared
+        phi = (sk.prime_p - 1) * (sk.prime_q - 1)
+        rng = random.Random(bits + 1)
+        values = [0, 1, -1, pk.signed_bound, -pk.signed_bound] + [rng.randint(-pk.signed_bound, pk.signed_bound) for _ in range(100)]
+        for value in values:
+            ciphertext = additive_encrypt(sk, value, rng)
+            randomizer = ciphertext * pow(1 + value % n * n, -1, n2) % n2
+            assert pow(randomizer, phi, n2) == 1
+            assert additive_decrypt(sk, ciphertext) == value
+
+    def test_keyholder_encryption_makes_two_pows(self, roomy_keys, monkeypatch):
+        calls = []
+        real_pow = builtins.pow
+
+        def counting_pow(*args):
+            calls.append(args)
+            return real_pow(*args)
+
+        monkeypatch.setattr(builtins, "pow", counting_pow)
+        rng = random.Random(42)
+        for value in (0, 1, -1, 12345):
+            calls.clear()
+            additive_encrypt(roomy_keys.additive_secret, value, rng)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    def test_public_key_encryption_matches_textbook(self, bits):
+        pk, _ = additive_keygen(bits, random.Random(bits))
+        n, n2 = pk.modulus, pk.modulus_squared
         rng = random.Random(bits + 1)
         values = [0, 1, -1, pk.signed_bound, -pk.signed_bound] + [rng.randint(-pk.signed_bound, pk.signed_bound) for _ in range(100)]
         for value in values:
             seed = rng.getrandbits(64)
-            from_public = additive_encrypt(pk, value, random.Random(seed))
-            assert additive_encrypt(sk, value, random.Random(seed)) == from_public
-            assert additive_decrypt(sk, from_public) == value
+            oracle = random.Random(seed)
+            r = oracle.randrange(1, n)
+            while math.gcd(r, n) != 1:
+                r = oracle.randrange(1, n)
+            textbook = pow(1 + n, value % n, n2) * pow(r, n, n2) % n2
+            assert additive_encrypt(pk, value, random.Random(seed)) == textbook
 
     @pytest.mark.parametrize("bits", [64, 128, 256])
     def test_crt_decryption_matches_textbook(self, bits):
