@@ -8,25 +8,22 @@ are generated separately and never enrolled.  The enrolled and the impostor
 identities are each one random draw, normalized in place, and a
 :class:`Dataset` holds its queries as matrices, one query per row.
 
-Matrices are stored as plain CSV, one signature per row, full round-trip
-precision, with an optional leading header line ``# d=<d> n=<n>``.  This
-module holds the package's one numeric-CSV reader, which also reads the
-numeric sections of model files (:mod:`gmkit.modelio`): the file is read
-in blocks of whole lines into ``np.loadtxt``, and whatever that refuses
-goes to a token scan that names the bad token's row and column, or the
-ragged row.  A dataset bundle (:func:`save_dataset`) also keeps a binary ``.npy`` copy of
-each parsed matrix and a SHA-256 manifest of all six files.
-:func:`load_dataset` takes a copy only when the manifest's digests match it
-and its CSV, so a bundle is parsed once, by its writer, and each later read
-costs a hash and a binary load; an edited or hand-made bundle is parsed.
+A dataset bundle is a directory of three matrices, one signature per row:
+``enrolled``, ``genuine`` (identity column first) and ``impostors``.
+:func:`save_dataset` writes them as binary ``.npy`` files, and
+:func:`load_dataset` reads either those or three CSVs, such as an outside
+descriptor extractor writes.  A CSV matrix holds full round-trip precision,
+with an optional leading header line ``# d=<d> n=<n>``.  This module holds
+the package's one numeric-CSV reader, which also reads the numeric sections
+of model files (:mod:`gmkit.modelio`): the file is read in blocks of whole
+lines into ``np.loadtxt``, and whatever that refuses goes to a token scan
+that names the bad token's row and column, or the ragged row.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
-import re
 import tokenize
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,12 +34,8 @@ import numpy as np
 from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _held
 from .errors import ConfigError, InvalidInputError, ParseError
 
-ENROLLED_FILE = "enrolled.csv"
-GENUINE_FILE = "genuine.csv"
-IMPOSTORS_FILE = "impostors.csv"
-MANIFEST_FILE = "bundle.sha256"
+_BUNDLE = ("enrolled", "genuine", "impostors")  # file names, without .npy or .csv
 
-_CHUNK = 1 << 20  # bytes per read when hashing a file
 _LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
 
 
@@ -243,87 +236,23 @@ def _data_line(path: str, k: int) -> int:
     return next(itertools.islice(_data_lines(path), k, None))[0]
 
 
-def _copy_path(csv_path: str) -> str:
-    """The binary copy kept next to a bundle CSV: the same name with ``.npy``."""
-    return os.path.splitext(csv_path)[0] + ".npy"
-
-
-def _file_digest(path: str) -> str:
-    """Hex SHA-256 of a file, read in blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def save_dataset(directory: str, dataset: Dataset) -> None:
-    """Write the dataset bundle.
+    """Write the dataset bundle: ``enrolled.npy`` with one enrolled
+    signature per row, ``genuine.npy`` with the identity (as float64) and
+    then the coordinates of one genuine query per row, and ``impostors.npy``
+    with one impostor query per row, each a C-order float64 matrix.
 
-    ``enrolled.csv`` holds one enrolled signature per row, ``genuine.csv``
-    the identity and then the coordinates of one genuine query per row, and
-    ``impostors.csv`` one impostor query per row.  The CSVs are the
-    interchange format and the source of truth.  Next to each CSV a ``.npy``
-    copy holds the float64 matrix :func:`load_matrix` returns for it, and
-    ``bundle.sha256`` lists the SHA-256 of all six files in ``sha256sum``
-    format.  The old manifest is removed before anything is written and the
-    new one replaces it in one rename, so a write cut short leaves no
-    manifest that matches.
+    Nothing else is written.  To export a bundle as CSV, write each matrix
+    of the loaded arrays with :func:`save_matrix`.
     """
     os.makedirs(directory, exist_ok=True)
-    manifest = os.path.join(directory, MANIFEST_FILE)
-    try:
-        os.remove(manifest)
-    except FileNotFoundError:
-        pass
-    enrolled_path, genuine_path, impostors_path = (
-        os.path.join(directory, name) for name in (ENROLLED_FILE, GENUINE_FILE, IMPOSTORS_FILE)
-    )
-    enrolled = dataset.enrolled.data.T
-    save_matrix(enrolled_path, enrolled)
-    with open(genuine_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# identity column + d={dataset.enrolled.dim} coordinates, n={len(dataset.genuine)}\n")
-        fh.writelines(f"{idx},{line}" for idx, line in zip(dataset.genuine_ids.tolist(), _csv_lines(dataset.genuine)))
-    save_matrix(impostors_path, dataset.impostors)
     genuine = np.column_stack((dataset.genuine_ids.astype(np.float64), dataset.genuine))
-    lines = []
-    for path, matrix in ((enrolled_path, enrolled), (genuine_path, genuine), (impostors_path, dataset.impostors)):
-        copy = _copy_path(path)
-        np.save(copy, np.ascontiguousarray(matrix))  # C order, as load_matrix returns it
-        lines += (f"{_file_digest(name)}  {os.path.basename(name)}\n" for name in (path, copy))
-    temp = manifest + ".tmp"
-    with open(temp, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(lines)
-    os.replace(temp, manifest)
+    for name, matrix in zip(_BUNDLE, (dataset.enrolled.data.T, genuine, dataset.impostors)):
+        np.save(os.path.join(directory, name + ".npy"), np.ascontiguousarray(matrix))
 
 
-_MANIFEST_LINE = re.compile(r"([0-9a-f]{64}) [ *](.+)")
-
-
-def _read_manifest(path: str) -> dict[str, str]:
-    """{file name: hex SHA-256} from a ``sha256sum`` listing.  A missing
-    manifest lists nothing, and lines of another form are ignored."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("ascii", "replace")
-    except OSError:
-        return {}
-    return {m[2]: m[1] for m in map(_MANIFEST_LINE.fullmatch, text.splitlines()) if m}
-
-
-def _listed(digests: dict[str, str], path: str) -> bool:
-    """Whether the file exists and has the SHA-256 the manifest lists for its name."""
-    listed = digests.get(os.path.basename(path))
-    if listed is None:
-        return False
-    try:
-        return _file_digest(path) == listed
-    except OSError:
-        return False
-
-
-def _load_copy(path: str) -> np.ndarray:
-    """The matrix in a ``.npy`` copy, read without unpickling.  A copy that
+def _load_npy(path: str) -> np.ndarray:
+    """The matrix in a ``.npy`` file, read without unpickling.  A file that
     cannot be read, or is not a nonempty 2-D float64 matrix, is a ParseError."""
     try:
         with open(path, "rb") as fh:
@@ -336,43 +265,52 @@ def _load_copy(path: str) -> np.ndarray:
 
 
 def load_dataset(directory: str) -> Dataset:
-    """Read a dataset bundle written by :func:`save_dataset`.
+    """Read a dataset bundle: the three ``.npy`` files :func:`save_dataset`
+    writes, or three CSVs of the same matrices, read with :func:`load_matrix`.
 
-    Each matrix comes from its ``.npy`` copy when ``bundle.sha256`` lists
-    the digests of both the CSV and the copy and both files match them;
-    otherwise it is parsed from the CSV with :func:`load_matrix`.  A content
-    digest, not a size or a time stamp, because a CSV edited in place can
-    keep both.  Both ways give the same arrays, bit for bit, and the checks
-    that follow are the same: a non-finite coordinate, and an identity that
-    is not an enrolled column index, are a ParseError naming the CSV and
-    its row.  Nothing in the directory is written.
+    Both give the same arrays, bit for bit, and the same checks follow: a
+    non-finite coordinate, and an identity that is not an enrolled column
+    index, are a ParseError naming the file and its row (the file line of a
+    CSV, the 1-based matrix row of a ``.npy``).  A directory that holds
+    bundle files of both formats is a ParseError naming them.  Nothing in
+    the directory is written.
     """
-    digests = _read_manifest(os.path.join(directory, MANIFEST_FILE))
+    found = {ext: [name + ext for name in _BUNDLE if os.path.exists(os.path.join(directory, name + ext))]
+             for ext in (".npy", ".csv")}
+    if found[".npy"] and found[".csv"]:
+        raise ParseError(
+            f"{directory}: holds both .npy ({', '.join(found['.npy'])}) and CSV ({', '.join(found['.csv'])}) "
+            "bundle files; a bundle is one or the other, so delete one set"
+        )
+    if found[".npy"]:
+        ext, parse, row = ".npy", _load_npy, lambda path, k: k + 1
+    else:
+        ext, parse, row = ".csv", load_matrix, _data_line
 
-    def read(path: str, first: int = 0) -> np.ndarray:
-        """The matrix of one bundle CSV; a non-finite entry in a column from
+    def read(name: str, first: int = 0) -> np.ndarray:
+        """The matrix of one bundle file; a non-finite entry in a column from
         ``first`` on is a ParseError naming its row and column."""
-        copy = _copy_path(path)
-        m = _load_copy(copy) if _listed(digests, path) and _listed(digests, copy) else load_matrix(path)
+        path = os.path.join(directory, name + ext)
+        m = parse(path)
         finite = np.isfinite(m[:, first:])
         if not finite.all():
             k, j = (int(i) for i in np.argwhere(~finite)[0])
             value = float(m[k, first + j])
-            raise ParseError(f"{path}: row {_data_line(path, k)}, column {first + j + 1}: {value!r} is not finite")
+            raise ParseError(f"{path}: row {row(path, k)}, column {first + j + 1}: {value!r} is not finite")
         return m
 
-    enrolled = SignatureMatrix(read(os.path.join(directory, ENROLLED_FILE)).T)
-    genuine_path = os.path.join(directory, GENUINE_FILE)
+    enrolled = SignatureMatrix(read("enrolled").T)
     # the identity column is checked below, with its own message
-    genuine_raw = read(genuine_path, first=1)
+    genuine_raw = read("genuine", first=1)
     ids = genuine_raw[:, 0]
     # checked before the int64 cast, which would wrap an identity such as 1e300
     n = enrolled.num_signatures
     bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids >= n) | (ids != np.trunc(ids)))
     if bad.size:
         k = int(bad[0])
+        genuine_path = os.path.join(directory, "genuine" + ext)
         raise ParseError(
-            f"{genuine_path}: row {_data_line(genuine_path, k)}: identity {float(ids[k])!r} is not an integer in [0, {n})"
+            f"{genuine_path}: row {row(genuine_path, k)}: identity {float(ids[k])!r} is not an integer in [0, {n})"
         )
-    impostors = read(os.path.join(directory, IMPOSTORS_FILE))
+    impostors = read("impostors")
     return Dataset(enrolled, genuine_raw[:, 1:], ids.astype(np.int64), impostors)

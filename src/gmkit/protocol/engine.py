@@ -32,7 +32,6 @@ neither view.  The README section "Security scale" lists these leaks.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -58,12 +57,14 @@ DEFAULT_MASK_MAGNITUDE = 2**16
 
 @dataclass(frozen=True)
 class MaskPair:
-    """Affine blinding coefficients; ``a`` must be nonzero."""
+    """Affine blinding coefficients, held as Python ints; ``a`` must be nonzero."""
 
     a: int
     b: int
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, ProtocolError))
         if self.a == 0:
             raise ProtocolError("mask coefficient a must be nonzero")
 
@@ -108,7 +109,9 @@ def validate_mask_range(pk: AdditivePublicKey, sparsity: int, tau: int, magnitud
     offset by 2^(w-1) lies in (0, 2^w) and no slot carries into the next.
     Raises ``PlaintextRangeError`` when not even one w-bit slot fits.
     """
-    magnitude, sparsity, tau = map(operator.index, (magnitude, sparsity, tau))  # numpy integers too
+    magnitude = as_int(magnitude, "magnitude", ProtocolError)
+    sparsity = as_int(sparsity, "sparsity", ProtocolError)
+    tau = as_int(tau, "tau", ProtocolError)
     worst = magnitude * (4 * sparsity + abs(tau)) + magnitude
     width = worst.bit_length() + 1
     try:
@@ -128,6 +131,10 @@ def _slots_per_ciphertext(pk: AdditivePublicKey, slot_width: int) -> int:
 
 def draw_masks(count: int, magnitude: int, rng: random.Random) -> list[MaskPair]:
     """Uniform signed masks: a in +/-[1, magnitude], b in [-magnitude, magnitude]."""
+    count = as_int(count, "count", ProtocolError)
+    magnitude = as_int(magnitude, "magnitude", ProtocolError)
+    if magnitude < 1:
+        raise ProtocolError("mask magnitude must be positive")
     masks = []
     for _ in range(count):
         a = rng.randint(1, magnitude) * rng.choice((-1, 1))
@@ -177,6 +184,8 @@ def server_round2_blind_threshold(
     whose value can reach 2^(w-1) in magnitude raises
     ``PlaintextRangeError``.
     """
+    tau = as_int(tau, "tau", ProtocolError)
+    slot_width = as_int(slot_width, "slot_width", ProtocolError)
     if len(encrypted_query) != representations.code_length:
         raise DimensionError("encrypted query length does not match representations")
     if len(masks) != representations.num_groups:
@@ -220,6 +229,8 @@ def client_round3_decrypt_reveal(
     ciphertexts, and each must decrypt into [0, 2^(count*w)) for its count
     of slots; anything else raises ``ProtocolIntegrityError``.
     """
+    num_groups = as_int(num_groups, "num_groups", ProtocolError)
+    slot_width = as_int(slot_width, "slot_width", ProtocolError)
     slots = _slots_per_ciphertext(additive_sk.public, slot_width)
     expected = -(-num_groups // slots)
     if len(blinded) != expected:
@@ -243,8 +254,10 @@ def server_decide(values: Sequence[int], masks: Sequence[MaskPair], tau: int) ->
     """Unmask each value and accept iff some (distance - tau) is <= 0.
 
     Unmasking must divide exactly; a remainder means the revealed values are
-    inconsistent with the masks (tampering or a protocol bug).
+    inconsistent with the masks (tampering or a protocol bug).  ``tau`` must
+    be an integer; the unmasked values already have it subtracted.
     """
+    as_int(tau, "tau", ProtocolError)
     if len(values) != len(masks):
         raise ProtocolError("need one mask pair per revealed value")
     accept = False

@@ -702,25 +702,25 @@ def test_c10_relabeled_model_golden_bytes(tmp_path):
     assert report(10, "relabeled-model-golden-bytes", not changed, detail)
 
 
-# SHA-256 of (enrolled.csv, genuine.csv, impostors.csv) written by ``gen-data``
+# SHA-256 of (enrolled.npy, genuine.npy, impostors.npy) written by ``gen-data``
 # on CLI_CONFIG and on PROTOCOL_SHAPE_CONFIG (data seed set to the named seed).
 # Recorded as GOLDEN_TRAIN_DIGESTS above; a change to how signatures are drawn,
 # normalized or written must keep these bytes exactly.
 GOLDEN_GEN_DATA_DIGESTS = {
     "cli": (
-        "bcb05a3b4f7872492f1eee616038623ca876f8b3db354e2aac956c13f43b9895",
-        "5eaacf5eb82e6b5050dc975a3392c59e9b760a5df809cc5f6b15a0538f84981b",
-        "e0bc1242d6633d1543ea93e9cf93ce2903185c3b1d01a5882de8f498d4441019",
+        "dfb3a81b284aebba2e2e7f8e8c5fa2269fe3d39274b60bc4a7225bbee85a70be",
+        "b6abb21f87a2d4365901c7af5b1829f519851688f6ae7fb514221e49c71b7b99",
+        "bf7c8f4668e103fe634704e55d7df0b463bf77cc76e6594d80b3499ba11ac3c7",
     ),
     "protocol-shape-seed-2": (
-        "775ea0617c5c447c9c1af8f8848588f466a978ec50833a927e607c68b7138263",
-        "76833473b8d873765d94258e539d12838d4019bdc66082dd17672da677ff1c5c",
-        "109d4dc8465d49696fdae3898f9f8b9b0ba365cebb17e4bd3710f5089c6a6f05",
+        "fb07dc0668e308c9c52517ce8678e8226cb825703e248c54c931fe2ca798e9d1",
+        "55ff411a2500ccaf650dd9fbaa500aee74b5d6157b1f20b1d64981ef87891d61",
+        "59018da07e86e65cdfd0681f84a8ad959b135a6d46ff511093afca046267fdd3",
     ),
     "protocol-shape-seed-3": (
-        "2a1e9c34b0ee7a5f20357268a557bf7d966d122fde4fb2e40b9bc2c90f35a7c4",
-        "68bba034a8260664d42274702b93c3ee71086ec38d5e45abfc88d0cc7517f63a",
-        "8fadf6855b44160042448d6d1ccc550efaec6449cafe430386eae41b5f48103a",
+        "0e464cbb8992cecc8add3f7456e934f0e7ea9ae5941e4791cfe711421d9a00de",
+        "afc51b6573949a058a52842c90a691b5c0097d7b0fd7251cc511f2dbb59d61d3",
+        "f4347959ba37ea23101ff267e8665b5e56a9edf92fc997d6d9cb736f3a9fce2d",
     ),
 }
 
@@ -739,8 +739,8 @@ def test_c10_gen_data_golden_bytes(tmp_path):
         assert main(["gen-data", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         digests[label] = tuple(
             hashlib.sha256(Path(os.path.join(out, name)).read_bytes()).hexdigest()
-            for name in ("enrolled.csv", "genuine.csv", "impostors.csv")
+            for name in ("enrolled.npy", "genuine.npy", "impostors.npy")
         )
     changed = [label for label, pinned in GOLDEN_GEN_DATA_DIGESTS.items() if digests[label] != pinned]
-    detail = "enrolled, genuine and impostor CSVs" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
+    detail = "enrolled, genuine and impostor .npy files" if not changed else f"bytes changed: {digests}; OpenBLAS core {openblas_core()}"
     assert report(10, "gen-data-golden-bytes", not changed, detail)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_bundle import convert_to_csv
 from gmkit import data as data_mod
 from gmkit.cli import load_experiment_config, main
 from gmkit.core import _MODEL_FIELDS, ModelConfig
@@ -114,9 +115,9 @@ class TestGenData:
     def test_writes_bundle_and_creates_dir(self, tmp_path, config_path):
         out = tmp_path / "does" / "not" / "exist"
         assert main(["gen-data", "--config", config_path(out)]) == 0
-        assert (out / "enrolled.csv").exists()
-        assert (out / "genuine.csv").exists()
-        assert (out / "impostors.csv").exists()
+        assert (out / "enrolled.npy").exists()
+        assert (out / "genuine.npy").exists()
+        assert (out / "impostors.npy").exists()
 
     def test_byte_identical_across_runs(self, tmp_path, config_path):
         out = tmp_path / "bundle"
@@ -143,6 +144,7 @@ class TestGenData:
     def test_nan_identity_is_parse_error(self, tmp_path, config_path, capsys, command):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        convert_to_csv(bundle)
         path = bundle / "genuine.csv"
         lines = path.read_text().split("\n")
         lines[1] = "nan," + lines[1].split(",", 1)[1]
@@ -157,6 +159,7 @@ class TestGenData:
         # 1e300 is a finite, nonnegative integer that int64 cannot hold
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        convert_to_csv(bundle)
         path = bundle / "genuine.csv"
         lines = path.read_text().split("\n")
         lines[1] = "1e300," + lines[1].split(",", 1)[1]
@@ -170,6 +173,7 @@ class TestGenData:
     def test_non_ascii_byte_is_parse_error(self, tmp_path, config_path, capsys, command):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        convert_to_csv(bundle)
         path = bundle / "impostors.csv"
         line = path.read_bytes().count(b"\n") + 1
         with open(path, "ab") as fh:
@@ -183,6 +187,7 @@ class TestGenData:
     def test_non_finite_impostor_is_input_error(self, tmp_path, config_path, capsys, bad):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        convert_to_csv(bundle)
         path = bundle / "impostors.csv"
         lines = path.read_text().split("\n")
         lines[1] = bad + "," + lines[1].split(",", 1)[1]
@@ -194,7 +199,7 @@ class TestGenData:
         assert capsys.readouterr().err == f"ERROR:io:{path}: row 2, column 1: {float(bad)!r} is not finite\n"
 
 
-class TestBundleCopy:
+class TestBundleFormat:
     @pytest.fixture()
     def parsed(self, monkeypatch):
         """The paths data.load_matrix is called with."""
@@ -208,9 +213,10 @@ class TestBundleCopy:
         monkeypatch.setattr(data_mod, "load_matrix", counting)
         return calls
 
-    def test_train_and_eval_parse_only_edited_files(self, tmp_path, config_path, parsed):
+    def test_train_and_eval_never_parse_a_generated_bundle(self, tmp_path, config_path, parsed):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        assert sorted(os.listdir(bundle)) == ["enrolled.npy", "genuine.npy", "impostors.npy"]
         cfg = config_path(tmp_path / "run")
         chain = (["train", "--config", cfg, "--dataset", str(bundle)],
                  ["eval-verify", "--config", cfg, "--dataset", str(bundle)])
@@ -218,12 +224,22 @@ class TestBundleCopy:
             assert main(argv) == 0
         assert parsed == []
         first = read_tree(tmp_path / "run")
-        path = bundle / "impostors.csv"
-        path.write_text(path.read_text() + "\n")  # the same matrix, other bytes
+        convert_to_csv(bundle)  # the same matrices, as CSV
         for argv in chain:
             assert main(argv) == 0
-        assert parsed == ["impostors.csv", "impostors.csv"]
+        assert parsed == ["enrolled.csv", "genuine.csv", "impostors.csv"] * 2
         assert read_tree(tmp_path / "run") == first
+
+    def test_bundle_of_both_formats_is_a_parse_error(self, tmp_path, config_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        data_mod.save_matrix(str(bundle / "genuine.csv"), np.load(bundle / "genuine.npy"))
+        capsys.readouterr()
+        assert main(["train", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR:io:{bundle}: holds both .npy (enrolled.npy, genuine.npy, impostors.npy) and CSV (genuine.csv) "
+            "bundle files; a bundle is one or the other, so delete one set\n"
+        )
 
 
 class TestTrain:

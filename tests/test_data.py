@@ -1,4 +1,3 @@
-import hashlib
 import os
 import tracemalloc
 from unittest import mock
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_bundle import write_csv_bundle
 from gmkit import data as data_mod
 from gmkit.data import (
     Dataset,
@@ -283,7 +283,7 @@ class TestMatrixIO:
     def test_load_holds_the_file_once(self, tmp_path):
         # a verify-batch-sized genuine.csv (7168 rows, 65 columns, 9 MB): the
         # parse held the text three times over, a 22.2 MiB peak, for a 3.6 MiB result
-        save_dataset(str(tmp_path), generate(SyntheticSpec(1024, 8, 64, 0.1, 0.5, seed=1)))
+        write_csv_bundle(tmp_path, generate(SyntheticSpec(1024, 8, 64, 0.1, 0.5, seed=1)))
         tracemalloc.start()
         try:
             matrix = load_matrix(str(tmp_path / "genuine.csv"))
@@ -307,7 +307,7 @@ class TestDatasetBundle:
 
     def test_save_matches_per_element_formatting(self, tmp_path):
         ds = generate(spec(num_identities=12, samples_per_identity=3))
-        save_dataset(str(tmp_path), ds)
+        write_csv_bundle(tmp_path, ds)
         enrolled = ["# d=8 n=12"] + [oracle_format_row(row) for row in ds.enrolled.data.T]
         genuine = ["# identity column + d=8 coordinates, n=24"] + [
             str(int(idx)) + "," + oracle_format_row(vec) for vec, idx in zip(ds.genuine, ds.genuine_ids)
@@ -327,7 +327,7 @@ class TestDatasetBundle:
         d2 = tmp_path / "b"
         save_dataset(str(d1), generate(spec()))
         save_dataset(str(d2), generate(spec()))
-        for name in ("enrolled.csv", "genuine.csv", "impostors.csv"):
+        for name in ("enrolled.npy", "genuine.npy", "impostors.npy"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_dataset_validates_identity_range(self):
@@ -389,7 +389,7 @@ class TestDatasetBundle:
         ],
     )
     def test_bad_identity_names_file_and_row(self, tmp_path, identity):
-        save_dataset(str(tmp_path), generate(spec()))
+        write_csv_bundle(tmp_path, generate(spec()))
         path = tmp_path / "genuine.csv"
         lines = path.read_text().split("\n")
         lines[2] = identity + "," + lines[2].split(",", 1)[1]  # the second data row, after the header
@@ -400,7 +400,7 @@ class TestDatasetBundle:
     @pytest.mark.parametrize("identity", ["10", "10.0", "1e300", "9.3e18"])
     def test_identity_past_enrolled_count_names_file_row_and_value(self, tmp_path, identity):
         # spec() enrolls 10 identities; 1e300 and 9.3e18 lie beyond int64
-        save_dataset(str(tmp_path), generate(spec()))
+        write_csv_bundle(tmp_path, generate(spec()))
         path = tmp_path / "genuine.csv"
         lines = path.read_text().split("\n")
         lines[4] = identity + "," + lines[4].split(",", 1)[1]
@@ -410,7 +410,7 @@ class TestDatasetBundle:
         assert str(err.value) == f"{path}: row 5: identity {float(identity)!r} is not an integer in [0, 10)"
 
     def test_non_ascii_byte_names_file_and_row(self, tmp_path):
-        save_dataset(str(tmp_path), generate(spec()))
+        write_csv_bundle(tmp_path, generate(spec()))
         path = tmp_path / "enrolled.csv"
         raw = path.read_bytes().split(b"\n")
         raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
@@ -425,7 +425,7 @@ class TestDatasetBundle:
 
     def test_integer_valued_identity_loads(self, tmp_path):
         ds = generate(spec())
-        save_dataset(str(tmp_path), ds)
+        write_csv_bundle(tmp_path, ds)
         path = tmp_path / "genuine.csv"
         text = path.read_text()
         assert "\n3," in text
@@ -434,7 +434,21 @@ class TestDatasetBundle:
         assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()
 
 
-BUNDLE_FILES = ("enrolled.csv", "enrolled.npy", "genuine.csv", "genuine.npy", "impostors.csv", "impostors.npy")
+    @pytest.mark.parametrize("identity", [np.nan, np.inf, 3.7, -1.0, 10.0, 1e300, 9.3e18])
+    def test_bad_identity_in_npy_names_file_and_matrix_row(self, tmp_path, identity):
+        # spec() enrolls 10 identities; on the .npy path a row is a 1-based matrix row
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / "genuine.npy"
+        genuine = np.load(path)
+        genuine[3, 0] = identity
+        np.save(path, genuine)
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == f"{path}: row 4: identity {identity!r} is not an integer in [0, 10)"
+
+
+NPY_FILES = ("enrolled.npy", "genuine.npy", "impostors.npy")
+CSV_FILES = ("enrolled.csv", "genuine.csv", "impostors.csv")
 
 
 def dataset_outcome(directory):
@@ -445,13 +459,6 @@ def dataset_outcome(directory):
         return ("error", type(err).__name__, str(err))
     arrays = (ds.enrolled.data, ds.genuine, ds.genuine_ids, ds.impostors)
     return ("ok", *((a.dtype.str, a.shape, a.strides, a.view(np.int64).tolist()) for a in arrays))
-
-
-def write_manifest(directory, text=None):
-    """Replace the manifest with ``text``, or with one that matches the files as they are now."""
-    if text is None:
-        text = "".join(f"{hashlib.sha256((directory / n).read_bytes()).hexdigest()}  {n}\n" for n in BUNDLE_FILES)
-    (directory / "bundle.sha256").write_bytes(text.encode("latin-1"))
 
 
 def edit_keeping_mtime(path, edit):
@@ -468,14 +475,8 @@ def next_digit_at_end_of_first_row(text):
     return f"{header}\n{row[:-1]}{(int(row[-1]) + 1) % 10}\n{rest}"
 
 
-def flip_byte(path, offset):
-    data = bytearray(path.read_bytes())
-    data[offset] ^= 0x10
-    path.write_bytes(bytes(data))
-
-
 class TestBundleCopy:
-    """The .npy copies and the digest manifest that save_dataset writes next to the CSVs."""
+    """The .npy bundle that save_dataset writes, against the same matrices as CSV."""
 
     @given(
         st.integers(1, 12),
@@ -487,69 +488,51 @@ class TestBundleCopy:
     )
     @settings(max_examples=40, deadline=None)
     def test_copy_loads_bit_identical_to_parse(self, tmp_path_factory, identities, samples, dim, sigma, fraction, seed):
-        directory = tmp_path_factory.mktemp("bundle")
-        save_dataset(str(directory), generate(SyntheticSpec(identities, samples, dim, sigma, fraction, seed)))
+        ds = generate(SyntheticSpec(identities, samples, dim, sigma, fraction, seed))
+        npy, csv = tmp_path_factory.mktemp("npy"), tmp_path_factory.mktemp("csv")
+        save_dataset(str(npy), ds)
+        write_csv_bundle(csv, ds)
         with mock.patch.object(data_mod, "load_matrix", side_effect=AssertionError("parsed a CSV")):
-            from_copy = dataset_outcome(directory)
-        for name in ("enrolled.npy", "genuine.npy", "impostors.npy"):
-            (directory / name).unlink()
-        assert from_copy[0] == "ok"
-        assert from_copy == dataset_outcome(directory)
+            from_npy = dataset_outcome(npy)
+        with mock.patch.object(data_mod, "_load_npy", side_effect=AssertionError("read a .npy")):
+            from_csv = dataset_outcome(csv)
+        assert from_npy[0] == "ok"
+        assert from_npy == from_csv
 
-    def test_manifest_lists_all_six_files(self, tmp_path):
+    def test_save_writes_the_three_npy_files_only(self, tmp_path):
         ds = generate(spec())
         save_dataset(str(tmp_path), ds)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((*BUNDLE_FILES, "bundle.sha256"))
-        expected = "".join(f"{hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()}  {n}\n" for n in BUNDLE_FILES)
-        assert (tmp_path / "bundle.sha256").read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(NPY_FILES)
         genuine = np.load(tmp_path / "genuine.npy", allow_pickle=False)
         assert genuine.dtype == np.float64 and genuine.flags.c_contiguous
-        assert genuine.view(np.int64).tolist() == load_matrix(str(tmp_path / "genuine.csv")).view(np.int64).tolist()
+        assert genuine[:, 0].tolist() == ds.genuine_ids.tolist()
+        assert np.array_equal(genuine[:, 1:], ds.genuine)
 
     @pytest.mark.parametrize(
-        "damage",
+        "npy, csv",
         [
-            pytest.param(lambda d: (d / "bundle.sha256").unlink(), id="no-manifest"),
-            pytest.param(lambda d: (d / "genuine.npy").unlink(), id="no-copy"),
-            pytest.param(
-                lambda d: edit_keeping_mtime(d / "impostors.csv", next_digit_at_end_of_first_row), id="same-length-value"
-            ),
-            pytest.param(
-                lambda d: edit_keeping_mtime(d / "genuine.csv", lambda t: t.replace("\n0,", "\n9,", 1)),
-                id="same-length-identity",
-            ),
-            pytest.param(
-                lambda d: edit_keeping_mtime(d / "genuine.csv", lambda t: t.replace("\n0,", "\nnan,", 1)),
-                id="longer-bad-identity",
-            ),
-            pytest.param(lambda d: edit_keeping_mtime(d / "enrolled.csv", lambda t: t + "0.5\n"), id="longer-ragged"),
-            pytest.param(
-                lambda d: (d / "genuine.npy").write_bytes((d / "genuine.npy").read_bytes()[:-8]), id="truncated-copy"
-            ),
-            pytest.param(lambda d: flip_byte(d / "impostors.npy", -5), id="flipped-copy-byte"),
-            pytest.param(lambda d: write_manifest(d, "garbage\n\xff\x00 not a digest\n" + "g" * 64 + "  enrolled.csv\n"),
-                         id="garbage-manifest"),
-            pytest.param(
-                lambda d: write_manifest(d, "junk\n" + (d / "bundle.sha256").read_text() + "\x00\n"),
-                id="garbage-around-valid-lines",
-            ),
-            pytest.param(
-                lambda d: write_manifest(d, (d / "bundle.sha256").read_text().replace("  enrolled.csv", "  x", 1)),
-                id="csv-not-listed",
-            ),
+            pytest.param(NPY_FILES, CSV_FILES, id="both-sets"),
+            pytest.param(NPY_FILES[:2], CSV_FILES[2:], id="mixed"),
+            pytest.param(NPY_FILES, CSV_FILES[1:2], id="stray-csv"),
         ],
     )
-    def test_damaged_bundle_loads_as_its_csvs(self, tmp_path, damage):
-        save_dataset(str(tmp_path), generate(spec()))
-        damage(tmp_path)
-        outcome = dataset_outcome(tmp_path)
-        for name in ("bundle.sha256", "enrolled.npy", "genuine.npy", "impostors.npy"):
-            (tmp_path / name).unlink(missing_ok=True)
-        assert outcome == dataset_outcome(tmp_path)
+    def test_both_formats_in_one_directory_is_a_parse_error(self, tmp_path, npy, csv):
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        write_csv_bundle(tmp_path, ds)
+        for name in set(NPY_FILES + CSV_FILES) - set(npy + csv):
+            (tmp_path / name).unlink()
+        with pytest.raises(ParseError) as err:
+            load_dataset(str(tmp_path))
+        assert str(err.value) == (
+            f"{tmp_path}: holds both .npy ({', '.join(npy)}) and CSV ({', '.join(csv)}) bundle files; "
+            "a bundle is one or the other, so delete one set"
+        )
 
     def test_edit_keeping_length_and_mtime_is_seen(self, tmp_path):
         ds = generate(spec())
-        save_dataset(str(tmp_path), ds)
+        write_csv_bundle(tmp_path, ds)
+        load_dataset(str(tmp_path))
         edit_keeping_mtime(tmp_path / "impostors.csv", next_digit_at_end_of_first_row)
         back = load_dataset(str(tmp_path))
         assert not np.array_equal(back.impostors, ds.impostors)
@@ -571,7 +554,6 @@ class TestBundleCopy:
     def test_wrong_copy_under_a_matching_manifest_is_a_library_error(self, tmp_path, name, forge):
         save_dataset(str(tmp_path), generate(spec()))
         np.save(tmp_path / name, forge(np.load(tmp_path / name)))
-        write_manifest(tmp_path)
         with pytest.raises(GmkitError):
             load_dataset(str(tmp_path))
 
@@ -588,7 +570,6 @@ class TestBundleCopy:
         save_dataset(str(tmp_path), generate(spec()))
         path = tmp_path / "genuine.npy"
         path.write_bytes(damage(path.read_bytes()))
-        write_manifest(tmp_path)
         with pytest.raises(ParseError, match="genuine.npy"):
             load_dataset(str(tmp_path))
 
@@ -597,52 +578,37 @@ class TestBundleCopy:
         "name, column, token", [("enrolled.csv", 3, "nan"), ("genuine.csv", 2, "inf"), ("impostors.csv", 8, "-inf")]
     )
     def test_non_finite_entry_names_file_row_and_column(self, tmp_path, name, column, token, via_copy):
-        save_dataset(str(tmp_path), generate(spec()))
-        path = tmp_path / name
-        lines = path.read_text().split("\n")
-        cells = lines[3].split(",")  # the third data row, after the header
-        cells[column - 1] = token
-        lines[3] = ",".join(cells)
-        path.write_text("\n".join(lines))
-        if via_copy:  # a bundle whose copy and manifest match the edited CSV
-            np.save(path.with_suffix(".npy"), load_matrix(str(path)))
-            write_manifest(tmp_path)
-        else:  # a bundle without a manifest: every CSV is parsed
-            (tmp_path / "bundle.sha256").unlink()
-        unused = "load_matrix" if via_copy else "_load_copy"
+        ds = generate(spec())
+        if via_copy:  # the third matrix row of the .npy file
+            save_dataset(str(tmp_path), ds)
+            path = (tmp_path / name).with_suffix(".npy")
+            matrix = np.load(path)
+            matrix[2, column - 1] = float(token)
+            np.save(path, matrix)
+            row = 3
+        else:  # the third data row, after the header
+            write_csv_bundle(tmp_path, ds)
+            path = tmp_path / name
+            lines = path.read_text().split("\n")
+            cells = lines[3].split(",")
+            cells[column - 1] = token
+            lines[3] = ",".join(cells)
+            path.write_text("\n".join(lines))
+            row = 4
+        unused = "load_matrix" if via_copy else "_load_npy"
         with mock.patch.object(data_mod, unused, side_effect=AssertionError(unused)), pytest.raises(ParseError) as err:
             load_dataset(str(tmp_path))
-        assert str(err.value) == f"{path}: row 4, column {column}: {float(token)!r} is not finite"
+        assert str(err.value) == f"{path}: row {row}, column {column}: {float(token)!r} is not finite"
 
     def test_load_writes_nothing(self, tmp_path):
-        save_dataset(str(tmp_path), generate(spec()))
-        edit_keeping_mtime(tmp_path / "genuine.csv", lambda t: t.replace("\n0,", "\n9,", 1))
+        ds = generate(spec())
+        save_dataset(str(tmp_path / "npy"), ds)
+        write_csv_bundle(tmp_path / "csv", ds)
 
         def listing():
-            return sorted((p.name, p.stat().st_mtime_ns, p.stat().st_size) for p in tmp_path.iterdir())
+            return sorted((p.name, p.stat().st_mtime_ns, p.stat().st_size) for p in tmp_path.rglob("*"))
 
         before = listing()
-        load_dataset(str(tmp_path))
+        load_dataset(str(tmp_path / "npy"))
+        load_dataset(str(tmp_path / "csv"))
         assert listing() == before
-
-    def test_save_cut_short_leaves_no_manifest(self, tmp_path, monkeypatch):
-        save_dataset(str(tmp_path), generate(spec()))
-        newer = generate(spec(seed=1))
-        saved = []
-
-        def save_then_fail(path, matrix):
-            if saved:
-                raise OSError("disk full")
-            saved.append(path)
-            with open(path, "wb") as fh:
-                np.lib.format.write_array(fh, matrix)
-
-        monkeypatch.setattr(np, "save", save_then_fail)
-        with pytest.raises(OSError):
-            save_dataset(str(tmp_path), newer)
-        monkeypatch.undo()
-        assert not (tmp_path / "bundle.sha256").exists()
-        back = load_dataset(str(tmp_path))
-        assert np.array_equal(back.genuine, newer.genuine) and np.array_equal(back.impostors, newer.impostors)
-        save_dataset(str(tmp_path), newer)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted((*BUNDLE_FILES, "bundle.sha256"))

@@ -251,6 +251,83 @@ class TestServerDecide:
             MaskPair(0, 5)
 
 
+NUMPY_SIZES = (np.int64, np.int8, np.uint16)
+NOT_INTEGERS = (2.0, np.float64(2.0), "2", None)
+
+
+class TestRoundFunctionSizes:
+    """The public round functions take numpy integers as Python ints and
+    reject anything else with ProtocolError."""
+
+    def test_draw_masks(self):
+        expected = draw_masks(5, 2**16, random.Random(60))
+        for size in (np.int64, np.uint32):
+            masks = draw_masks(size(5), size(2**16), random.Random(60))
+            assert masks == expected and all(type(m.a) is int and type(m.b) is int for m in masks)
+        for bad in NOT_INTEGERS:
+            with pytest.raises(ProtocolError, match="count must be an integer"):
+                draw_masks(bad, 50, random.Random(60))
+            with pytest.raises(ProtocolError, match="magnitude must be an integer"):
+                draw_masks(2, bad, random.Random(60))
+        for magnitude in (0, -3, np.int8(-1)):
+            with pytest.raises(ProtocolError, match="mask magnitude must be positive"):
+                draw_masks(2, magnitude, random.Random(60))
+
+    def test_mask_pair(self):
+        for size in NUMPY_SIZES:
+            mask = MaskPair(size(3), size(5))
+            assert mask == MaskPair(3, 5) and type(mask.a) is int and type(mask.b) is int
+        for bad in NOT_INTEGERS:
+            with pytest.raises(ProtocolError, match="a must be an integer"):
+                MaskPair(bad, 1)
+            with pytest.raises(ProtocolError, match="b must be an integer"):
+                MaskPair(1, bad)
+
+    @staticmethod
+    def _round2(keys, tau, width):
+        rng = random.Random(61)
+        code, reps = random_code(8, 2, rng), random_reps(8, 2, 4, rng)
+        enc = client_round1_encrypt_query(code, keys.additive_public, rng)
+        masks = draw_masks(4, 50, rng)
+        return server_round2_blind_threshold(enc, reps, keys.additive_public, tau, masks, width, rng), masks
+
+    def test_round2_and_round3(self, roomy_keys):
+        width = validate_mask_range(roomy_keys.additive_public, 2, 3, 50)
+        blinded, _ = self._round2(roomy_keys, 3, width)
+        values = client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, 4, width)
+        for size in NUMPY_SIZES:
+            assert self._round2(roomy_keys, size(3), size(width)) == (blinded, _)
+            sized = client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, size(4), size(width))
+            assert sized == values and all(type(v) is int for v in sized)
+        for bad in NOT_INTEGERS:
+            for name, args in (("tau", (bad, width)), ("slot_width", (3, bad))):
+                with pytest.raises(ProtocolError, match=f"{name} must be an integer"):
+                    self._round2(roomy_keys, *args)
+            with pytest.raises(ProtocolError, match="num_groups must be an integer"):
+                client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, bad, width)
+            with pytest.raises(ProtocolError, match="slot_width must be an integer"):
+                client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, 4, bad)
+
+    def test_server_decide(self):
+        masks = [MaskPair(2, 1), MaskPair(-3, 0)]
+        values = [2 * 5 + 1, -3 * 0 + 0]
+        for size in NUMPY_SIZES:
+            assert server_decide(values, masks, size(4)) == server_decide(values, masks, 4)
+        for bad in NOT_INTEGERS:
+            with pytest.raises(ProtocolError, match="tau must be an integer"):
+                server_decide(values, masks, bad)
+
+    def test_validate_mask_range(self, roomy_keys):
+        pk = roomy_keys.additive_public
+        width = validate_mask_range(pk, 3, 4, 50)
+        for size in NUMPY_SIZES:
+            assert validate_mask_range(pk, size(3), size(4), size(50)) == width
+        for bad in NOT_INTEGERS:
+            for args in ((bad, 4, 50), (3, bad, 50), (3, 4, bad)):
+                with pytest.raises(ProtocolError, match="must be an integer"):
+                    validate_mask_range(pk, *args)
+
+
 class TestRunProtocol:
     def test_exact_member_accepts_at_zero(self, roomy_keys):
         rng = random.Random(20)
