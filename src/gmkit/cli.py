@@ -3,9 +3,9 @@
 Subcommands: gen-data, train, eval-verify, eval-identify, eval-security,
 protocol-demo.  Experiments are described by a flat INI-style config file
 (key=value lines under bracketed sections); every key can be overridden on
-the command line as ``--key=value``, and the environment variable
-``GMK_SEED`` overrides every seed.  All randomness is seeded, so every
-command writes byte-identical outputs across runs.
+the command line as ``--key=value``.  Seeds come only from the ``seed`` and
+``data_seed`` keys, and from ``--seed`` in protocol-demo.  All randomness is
+seeded, so every command writes byte-identical outputs across runs.
 
 Errors print a machine-parsable ``ERROR:<category>:`` line to stderr and
 exit nonzero.
@@ -36,7 +36,6 @@ TRANSCRIPT_FILE = "transcript.bin"
 DECISION_FILE = "decision.txt"
 DEFAULT_OUT_DIR = "gmkit-out"
 
-ENV_SEED = "GMK_SEED"
 _CLAIM_STREAM = 1779033703  # fixed stream tag for impostor claim draws
 
 
@@ -79,17 +78,6 @@ def _parse_overrides(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _env_seed() -> Optional[int]:
-    """The seed that ``GMK_SEED`` sets, or None when it is unset."""
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {ENV_SEED}: {raw!r}") from None
-
-
 def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
@@ -109,9 +97,6 @@ def load_experiment_config(path: str, overrides: dict[str, str]) -> ExperimentCo
         if key not in known:
             raise ConfigError(f"unknown override key {key!r}")
         values[key] = value
-    env_seed = _env_seed()
-    if env_seed is not None:
-        values["seed"] = values["data_seed"] = str(env_seed)
 
     model = _read_fields(ModelConfig, values, ConfigError)
     dataset_dir = values.get("dataset_dir")
@@ -252,14 +237,12 @@ def _run_eval(args, overrides, mode: str) -> int:
 def cmd_protocol_demo(args, overrides) -> int:
     if overrides:
         raise ConfigError("protocol-demo takes flags only, no config overrides")
-    env_seed = _env_seed()
-    seed = args.seed if env_seed is None else env_seed
     model = load_model(args.model)
     num_codes = model.assignments.num_signatures
     if not 0 <= args.query_index < num_codes:
         raise ConfigError(f"query index {args.query_index} out of range [0, {num_codes})")
     params = SecurityParams(additive_bits=args.additive_bits, mask_magnitude=args.mask_magnitude)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     keys = ProtocolKeys.generate(params, rng)
     code = model.codes.column(args.query_index)
     decision, transcript = run_protocol(code, model.representations, args.tau, rng, params, keys)

@@ -12,6 +12,7 @@ one-query forms.  Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import typing
 from collections.abc import Mapping
@@ -148,6 +149,21 @@ def as_int(value, name: str, error: type) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def _hold_plain_numbers(config) -> None:
+    """Set each int and float field of the frozen dataclass ``config`` to a
+    plain Python int (by :func:`as_int`) or float; a value that is not an
+    integer, or not a real number, raises ConfigError naming the field."""
+    for name, kind in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if kind is int:
+            value = as_int(value, name, ConfigError)
+        elif isinstance(value, numbers.Real):
+            value = float(value)
+        else:
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(config, name, value)
+
+
 def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
     """A code (``ndim`` 1) or l x K codes stored columnwise (``ndim`` 2),
     held as a read-only int8 array (see :func:`_held`) after checking that
@@ -238,12 +254,8 @@ class ModelConfig:
     every later iteration would repeat bit for bit, so the stop changes no
     model.
 
-    ``convergence_tol`` also stops training when the total objective moves
-    less than the tolerance between outer iterations.  It defaults to 0 (no
-    such stop): the grouping step continues from the previous assignment,
-    but the projection and code updates round onto ternary codes and need
-    not lower the objective, so an unchanged total does not mean a fixed
-    point.
+    Every field is held as a plain Python int or float (numpy scalars are
+    converted); a value of another kind is a ConfigError naming the field.
     """
 
     code_length: int
@@ -251,10 +263,10 @@ class ModelConfig:
     num_groups: int
     within_weight: float = 1.0
     max_outer_iters: int = 30
-    convergence_tol: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        _hold_plain_numbers(self)
         if not 1 <= self.sparsity < self.code_length:
             raise ConfigError(f"need 1 <= sparsity < code_length, got {self.sparsity} vs {self.code_length}")
         if self.num_groups < 1:
@@ -263,8 +275,6 @@ class ModelConfig:
             raise ConfigError(f"within_weight must be finite and > 0, got {self.within_weight}")
         if self.max_outer_iters < 1:
             raise ConfigError("max_outer_iters must be positive")
-        if self.convergence_tol < 0:
-            raise ConfigError("convergence_tol must be nonnegative")
 
 
 # {name: int or float} of each ModelConfig field, in declaration order: the

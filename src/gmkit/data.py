@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _held
+from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _held, _hold_plain_numbers
 from .errors import ConfigError, InvalidInputError, ParseError
 
 _BUNDLE = ("enrolled", "genuine", "impostors")  # file names, without .npy or .csv
@@ -41,7 +41,8 @@ _LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of the synthetic signature family."""
+    """Parameters of the synthetic signature family, held as plain Python
+    ints and floats (see :class:`gmkit.core.ModelConfig`)."""
 
     num_identities: int
     samples_per_identity: int
@@ -51,12 +52,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _hold_plain_numbers(self)
         if self.num_identities < 1 or self.dim < 1:
             raise ConfigError("num_identities and dim must be positive")
         if self.samples_per_identity < 2:
             raise ConfigError("samples_per_identity must be at least 2 (one enrolled + one genuine query)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+        if not (self.noise_sigma >= 0 and np.isfinite(self.noise_sigma)):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 < self.impostor_fraction < 1:
             raise ConfigError("impostor_fraction must lie in (0, 1)")
 
@@ -144,16 +146,14 @@ def _csv_lines(matrix: np.ndarray) -> Iterator[str]:
     return (",".join(map(repr, row)) + "\n" for row in matrix.tolist())
 
 
-def save_matrix(path: str, matrix: np.ndarray, header: bool = True) -> None:
-    """Write a matrix as CSV, one row per line, shortest round-trip floats."""
+def save_matrix(path: str, matrix: np.ndarray) -> None:
+    """Write a matrix as CSV under its ``# d=<d> n=<n>`` header line, one row
+    per line, shortest round-trip floats."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ParseError(f"can only save 2-D matrices, got shape {m.shape}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if header:
-            fh.write(f"# d={m.shape[1]} n={m.shape[0]}\n")
-        elif not len(m):
-            fh.write("\n")  # an empty headerless matrix is one blank line
+        fh.write(f"# d={m.shape[1]} n={m.shape[0]}\n")
         fh.writelines(_csv_lines(m))
 
 

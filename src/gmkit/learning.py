@@ -559,21 +559,18 @@ def _alternate(
     reps, assign = group(codes, None)
 
     trace: list[ObjectiveBreakdown] = []
-    prev_total = prev_state = None
+    prev_state = None
     for _ in range(config.max_outer_iters):
         projection = _svd_projection(signatures, codes)
         # W^T X once per iteration, for the code update and the embedding cost
         projected = projection.data.T @ signatures.data
         codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
         reps, assign = group(codes, assign)
-        breakdown = objective(projected, codes, reps, assign, config.within_weight)
-        trace.append(breakdown)
+        trace.append(objective(projected, codes, reps, assign, config.within_weight))
         state = (codes.codes, reps.codes, assign.group_of)
         if prev_state is not None and all(map(np.array_equal, state, prev_state)):
             break
-        if prev_total is not None and abs(breakdown.total - prev_total) < config.convergence_tol:
-            break
-        prev_total, prev_state = breakdown.total, state
+        prev_state = state
     return Model(projection, codes, reps, assign, config, tuple(trace))
 
 
@@ -588,8 +585,7 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
     iterations, or earlier at the first iteration whose codes,
     representations and assignment equal the previous iteration's (an
     exact fixed point: the model is the one ``max_outer_iters`` iterations
-    give, and the trace lacks only the repeats of its last row), or when a
-    positive ``convergence_tol`` exceeds the change of the total objective.
+    give, and the trace lacks only the repeats of its last row).
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)

@@ -1,7 +1,7 @@
 """Plain-text model files.
 
 A trained model is stored as one inspectable text file: the version line
-``# gmkit model v2``, then bracketed sections: the config echo as key=value
+``# gmkit model v3``, then bracketed sections: the config echo as key=value
 lines, the projection as CSV floats (one feature dimension per row), codes
 and representations as integer CSV (one code per row), the assignment as a
 single integer row, and the objective trace as CSV under a header line.
@@ -28,7 +28,7 @@ from .data import _csv_lines, _data_lines, _parse_rows
 from .errors import GmkitError, ParseError
 from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
 
-_HEADER = "# gmkit model v2"
+_HEADER = "# gmkit model v3"
 
 _TRACE_HEADER = "embedding_cost,within_trace,total"
 

@@ -116,7 +116,7 @@ def plain_distance(a, b):
 VERIF_SPEC = dict(num_identities=128, samples_per_identity=4, dim=64, impostor_fraction=0.5)
 VERIF_CONFIG = dict(
     code_length=32, sparsity=8, within_weight=1.0,
-    max_outer_iters=20, convergence_tol=0.0,
+    max_outer_iters=20,
 )
 
 
@@ -470,12 +470,12 @@ def test_c10_cli_determinism(tmp_path):
 # fixed-seed output must update these digests and say so in CHANGES.md.
 GOLDEN_TRAIN_DIGESTS = {
     "train": (
-        "8437a24b0c646981bf06cf384b0cbe25ff438010b24299dcd390edbbb3b0ffbb",
-        "420e1df795dd1e93d4a2081859bd6ed53ae0c2f06a4671275903237a08954197",
+        "ad8a33f5e12a32f7d6372084bf599354beec7c85d5393ef66abffd94f90fb5c2",
+        "81057b91d5b217f8caa5af7c34ebfd6931200f6b5c49eeae08d4586381406eca",
     ),
     "baseline": (
-        "65955eaf06df4da51cf820d21eab73b9a38109f19674b07bf986bc2247b3a21c",
-        "56b9f326c60fd8c205ac474d39a464d82fe83fba0f1e948a89c8d688c843a748",
+        "f4c7520d8955ec951ad036d7fd1c7180cfaa08cac0967f8b34cc6c04d19f114a",
+        "363f2ff74fd52fa4b7923db3b8f4676cb17ae0b8d22050f68f23ab6ac3a40645",
     ),
 }
 
@@ -565,16 +565,16 @@ out_dir = {out}
 # these bytes exactly.
 GOLDEN_PROTOCOL_SHAPE_DIGESTS = {
     "seed-2": (
-        "b2d1bb7268bea0f7832b35747891df57abee927861e2bcc15657231499d8f1bc",
-        "c669ad7c06ab0080b01cdab98a7afbd058bb7ef51c5d2b1c513d2c2f1169d8dd",
+        "7be76e5f55bac0fb49c3eca542b7630119ebeab74bfb516ccebce5c13def5592",
+        "fa8ab226c3eb648baf413096cdd534c1dacad0e64efc6701bc2e55757ebbb466",
     ),
     "seed-3": (
-        "72cda2b2f772c9441fdcc111c2d5f491e2302e482fc8342442105b231bd5192b",
-        "9ff2e3fee7becf99461c1ba7141a33a86f29c5361ccd9b2163486eede344699e",
+        "6f60d85b31c749b6b874a0aa6581f484c448bd78098ddd25696b1c8320121942",
+        "7f59363488fba7d3c608ea769ce626c877ae34f03eace952405f486ad7ebe0e0",
     ),
     "baseline-16-seed-2": (
-        "7a310e608f8528fc1d33e78666959e7ee11c0dfdbc8d4915cc8471f0ddf40daf",
-        "aad51c46640ef4027932a796fb88a3c673cc94b784452e61f499bcf2a9292f0f",
+        "0900facccb491cc7260cce8ef81dcac3ea46b34a9fea718f6d0e43eef8292a10",
+        "640f22aa8067c7b413cfc7be9033d5d3000c32ee0baa0f097c380e010dad2502",
     ),
 }
 
@@ -671,15 +671,15 @@ def relabeled_model_digests(out):
 GOLDEN_RELABELED_DIGESTS = {
     "cli": (
         "82bf3e261a7c036eb3cf20f8bf1cfd44795899c411b8c6ebb7ec226c5250403e",
-        "420e1df795dd1e93d4a2081859bd6ed53ae0c2f06a4671275903237a08954197",
+        "81057b91d5b217f8caa5af7c34ebfd6931200f6b5c49eeae08d4586381406eca",
     ),
     "protocol-shape-seed-2": (
         "f8d73decf5b657a6aad6c6a15e2f6147a959a0f05dc67afecc04e493c35fd3e2",
-        "c669ad7c06ab0080b01cdab98a7afbd058bb7ef51c5d2b1c513d2c2f1169d8dd",
+        "fa8ab226c3eb648baf413096cdd534c1dacad0e64efc6701bc2e55757ebbb466",
     ),
     "protocol-shape-seed-3": (
         "3d8bb60b2bdbf209156d4c7ba8b91cb55fe661337f010639a4accf8ae37bc89f",
-        "9ff2e3fee7becf99461c1ba7141a33a86f29c5361ccd9b2163486eede344699e",
+        "7f59363488fba7d3c608ea769ce626c877ae34f03eace952405f486ad7ebe0e0",
     ),
 }
 

@@ -64,9 +64,9 @@ def read_tree(root):
 
 class TestConfig:
     def test_every_key_flows_into_its_field(self, tmp_path, config_path):
-        cfg = load_experiment_config(config_path(tmp_path / "x"), {"within_weight": "2.5", "convergence_tol": "0.5"})
+        cfg = load_experiment_config(config_path(tmp_path / "x"), {"within_weight": "2.5"})
         assert cfg.model == ModelConfig(code_length=8, sparsity=2, num_groups=4, within_weight=2.5,
-                                        max_outer_iters=10, convergence_tol=0.5, seed=3)
+                                        max_outer_iters=10, seed=3)
         assert cfg.synthetic == data_mod.SyntheticSpec(16, 2, 16, 0.05, 0.25, seed=4)
         assert (cfg.group_sizes, cfg.sparsity_levels, cfg.out_dir) == ([2, 4], [], str(tmp_path / "x"))
 
@@ -322,20 +322,27 @@ class TestTrain:
         assert capsys.readouterr().err == "ERROR:config:unknown key 'between_weight' in section [model]\n"
         assert not (tmp_path / "x").exists()
 
-    def test_non_integer_env_seed_names_the_variable(self, tmp_path, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("GMK_SEED", "abc")
-        assert main(["train", "--config", config_path(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == "ERROR:config:bad value for GMK_SEED: 'abc'\n"
+    def test_retired_convergence_tol_is_unknown_key(self, tmp_path, config_path, capsys):
+        cfg = config_path(tmp_path / "x")
+        assert main(["train", "--config", cfg, "--convergence_tol=0.5"]) == 1
+        assert capsys.readouterr().err == "ERROR:config:unknown override key 'convergence_tol'\n"
+        Path(cfg).write_text(Path(cfg).read_text().replace("[model]\n", "[model]\nconvergence_tol = 0.0\n"))
+        assert main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "ERROR:config:unknown key 'convergence_tol' in section [model]\n"
         assert not (tmp_path / "x").exists()
 
-    def test_env_seed_overrides_config(self, tmp_path, config_path, monkeypatch):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        monkeypatch.setenv("GMK_SEED", "77")
-        assert main(["train", "--config", config_path(out_a)]) == 0
-        monkeypatch.delenv("GMK_SEED")
-        assert main(["train", "--config", config_path(out_b), "--seed=77", "--data_seed=77"]) == 0
-        assert (out_a / "model.txt").read_bytes() == (out_b / "model.txt").read_bytes()
+    def test_seed_environment_variable_changes_no_output(self, tmp_path, config_path, monkeypatch):
+        # seeds come from the config and the flags only
+        trees = []
+        for name in ("unset", "set"):
+            if name == "set":
+                monkeypatch.setenv("GMK_SEED", "77")
+            out = tmp_path / name
+            assert main(["train", "--config", config_path(out / "train")]) == 0
+            assert main(["protocol-demo", "--model", str(out / "train" / "model.txt"), "--query-index", "0",
+                         "--tau", "4", "--seed", "5", "--out-dir", str(out / "demo"), "--additive-bits", "64"]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
 
 
 class TestEval:
@@ -472,29 +479,3 @@ class TestProtocolDemo:
         ])
         assert rc != 0
         assert capsys.readouterr().err.startswith("ERROR:config:")
-
-    def test_non_integer_env_seed_is_config_error(self, tmp_path, trained, monkeypatch, capsys):
-        monkeypatch.setenv("GMK_SEED", "abc")
-        rc = main([
-            "protocol-demo", "--model", str(trained), "--query-index", "0", "--tau", "0",
-            "--out-dir", str(tmp_path / "z"), "--additive-bits", "64",
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err == "ERROR:config:bad value for GMK_SEED: 'abc'\n"
-        assert not (tmp_path / "z").exists()
-
-    def test_env_seed_overrides_seed_flag(self, tmp_path, trained, monkeypatch):
-        outs = []
-        for name, flag in (("env", "1"), ("flag", "5")):
-            if name == "env":
-                monkeypatch.setenv("GMK_SEED", "5")
-            else:
-                monkeypatch.delenv("GMK_SEED")
-            out = tmp_path / name
-            rc = main([
-                "protocol-demo", "--model", str(trained), "--query-index", "0", "--tau", "4",
-                "--seed", flag, "--out-dir", str(out), "--additive-bits", "64",
-            ])
-            assert rc == 0
-            outs.append((out / "transcript.bin").read_bytes())
-        assert outs[0] == outs[1]

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -177,6 +178,20 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             spec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["num_identities", "samples_per_identity", "dim", "seed"])
+    def test_float_size_is_config_error(self, field):
+        with pytest.raises(ConfigError) as err:
+            spec(**{field: 2.0})
+        assert str(err.value) == f"{field} must be an integer, got 2.0"
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+    def test_non_finite_sigma_is_config_error_before_any_draw(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                spec(noise_sigma=sigma)
+        assert str(err.value) == f"noise_sigma must be finite and >= 0, got {float(sigma)}"
+
 
 class TestMatrixIO:
     def test_round_trip_is_bitwise(self, tmp_path):
@@ -316,11 +331,11 @@ class TestDatasetBundle:
         for name, lines in (("enrolled.csv", enrolled), ("genuine.csv", genuine), ("impostors.csv", impostors)):
             assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
         m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
-        save_matrix(str(tmp_path / "m.csv"), m, header=False)
-        assert (tmp_path / "m.csv").read_text() == "".join(oracle_format_row(row) + "\n" for row in m)
-        for header, text in ((True, "# d=3 n=0\n"), (False, "\n")):
-            save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)), header=header)
-            assert (tmp_path / "empty.csv").read_text() == text
+        save_matrix(str(tmp_path / "m.csv"), m)
+        assert (tmp_path / "m.csv").read_text() == "".join(
+            [f"# d=2 n={len(m)}\n"] + [oracle_format_row(row) + "\n" for row in m])
+        save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)))
+        assert (tmp_path / "empty.csv").read_text() == "# d=3 n=0\n"
 
     def test_bundle_bytes_deterministic(self, tmp_path):
         d1 = tmp_path / "a"

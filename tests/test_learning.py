@@ -798,6 +798,24 @@ class TestModel:
             learning.Model(config=config, objective_trace=(), **members)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("code_length", 8.0), ("sparsity", 2.0), ("num_groups", 4.0), ("max_outer_iters", 2.5), ("seed", 1.5),
+    ])
+    def test_non_integer_size_is_config_error(self, field, value):
+        kwargs = dict(code_length=8, sparsity=2, num_groups=4)
+        kwargs[field] = value
+        with pytest.raises(ConfigError) as err:
+            ModelConfig(**kwargs)
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["1", None, 1j, np.complex128(1)])
+    def test_non_real_weight_is_config_error(self, value):
+        with pytest.raises(ConfigError) as err:
+            ModelConfig(8, 2, 4, within_weight=value)
+        assert str(err.value) == f"within_weight must be a real number, got {value!r}"
+
+
 class TestTrain:
     def test_singleton_groups_reach_zero_within(self):
         rng = np.random.default_rng(27)
@@ -809,7 +827,7 @@ class TestTrain:
     def test_identical_columns_single_group(self):
         col = unit_columns(np.arange(1.0, 9.0).reshape(-1, 1))
         signatures = SignatureMatrix(np.repeat(col, 5, axis=1))
-        config = ModelConfig(code_length=3, sparsity=1, num_groups=1, convergence_tol=1e-9, seed=6)
+        config = ModelConfig(code_length=3, sparsity=1, num_groups=1, seed=6)
         model = train(signatures, config)
         assert len(model.objective_trace) <= 2
         assert model.objective_trace[-1].within_trace == pytest.approx(0.0)
@@ -905,7 +923,7 @@ class TestTrain:
         expected_ry = 0 if baseline else iters + 1
         assert calls == {"_svd_projection": iters, "e_step": iters, "ry_step": expected_ry, "objective": iters}
         if iters < config.max_outer_iters:
-            # an early stop (convergence_tol is 0) is a repeated state
+            # the only early stop is a repeated state
             assert iters >= 2
             assert all(np.array_equal(a, b) for a, b in zip(states[-2], states[-1]))
 
@@ -990,7 +1008,7 @@ class TestFixedPointStop:
     (E, R, Y), and the stopped model is the one the full run gives."""
 
     @pytest.mark.parametrize("baseline", [False, True], ids=["learned", "baseline"])
-    @pytest.mark.parametrize("within_weight", [1.0, 0.2])
+    @pytest.mark.parametrize("within_weight", [1.0, 0.2, 0.1])
     @pytest.mark.parametrize("shape", list(STOP_SHAPES))
     def test_stopped_model_is_the_full_run(self, shape, within_weight, baseline):
         signatures, config, group_size = stop_shape(shape, within_weight)

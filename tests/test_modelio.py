@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ def test_round_trip_reproduces_model(model, tmp_path):
     assert np.array_equal(back.representations.codes, model.representations.codes)
     assert np.array_equal(back.assignments.group_of, model.assignments.group_of)
     assert back.objective_trace == model.objective_trace
+
+
+def test_numpy_scalar_configs_give_the_same_bytes(tmp_path):
+    # a sweep over np.linspace or np.arange passes numpy scalars; the config
+    # types hold them as Python numbers, so nothing downstream differs
+    plain = (SyntheticSpec(12, 2, 10, 0.1, 0.25, seed=0), ModelConfig(5, 2, 3, within_weight=0.5, seed=1))
+    scalars = (
+        SyntheticSpec(np.int64(12), np.int32(2), np.uint16(10), np.float64(0.1), np.float32(0.25), seed=np.int64(0)),
+        ModelConfig(np.int64(5), np.int8(2), np.uint32(3), within_weight=np.float64(0.5),
+                    max_outer_iters=np.int64(30), seed=np.int16(1)),
+    )
+    outputs = []
+    for spec, config in (plain, scalars):
+        assert [type(v) for v in astuple(spec)] == [int, int, int, float, float, int]
+        assert [type(v) for v in astuple(config)] == [int, int, int, float, int, int]
+        dataset = generate(spec)
+        path = tmp_path / f"model-{len(outputs)}.txt"
+        save_model(str(path), train(dataset.enrolled, config))
+        assert load_model(str(path)).config == config
+        outputs.append([m.tobytes() for m in (dataset.enrolled.data, dataset.genuine, dataset.impostors)]
+                       + [path.read_bytes()])
+    assert outputs[0] == outputs[1]
 
 
 def test_save_is_deterministic(model, tmp_path):
@@ -211,16 +235,16 @@ def test_unknown_config_key_is_parse_error_naming_it(model, tmp_path):
     assert str(err.value) == f"{path}: [config] unknown key 'bogus_key'"
 
 
-@pytest.mark.parametrize("first", ["# gmkit model v1", "# gmkit model v3", "# gmkit model", "[config]"])
+@pytest.mark.parametrize("first", ["# gmkit model v1", "# gmkit model v2", "# gmkit model", "[config]"])
 def test_other_version_line_is_parse_error_naming_it(model, tmp_path, first):
     path = tmp_path / "model.txt"
     save_model(str(path), model)
     lines = path.read_text().split("\n")
-    assert lines[0] == "# gmkit model v2"
+    assert lines[0] == "# gmkit model v3"
     path.write_text("\n".join(lines[1:] if first == "[config]" else [first] + lines[1:]))
     with pytest.raises(ParseError) as err:
         load_model(str(path))
-    assert str(err.value) == f"{path}: first line is {first!r}, expected '# gmkit model v2'"
+    assert str(err.value) == f"{path}: first line is {first!r}, expected '# gmkit model v3'"
 
 
 def test_non_ascii_byte_names_file_and_row(model, tmp_path):
