@@ -16,7 +16,6 @@ from .core import (
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
-    TernaryCode,
     embed,
     ternarize_columns,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SecurityReport",
     "SignatureMatrix",
     "SyntheticSpec",
-    "TernaryCode",
     "e_step",
     "embed",
     "generate",

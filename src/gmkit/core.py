@@ -3,11 +3,12 @@
 A signature is a unit-norm column of a real d x N matrix.  Codes live in
 {-1, 0, +1}^l with exactly ``sparsity`` nonzero symbols; they are produced by
 projecting onto an orthonormal-column matrix and keeping the largest
-magnitudes, and are stored as the columns of a :class:`CodeMatrix`.  One
+magnitudes, and are stored as the columns of a :class:`CodeMatrix`; a
+single code, such as the protocol's query, is a one-column matrix.  One
 ternarizer quantizes every code, whole matrices at a time
 (:func:`ternarize_columns`); the evaluation module compares codes in
-batches.  :class:`TernaryCode` and :func:`embed` are the protocol's
-one-query forms.  Everything here is immutable and side-effect free.
+batches, and :func:`embed` codes one signature.  Everything here is
+immutable and side-effect free.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numbers
 import operator
 import typing
+import weakref
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 
@@ -49,18 +51,25 @@ def _as_array(values, what: str, ndim: int, shape_error: type, integers: bool = 
     return a
 
 
+# every array _held has copied and frozen, by id, for as long as it lives
+_HELD_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _held(a: np.ndarray, dtype: type) -> np.ndarray:
     """A checked input as it is kept: read-only, of ``dtype``, and out of
     reach of every writeable array.  That is ``a`` itself when it has the
-    dtype and it and every array it is a view of are read-only (an array
-    frozen after a writeable view of it was taken also passes); anything
-    else is copied once, in ``a``'s layout, and the copy made read-only."""
+    dtype and is a read-only view of an array this function copied and
+    froze (or is that array); anything else is copied once, in ``a``'s
+    layout, and the copy made read-only.  Only such copies are trusted: an
+    array frozen by its caller may still have writeable views."""
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if _HELD_COPIES.get(id(base)) is base and a.dtype == dtype:
+            return a
         base = base.base
-    if base is not None or a.dtype != dtype:
-        a = np.array(a, dtype=dtype)
-        a.setflags(write=False)
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    _HELD_COPIES[id(a)] = a
     return a
 
 
@@ -164,50 +173,26 @@ def _hold_plain_numbers(config) -> None:
         object.__setattr__(config, name, value)
 
 
-def _checked_codes(symbols, sparsity: int, ndim: int) -> np.ndarray:
-    """A code (``ndim`` 1) or l x K codes stored columnwise (``ndim`` 2),
-    held as a read-only int8 array (see :func:`_held`) after checking that
-    every entry lies in {-1, 0, +1} and every column has exactly
-    ``sparsity`` nonzeros.
+def _checked_codes(symbols, sparsity: int) -> np.ndarray:
+    """l x K codes stored columnwise, held as a read-only int8 matrix (see
+    :func:`_held`) after checking that every entry lies in {-1, 0, +1} and
+    every column has exactly ``sparsity`` nonzeros.
 
     Integer-valued floats are accepted.  The alphabet is checked before the
-    sparsity, over the whole array at once.
+    sparsity, over the whole matrix at once.
     """
-    s = _as_array(symbols, "codes", ndim, DimensionError)
+    s = _as_array(symbols, "codes", 2, DimensionError)
     if not np.all((s == 0) | (s == 1) | (s == -1)):
         raise InvalidInputError("code symbols must lie in {-1, 0, +1}")
     length = s.shape[0]
     if not 1 <= sparsity < length:
         raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={length}")
-    nnz = np.atleast_1d(np.count_nonzero(s, axis=0))
+    nnz = np.count_nonzero(s, axis=0)
     wrong = np.flatnonzero(nnz != sparsity)
     if wrong.size:
         j = wrong[0]
         raise InvalidSparsityError(f"code {j} has {nnz[j]} nonzeros, declared sparsity {sparsity}")
     return _held(s, np.int8)
-
-
-@dataclass(frozen=True)
-class TernaryCode:
-    """Length-l vector over {-1, 0, +1} with exactly ``sparsity`` nonzeros.
-
-    The protocol's one-query type: :func:`embed` returns it and
-    :func:`gmkit.protocol.run_protocol` takes it.  Every measure works on
-    :class:`CodeMatrix` columns instead.  It stays, with :func:`embed` and
-    :meth:`CodeMatrix.column`, because perfbench's protocol workload builds
-    each query with them and reads ``symbols``.
-    """
-
-    symbols: np.ndarray
-    sparsity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sparsity", as_int(self.sparsity, "sparsity", InvalidSparsityError))
-        object.__setattr__(self, "symbols", _checked_codes(self.symbols, self.sparsity, 1))
-
-    @property
-    def length(self) -> int:
-        return self.symbols.size
 
 
 @dataclass(frozen=True)
@@ -217,6 +202,7 @@ class CodeMatrix:
     Holds both the per-signature codes E (one column per signature) and the
     group representations R (one column per group); with one member per
     group the two coincide, so the column count is called ``num_groups``.
+    A single code, such as the protocol's query, is a one-column matrix.
     """
 
     codes: np.ndarray
@@ -224,7 +210,7 @@ class CodeMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "sparsity", as_int(self.sparsity, "sparsity", InvalidSparsityError))
-        object.__setattr__(self, "codes", _checked_codes(self.codes, self.sparsity, 2))
+        object.__setattr__(self, "codes", _checked_codes(self.codes, self.sparsity))
 
     @property
     def code_length(self) -> int:
@@ -234,10 +220,18 @@ class CodeMatrix:
     def num_groups(self) -> int:
         return self.codes.shape[1]
 
-    def column(self, j: int) -> TernaryCode:
-        """Column ``j`` as the protocol's one-query type (kept for perfbench,
-        see :class:`TernaryCode`)."""
-        return TernaryCode(self.codes[:, j], self.sparsity)
+    @property
+    def symbols(self) -> np.ndarray:
+        """The length-l code of a one-column matrix; any other width raises
+        DimensionError."""
+        if self.num_groups != 1:
+            raise DimensionError(f"symbols needs a one-column code matrix, got {self.num_groups} columns")
+        return self.codes[:, 0]
+
+    def column(self, j: int) -> CodeMatrix:
+        """Column ``j`` as a one-column matrix; an out-of-range ``j`` raises
+        IndexError."""
+        return CodeMatrix(self.codes[:, [j]], self.sparsity)
 
 
 @dataclass(frozen=True)
@@ -275,6 +269,8 @@ class ModelConfig:
             raise ConfigError(f"within_weight must be finite and > 0, got {self.within_weight}")
         if self.max_outer_iters < 1:
             raise ConfigError("max_outer_iters must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # {name: int or float} of each ModelConfig field, in declaration order: the
@@ -349,14 +345,12 @@ def ternarize_columns(matrix: np.ndarray, sparsity: int) -> np.ndarray:
     return _ternarize_checked(m, sparsity)
 
 
-def embed(projection: ProjectionMatrix, signature: np.ndarray, sparsity: int) -> TernaryCode:
+def embed(projection: ProjectionMatrix, signature: np.ndarray, sparsity: int) -> CodeMatrix:
     """Sparsifying transform coding of one signature: its projection W^T x,
-    ternarized as a one-column matrix.
-
-    The protocol's per-query entry point (kept for perfbench, see
-    :class:`TernaryCode`); the measures embed all queries at once.
+    ternarized, as a one-column matrix.  The measures embed all queries at
+    once; this codes one, such as a protocol query.
     """
     x = _as_array(signature, "signature", 1, DimensionError).astype(np.float64, copy=False)
     if x.size != projection.dim:
         raise DimensionError(f"signature of length {x.size} does not match projection rows {projection.dim}")
-    return TernaryCode(_ternarize_checked((projection.data.T @ x)[:, None], sparsity)[:, 0], sparsity)
+    return CodeMatrix(_ternarize_checked((projection.data.T @ x)[:, None], sparsity), sparsity)

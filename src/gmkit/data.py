@@ -61,6 +61,8 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 < self.impostor_fraction < 1:
             raise ConfigError("impostor_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def num_impostor_identities(self) -> int:
@@ -75,8 +77,9 @@ class Dataset:
     the enrolled column index of each one's identity; ``impostors`` holds
     one impostor query per row.  Impostor identities are disjoint from
     enrolled ones by construction.  Construction checks each matrix once
-    and holds it read-only: an array that no writeable array reaches is kept
-    as it is, any other is copied once (see :func:`gmkit.core._held`).
+    and holds it read-only: a read-only view of a matrix that gmkit already
+    holds is kept as it is, any other is copied once (see
+    :func:`gmkit.core._held`).
     """
 
     enrolled: SignatureMatrix

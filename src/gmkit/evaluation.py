@@ -11,8 +11,8 @@ and there is no per-code form.
 
 A :class:`QuerySet` holds its genuine and its impostor queries as two
 read-only Q x d matrices, one query per row, checked once at construction;
-an array that a writeable array can reach is copied, so later changes to
-it do not reach the measures.  The first measure to score a model embeds
+any array but a read-only view of one gmkit already holds is copied, so
+later changes to it do not reach the measures.  The first measure to score a model embeds
 the genuine and the impostor queries, each with one
 ``ternarize_columns(W^T Q^T)``, and scores each in one Q x M matrix of exact
 integer distances ||e||^2 + ||r||^2 - 2 e.r, never the 2S - 2 p.r

@@ -3,9 +3,9 @@
 Flow (client = querying user, server holds the group representations in the
 clear); every ciphertext is under the client's additive key:
 
-1. client -> server: the query code p encrypted componentwise.  All l
-   components are sent, zeros included, so the support of the query stays
-   hidden.
+1. client -> server: the query code p, a one-column :class:`CodeMatrix`,
+   encrypted componentwise.  All l components are sent, zeros included, so
+   the support of the query stays hidden.
 2. server -> client: for every group g, in the server's group order, the
    masked value a_g * (2S - 2 p.r_g - tau) + b_g with fresh signed masks,
    K groups to a ciphertext.  For exactly-S codes 2S - 2 p.r_g is the
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import CodeMatrix, TernaryCode, as_int
+from ..core import CodeMatrix, as_int
 from ..errors import DimensionError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
 from .paillier import (
     AdditiveKey,
@@ -143,8 +143,8 @@ def draw_masks(count: int, magnitude: int, rng: random.Random) -> list[MaskPair]
     return masks
 
 
-def client_round1_encrypt_query(code: TernaryCode, key: AdditiveKey, rng: random.Random) -> list[int]:
-    """Encrypt every component of the query code, zeros included.
+def client_round1_encrypt_query(code: CodeMatrix, key: AdditiveKey, rng: random.Random) -> list[int]:
+    """Encrypt every component of the one-column query code, zeros included.
 
     ``key`` is the client's public key, or its secret key, which draws each
     randomizer as its two CRT halves mod p^2 and q^2: same ciphertext
@@ -272,7 +272,7 @@ def server_decide(values: Sequence[int], masks: Sequence[MaskPair], tau: int) ->
 
 
 def run_protocol(
-    code: TernaryCode,
+    code: CodeMatrix,
     representations: CodeMatrix,
     tau: int,
     rng: random.Random,
@@ -281,15 +281,19 @@ def run_protocol(
 ) -> tuple[ProtocolDecision, ProtocolTranscript]:
     """Execute the three messages end to end and record the transcript.
 
-    Deterministic given ``rng``; pass pre-generated ``keys`` to amortize key
-    generation across runs.  ``tau`` must be an integer (a numpy integer
-    too); anything else raises ProtocolError before round 1.
+    ``code`` is the query, a one-column code matrix; another width raises
+    DimensionError before round 1.  Deterministic given ``rng``; pass
+    pre-generated ``keys`` to amortize key generation across runs.  ``tau``
+    must be an integer (a numpy integer too); anything else raises
+    ProtocolError before round 1.
     """
     tau = as_int(tau, "tau", ProtocolError)
     params = params or SecurityParams()
+    if code.num_groups != 1:
+        raise DimensionError(f"the query must be one code, got {code.num_groups} columns")
     if code.sparsity != representations.sparsity:
         raise ProtocolError("query and representations must share the sparsity level")
-    if code.length != representations.code_length:
+    if code.code_length != representations.code_length:
         raise DimensionError("query code length does not match representations")
     if keys is None:
         keys = ProtocolKeys.generate(params, rng)

@@ -22,7 +22,6 @@ from gmkit.core import (
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
-    TernaryCode,
 )
 from gmkit.data import SyntheticSpec, generate
 from gmkit.evaluation import (
@@ -102,7 +101,7 @@ def random_protocol_code(length, sparsity, rng):
     symbols = np.zeros(length, dtype=np.int8)
     for i in rng.sample(range(length), sparsity):
         symbols[i] = rng.choice((-1, 1))
-    return TernaryCode(symbols, sparsity)
+    return CodeMatrix(symbols[:, None], sparsity)
 
 
 def plain_distance(a, b):

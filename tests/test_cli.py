@@ -90,6 +90,12 @@ class TestConfig:
         assert capsys.readouterr().err == f"ERROR:config:within_weight must be finite and > 0, got {float(value)}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, key", [("train", "seed"), ("gen-data", "data_seed")])
+    def test_negative_seed_is_a_config_error(self, tmp_path, config_path, capsys, command, key):
+        assert main([command, "--config", config_path(tmp_path / "x"), f"--{key}=-1"]) == 1
+        assert capsys.readouterr().err == "ERROR:config:seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
     def test_readme_example_loads_at_the_defaults_it_shows(self, tmp_path):
         # an unknown key fails to load, so a removed key cannot linger in the docs
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -10,7 +10,6 @@ from gmkit.core import (
     ModelConfig,
     ProjectionMatrix,
     SignatureMatrix,
-    TernaryCode,
     embed,
     ternarize_columns,
 )
@@ -44,7 +43,7 @@ def random_code(length, sparsity, rng):
     symbols = np.zeros(length, dtype=np.int8)
     support = rng.choice(length, size=sparsity, replace=False)
     symbols[support] = rng.choice([-1, 1], size=sparsity)
-    return TernaryCode(symbols, sparsity)
+    return CodeMatrix(symbols[:, None], sparsity)
 
 
 class TestTernarize:
@@ -188,10 +187,9 @@ class TestEmbed:
 
 
 def batched_distance(a, b):
-    """||a - b||^2 through the evaluation module's batched distances, with b
-    as the one representation."""
-    model = SimpleNamespace(representations=CodeMatrix(b.symbols[:, None], b.sparsity))
-    return int(_distances(model, a.symbols[:, None])[0, 0])
+    """||a - b||^2 of two one-column codes through the evaluation module's
+    batched distances, with b as the one representation."""
+    return int(_distances(SimpleNamespace(representations=b), a.codes)[0, 0])
 
 
 def batched_correlation(a, b):
@@ -213,8 +211,8 @@ class TestCorrelationAndDistance:
         assert batched_correlation(code, code) == 5
 
     def test_disjoint_supports(self):
-        a = TernaryCode(np.array([1, -1, 0, 0]), 2)
-        b = TernaryCode(np.array([0, 0, 1, 1]), 2)
+        a = CodeMatrix(np.array([[1, -1, 0, 0]]).T, 2)
+        b = CodeMatrix(np.array([[0, 0, 1, 1]]).T, 2)
         assert batched_correlation(a, b) == 0
         assert batched_distance(a, b) == 2 * 2  # disjoint supports sit at 2S
 
@@ -236,9 +234,9 @@ class TestCorrelationAndDistance:
             assert batched_distance(a, b) == naive
 
     def test_identical_and_opposed_codes(self):
-        a = TernaryCode(np.array([1, 0, -1, 0, 1]), 3)
+        a = CodeMatrix(np.array([[1, 0, -1, 0, 1]]).T, 3)
         assert batched_distance(a, a) == 0
-        opposed = TernaryCode(-a.symbols, 3)
+        opposed = CodeMatrix(-a.codes, 3)
         assert batched_distance(a, opposed) == 4 * 3  # range exceeds 2S on shared support
 
     @given(st.integers(0, 2**32 - 1))
@@ -309,7 +307,7 @@ class TestTypes:
         pytest.param(SignatureMatrix, np.eye(3)[:, :2], id="SignatureMatrix"),
         pytest.param(ProjectionMatrix, np.eye(3)[:, :2], id="ProjectionMatrix"),
         pytest.param(lambda m: CodeMatrix(m, 1), np.eye(3)[:, :2], id="CodeMatrix"),
-        pytest.param(lambda m: TernaryCode(m, 1), np.eye(3)[0], id="TernaryCode"),
+        pytest.param(lambda m: CodeMatrix(m, 1), np.eye(3)[:, :1], id="CodeMatrix-one-column"),
     ])
     def test_malformed_input_raises_library_error(self, build, valid):
         build(valid)
@@ -334,19 +332,16 @@ class TestTypes:
 
     def test_code_types_store_sparsity_as_int(self):
         for sparsity in (1, np.int64(1), np.uint32(1)):
-            assert type(TernaryCode(np.array([1, 0, 0]), sparsity).sparsity) is int
             assert type(CodeMatrix(np.array([[1], [0], [0]]), sparsity).sparsity) is int
         for sparsity in (1.0, "1", None):
-            with pytest.raises(InvalidSparsityError, match="sparsity must be an integer"):
-                TernaryCode(np.array([1, 0, 0]), sparsity)
             with pytest.raises(InvalidSparsityError, match="sparsity must be an integer"):
                 CodeMatrix(np.array([[1], [0], [0]]), sparsity)
 
     def test_ternary_code_enforces_exact_sparsity(self):
         with pytest.raises(InvalidSparsityError):
-            TernaryCode(np.array([1, 0, 0, 0]), 2)
+            CodeMatrix(np.array([[1, 0, 0, 0]]).T, 2)
         with pytest.raises(InvalidInputError):
-            TernaryCode(np.array([2, 0, 0, 0]), 1)
+            CodeMatrix(np.array([[2, 0, 0, 0]]).T, 1)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -359,7 +354,7 @@ class TestTypes:
     def test_code_matrix_agrees_with_per_column_codes(self, seed, length, num_cols, corruption, dtype):
         rng = np.random.default_rng(seed)
         sparsity = int(rng.integers(1, length))
-        cols = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_cols)])
+        cols = np.column_stack([random_code(length, sparsity, rng).codes for _ in range(num_cols)])
         m = cols.astype(np.float64 if corruption == "half" else dtype)
         j = int(rng.integers(num_cols))
         if corruption == "two":
@@ -371,28 +366,74 @@ class TestTypes:
         elif corruption == "missing":
             m[int(rng.choice(np.flatnonzero(m[:, j]))), j] = 0
 
-        def outcome(build):
-            try:
-                return build()
-            except (InvalidInputError, InvalidSparsityError) as exc:
-                return type(exc)
+        def per_column():
+            """The error each column's own check raises, in pure Python:
+            the alphabet of every column first, then exactly S nonzeros."""
+            columns = m.T.tolist()
+            if any(x not in (-1, 0, 1) for column in columns for x in column):
+                return InvalidInputError
+            if any(sum(x != 0 for x in column) != sparsity for column in columns):
+                return InvalidSparsityError
+            return None
 
+        try:
+            batched = CodeMatrix(m, sparsity)
+        except (InvalidInputError, InvalidSparsityError) as exc:
+            batched = type(exc)
         expected = {"two": InvalidInputError, "half": InvalidInputError,
                     "extra": InvalidSparsityError, "missing": InvalidSparsityError}.get(corruption)
-        per_column = outcome(lambda: [TernaryCode(m[:, k], sparsity) for k in range(num_cols)])
-        batched = outcome(lambda: CodeMatrix(m, sparsity))
+        assert per_column() is expected
         if expected is not None:
-            assert per_column is expected
             assert batched is expected
         else:
             assert batched.codes.dtype == np.int8
             assert not batched.codes.flags.writeable
-            assert np.array_equal(batched.codes, np.column_stack([c.symbols for c in per_column]))
+            assert np.array_equal(batched.codes, m)
             assert batched.num_groups == num_cols and batched.code_length == length
+
+    def test_a_single_code_is_a_one_column_matrix(self):
+        codes = CodeMatrix(np.array([[1, 0, -1], [0, 1, 0], [0, 0, 0]]), 1)
+        for j in (0, 2, -1):
+            column = codes.column(j)
+            assert type(column) is CodeMatrix and column.codes.shape == (3, 1) and column.sparsity == 1
+            assert np.array_equal(column.symbols, codes.codes[:, j])
+            assert column.symbols.shape == (3,) and not column.symbols.flags.writeable
+        with pytest.raises(IndexError):  # not an l x 0 matrix
+            codes.column(3)
+        code = embed(ProjectionMatrix(np.eye(4)[:, :3]), np.array([0.0, -2.0, 1.0, 5.0]), 1)
+        assert type(code) is CodeMatrix and code.codes.shape == (3, 1) and code.symbols.tolist() == [0, -1, 0]
+
+    @pytest.mark.parametrize("width", [0, 2])
+    def test_symbols_needs_exactly_one_column(self, width):
+        codes = CodeMatrix(np.eye(3, dtype=np.int8)[:, :width], 1)
+        with pytest.raises(DimensionError, match=f"got {width} columns"):
+            codes.symbols
+
+    def test_single_codes_are_unchanged_on_a_fixed_seed(self):
+        """embed and column give the symbols they gave as their own code
+        type.  A signed-permutation projection keeps W^T x exact on every
+        BLAS kernel."""
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(24)[:12]
+        w = ProjectionMatrix(np.eye(24)[:, perm] * rng.choice([-1.0, 1.0], size=12))
+        assert [embed(w, v, 3).symbols.tolist() for v in rng.standard_normal((3, 24))] == [
+            [-1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, -1, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 1],
+        ]
+        codes = CodeMatrix(ternarize_columns(rng.standard_normal((12, 16)), 3), 3)
+        assert [codes.column(j).symbols.tolist() for j in (0, 7, -1)] == [
+            [-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+            [0, 0, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1, 0],
+        ]
 
     def test_model_config_invariants(self):
         with pytest.raises(ConfigError):
             ModelConfig(code_length=8, sparsity=8, num_groups=2)
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(ConfigError, match="seed must be >= 0"):
+                ModelConfig(code_length=8, sparsity=2, num_groups=2, seed=seed)
         for weight in (0.0, -0.5, np.inf, np.nan):
             with pytest.raises(ConfigError, match="within_weight must be finite and > 0"):
                 ModelConfig(code_length=8, sparsity=2, num_groups=2, within_weight=weight)

@@ -177,6 +177,9 @@ class TestGenerate:
             spec(impostor_fraction=0.0)
         with pytest.raises(ConfigError):
             spec(noise_sigma=-0.1)
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
+                spec(seed=seed)
 
     @pytest.mark.parametrize("field", ["num_identities", "samples_per_identity", "dim", "seed"])
     def test_float_size_is_config_error(self, field):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, TernaryCode, embed
+from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, embed
 from gmkit.data import Dataset, SyntheticSpec, generate
 from gmkit.errors import ConfigError, DimensionError, GmkitError, InvalidInputError
 from gmkit.evaluation import (
@@ -37,7 +37,7 @@ def random_code(length, sparsity, rng):
     symbols = np.zeros(length, dtype=np.int8)
     support = rng.choice(length, size=sparsity, replace=False)
     symbols[support] = rng.choice([-1, 1], size=sparsity)
-    return TernaryCode(symbols, sparsity)
+    return CodeMatrix(symbols[:, None], sparsity)
 
 
 def build_model(projection, codes, reps, group_of, sparsity, seed=0):
@@ -797,6 +797,23 @@ class TestQuerySetFromDataset:
         for array, kept in zip(held, before):
             assert not array.flags.writeable and np.array_equal(array, kept)
             assert not any(np.shares_memory(array, base) for base in bases)
+
+    def test_arrays_frozen_after_a_writeable_view_was_taken_are_copied(self):
+        vectors, labels = np.eye(4)[:2].copy(), np.array([0, 1])
+        views = [vectors[:], labels[:]]  # taken while their bases were writeable
+        vectors.setflags(write=False)
+        labels.setflags(write=False)
+        enrolled = SignatureMatrix(np.eye(4)[:, :2])
+        dataset = Dataset(enrolled, vectors, labels, vectors)
+        queries = QuerySet(vectors, labels, vectors)
+        held = [dataset.genuine, dataset.genuine_ids, dataset.impostors, queries.genuine, queries.groups,
+                queries.impostors]
+        before = [array.copy() for array in held]
+        views[0][0, 0] = np.nan
+        views[1][0] = 99
+        for array, kept in zip(held, before):
+            assert not array.flags.writeable and np.array_equal(array, kept)
+            assert not np.shares_memory(array, vectors) and not np.shares_memory(array, labels)
 
     def test_model_of_other_signatures_rejected(self):
         ds, _ = self.dataset_and_model()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkit.core import CodeMatrix, TernaryCode
+from gmkit.core import CodeMatrix
 from gmkit.errors import DimensionError, ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
 from gmkit.protocol import engine
 from gmkit.protocol import (
@@ -39,7 +39,7 @@ def random_code(length, sparsity, rng):
     support = rng.sample(range(length), sparsity)
     for i in support:
         symbols[i] = rng.choice((-1, 1))
-    return TernaryCode(symbols, sparsity)
+    return CodeMatrix(symbols[:, None], sparsity)
 
 
 def plain_distance(a, b):
@@ -175,7 +175,7 @@ class TestRounds:
         symbols = np.zeros(code_len, dtype=np.int8)
         for i in range(sparsity):
             symbols[i] = 1
-        p = TernaryCode(symbols, sparsity)
+        p = CodeMatrix(symbols[:, None], sparsity)
         r_sym = np.zeros(code_len, dtype=np.int8)
         for i in range(corr):
             r_sym[i] = 1
@@ -401,6 +401,13 @@ class TestRunProtocol:
         with pytest.raises(DimensionError):
             run_protocol(random_code(11, 3, rng), reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
 
+    def test_query_of_more_than_one_code_rejected_before_round_1(self, roomy_keys):
+        reps = random_reps(12, 3, 3, random.Random(30))
+        rng = random.Random(32)
+        with pytest.raises(DimensionError, match="got 2 columns"):
+            run_protocol(CodeMatrix(reps.codes[:, :2], 3), reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+        assert rng.getstate() == random.Random(32).getstate()  # round 1 drew nothing
+
     def test_non_integer_tau_rejected_before_round_1(self, roomy_keys):
         reps = random_reps(12, 3, 3, random.Random(31))
         code = reps.column(0)
@@ -439,7 +446,7 @@ class TestRunProtocol:
             params = SecurityParams(additive_bits=size(128))
             assert type(params.additive_bits) is int
             keys = ProtocolKeys.generate(params, random.Random(41))
-            sized_code, sized_reps = TernaryCode(code.symbols, size(3)), CodeMatrix(reps.codes, size(3))
+            sized_code, sized_reps = CodeMatrix(code.codes, size(3)), CodeMatrix(reps.codes, size(3))
             decision, transcript = run_protocol(sized_code, sized_reps, 5, random.Random(42), params, keys)
             runs.add((decision.accept, transcript.to_bytes()))
         assert len(runs) == 1
@@ -720,7 +727,7 @@ class TestExactOracles:
             np.column_stack([signed_code(length, sparsity, sign_mode, rng) for _ in range(num_groups)]), sparsity
         )
         symbols = reps.codes[:, rng.randrange(num_groups)] if member else signed_code(length, sparsity, "mixed", rng)
-        code = TernaryCode(symbols, sparsity)
+        code = CodeMatrix(symbols[:, None], sparsity)
         tau = rng.randint(-1, 4 * sparsity)
         if mask_mode == "drawn":
             masks = draw_masks(num_groups, self.MAGNITUDE, rng)
