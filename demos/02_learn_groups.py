@@ -56,7 +56,7 @@ for i, entry in enumerate(model.objective_trace, start=1):
 sizes = model.assignments.group_sizes()
 print(f"\nlearned group sizes: min {sizes.min()}, max {sizes.max()}, mean {sizes.mean():.1f}")
 
-baseline = train_random_assignment_baseline(dataset.enrolled, config, group_size=8)
+baseline = train_random_assignment_baseline(dataset.enrolled, config)
 
 print("\ngenuine rejection rate when impostor acceptance is capped at 5%:")
 for name, m in (("learned grouping", model), ("random grouping ", baseline)):

@@ -30,7 +30,7 @@ from .errors import ConfigError, GmkitError, ParseError
 from .learning import Model, train, train_random_assignment_baseline
 from .modelio import load_model, save_model
 from .protocol import ProtocolKeys, SecurityParams, run_protocol
-from .protocol.engine import DEFAULT_ADDITIVE_BITS, DEFAULT_MASK_MAGNITUDE
+from .protocol.engine import DEFAULT_ADDITIVE_BITS
 
 TRANSCRIPT_FILE = "transcript.bin"
 DECISION_FILE = "decision.txt"
@@ -157,9 +157,9 @@ def cmd_train(args, overrides) -> int:
     cfg = load_experiment_config(args.config, overrides)
     dataset = _load_dataset(cfg)
     source = cfg.dataset_dir or "synthetic"
-    if args.baseline_group_size is not None:
-        model = train_random_assignment_baseline(dataset.enrolled, cfg.model, args.baseline_group_size)
-        source += f" (random-assignment baseline, group_size={args.baseline_group_size})"
+    if args.baseline:
+        model = train_random_assignment_baseline(dataset.enrolled, cfg.model)
+        source += f" (random-assignment baseline, group_size={dataset.enrolled.num_signatures // cfg.model.num_groups})"
     else:
         model = train(dataset.enrolled, cfg.model)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -215,12 +215,15 @@ def _run_eval(args, overrides, mode: str) -> int:
     else:
         if axis == "m":
             sweep = cfg.group_sizes or [max(1, n // cfg.model.num_groups)]
+            for value in sweep:
+                if not 1 <= value <= n:
+                    raise ConfigError(f"group_sizes value {value} outside [1, {n}], the number of enrolled signatures")
         else:
             sweep = cfg.sparsity_levels or [cfg.model.sparsity]
         base = cfg.model
         for value in sweep:
             if axis == "m":
-                point = replace(base, num_groups=max(1, n // value))
+                point = replace(base, num_groups=n // value)
             else:
                 point = replace(base, sparsity=value)
             model = train(dataset.enrolled, point)
@@ -241,7 +244,7 @@ def cmd_protocol_demo(args, overrides) -> int:
     num_codes = model.assignments.num_signatures
     if not 0 <= args.query_index < num_codes:
         raise ConfigError(f"query index {args.query_index} out of range [0, {num_codes})")
-    params = SecurityParams(additive_bits=args.additive_bits, mask_magnitude=args.mask_magnitude)
+    params = SecurityParams(additive_bits=args.additive_bits)
     rng = random.Random(args.seed)
     keys = ProtocolKeys.generate(params, rng)
     code = model.codes.column(args.query_index)
@@ -270,8 +273,8 @@ def build_parser() -> _Parser:
 
     add_config_command("gen-data", "generate a synthetic dataset bundle")
     p_train = add_config_command("train", "train a model and write the model file")
-    p_train.add_argument("--baseline-group-size", type=int, default=None,
-                         help="train the random-assignment baseline with this group size")
+    p_train.add_argument("--baseline", action="store_true",
+                         help="train the random-assignment baseline: num_groups random groups of equal size")
     add_config_command("eval-verify", "group verification metrics", with_model=True)
     add_config_command("eval-identify", "open-set identification metrics", with_model=True)
     add_config_command("eval-security", "reconstruction attack metrics", with_model=True)
@@ -283,7 +286,6 @@ def build_parser() -> _Parser:
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p_demo.add_argument("--additive-bits", type=int, default=DEFAULT_ADDITIVE_BITS)
-    p_demo.add_argument("--mask-magnitude", type=int, default=DEFAULT_MASK_MAGNITUDE)
     return parser
 
 

@@ -106,7 +106,12 @@ def _check_query_labels(labels, count: int, what: str, shape_error: type) -> np.
 @dataclass(frozen=True)
 class SignatureMatrix:
     """Enrolled signatures, one unit-norm column per enrollee (d x N), checked
-    and held by :func:`_check_query_vectors` on the transpose."""
+    and held by :func:`_check_query_vectors` on the transpose.
+
+    Held C-ordered whatever the input's layout, so that a bundle, which
+    loads F-ordered, trains the bits the same matrix generated in memory
+    does: BLAS may sum X E^T in another order for another layout.
+    """
 
     data: np.ndarray
 
@@ -114,7 +119,8 @@ class SignatureMatrix:
         a = _as_array(self.data, "signature matrix", 2, DimensionError)
         if not a.size:
             raise DimensionError(f"signature matrix must be nonempty, got shape {a.shape}")
-        object.__setattr__(self, "data", _check_query_vectors(a.T, None, "signature", DimensionError).T)
+        held = _check_query_vectors(np.asfortranarray(a.T), None, "signature", DimensionError)
+        object.__setattr__(self, "data", held.T)
 
     @property
     def dim(self) -> int:

@@ -101,21 +101,19 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class IdentificationReport:
-    """Open-set identification rates; dir_rate = (1 - p_epsilon) * (1 - pfn).
-
-    ``no_accepted_genuine`` flags the degenerate case where the first step
-    accepted no genuine query at all; p_epsilon is then defined as 0.
-    """
+    """Open-set identification rates; p_epsilon is 0 when no genuine query was accepted."""
 
     pfn: float
     p_epsilon: float
-    dir_rate: float
-    no_accepted_genuine: bool = False
 
-    def __post_init__(self):
-        expected = (1.0 - self.p_epsilon) * (1.0 - self.pfn)
-        if abs(self.dir_rate - expected) > 1e-12:
-            raise ConfigError("dir_rate must equal (1 - p_epsilon) * (1 - pfn)")
+    @property
+    def dir_rate(self) -> float:
+        return (1.0 - self.p_epsilon) * (1.0 - self.pfn)
+
+    @property
+    def no_accepted_genuine(self) -> bool:
+        # pfn = (Q - accepted) / Q with Q >= 1 is 1 exactly when none was accepted
+        return self.pfn == 1.0
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     """Open-set identification rates at a fixed acceptance threshold.
 
     p_epsilon is measured only over genuine queries accepted by the first
-    step; with zero accepted queries it is defined as 0 and flagged.
+    step; with zero accepted queries it is defined as 0.
     """
     groups = _true_groups(model, queries)
     distances = _scores(model, queries)[1]
@@ -257,7 +255,7 @@ def identification_report(model: Model, queries: QuerySet, threshold: float) -> 
     wrong = int(np.count_nonzero(accepted_rows & (nearest != groups)))
     pfn = (len(groups) - accepted) / len(groups)
     p_eps = wrong / accepted if accepted else 0.0
-    return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
+    return IdentificationReport(pfn, p_eps)
 
 
 def _gain(lifted: np.ndarray, targets: np.ndarray) -> float:

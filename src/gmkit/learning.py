@@ -124,7 +124,12 @@ class ObjectiveBreakdown:
 
 @dataclass(frozen=True)
 class Model:
-    """Learned state bundle plus the objective trace that produced it."""
+    """Learned state bundle plus the objective trace that produced it.
+
+    Mismatched array shapes raise DimensionError; a ``config`` whose
+    ``code_length``, ``sparsity`` or ``num_groups`` differs from the arrays'
+    raises ConfigError naming the field.
+    """
 
     projection: ProjectionMatrix
     codes: CodeMatrix
@@ -137,6 +142,14 @@ class Model:
         if self.codes.code_length != self.projection.code_length:
             raise DimensionError("code length does not match the projection")
         _check_grouping(self.codes.code_length, self.codes.codes.shape[1], self.representations, self.assignments)
+        for name, held in (
+            ("code_length", self.projection.code_length),
+            ("sparsity", self.codes.sparsity),
+            ("sparsity", self.representations.sparsity),
+            ("num_groups", self.assignments.num_groups),
+        ):
+            if getattr(self.config, name) != held:
+                raise ConfigError(f"config {name} is {getattr(self.config, name)}, but the model's arrays have {held}")
 
 
 def objective(
@@ -216,10 +229,9 @@ def e_step(
     representations: CodeMatrix,
     assignments: AssignmentMatrix,
     within_weight: float,
-    sparsity: int,
 ) -> CodeMatrix:
     """Code update: columnwise ternarization of P + lambda * R Y for the
-    projected signatures P = W^T X.
+    projected signatures P = W^T X, at the representations' sparsity.
 
     A non-finite ``within_weight`` raises InvalidInputError; a ragged,
     non-2-D or mis-shaped ``projected`` DimensionError, and an entry that is
@@ -230,7 +242,7 @@ def e_step(
     _check_grouping(projected.shape[0], projected.shape[1], representations, assignments)
     with np.errstate(over="ignore"):
         target = projected + within_weight * representations.codes[:, assignments.group_of].astype(np.float64)
-    return CodeMatrix(ternarize_columns(target, sparsity), sparsity)
+    return CodeMatrix(ternarize_columns(target, representations.sparsity), representations.sparsity)
 
 
 @dataclass(frozen=True)
@@ -564,7 +576,7 @@ def _alternate(
         projection = _svd_projection(signatures, codes)
         # W^T X once per iteration, for the code update and the embedding cost
         projected = projection.data.T @ signatures.data
-        codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
+        codes = e_step(projected, reps, assign, config.within_weight)
         reps, assign = group(codes, assign)
         trace.append(objective(projected, codes, reps, assign, config.within_weight))
         state = (codes.codes, reps.codes, assign.group_of)
@@ -597,22 +609,21 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
     )
 
 
-def random_balanced_assignment(
-    num_signatures: int, num_groups: int, group_size: int, rng: np.random.Generator
-) -> AssignmentMatrix:
-    """Random partition into num_groups groups of exactly group_size members."""
-    if num_groups * group_size != num_signatures:
-        raise ConfigError(
-            f"num_groups * group_size must equal the number of signatures: {num_groups} * {group_size} != {num_signatures}"
-        )
+def random_balanced_assignment(num_signatures: int, num_groups: int, rng: np.random.Generator) -> AssignmentMatrix:
+    """Random partition into num_groups groups of num_signatures / num_groups
+    members each; raises ConfigError when num_groups does not divide
+    num_signatures."""
+    if num_groups < 1 or num_signatures % num_groups:
+        raise ConfigError(f"num_groups {num_groups} does not divide the number of signatures {num_signatures}")
     perm = rng.permutation(num_signatures)
     group_of = np.empty(num_signatures, dtype=np.int64)
-    group_of[perm] = np.repeat(np.arange(num_groups), group_size)
+    group_of[perm] = np.repeat(np.arange(num_groups), num_signatures // num_groups)
     return AssignmentMatrix(group_of, num_groups)
 
 
-def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelConfig, group_size: int) -> Model:
-    """Baseline variant: the assignment is a fixed random balanced partition.
+def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelConfig) -> Model:
+    """Baseline variant: the assignment is a fixed random balanced partition
+    (see :func:`random_balanced_assignment`).
 
     Identical loop to :func:`train` except the grouping step only refreshes
     centroids and representations; the assignment never changes.  The
@@ -620,7 +631,7 @@ def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelC
     """
     _validate_train_dims(signatures, config)
     rng = np.random.default_rng(config.seed)
-    assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
+    assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, rng)
 
     def group(codes: CodeMatrix, _previous: AssignmentMatrix | None) -> tuple[CodeMatrix, AssignmentMatrix]:
         sums, _ = _group_sums(codes.codes.T, assign.group_of, assign.num_groups)

@@ -92,12 +92,15 @@ class SecurityParams:
 
 @dataclass(frozen=True)
 class ProtocolKeys:
-    additive_public: AdditivePublicKey
     additive_secret: AdditiveSecretKey
+
+    @property
+    def additive_public(self) -> AdditivePublicKey:
+        return self.additive_secret.public
 
     @classmethod
     def generate(cls, params: SecurityParams, rng: random.Random) -> "ProtocolKeys":
-        return cls(*additive_keygen(params.additive_bits, rng))
+        return cls(additive_keygen(params.additive_bits, rng)[1])
 
 
 def validate_mask_range(pk: AdditivePublicKey, sparsity: int, tau: int, magnitude: int) -> int:
@@ -250,14 +253,13 @@ def client_round3_decrypt_reveal(
     return values
 
 
-def server_decide(values: Sequence[int], masks: Sequence[MaskPair], tau: int) -> ProtocolDecision:
+def server_decide(values: Sequence[int], masks: Sequence[MaskPair]) -> ProtocolDecision:
     """Unmask each value and accept iff some (distance - tau) is <= 0.
 
     Unmasking must divide exactly; a remainder means the revealed values are
-    inconsistent with the masks (tampering or a protocol bug).  ``tau`` must
-    be an integer; the unmasked values already have it subtracted.
+    inconsistent with the masks (tampering or a protocol bug).  The values
+    already have tau subtracted, so the decision does not take it.
     """
-    as_int(tau, "tau", ProtocolError)
     if len(values) != len(masks):
         raise ProtocolError("need one mask pair per revealed value")
     accept = False
@@ -283,9 +285,10 @@ def run_protocol(
 
     ``code`` is the query, a one-column code matrix; another width raises
     DimensionError before round 1.  Deterministic given ``rng``; pass
-    pre-generated ``keys`` to amortize key generation across runs.  ``tau``
-    must be an integer (a numpy integer too); anything else raises
-    ProtocolError before round 1.
+    pre-generated ``keys`` to amortize key generation across runs.  With
+    ``keys`` given, ``params`` supplies only ``mask_magnitude``, and
+    ``params.additive_bits`` is not read.  ``tau`` must be an integer (a
+    numpy integer too); anything else raises ProtocolError before round 1.
     """
     tau = as_int(tau, "tau", ProtocolError)
     params = params or SecurityParams()
@@ -313,5 +316,5 @@ def run_protocol(
     residues = tuple(v % keys.additive_public.modulus for v in revealed)
     msg3 = ProtocolMessage(3, CLIENT, residues)
 
-    decision = server_decide(revealed, masks, tau)
+    decision = server_decide(revealed, masks)
     return decision, ProtocolTranscript((msg1, msg2, msg3))

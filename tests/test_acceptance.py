@@ -123,7 +123,7 @@ def _verification_run(seed):
     dataset = generate(SyntheticSpec(noise_sigma=0.15, seed=seed, **VERIF_SPEC))
     config = ModelConfig(num_groups=16, seed=seed, **VERIF_CONFIG)
     learned = train(dataset.enrolled, config)
-    baseline = train_random_assignment_baseline(dataset.enrolled, config, group_size=8)
+    baseline = train_random_assignment_baseline(dataset.enrolled, config)
     return dataset, learned, baseline
 
 
@@ -216,7 +216,7 @@ def test_c03_substep_oracle_equivalence():
         worst = max(worst, abs(breakdown.total - (emb_o + lam * within_o)))
 
         # e_step: per-column sum-then-sort oracle
-        new_codes = e_step(target, reps, assignments, lam, sparsity)
+        new_codes = e_step(target, reps, assignments, lam)
         for j in range(n):
             col = target[:, j] + lam * reps.codes[:, group_of[j]].astype(float)
             ranked = sorted(range(code_length), key=lambda i: (-abs(col[i]), i))
@@ -486,7 +486,7 @@ def test_c10_cli_golden_bytes(tmp_path):
         fh.write(CLI_CONFIG.format(out=out))
 
     digests = {}
-    for label, extra in (("train", []), ("baseline", ["--baseline-group-size", "4"])):
+    for label, extra in (("train", []), ("baseline", ["--baseline"])):
         assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         digests[label] = tuple(
             hashlib.sha256(Path(os.path.join(out, name)).read_bytes()).hexdigest()
@@ -587,7 +587,7 @@ def test_c10_protocol_shape_golden_bytes(tmp_path):
     for label, seed, extra in (
         ("seed-2", 2, []),
         ("seed-3", 3, []),
-        ("baseline-16-seed-2", 2, ["--baseline-group-size", "16"]),
+        ("baseline-16-seed-2", 2, ["--baseline"]),
     ):
         argv = ["train", "--config", cfg_path, f"--seed={seed}", f"--data_seed={seed}", *extra]
         assert main(argv) == 0, f"{label} failed"
@@ -624,7 +624,7 @@ def test_c10_eval_golden_bytes(tmp_path):
     with open(cfg_path, "w") as fh:
         fh.write(CLI_CONFIG.format(out=out))
     digests = {}
-    for label, extra in (("train", []), ("baseline", ["--baseline-group-size", "4"])):
+    for label, extra in (("train", []), ("baseline", ["--baseline"])):
         assert main(["train", "--config", cfg_path, *extra]) == 0, f"{label} failed"
         model_path = str(tmp_path / f"{label}-model.txt")
         os.replace(os.path.join(out, "model.txt"), model_path)

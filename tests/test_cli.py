@@ -284,13 +284,17 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         assert "final within_trace=0.0" in (out / "train.log").read_text()
 
-    def test_baseline_flag_pins_assignment(self, tmp_path, config_path):
+    def test_baseline_flag_pins_assignment(self, tmp_path, config_path, capsys):
         out = tmp_path / "run"
         cfg = config_path(out)
-        assert main(["train", "--config", cfg, "--baseline-group-size", "4"]) == 0
+        assert main(["train", "--config", cfg, "--baseline"]) == 0
         model = load_model(str(out / "model.txt"))
-        expected = random_balanced_assignment(16, 4, 4, np.random.default_rng(3))
+        expected = random_balanced_assignment(16, 4, np.random.default_rng(3))
         assert np.array_equal(model.assignments.group_of, expected.group_of)
+        assert "data: synthetic (random-assignment baseline, group_size=4)\n" in (out / "train.log").read_text()
+        # the group size is N / num_groups, so num_groups must divide N
+        assert main(["train", "--config", cfg, "--baseline", "--num_groups=5"]) == 1
+        assert capsys.readouterr().err == "ERROR:config:num_groups 5 does not divide the number of signatures 16\n"
 
     def test_override_flag_changes_seed(self, tmp_path, config_path):
         out_a = tmp_path / "a"
@@ -360,6 +364,37 @@ class TestEval:
         assert len(index) == 3  # two sweep points
         assert (out / "verify-m-2.csv").exists()
         assert (out / "verify-m-4.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval-verify", "eval-identify"])
+    @pytest.mark.parametrize("value", ["0", "-4", "17", "64"])
+    def test_group_size_outside_one_to_n_is_named(self, tmp_path, config_path, capsys, command, value):
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path(out, group_sizes=f"2,{value}")]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR:config:group_sizes value {value} outside [1, 16], the number of enrolled signatures\n"
+        )
+        assert not list(out.glob("*.csv"))  # raised before the first sweep point trains
+
+    @pytest.mark.parametrize("tweaks", [{}, {"num_identities": "64", "num_groups": "16", "group_sizes": "4,8"}],
+                             ids=["cli-shape", "full-rank"])
+    def test_bundle_gives_the_bytes_of_generated_data(self, tmp_path, config_path, tweaks):
+        # generated data holds enrolled.data C-ordered and a loaded bundle
+        # F-ordered; the layout must not reach any output
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle, **tweaks)]) == 0
+        trees = []
+        for name, extra in (("generated", []), ("bundled", ["--dataset", str(bundle)])):
+            out = tmp_path / name
+            cfg = config_path(out, **tweaks)
+            for command in ("train", "eval-verify"):
+                assert main([command, "--config", cfg, *extra]) == 0
+            tree = read_tree(out)
+            # train.log names its data source on its second line
+            log = tree.pop("train.log").decode().splitlines()
+            trees.append((tree, log[:1] + log[2:]))
+        assert trees[0] == trees[1]
+        assert sorted(trees[0][0]) == sorted(["model.txt", "verify-metrics.csv"] + [
+            f"verify-m-{m}.csv" for m in tweaks.get("group_sizes", "2,4").split(",")])
 
     def test_verify_separable_data_reaches_zero_pfn(self, tmp_path, config_path):
         out = tmp_path / "run"

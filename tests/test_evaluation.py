@@ -132,7 +132,7 @@ def oracle_identification_report(model, queries, threshold):
             wrong += 1
     pfn = rejected / (accepted + rejected)
     p_eps = 0.0 if accepted == 0 else wrong / accepted
-    return IdentificationReport(pfn, p_eps, (1.0 - p_eps) * (1.0 - pfn), accepted == 0)
+    return IdentificationReport(pfn, p_eps)
 
 
 def oracle_reconstruct(projection, code, beta):

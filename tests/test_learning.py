@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -250,14 +251,14 @@ class TestEStep:
     def test_zero_weight_reduces_to_plain_embedding(self):
         rng = np.random.default_rng(20)
         signatures, projection, _, reps, assignments = random_instance(rng)
-        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 0.0, 2)
+        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 0.0)
         expected = ternarize_columns(projection.data.T @ signatures.data, 2)
         assert np.array_equal(codes.codes, expected)
 
     def test_huge_weight_copies_group_representations(self):
         rng = np.random.default_rng(21)
         signatures, projection, _, reps, assignments = random_instance(rng)
-        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 1e6, 2)
+        codes = e_step(projection.data.T @ signatures.data, reps, assignments, 1e6)
         expected = reps.codes[:, assignments.group_of]
         assert np.array_equal(codes.codes, expected)
 
@@ -266,7 +267,7 @@ class TestEStep:
         for _ in range(20):
             signatures, projection, _, reps, assignments = random_instance(rng)
             lam = float(rng.uniform(0.1, 3.0))
-            codes = e_step(projection.data.T @ signatures.data, reps, assignments, lam, 2)
+            codes = e_step(projection.data.T @ signatures.data, reps, assignments, lam)
             for j in range(signatures.num_signatures):
                 column_target = projection.data.T @ signatures.data[:, j] + lam * reps.codes[
                     :, assignments.group_of[j]
@@ -277,16 +278,26 @@ class TestEStep:
                     expected[i] = -1 if column_target[i] < 0 else 1
                 assert codes.codes[:, j].tolist() == expected.tolist()
 
+    def test_sparsity_is_the_representations(self):
+        # the codes take the representations' sparsity; no second value can contradict it
+        signatures, projection, _, reps, assignments = random_instance(np.random.default_rng(24), sparsity=3, code_length=6)
+        projected = projection.data.T @ signatures.data
+        codes = e_step(projected, reps, assignments, 1.0)
+        assert codes.sparsity == reps.sparsity == 3
+        assert np.array_equal(codes.codes, ternarize_columns(projected + reps.codes[:, assignments.group_of], 3))
+        with pytest.raises(TypeError):
+            e_step(projected, reps, assignments, 1.0, 2)
+
     def test_shape_mismatch_is_dimension_error(self):
         rng = np.random.default_rng(23)
         signatures, projection, _, reps, assignments = random_instance(rng)
         projected = projection.data.T @ signatures.data
         with pytest.raises(DimensionError):
-            e_step(projected[:, 1:], reps, assignments, 1.0, 2)
+            e_step(projected[:, 1:], reps, assignments, 1.0)
         with pytest.raises(DimensionError):
-            e_step(projected[1:], reps, assignments, 1.0, 2)
+            e_step(projected[1:], reps, assignments, 1.0)
         with pytest.raises(DimensionError):
-            e_step(projected[0], reps, assignments, 1.0, 2)
+            e_step(projected[0], reps, assignments, 1.0)
 
 
 def oracle_d2(p, c):
@@ -721,7 +732,7 @@ class TestKMeansAndRYStep:
         signatures, projection, codes, reps, assignments = random_instance(np.random.default_rng(25))
         projected = bad(projection.data.T @ signatures.data)
         with pytest.raises(error):
-            e_step(projected, reps, assignments, 1.0, 2)
+            e_step(projected, reps, assignments, 1.0)
         with pytest.raises(error):
             objective(projected, codes, reps, assignments, 1.0)
 
@@ -732,7 +743,7 @@ class TestKMeansAndRYStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="within_weight must be finite"):
-                e_step(projected, reps, assignments, weight, 2)
+                e_step(projected, reps, assignments, weight)
             with pytest.raises(InvalidInputError, match="within_weight must be finite"):
                 objective(projected, codes, reps, assignments, weight)
 
@@ -746,7 +757,7 @@ class TestKMeansAndRYStep:
             with pytest.raises(InvalidInputError, match="embedding cost is not a finite float64"):
                 objective(projected, codes, reps, assignments, 1.0)
             with pytest.raises(InvalidInputError, match="non-finite"):
-                e_step(np.full(projected.shape, 1e308), reps, assignments, 1e308, 2)
+                e_step(np.full(projected.shape, 1e308), reps, assignments, 1e308)
 
     @pytest.mark.parametrize(
         "group_of, error",
@@ -796,6 +807,15 @@ class TestModel:
         config = ModelConfig(code_length=4, sparsity=2, num_groups=3)
         with pytest.raises(DimensionError, match=message):
             learning.Model(config=config, objective_trace=(), **members)
+
+    @pytest.mark.parametrize("field, value", [("code_length", 12), ("sparsity", 5), ("num_groups", 9)])
+    def test_config_contradicting_arrays_is_config_error(self, field, value):
+        dataset = generate(SyntheticSpec(64, 2, 16, 0.1, 0.25, seed=0))
+        model = train(dataset.enrolled, ModelConfig(code_length=8, sparsity=2, num_groups=4, seed=0))
+        config = replace(model.config, **{field: value})
+        held = {"code_length": 8, "sparsity": 2, "num_groups": 4}[field]
+        with pytest.raises(ConfigError, match=f"^config {field} is {value}, but the model's arrays have {held}$"):
+            replace(model, config=config)
 
 
 class TestModelConfig:
@@ -914,7 +934,7 @@ class TestTrain:
 
             monkeypatch.setattr(learning, name, counting)
         if baseline:
-            model = train_random_assignment_baseline(signatures, config, group_size=4)
+            model = train_random_assignment_baseline(signatures, config)
         else:
             model = train(signatures, config)
         iters = len(model.objective_trace)
@@ -937,51 +957,48 @@ class TestTrain:
         assert abs(totals[0] - totals[1]) <= 0.10 * max(abs(totals[0]), abs(totals[1]))
 
 
-# (data spec, model config, baseline group size) of the shapes the
-# fixed-point stop is checked on: the CLI acceptance config, the
-# protocol-session benchmark shape at seeds 2 and 3, and a small
-# verify-batch-like shape, which at within_weight 0.2 stops after 10
-# (learned) and 17 (baseline) of its 30 iterations
+# (data spec, model config) of the shapes the fixed-point stop is checked
+# on: the CLI acceptance config, the protocol-session benchmark shape at
+# seeds 2 and 3, and a small verify-batch-like shape, which at
+# within_weight 0.2 stops after 10 (learned) and 17 (baseline) of its 30
+# iterations
 STOP_SHAPES = {
     "cli": (
         dict(num_identities=16, samples_per_identity=2, dim=16, noise_sigma=0.05, impostor_fraction=0.25, seed=4),
         dict(code_length=8, sparsity=2, num_groups=4, max_outer_iters=8, seed=3),
-        4,
     ),
     **{
         f"protocol-session-seed-{seed}": (
             dict(num_identities=1024, samples_per_identity=4, dim=128, noise_sigma=0.07, impostor_fraction=0.25, seed=seed),
             dict(code_length=64, sparsity=8, num_groups=64, max_outer_iters=10, seed=seed),
-            16,
         )
         for seed in (2, 3)
     },
     "verify-batch-like": (
         dict(num_identities=128, samples_per_identity=2, dim=32, noise_sigma=0.1, impostor_fraction=0.5, seed=1),
         dict(code_length=16, sparsity=4, num_groups=16, max_outer_iters=30, seed=1),
-        8,
     ),
 }
 
 
 def stop_shape(name, within_weight):
-    spec, model, group_size = STOP_SHAPES[name]
-    return generate(SyntheticSpec(**spec)).enrolled, ModelConfig(within_weight=within_weight, **model), group_size
+    spec, model = STOP_SHAPES[name]
+    return generate(SyntheticSpec(**spec)).enrolled, ModelConfig(within_weight=within_weight, **model)
 
 
-def train_either(signatures, config, group_size, baseline):
+def train_either(signatures, config, baseline):
     if baseline:
-        return train_random_assignment_baseline(signatures, config, group_size)
+        return train_random_assignment_baseline(signatures, config)
     return train(signatures, config)
 
 
-def full_run_oracle(signatures, config, group_size, baseline):
+def full_run_oracle(signatures, config, baseline):
     """(W, E, R, Y, trace, ||R Y||^2 per iteration) after all
     ``max_outer_iters`` iterations, with no stop: the loop's steps driven one
     by one from the same seeded generator."""
     rng = np.random.default_rng(config.seed)
     if baseline:
-        fixed = random_balanced_assignment(signatures.num_signatures, config.num_groups, group_size, rng)
+        fixed = random_balanced_assignment(signatures.num_signatures, config.num_groups, rng)
 
         def group(codes, _previous):
             sums, _ = _group_sums(codes.codes.T, fixed.group_of, fixed.num_groups)
@@ -996,7 +1013,7 @@ def full_run_oracle(signatures, config, group_size, baseline):
     for _ in range(config.max_outer_iters):
         projection = _svd_projection(signatures, codes)
         projected = projection.data.T @ signatures.data
-        codes = e_step(projected, reps, assign, config.within_weight, config.sparsity)
+        codes = e_step(projected, reps, assign, config.within_weight)
         reps, assign = group(codes, assign)
         trace.append(objective(projected, codes, reps, assign, config.within_weight))
         rep_norms.append(int(np.sum(reps.codes[:, assign.group_of].astype(np.int64) ** 2)))
@@ -1011,9 +1028,9 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("within_weight", [1.0, 0.2, 0.1])
     @pytest.mark.parametrize("shape", list(STOP_SHAPES))
     def test_stopped_model_is_the_full_run(self, shape, within_weight, baseline):
-        signatures, config, group_size = stop_shape(shape, within_weight)
-        model = train_either(signatures, config, group_size, baseline)
-        projection, codes, reps, assign, trace, _ = full_run_oracle(signatures, config, group_size, baseline)
+        signatures, config = stop_shape(shape, within_weight)
+        model = train_either(signatures, config, baseline)
+        projection, codes, reps, assign, trace, _ = full_run_oracle(signatures, config, baseline)
         assert np.array_equal(model.projection.data, projection.data)
         assert np.array_equal(model.codes.codes, codes.codes)
         assert np.array_equal(model.representations.codes, reps.codes)
@@ -1040,7 +1057,7 @@ class TestFixedPointStop:
         assignments = AssignmentMatrix(group_of, num_groups)
         bound = 2 * float(np.max(np.abs(projected)))
         lam = float(np.nextafter(bound, np.inf)) if at_bound else bound * float(rng.uniform(1.0, 3.0)) + 1e-12
-        codes = e_step(projected, reps, assignments, lam, sparsity)
+        codes = e_step(projected, reps, assignments, lam)
         assert np.array_equal(codes.codes, reps.codes[:, group_of])
 
     @pytest.mark.parametrize("baseline", [False, True], ids=["learned", "baseline"])
@@ -1050,8 +1067,8 @@ class TestFixedPointStop:
         # every representation has exactly S nonzeros, so the paper's
         # between-group term ||R Y||^2 is N S in every iteration: a constant,
         # which is why the objective leaves it out
-        signatures, config, group_size = stop_shape(shape, within_weight)
-        *_, rep_norms = full_run_oracle(signatures, config, group_size, baseline)
+        signatures, config = stop_shape(shape, within_weight)
+        *_, rep_norms = full_run_oracle(signatures, config, baseline)
         assert rep_norms == [signatures.num_signatures * config.sparsity] * config.max_outer_iters
 
 
@@ -1060,24 +1077,28 @@ class TestRandomAssignmentBaseline:
         rng = np.random.default_rng(28)
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((10, 5))))
         config = ModelConfig(code_length=4, sparsity=2, num_groups=5, seed=9)
-        model = train_random_assignment_baseline(signatures, config, group_size=1)
+        model = train_random_assignment_baseline(signatures, config)
         for i in range(5):
             g = model.assignments.group_of[i]
             assert np.array_equal(model.representations.codes[:, g], model.codes.codes[:, i])
 
     def test_sizing_guard(self):
+        # the group size is N / num_groups, so num_groups must divide N
         rng = np.random.default_rng(29)
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((10, 6))))
         config = ModelConfig(code_length=4, sparsity=2, num_groups=4, seed=10)
-        with pytest.raises(ConfigError):
-            train_random_assignment_baseline(signatures, config, group_size=2)
+        with pytest.raises(ConfigError, match="^num_groups 4 does not divide the number of signatures 6$"):
+            train_random_assignment_baseline(signatures, config)
+        for num_groups in (0, -2, 4):
+            with pytest.raises(ConfigError, match=f"^num_groups {num_groups} does not divide"):
+                random_balanced_assignment(6, num_groups, np.random.default_rng(10))
 
     def test_assignment_fixed_to_seeded_partition(self):
         rng = np.random.default_rng(30)
         signatures = SignatureMatrix(unit_columns(rng.standard_normal((12, 8))))
         config = ModelConfig(code_length=6, sparsity=2, num_groups=4, seed=11)
-        model = train_random_assignment_baseline(signatures, config, group_size=2)
-        expected = random_balanced_assignment(8, 4, 2, np.random.default_rng(11))
+        model = train_random_assignment_baseline(signatures, config)
+        expected = random_balanced_assignment(8, 4, np.random.default_rng(11))
         assert np.array_equal(model.assignments.group_of, expected.group_of)
         assert model.assignments.group_sizes().tolist() == [2, 2, 2, 2]
 
@@ -1085,7 +1106,7 @@ class TestRandomAssignmentBaseline:
         for num_groups, group_size, seed in ((1, 1, 0), (1, 7, 1), (5, 1, 2), (4, 3, 3), (16, 16, 4)):
             n = num_groups * group_size
             rng = np.random.default_rng(seed)
-            assignment = random_balanced_assignment(n, num_groups, group_size, rng)
+            assignment = random_balanced_assignment(n, num_groups, rng)
             replay = np.random.default_rng(seed)
             perm = replay.permutation(n)
             expected = np.empty(n, dtype=np.int64)
@@ -1099,5 +1120,5 @@ class TestRandomAssignmentBaseline:
         signatures = generate(spec).enrolled
         config = ModelConfig(code_length=12, sparsity=3, num_groups=6, seed=12)
         learned = train(signatures, config)
-        baseline = train_random_assignment_baseline(signatures, config, group_size=4)
+        baseline = train_random_assignment_baseline(signatures, config)
         assert learned.objective_trace[-1].within_trace <= baseline.objective_trace[-1].within_trace

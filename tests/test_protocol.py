@@ -235,16 +235,16 @@ class TestServerDecide:
     def test_all_positive_rejects(self):
         masks = [MaskPair(2, 1), MaskPair(-3, 0)]
         values = [2 * 5 + 1, -3 * 7 + 0]
-        assert not server_decide(values, masks, 0).accept
+        assert not server_decide(values, masks).accept
 
     def test_zero_boundary_accepts(self):
         masks = [MaskPair(4, -2)]
         values = [4 * 0 - 2]
-        assert server_decide(values, masks, 0).accept
+        assert server_decide(values, masks).accept
 
     def test_tampered_values_raise(self):
         with pytest.raises(ProtocolIntegrityError):
-            server_decide([3], [MaskPair(2, 0)], 0)
+            server_decide([3], [MaskPair(2, 0)])
 
     def test_mask_requires_nonzero_a(self):
         with pytest.raises(ProtocolError):
@@ -308,15 +308,6 @@ class TestRoundFunctionSizes:
             with pytest.raises(ProtocolError, match="slot_width must be an integer"):
                 client_round3_decrypt_reveal(blinded, roomy_keys.additive_secret, 4, bad)
 
-    def test_server_decide(self):
-        masks = [MaskPair(2, 1), MaskPair(-3, 0)]
-        values = [2 * 5 + 1, -3 * 0 + 0]
-        for size in NUMPY_SIZES:
-            assert server_decide(values, masks, size(4)) == server_decide(values, masks, 4)
-        for bad in NOT_INTEGERS:
-            with pytest.raises(ProtocolError, match="tau must be an integer"):
-                server_decide(values, masks, bad)
-
     def test_validate_mask_range(self, roomy_keys):
         pk = roomy_keys.additive_public
         width = validate_mask_range(pk, 3, 4, 50)
@@ -329,6 +320,14 @@ class TestRoundFunctionSizes:
 
 
 class TestRunProtocol:
+    def test_keys_are_one_key_pair(self, roomy_keys, default_keys):
+        # the public key is the secret key's own, so no mixed pair can be built
+        _, secret = additive_keygen(64, random.Random(104))
+        assert ProtocolKeys(secret) == roomy_keys
+        assert roomy_keys.additive_public is roomy_keys.additive_secret.public
+        with pytest.raises(TypeError):
+            ProtocolKeys(roomy_keys.additive_public, default_keys.additive_secret)
+
     def test_exact_member_accepts_at_zero(self, roomy_keys):
         rng = random.Random(20)
         reps = random_reps(16, 4, 3, rng)
