@@ -27,7 +27,7 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .core import _MODEL_FIELDS, ModelConfig, _read_fields
 from .errors import ConfigError, GmkitError, ParseError
-from .learning import Model, train, train_random_assignment_baseline
+from .learning import Model, _balanced_group_size, train, train_random_assignment_baseline
 from .modelio import load_model, save_model
 from .protocol import ProtocolKeys, SecurityParams, run_protocol
 from .protocol.engine import DEFAULT_ADDITIVE_BITS
@@ -214,7 +214,8 @@ def _run_eval(args, overrides, mode: str) -> int:
         rows.append((value, _metrics_row(model, dataset, model.config.seed)))
     else:
         if axis == "m":
-            sweep = cfg.group_sizes or [max(1, n // cfg.model.num_groups)]
+            # without group_sizes the sweep is the config's own point, N / num_groups
+            sweep = cfg.group_sizes or [_balanced_group_size(n, cfg.model.num_groups)]
             for value in sweep:
                 if not 1 <= value <= n:
                     raise ConfigError(f"group_sizes value {value} outside [1, {n}], the number of enrolled signatures")

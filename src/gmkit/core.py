@@ -55,19 +55,20 @@ def _as_array(values, what: str, ndim: int, shape_error: type, integers: bool = 
 _HELD_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _held(a: np.ndarray, dtype: type) -> np.ndarray:
+def _held(a: np.ndarray, dtype: type, order: str = "K") -> np.ndarray:
     """A checked input as it is kept: read-only, of ``dtype``, and out of
     reach of every writeable array.  That is ``a`` itself when it has the
     dtype and is a read-only view of an array this function copied and
-    froze (or is that array); anything else is copied once, in ``a``'s
-    layout, and the copy made read-only.  Only such copies are trusted: an
-    array frozen by its caller may still have writeable views."""
+    froze (or is that array); anything else is copied once, in ``order``
+    (by default ``a``'s layout), and the copy made read-only.  Only such
+    copies are trusted: an array frozen by its caller may still have
+    writeable views."""
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         if _HELD_COPIES.get(id(base)) is base and a.dtype == dtype:
             return a
         base = base.base
-    a = np.array(a, dtype=dtype)
+    a = np.array(a, dtype=dtype, order=order)
     a.setflags(write=False)
     _HELD_COPIES[id(a)] = a
     return a

@@ -134,8 +134,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """Draw a full dataset; bit-deterministic under ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
     samples = _draw_part(rng, spec.num_identities, spec)
-    enrolled = SignatureMatrix(np.ascontiguousarray(samples[:, 0].T))
-    # read-only copies, one vector per row, which the Dataset keeps as they are
+    # read-only copies, which SignatureMatrix (C-ordered d x N) and the
+    # Dataset (one vector per row) keep as they are
+    enrolled = SignatureMatrix(_held(samples[:, 0].T, np.float64, "C"))
     genuine = _held(samples[:, 1:], np.float64).reshape(-1, spec.dim)
     del samples  # frees the draw before the impostors are drawn
     impostors = _held(_draw_part(rng, spec.num_impostor_identities, spec), np.float64).reshape(-1, spec.dim)

@@ -46,14 +46,15 @@ member count, so distances are compared as exact rationals, ties go to the
 lowest group index exactly, and the non-increase check is exact, with no
 slack.
 
-Its float64 steps are exact or screened.  Group sums, seeding distances and
-the products p . s_g behind the reported distances add integers whose
-partial sums stay below 2**53, where float64 is exact; the points are
-checked against that range up front.  The nearest-centroid scores come from
-one float64 GEMM and are rounded, but their error has a bound (derived in
-:func:`_nearest`), and every point whose two best scores lie within twice
-that bound is settled in integers.  The objective values are summed in
-int64 and Python rationals.
+Its float steps are exact.  Group sums, seeding distances and the
+products behind the scores add integers whose partial sums stay within the
+range where the float type holds every integer: float32 when a bound taken
+from the step's own inputs allows it, float64 otherwise, checked for the
+points up front.  A score is a correctly rounded quotient of two exactly
+held integers, so rounding is monotone and the exact minimum is among the
+columns at a row's float minimum (see :func:`_exact_argmin`); only the rows
+that rounding cannot decide are settled in Python integers.  The objective
+values are summed in int64 and Python rationals.
 """
 
 from __future__ import annotations
@@ -257,19 +258,15 @@ class KMeansResult:
     iterations: int
 
 
-# Screen for near-ties: a quotient of two exact integers, each rounded to
-# float64 once, is off by at most 3 * 2**-53 relative, so every column within
-# this relative distance of a row's float minimum is compared exactly.
-_NEAR_TIE = 1e-9
-
-
 def _integer_points(points) -> np.ndarray:
     """The one copy k-means reads: integer-valued points as float64, within exact range."""
-    pf = np.ascontiguousarray(_as_array(points, "k-means points", 2, DimensionError), dtype=np.float64)
-    if not np.all(np.isfinite(pf)):
-        raise InvalidInputError("k-means points must be finite")
-    if not np.array_equal(pf, np.round(pf)):
-        raise InvalidInputError("k-means points must be integer-valued")
+    a = _as_array(points, "k-means points", 2, DimensionError)
+    pf = np.ascontiguousarray(a, dtype=np.float64)
+    if a.dtype.kind not in "biu":  # an integer dtype holds finite integers already
+        if not np.all(np.isfinite(pf)):
+            raise InvalidInputError("k-means points must be finite")
+        if not np.array_equal(pf, np.round(pf)):
+            raise InvalidInputError("k-means points must be integer-valued")
     n, dim = pf.shape
     amax = int(np.max(np.abs(pf))) if pf.size else 0
     # float64 products of points and group sums add integers of magnitude at
@@ -296,15 +293,27 @@ def _exact_argmin(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Row-wise argmin of the rationals num[i, j] / den[j] (den > 0), with
     exact ties going to the lowest column.
 
-    Rows whose float minimum is not separated from another column are
-    settled by cross-multiplication in Python integers, which cannot wrap.
+    ``num`` and ``den`` hold integers exactly: both in float32, with every
+    |num| below 2**23, or in int64.  A correctly rounded quotient of exactly
+    held integers is monotone in the rational, so the exact minimum is among
+    the columns at the row's float minimum.  Over one denominator, numerators
+    below 2**23 (float32) or 2**52 (float64) round to equal floats only when
+    they are equal, so ``np.argmin``'s lowest column is exact unless the
+    tied columns' denominators differ or an int64 numerator of the row
+    reaches 2**52.  Those rows are settled by cross-multiplication in Python
+    integers, which cannot wrap: among the tied columns, or, past 2**52,
+    among all of them.
     """
     score = num / den
     best = np.argmin(score, axis=1)
-    low = score[np.arange(len(best)), best]
-    near = score <= (low + np.abs(low) * _NEAR_TIE)[:, None]
-    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-        cols = np.flatnonzero(near[i]).tolist()
+    tied = score == score[np.arange(len(best)), best][:, None]
+    settle = np.zeros(len(best), dtype=bool) if num.dtype == np.float32 else np.max(np.abs(num), axis=1) >= 2**52
+    tied[settle] = True
+    rows = np.flatnonzero(tied) // tied.shape[1]  # sorted: a row tied twice repeats
+    many = np.unique(rows[1:][rows[1:] == rows[:-1]])
+    settle[many[np.any(tied[many] & (den != den[best[many], None]), axis=1)]] = True
+    for i in np.flatnonzero(settle):
+        cols = np.flatnonzero(tied[i]).tolist()
         row = num[i]
         b = cols[0]
         for j in cols[1:]:
@@ -323,55 +332,39 @@ def _exact_sum(num: np.ndarray, den: np.ndarray) -> Fraction:
     return sum((Fraction(int(t), int(d)) for t, d in zip(totals, dens)), Fraction(0))
 
 
-def _nearest(pf: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+def _nearest(pf: np.ndarray, aug: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     """Exact nearest centroid s_g / n_g of every point, ties to the lowest g.
 
-    Returns the assignment a and, per point, ||n_a p - s_a||^2, its squared
-    distance to its centroid times n_a^2.
+    ``pf`` holds the points as float64, ``aug`` is [P | 1] in float32 and
+    ``sq_norms`` their squared norms in int64.  Returns the assignment a
+    and, per point, ||n_a p - s_a||^2, its squared distance to its centroid
+    times n_a^2.
 
-    A point p ranks the groups by T_g = c_g - 2 p . s_g / n_g with
-    c_g = ||s_g||^2 / n_g^2, its squared distance to the centroid less
-    ||p||^2.  One float64 GEMM of the points with the columns -2 s_g / n_g,
-    plus c_g, gives every float score.  With u = 2**-53 and r_g = ||s_g|| / n_g
-    its error is at most (dim + 4) u (||p|| + r_g)^2, up to a factor
-    1 + O(dim u):
-
-    * fl(-2 / n_g) and its products with the integers s_gj are rounded once
-      each, 2u relative; c_g divides two exact int64 values, each converted
-      to float64 once, 3u relative;
-    * the dim-term dot product is off by at most dim u / (1 - dim u) times
-      sum_j |p_j w_gj|, in any summation order, and by Cauchy-Schwarz that
-      sum is at most 2 ||p|| r_g;
-    * adding c_g rounds once more, u times |T_g| <= 2 ||p|| r_g + r_g^2.
-
-    So B = (dim + 8) 2**-52 (||p|| + max_g r_g)^2, twice the bound, covers
-    every score of a row and the rounding of B itself.  The exact minimum
-    lies within 2B of the float minimum, so a row whose second-smallest
-    float score is farther away is decided by the argmin; the other rows
-    are settled exactly by :func:`_exact_argmin` on the int64 numerators
-    ||s_g||^2 - 2 n_g p . s_g over n_g^2.  The distance is formed
-    in int64 for the chosen group only; p . s_a is an exact float64 sum of
-    integers below 2**53.
+    A point p ranks the groups by num_g / n_g^2, its squared distance to the
+    centroid less ||p||^2, where num_g = ||s_g||^2 - 2 n_g p . s_g is an
+    integer.  Every numerator comes from one product,
+    [P | 1] [-2 n_g s_g ; ||s_g||^2], taken in float32 when it is exact
+    there: its terms add up to at most
+    2 max n_g |s_gj| * max ||p||_1 + max ||s_g||^2, with ||p||_1 <= ||p||^2
+    for integer points, so when that is below 2**23 every partial sum, in
+    any order, is an integer float32 holds; n_g <= 2**12 keeps n_g^2 exact
+    too.  Otherwise p . s_g is an exact float64 sum of integers below
+    2**53 (see :func:`_integer_points`), and the numerators are formed in
+    int64.  :func:`_exact_argmin` picks the exact minimum from the
+    numerators, and the distance is n_a^2 ||p||^2 + num_a.
     """
-    n, dim = pf.shape
-    sums_f = sums.astype(np.float64)
     sq_sums = np.einsum("ij,ij->i", sums, sums)
+    weights = -2 * counts[:, None] * sums
     den = counts * counts
-    offset = sq_sums / den
-    score = pf @ (sums_f.T * (-2.0 / counts))
-    score += offset
-    rows = np.arange(n)
-    assign = np.argmin(score, axis=1)
-    low = score[rows, assign]
-    width = 2 * (dim + 8) * 2.0**-52 * (np.sqrt(sq_norms) + np.sqrt(offset.max())) ** 2
-    score[rows, assign] = np.inf
-    near = np.flatnonzero(np.min(score, axis=1) <= low + width)
-    if near.size:
-        num = sq_sums - 2 * counts * (pf[near] @ sums_f.T).astype(np.int64)
-        assign[near] = _exact_argmin(num, den)
+    bound = int(np.max(np.abs(weights), initial=0)) * int(sq_norms.max()) + int(sq_sums.max())
+    if bound < 2**23 and counts.max() <= 2**12:
+        num = aug @ np.vstack([weights.T, sq_sums]).astype(np.float32)
+        den = den.astype(np.float32)
+    else:
+        num = sq_sums - 2 * counts * (pf @ sums.T.astype(np.float64)).astype(np.int64)
+    assign = _exact_argmin(num, den)
     na = counts[assign]
-    dots = np.einsum("ij,ij->i", pf, sums_f[assign]).astype(np.int64)
-    return assign, na * na * sq_norms - 2 * na * dots + sq_sums[assign]
+    return assign, na * na * sq_norms + num[np.arange(len(assign)), assign].astype(np.int64)
 
 
 def _kmeans_pp_init(pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
@@ -379,12 +372,15 @@ def _kmeans_pp_init(pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random
     all-coincident tails fall back to the lowest unchosen indices.  Returns
     the chosen points as int64 group sums."""
     n = pf.shape[0]
-    pf_t = np.ascontiguousarray(pf.T)
+    # p_i . p sums terms of magnitude at most ||p_i||_1 max|p| <= (max ||p||^2)^2
+    # (integer points): exact integers in float32 below 2**24, in float64 always
+    exact32 = int(sq_norms.max()) ** 2 < 2**24
+    pf_t = np.ascontiguousarray(pf.T, dtype=np.float32 if exact32 else np.float64)
 
     def dist2(i: int) -> np.ndarray:
-        # p_i . p summed over the support of p_i only: exact integers in float64
+        # p_i . p summed over the support of p_i only
         support = np.flatnonzero(pf[i])
-        return sq_norms + sq_norms[i] - 2 * (pf[i, support] @ pf_t[support]).astype(np.int64)
+        return sq_norms + sq_norms[i] - 2 * (pf_t[support, i] @ pf_t[support]).astype(np.int64)
 
     chosen = [int(rng.integers(n))]
     d2 = dist2(chosen[0])
@@ -467,10 +463,12 @@ def kmeans(
             raise ConfigError(f"initial assignment has {initial.num_groups} groups, expected k={k}")
     sq_norms = np.einsum("ij,ij->i", pf, pf).astype(np.int64)
     total_sq = int(sq_norms.sum())
+    aug = np.ones((n, pf.shape[1] + 1), dtype=np.float32)  # [P | 1], the left operand of every assignment product
+    aug[:, :-1] = pf
     trace: list[Fraction] = []
 
     def assign_step(sums, counts):
-        assign, dist = _nearest(pf, sq_norms, sums, counts)
+        assign, dist = _nearest(pf, aug, sq_norms, sums, counts)
         trace.append(_exact_sum(dist, counts[assign] ** 2))
         if _fix_empty(pf, assign, dist, sums, counts):
             trace.append(_exact_sum(dist, counts[assign] ** 2))
@@ -609,15 +607,20 @@ def train(signatures: SignatureMatrix, config: ModelConfig) -> Model:
     )
 
 
-def random_balanced_assignment(num_signatures: int, num_groups: int, rng: np.random.Generator) -> AssignmentMatrix:
-    """Random partition into num_groups groups of num_signatures / num_groups
-    members each; raises ConfigError when num_groups does not divide
-    num_signatures."""
+def _balanced_group_size(num_signatures: int, num_groups: int) -> int:
+    """num_signatures / num_groups; ConfigError when num_groups does not divide num_signatures."""
     if num_groups < 1 or num_signatures % num_groups:
         raise ConfigError(f"num_groups {num_groups} does not divide the number of signatures {num_signatures}")
+    return num_signatures // num_groups
+
+
+def random_balanced_assignment(num_signatures: int, num_groups: int, rng: np.random.Generator) -> AssignmentMatrix:
+    """Random partition into num_groups groups of num_signatures / num_groups
+    members each (see :func:`_balanced_group_size`)."""
+    size = _balanced_group_size(num_signatures, num_groups)
     perm = rng.permutation(num_signatures)
     group_of = np.empty(num_signatures, dtype=np.int64)
-    group_of[perm] = np.repeat(np.arange(num_groups), num_signatures // num_groups)
+    group_of[perm] = np.repeat(np.arange(num_groups), size)
     return AssignmentMatrix(group_of, num_groups)
 
 

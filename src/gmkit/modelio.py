@@ -13,8 +13,9 @@ The numeric sections are written and read by the CSV code of
 section, its row within the section and its column, and an empty section
 is one naming the section.  A ``[config]`` value that does not cast to its
 field's type, or a missing or unknown ``[config]`` key, is a
-:class:`ParseError` naming the key, and a non-finite ``[objective_trace]``
-value one naming its row.
+:class:`ParseError` naming the key, as is a ``code_length``, ``sparsity``
+or ``num_groups`` that the arrays contradict (it also names the section),
+and a non-finite ``[objective_trace]`` value is one naming its row.
 """
 
 from __future__ import annotations
@@ -89,9 +90,22 @@ def load_model(path: str) -> Model:
         """The rows of a section from its line ``first`` on, numbered within the section."""
         return _parse_rows(lambda: enumerate(sections[name][first:], start=first + 1), kind, f"{path}: [{name}]")
 
+    def contradicted(key: str, section: str, held: str) -> ParseError:
+        return ParseError(f"{path}: [config] {key}={getattr(config, key)} contradicts [{section}], {held}")
+
     projection = ProjectionMatrix(parse_rows("projection", float))
-    codes = CodeMatrix(parse_rows("codes", int).T, config.sparsity)
-    reps = CodeMatrix(parse_rows("representations", int).T, config.sparsity)
+    if config.code_length != projection.code_length:
+        raise contradicted("code_length", "projection", f"which has {projection.code_length} columns")
+    code_rows, rep_rows = parse_rows("codes", int), parse_rows("representations", int)
+    if config.num_groups != len(rep_rows):
+        raise contradicted("num_groups", "representations", f"which has {len(rep_rows)} rows")
+    for name, rows in (("codes", code_rows), ("representations", rep_rows)):
+        nonzeros = np.count_nonzero(rows, axis=1)
+        off = np.flatnonzero(nonzeros != config.sparsity)
+        if off.size:
+            raise contradicted("sparsity", name, f"whose row {off[0] + 1} has {nonzeros[off[0]]} nonzeros")
+    codes = CodeMatrix(code_rows.T, config.sparsity)
+    reps = CodeMatrix(rep_rows.T, config.sparsity)
     assignments_rows = parse_rows("assignments", int)
     if len(assignments_rows) != 1:
         raise ParseError(f"{path}: [assignments] must be a single row")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csv_bundle import convert_to_csv
+from gmkit import cli
 from gmkit import data as data_mod
 from gmkit.cli import load_experiment_config, main
 from gmkit.core import _MODEL_FIELDS, ModelConfig
@@ -374,6 +375,24 @@ class TestEval:
             f"ERROR:config:group_sizes value {value} outside [1, 16], the number of enrolled signatures\n"
         )
         assert not list(out.glob("*.csv"))  # raised before the first sweep point trains
+
+    @pytest.mark.parametrize("command", ["eval-verify", "eval-identify"])
+    def test_default_sweep_point_trains_the_config_group_count(self, tmp_path, config_path, capsys, monkeypatch,
+                                                                command):
+        # without group_sizes the one sweep point is m = N / num_groups, so
+        # num_groups must divide N = 16, as for the random-assignment baseline
+        trained = []
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda signatures, config: trained.append(config.num_groups)
+                            or real_train(signatures, config))
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path(out, group_sizes="", num_groups="6")]) == 1
+        assert capsys.readouterr().err == "ERROR:config:num_groups 6 does not divide the number of signatures 16\n"
+        assert not trained and not list(out.glob("*.csv"))
+        assert main([command, "--config", config_path(out, group_sizes="", num_groups="8")]) == 0
+        assert trained == [8]
+        mode = command.removeprefix("eval-")
+        assert sorted(p.name for p in out.glob("*.csv")) == [f"{mode}-m-2.csv", f"{mode}-metrics.csv"]
 
     @pytest.mark.parametrize("tweaks", [{}, {"num_identities": "64", "num_groups": "16", "group_sizes": "4,8"}],
                              ids=["cli-shape", "full-rank"])

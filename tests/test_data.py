@@ -113,6 +113,23 @@ class TestGenerate:
         assert np.array_equal(a.genuine, b.genuine) and np.array_equal(a.genuine_ids, b.genuine_ids)
         assert np.array_equal(a.impostors, b.impostors)
 
+    def test_enrolled_matrix_is_copied_once(self, monkeypatch):
+        # by the time the enrolled matrix is held, generate has allocated the
+        # (1 + S) x N x d draw and one d x N copy, 4 copies' worth at S = 2,
+        # plus under 1 MiB of the generator's own; a second copy made it 5
+        n, d = 2048, 256
+        peaks = []
+        real = data_mod.SignatureMatrix
+        monkeypatch.setattr(data_mod, "SignatureMatrix",
+                            lambda x: (real(x), peaks.append(tracemalloc.get_traced_memory()[1]))[0])
+        tracemalloc.start()
+        try:
+            dataset = generate(spec(num_identities=n, dim=d))
+        finally:
+            tracemalloc.stop()
+        assert dataset.enrolled.data.flags.c_contiguous and not dataset.enrolled.data.flags.writeable
+        assert peaks[0] < 4.5 * n * d * 8
+
     @given(
         st.integers(1, 40),
         st.integers(2, 5),

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,6 +409,13 @@ def oracle_grouping_objective(points, assign, k):
     return sum(oracle_d2(p, cents[g]) for p, g in zip(pts, assign))
 
 
+def nearest(points, sums, counts):
+    """:func:`_nearest` on integer points, with the operands :func:`kmeans` builds."""
+    pf = points.astype(float)
+    aug = np.hstack([pf, np.ones((len(pf), 1))]).astype(np.float32)
+    return _nearest(pf, aug, np.sum(points * points, axis=1), sums, counts)
+
+
 def random_full_assignment(rng, n, k):
     """A uniformly drawn assignment of n points to k groups, none empty."""
     group_of = rng.integers(k, size=n)
@@ -417,6 +430,16 @@ def tie_heavy_codes(rng, n, pool):
     sparsity = int(rng.integers(1, 3))
     pool_codes = random_hash_matrix(code_length, pool, sparsity, rng).codes
     return CodeMatrix(pool_codes[:, rng.integers(pool, size=n)], sparsity)
+
+
+def tie_heavy_kmeans():
+    """k-means++ and Lloyd on 1500 codes of length 64 drawn from 60: the
+    assignments, sums, counts and trace, as JSON."""
+    rng = np.random.default_rng(41)
+    pool = random_hash_matrix(64, 60, 8, rng).codes
+    result = kmeans(pool[:, rng.integers(60, size=1500)].T, 50, np.random.default_rng(42))
+    parts = (result.assignments, result.sums, result.counts)
+    return json.dumps([a.tolist() for a in parts] + [list(result.objective_trace)])
 
 
 def as_fractions(sums, counts):
@@ -533,7 +556,7 @@ class TestKMeansAndRYStep:
                 oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
             ]
 
-        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        assign, dist = nearest(points, sums, counts)
         expected = oracle_assign(pts, cents)
         assert assign.tolist() == expected
         check_distances()
@@ -572,6 +595,23 @@ class TestKMeansAndRYStep:
             assert assignments.group_of.tolist() == assign
             expected = np.array([exact_ternarize(c, codes.sparsity) for c in cents]).T
             assert np.array_equal(reps.codes, expected)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kmeans_matches_fraction_oracle_past_float32_range(self, seed, n, dim, data):
+        # coordinates up to 3000 in magnitude: the seeding products and the
+        # assignment numerators pass what float32 holds, so k-means takes
+        # its float64 and int64 route
+        points = np.random.default_rng(seed).integers(-3000, 3001, size=(n, dim))
+        k = data.draw(st.integers(1, n))
+        got_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        result = kmeans(points, k, got_rng)
+        cents, assign, trace, iterations = oracle_kmeans(points, k, oracle_rng)
+        assert result.assignments.tolist() == assign
+        assert result.iterations == iterations
+        assert result.objective_trace == tuple(float(v) for v in trace)
+        assert as_fractions(result.sums, result.counts) == cents
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4), st.sampled_from([1, 2, KMEANS_ITER_CAP]), st.data())
     @settings(max_examples=150, deadline=None)
@@ -654,6 +694,57 @@ class TestKMeansAndRYStep:
         assert _exact_argmin(np.array([[-(2**53 + 1), -1, -2]]), np.array([2**53, 1, 2])).tolist() == [0]
         assert _exact_argmin(np.array([[-1, -(2**53 + 1), -2]]), np.array([1, 2**53, 2])).tolist() == [1]
 
+    def test_exact_argmin_settles_float32_ties_across_denominators(self):
+        # 4206649 / 9 and 7478487 / 16 differ by 1/144 and round to one
+        # float32; the lowest column is right only over one denominator
+        num, den = np.array([[4206649, 7478487]], np.float32), np.array([9, 16], np.float32)
+        assert num[0, 0] / den[0] == num[0, 1] / den[1]
+        assert _exact_argmin(num, den).tolist() == [1]
+        assert _exact_argmin(num[:, ::-1], den[::-1]).tolist() == [0]
+        assert _exact_argmin(-num, den).tolist() == [0]
+        # equal values over different denominators go to the lowest column
+        assert _exact_argmin(np.array([[8, 2, 18]], np.float32), np.array([16, 4, 36], np.float32)).tolist() == [0]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8), st.integers(1, 6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_matches_fraction_oracle_on_both_sides_of_float32_range(self, seed, dim, n, k, wide):
+        # centroids at two shared centres c, as sums n_g c plus, for some
+        # groups, an offset in {-1, 0, 1}^dim: shared centres tie exactly
+        # over different n_g.  Up to 300 members every product is exact in float32; a group
+        # of 3000 to 6000 at the all-ones centre puts the bound past 2**23
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2, 3, size=(n, dim))
+        points[0, 0] = 1
+        centres = rng.integers(-1, 2, size=(2, dim))[rng.integers(2, size=k)]
+        counts = rng.integers(1, 301, size=k)
+        if wide:
+            counts[0], centres[0] = rng.integers(3000, 6001), 1
+        offsets = rng.integers(-1, 2, size=(k, dim)) * rng.integers(2, size=(k, 1))
+        sums = (counts[:, None] * centres + offsets).astype(np.int64)
+        with mock.patch.object(learning, "_exact_argmin", wraps=_exact_argmin) as spy:
+            assign, dist = nearest(points, sums, counts)
+        assert (spy.call_args.args[0].dtype == np.float32) == (not wide)
+        pts = [[Fraction(int(v)) for v in row] for row in points]
+        cents = as_fractions(sums, counts)
+        expected = oracle_assign(pts, cents)
+        assert assign.tolist() == expected
+        assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
+            oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
+        ]
+
+    def test_kmeans_does_not_depend_on_the_blas_kernel(self):
+        # every float32 product is an exact integer, so a kernel that sums
+        # in another order (OpenBLAS's Haswell kernel, on any x86 host that
+        # runs it) gives the same run bit for bit
+        root = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(root.parent / "src"), str(root), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_learning import tie_heavy_kmeans; print(tie_heavy_kmeans())"],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell"),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert json.loads(child.stdout) == json.loads(tie_heavy_kmeans())
+
     def test_nearest_settles_ties_below_float_resolution(self):
         # p . s_g comes within 2**50 of the 2**53 limit of exact float64 sums;
         # every score ||s_g||^2 / n_g^2 - 2 p . s_g / n_g is then -||p||^2 plus
@@ -671,7 +762,7 @@ class TestKMeansAndRYStep:
         # rounded exactly once, the scores of the first point put group 0 first
         scores = [float(oracle_d2(pts[0], c) - oracle_d2(pts[0], [0])) for c in cents]
         assert int(np.argmin(scores)) == 0
-        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        assign, dist = nearest(points, sums, counts)
         assert assign.tolist() == expected
         assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
             oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
@@ -692,7 +783,7 @@ class TestKMeansAndRYStep:
         pts = [[Fraction(int(v)) for v in row] for row in points]
         cents = as_fractions(sums, counts)
         expected = oracle_assign(pts, cents)
-        assign, dist = _nearest(points.astype(float), np.sum(points * points, axis=1), sums, counts)
+        assign, dist = nearest(points, sums, counts)
         assert assign.tolist() == expected
         assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
             oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
@@ -903,6 +994,18 @@ class TestTrain:
             (points_a, _, _, a), (points_b, _, _, b) = calls[-2:]
             assert np.array_equal(points_a, points_b)
             assert np.array_equal(a.assignments, b.assignments) and np.array_equal(a.sums, b.sums)
+
+    def test_every_assignment_product_is_float32_at_the_protocol_session_shape(self, monkeypatch):
+        # perfbench's protocol-session shape: N = 1024, d = 128, l = 64, S = 8, M = 64
+        dataset = generate(SyntheticSpec(1024, 4, 128, 0.07, 0.25, seed=5))
+        products, steps = [], []
+        real_argmin, real_nearest = learning._exact_argmin, learning._nearest
+        monkeypatch.setattr(learning, "_exact_argmin", lambda num, den: products.append(num.dtype)
+                            or real_argmin(num, den))
+        monkeypatch.setattr(learning, "_nearest", lambda *args: steps.append(1) or real_nearest(*args))
+        train(dataset.enrolled, ModelConfig(64, 8, 64, max_outer_iters=10, seed=5))
+        # each assignment step makes one product; reseeding compares int64 distances
+        assert steps and products.count(np.float32) == len(steps)
 
     def test_kmeans_pp_seeds_once_per_train(self, monkeypatch):
         spec = SyntheticSpec(num_identities=48, samples_per_identity=2, dim=16, noise_sigma=0.1, impostor_fraction=0.25, seed=6)

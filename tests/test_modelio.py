@@ -269,3 +269,39 @@ def test_non_finite_trace_value_names_its_row(model, tmp_path, bad):
     with pytest.raises(ParseError) as err:
         load_model(str(path))
     assert str(err.value) == f"{path}: [objective_trace] row 2: objective component embedding_cost is not finite"
+
+
+@pytest.mark.parametrize(
+    "key, value, held",
+    [
+        ("code_length", 4, "[projection], which has 5 columns"),
+        ("code_length", 6, "[projection], which has 5 columns"),
+        ("num_groups", 2, "[representations], which has 3 rows"),
+        ("num_groups", 4, "[representations], which has 3 rows"),
+        ("sparsity", 1, "[codes], whose row 1 has 2 nonzeros"),
+        ("sparsity", 3, "[codes], whose row 1 has 2 nonzeros"),
+    ],
+)
+def test_config_contradicting_arrays_is_parse_error_naming_key(model, tmp_path, key, value, held):
+    # the in-memory Model raises ConfigError for the same contradiction; a
+    # file that holds one is malformed, so loading it is a ParseError
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    text = path.read_text()
+    path.write_text(text.replace(f"\n{key}={getattr(model.config, key)}\n", f"\n{key}={value}\n", 1))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [config] {key}={value} contradicts {held}"
+
+
+def test_representation_sparsity_contradicting_config_names_its_row(model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    lines = path.read_text().split("\n")
+    at = lines.index("[representations]") + 2  # its second row
+    assert lines[at].count("0") == 3  # two nonzeros of five
+    lines[at] = ",".join("1" for _ in lines[at].split(","))
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_model(str(path))
+    assert str(err.value) == f"{path}: [config] sparsity=2 contradicts [representations], whose row 2 has 5 nonzeros"
