@@ -110,11 +110,6 @@ class IdentificationReport:
     def dir_rate(self) -> float:
         return (1.0 - self.p_epsilon) * (1.0 - self.pfn)
 
-    @property
-    def no_accepted_genuine(self) -> bool:
-        # pfn = (Q - accepted) / Q with Q >= 1 is 1 exactly when none was accepted
-        return self.pfn == 1.0
-
 
 @dataclass(frozen=True)
 class SecurityReport:

@@ -11,9 +11,10 @@ paper also subtracts gamma * ||R Y||_F^2, which is not modelled: every
 representation has exactly S nonzeros, so ||R Y||_F^2 = N S is constant.
 The three block updates are:
 
-* projection update: an orthogonality-constrained least squares fit solved
-  in one shot through the SVD of X E^T (the classical eigenvector recipe,
-  computed via SVD for conditioning);
+* projection update: W = U V^T from the thin SVD U diag(s) V^T of X E^T,
+  which maximizes tr(W^T X E^T) over orthonormal-column W.  That is the
+  cross term of the embedding cost only: for l < d, ||W^T X||_F^2 also
+  varies with W, so the step need not minimize the embedding cost;
 * code update: columnwise ternarization of W^T X + lambda * R Y;
 * grouping update: k-means on the columns of E (the grouping problem with
   R relaxed to real values), followed by ternarization of the final
@@ -29,6 +30,13 @@ every member of group g.  |p_j| <= 1 always, since signatures are unit norm
 and W has orthonormal columns, so any lambda > 2 makes E = R Y whatever W
 is; at the default lambda = 1 it takes every entry of W^T X below 1/2.
 
+So at the default lambda = 1 training learns W for a grouping it does not
+revise: once every code sits on its group's representation, the warm
+k-means has no code to move.  In every run probed, the trained (R, Y) is
+the first grouping update's, k-means++ and k-means on the codes of the
+seeded random projection that training starts from (a test asserts it at
+the protocol-session shape, N = 1024, l = 64, M = 64).
+
 An outer iteration is a function of the (E, R, Y) it starts from: W is a
 function of E, and every grouping step after the first is deterministic.
 So training stops at the first iteration that ends in the same state as
@@ -41,20 +49,19 @@ ternary projections break monotonicity); the per-iteration trace is recorded
 and only required to stay finite.  Inside the grouping step, however, the
 k-means objective is non-increasing at every single update, from the warm
 start on, and that is enforced at runtime.  The grouping step runs on the
-integer codes in exact integer arithmetic: a centroid is a group sum over a
-member count, so distances are compared as exact rationals, ties go to the
-lowest group index exactly, and the non-increase check is exact, with no
-slack.
+codes in exact integer arithmetic: a centroid is a group sum over a member
+count, so distances are compared as exact rationals, ties go to the lowest
+group index exactly, and the non-increase check is exact, with no slack.
 
-Its float steps are exact.  Group sums, seeding distances and the
-products behind the scores add integers whose partial sums stay within the
-range where the float type holds every integer: float32 when a bound taken
-from the step's own inputs allows it, float64 otherwise, checked for the
-points up front.  A score is a correctly rounded quotient of two exactly
-held integers, so rounding is monotone and the exact minimum is among the
-columns at a row's float minimum (see :func:`_exact_argmin`); only the rows
-that rounding cannot decide are settled in Python integers.  The objective
-values are summed in int64 and Python rationals.
+Its float steps are exact.  A code has S entries of magnitude 1, so
+||e||^2 = S, and group sums, seeding distances and the products behind the
+scores add integers bounded by S and the group sizes: float32 holds them
+when a bound taken from the step's own inputs allows it, float64 always.
+A score is a correctly rounded quotient of two exactly held integers, so
+rounding is monotone and the exact minimum is among the columns at a row's
+float minimum (see :func:`_exact_argmin`); only the rows that rounding
+cannot decide are settled in Python integers.  The objective values are
+summed in int64 and Python rationals.
 """
 
 from __future__ import annotations
@@ -163,10 +170,10 @@ def objective(
     """Objective breakdown for the projected signatures P = W^T X.
 
     The embedding cost is ||E - P||_F^2.  The within trace ||E - R Y||_F^2
-    is computed in exact int64 from the group sums s_g and counts n_g as
-    sum_i ||e_i||^2 + sum_g n_g ||r_g||^2 - 2 sum_g r_g . s_g, since a
-    ternary vector's squared norm is its nonzero count.  The l x l scatter
-    matrices are never materialized.
+    is computed in exact int64 from the group sums s_g as
+    sum_i ||e_i||^2 + sum_i ||r_{y_i}||^2 - 2 sum_g r_g . s_g, where every
+    squared norm is its code matrix's sparsity, so the first two sums are
+    N times a sparsity.  The l x l scatter matrices are never materialized.
 
     A non-finite ``within_weight`` raises InvalidInputError; a ragged,
     non-2-D or mis-shaped ``projected`` DimensionError, and an entry that is
@@ -181,10 +188,9 @@ def objective(
         embedding = float(np.sum(np.square(codes.codes.astype(np.float64) - projected)))
     if not np.isfinite(embedding):
         raise InvalidInputError("embedding cost is not a finite float64: projected signatures are non-finite or too large")
-    sums, counts = _group_sums(codes.codes.T, assignments.group_of, assignments.num_groups)
-    rep_norms = int(counts @ np.count_nonzero(representations.codes, axis=0))
+    sums, _ = _group_sums(codes.codes, assignments.group_of, assignments.num_groups)
     cross = int(np.sum(representations.codes.T.astype(np.int64) * sums))
-    within = np.count_nonzero(codes.codes) + rep_norms - 2 * cross
+    within = assignments.num_signatures * (codes.sparsity + representations.sparsity) - 2 * cross
     return ObjectiveBreakdown.from_parts(embedding, float(within), within_weight)
 
 
@@ -203,12 +209,13 @@ def _check_grouping(code_length: int, num_codes: int, representations: CodeMatri
 
 
 def _svd_projection(signatures: SignatureMatrix, codes: CodeMatrix) -> ProjectionMatrix:
-    """Projection update: orthogonality-constrained least squares.
+    """Projection update: the orthonormal-column W that maximizes tr(W^T X E^T).
 
     With S = X E^T the update is W = U V^T from the thin SVD S = U diag s V^T,
-    the one-shot solution prescribed for this step: it maximizes tr(W^T S)
-    over orthonormal-column W (equivalent to pairing the top eigenvectors of
-    S S^T with those of S^T S, but better conditioned).
+    the one-shot solution prescribed for this step (equivalent to pairing
+    the top eigenvectors of S S^T with those of S^T S, but better
+    conditioned).  It maximizes the cross term of the embedding cost, not
+    the whole cost (see the module docstring).
 
     Never raises on rank deficiency; converged clusterings legitimately
     collapse the codes onto few distinct columns.  When S has rank r < l,
@@ -258,61 +265,38 @@ class KMeansResult:
     iterations: int
 
 
-def _integer_points(points) -> np.ndarray:
-    """The one copy k-means reads: integer-valued points as float64, within exact range."""
-    a = _as_array(points, "k-means points", 2, DimensionError)
-    pf = np.ascontiguousarray(a, dtype=np.float64)
-    if a.dtype.kind not in "biu":  # an integer dtype holds finite integers already
-        if not np.all(np.isfinite(pf)):
-            raise InvalidInputError("k-means points must be finite")
-        if not np.array_equal(pf, np.round(pf)):
-            raise InvalidInputError("k-means points must be integer-valued")
-    n, dim = pf.shape
-    amax = int(np.max(np.abs(pf))) if pf.size else 0
-    # float64 products of points and group sums add integers of magnitude at
-    # most dim * N * amax**2; the int64 objective numerators reach 4 * dim * N**3 * amax**2
-    if dim * n * amax**2 >= 2**53 or 4 * dim * n**3 * amax**2 >= 2**63:
-        raise InvalidInputError(f"k-means points too large for exact arithmetic: max |p| = {amax}, N = {n}, dim = {dim}")
-    return pf
+def _group_sums(codes: np.ndarray, group_of: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer sum s_g of the codes (l x N, one per column) in each of the k
+    groups, and the member count n_g; every group must be nonempty.
 
-
-def _group_sums(points: np.ndarray, group_of: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer sum s_g of the points (one per row) in each group, and the member count n_g.
-
-    One float64 ``bincount`` over the flattened index g * dim + j: exact,
-    because the points are integers and every partial sum stays below
-    2**53 (:func:`_integer_points` guarantees dim * N * max|p|**2 < 2**53).
+    The codes are sorted by group and each group's run is summed by one
+    int64 ``np.add.reduceat``, reading the int8 codes as they are.
     """
-    dim = points.shape[1]
-    cells = (np.asarray(group_of)[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(cells, weights=np.ravel(points), minlength=k * dim)
-    return sums.reshape(k, dim).astype(np.int64), np.bincount(group_of, minlength=k)
+    counts = np.bincount(group_of, minlength=k)
+    runs = np.cumsum(counts) - counts
+    return np.add.reduceat(codes.T[np.argsort(group_of)], runs, axis=0, dtype=np.int64), counts
 
 
 def _exact_argmin(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Row-wise argmin of the rationals num[i, j] / den[j] (den > 0), with
     exact ties going to the lowest column.
 
-    ``num`` and ``den`` hold integers exactly: both in float32, with every
-    |num| below 2**23, or in int64.  A correctly rounded quotient of exactly
-    held integers is monotone in the rational, so the exact minimum is among
-    the columns at the row's float minimum.  Over one denominator, numerators
-    below 2**23 (float32) or 2**52 (float64) round to equal floats only when
-    they are equal, so ``np.argmin``'s lowest column is exact unless the
-    tied columns' denominators differ or an int64 numerator of the row
-    reaches 2**52.  Those rows are settled by cross-multiplication in Python
-    integers, which cannot wrap: among the tied columns, or, past 2**52,
-    among all of them.
+    ``num`` and ``den`` hold integers exactly: in float32 with every |num|
+    below 2**23, or in float64 or int64 with every |num| and den below
+    2**52.  A correctly rounded quotient of exactly held integers is
+    monotone in the rational, so the exact minimum is among the columns at
+    the row's float minimum, and over one denominator such numerators round
+    to equal floats only when they are equal.  So ``np.argmin``'s lowest
+    column is exact unless the tied columns' denominators differ; those rows
+    are settled among the tied columns by cross-multiplication in Python
+    integers, which cannot wrap.
     """
     score = num / den
     best = np.argmin(score, axis=1)
     tied = score == score[np.arange(len(best)), best][:, None]
-    settle = np.zeros(len(best), dtype=bool) if num.dtype == np.float32 else np.max(np.abs(num), axis=1) >= 2**52
-    tied[settle] = True
     rows = np.flatnonzero(tied) // tied.shape[1]  # sorted: a row tied twice repeats
     many = np.unique(rows[1:][rows[1:] == rows[:-1]])
-    settle[many[np.any(tied[many] & (den != den[best[many], None]), axis=1)]] = True
-    for i in np.flatnonzero(settle):
+    for i in many[np.any(tied[many] & (den != den[best[many], None]), axis=1)]:
         cols = np.flatnonzero(tied[i]).tolist()
         row = num[i]
         b = cols[0]
@@ -332,55 +316,47 @@ def _exact_sum(num: np.ndarray, den: np.ndarray) -> Fraction:
     return sum((Fraction(int(t), int(d)) for t, d in zip(totals, dens)), Fraction(0))
 
 
-def _nearest(pf: np.ndarray, aug: np.ndarray, sq_norms: np.ndarray, sums: np.ndarray, counts: np.ndarray):
-    """Exact nearest centroid s_g / n_g of every point, ties to the lowest g.
+def _nearest(aug: np.ndarray, sparsity: int, sums: np.ndarray, counts: np.ndarray):
+    """Exact nearest centroid s_g / n_g of every code, ties to the lowest g.
 
-    ``pf`` holds the points as float64, ``aug`` is [P | 1] in float32 and
-    ``sq_norms`` their squared norms in int64.  Returns the assignment a
-    and, per point, ||n_a p - s_a||^2, its squared distance to its centroid
-    times n_a^2.
+    ``aug`` is [P | 1] in float32, one exactly-S code p per row, so
+    ||p||^2 = S.  Returns the assignment a and, per code, ||n_a p - s_a||^2,
+    its squared distance to its centroid times n_a^2.
 
-    A point p ranks the groups by num_g / n_g^2, its squared distance to the
-    centroid less ||p||^2, where num_g = ||s_g||^2 - 2 n_g p . s_g is an
-    integer.  Every numerator comes from one product,
-    [P | 1] [-2 n_g s_g ; ||s_g||^2], taken in float32 when it is exact
-    there: its terms add up to at most
-    2 max n_g |s_gj| * max ||p||_1 + max ||s_g||^2, with ||p||_1 <= ||p||^2
-    for integer points, so when that is below 2**23 every partial sum, in
-    any order, is an integer float32 holds; n_g <= 2**12 keeps n_g^2 exact
-    too.  Otherwise p . s_g is an exact float64 sum of integers below
-    2**53 (see :func:`_integer_points`), and the numerators are formed in
-    int64.  :func:`_exact_argmin` picks the exact minimum from the
-    numerators, and the distance is n_a^2 ||p||^2 + num_a.
+    A code p ranks the groups by num_g / n_g^2, its squared distance to the
+    centroid less S, where num_g = ||s_g||^2 - 2 n_g p . s_g is an integer.
+    Every numerator comes from one product,
+    [P | 1] [-2 n_g s_g ; ||s_g||^2], whose terms add up to at most
+    2 max n_g |s_gj| * S + max ||s_g||^2 in magnitude.  When that bound is
+    below 2**23 and n_g <= 2**12, the product is taken in float32, where
+    every partial sum, in any order, is an integer it holds, and so is n_g^2.
+    Otherwise it is taken in float64: |s_gj| <= n_g and p has S entries of
+    magnitude 1, so the bound is at most 3 S n_g^2 < 2**52 (see
+    :func:`kmeans`).  :func:`_exact_argmin` picks the exact minimum from the
+    numerators, and the distance is n_a^2 S + num_a.
     """
     sq_sums = np.einsum("ij,ij->i", sums, sums)
     weights = -2 * counts[:, None] * sums
-    den = counts * counts
-    bound = int(np.max(np.abs(weights), initial=0)) * int(sq_norms.max()) + int(sq_sums.max())
-    if bound < 2**23 and counts.max() <= 2**12:
-        num = aug @ np.vstack([weights.T, sq_sums]).astype(np.float32)
-        den = den.astype(np.float32)
-    else:
-        num = sq_sums - 2 * counts * (pf @ sums.T.astype(np.float64)).astype(np.int64)
-    assign = _exact_argmin(num, den)
+    bound = int(np.max(np.abs(weights), initial=0)) * sparsity + int(sq_sums.max())
+    dtype = np.float32 if bound < 2**23 and counts.max() <= 2**12 else np.float64
+    num = aug.astype(dtype, copy=False) @ np.vstack([weights.T, sq_sums]).astype(dtype)
+    assign = _exact_argmin(num, (counts * counts).astype(dtype))
     na = counts[assign]
-    return assign, na * na * sq_norms + num[np.arange(len(assign)), assign].astype(np.int64)
+    return assign, na * na * sparsity + num[np.arange(len(assign)), assign].astype(np.int64)
 
 
-def _kmeans_pp_init(pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator):
-    """Seeded k-means++ seeding on exact squared distances; degenerate
-    all-coincident tails fall back to the lowest unchosen indices.  Returns
-    the chosen points as int64 group sums."""
-    n = pf.shape[0]
-    # p_i . p sums terms of magnitude at most ||p_i||_1 max|p| <= (max ||p||^2)^2
-    # (integer points): exact integers in float32 below 2**24, in float64 always
-    exact32 = int(sq_norms.max()) ** 2 < 2**24
-    pf_t = np.ascontiguousarray(pf.T, dtype=np.float32 if exact32 else np.float64)
+def _kmeans_pp_init(codes: np.ndarray, sparsity: int, k: int, rng: np.random.Generator):
+    """Seeded k-means++ seeding of the codes (l x N, one per column) on exact
+    squared distances; degenerate all-coincident tails fall back to the
+    lowest unchosen indices.  Returns the chosen codes as int64 group sums."""
+    n = codes.shape[1]
+    # ||p_i - p||^2 = 2S - 2 p_i . p, and |p_i . p| <= S: exact in float32
+    cf = codes.astype(np.float32)
 
     def dist2(i: int) -> np.ndarray:
         # p_i . p summed over the support of p_i only
-        support = np.flatnonzero(pf[i])
-        return sq_norms + sq_norms[i] - 2 * (pf_t[support, i] @ pf_t[support]).astype(np.int64)
+        support = np.flatnonzero(codes[:, i])
+        return 2 * sparsity - 2 * (cf[support, i] @ cf[support]).astype(np.int64)
 
     chosen = [int(rng.integers(n))]
     d2 = dist2(chosen[0])
@@ -389,20 +365,21 @@ def _kmeans_pp_init(pf: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random
         idx = int(rng.choice(n, p=d2 / total)) if total > 0 else min(set(range(n)) - set(chosen))
         chosen.append(idx)
         np.minimum(d2, dist2(idx), out=d2)
-    return pf[chosen].astype(np.int64)
+    return codes[:, chosen].T.astype(np.int64)
 
 
-def _fix_empty(pf: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> bool:
-    """Reseed every empty group with the point farthest from its own centroid,
-    taken from a group with at least two members; ``dist`` holds the scaled
-    distances returned by :func:`_nearest` and is updated in place."""
+def _fix_empty(codes: np.ndarray, assign: np.ndarray, dist: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> bool:
+    """Reseed every empty group with the code (a column of ``codes``) farthest
+    from its own centroid, taken from a group with at least two members;
+    ``dist`` holds the scaled distances returned by :func:`_nearest` and is
+    updated in place."""
     members = np.bincount(assign, minlength=len(counts))
     empty = np.flatnonzero(members == 0)
     for g in empty:
         eligible = np.flatnonzero(members[assign] >= 2)
         scale = counts[assign[eligible]]
         stolen = int(eligible[_exact_argmin(-dist[eligible][None, :], scale * scale)[0]])
-        sums[g] = pf[stolen]
+        sums[g] = codes[:, stolen]
         counts[g] = 1
         members[assign[stolen]] -= 1
         members[g] = 1
@@ -418,42 +395,50 @@ def _check_non_increasing(trace: list[Fraction]) -> None:
 
 
 def kmeans(
-    points: np.ndarray,
+    codes: CodeMatrix,
     k: int,
     rng: np.random.Generator,
     iter_cap: int = KMEANS_ITER_CAP,
     initial: AssignmentMatrix | None = None,
 ) -> KMeansResult:
-    """Plain k-means on integer points, in exact integer arithmetic, with
-    seeded k-means++ init or a warm start, and a no-empty-cluster policy.
+    """Plain k-means on the columns of a code matrix, in exact integer
+    arithmetic, with seeded k-means++ init or a warm start, and a
+    no-empty-cluster policy.
 
-    ``points`` is (N, dim), one integer-valued point per row; requires
+    ``codes`` is a :class:`CodeMatrix` of N exactly-S codes, one point per
+    column; anything else raises :class:`InvalidInputError`.  Requires
     k <= N.  Every centroid is kept as an integer sum over a count, so each
     distance comparison is exact and ties go to the lowest group index.
 
     Without ``initial``, the centroids are seeded by k-means++ from ``rng``.
-    With an ``initial`` assignment of the N points to k groups (every group
+    With an ``initial`` assignment of the N codes to k groups (every group
     nonempty), Lloyd starts from that assignment's group means and draws
     nothing from ``rng``; the trace then opens with that assignment's
     objective, so the non-increase check bounds the result by it, and an
     assignment that is already a fixed point ends the run after one
     assignment step.  Raises :class:`DimensionError` when ``initial`` does
-    not assign N points and :class:`ConfigError` when it has other than k
+    not assign N codes and :class:`ConfigError` when it has other than k
     groups.
 
-    Empty clusters are reseeded with the point currently farthest from its
-    own centroid (ties to the lowest point index), taken from a cluster with
+    Empty clusters are reseeded with the code currently farthest from its
+    own centroid (ties to the lowest code index), taken from a cluster with
     at least two members, so no group is ever returned empty.  Reseeding
-    moves that point onto its new centroid and therefore never increases the
+    moves that code onto its new centroid and therefore never increases the
     objective; the full objective trace (after every assignment, reseed and
     centroid update) is checked to be non-increasing on its exact rational
     values and returned rounded to floats.  A run that reaches ``iter_cap``
     ends with one more assignment step and centroid update, so the returned
-    sums and counts are always those of the returned assignment.  Raises
-    :class:`InvalidInputError` on non-finite or non-integer points.
+    sums and counts are always those of the returned assignment.
     """
-    pf = _integer_points(points)
-    n = pf.shape[0]
+    if not isinstance(codes, CodeMatrix):
+        raise InvalidInputError(f"k-means groups a CodeMatrix, got {type(codes).__name__}")
+    points, sparsity = codes.codes, codes.sparsity
+    dim, n = points.shape
+    # the int64 objective numerators reach 4 l N^3 (see _exact_sum); every
+    # numerator _exact_argmin compares is at most 4 S n_g^2 < 4 l N^2 in
+    # magnitude (see _nearest and _fix_empty), and so below 2**52
+    if 4 * dim * n**3 >= 2**63 or 4 * dim * n**2 >= 2**52:
+        raise InvalidInputError(f"too many codes for exact k-means: N = {n}, l = {dim}")
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= number of points, got k={k} n={n}")
     if initial is not None:
@@ -461,27 +446,25 @@ def kmeans(
             raise DimensionError(f"initial assignment has {initial.num_signatures} entries for {n} points")
         if initial.num_groups != k:
             raise ConfigError(f"initial assignment has {initial.num_groups} groups, expected k={k}")
-    sq_norms = np.einsum("ij,ij->i", pf, pf).astype(np.int64)
-    total_sq = int(sq_norms.sum())
-    aug = np.ones((n, pf.shape[1] + 1), dtype=np.float32)  # [P | 1], the left operand of every assignment product
-    aug[:, :-1] = pf
+    aug = np.ones((n, dim + 1), dtype=np.float32)  # [P | 1], the left operand of every assignment product
+    aug[:, :-1] = points.T
     trace: list[Fraction] = []
 
     def assign_step(sums, counts):
-        assign, dist = _nearest(pf, aug, sq_norms, sums, counts)
+        assign, dist = _nearest(aug, sparsity, sums, counts)
         trace.append(_exact_sum(dist, counts[assign] ** 2))
-        if _fix_empty(pf, assign, dist, sums, counts):
+        if _fix_empty(points, assign, dist, sums, counts):
             trace.append(_exact_sum(dist, counts[assign] ** 2))
         return assign
 
     def update_step(assign):
-        sums, counts = _group_sums(pf, assign, k)
-        # at the group means the objective is sum ||p||^2 - sum_g ||s_g||^2 / n_g
-        trace.append(total_sq - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
+        sums, counts = _group_sums(points, assign, k)
+        # at the group means the objective is N S - sum_g ||s_g||^2 / n_g
+        trace.append(n * sparsity - _exact_sum(np.einsum("ij,ij->i", sums, sums), counts))
         return sums, counts
 
     if initial is None:
-        sums = _kmeans_pp_init(pf, sq_norms, k, rng)
+        sums = _kmeans_pp_init(points, sparsity, k, rng)
         counts = np.ones(k, dtype=np.int64)
         prev = None
     else:
@@ -513,8 +496,8 @@ def ry_step(
     """Grouping update: k-means on the codes, then ternarize centroids.
 
     With R relaxed to real values, lambda * ||E - RY||^2 is lambda times the
-    k-means objective on the columns of E, so k-means runs on the integer
-    codes themselves and lambda does not enter this step.
+    k-means objective on the columns of E, so k-means runs on the code
+    matrix itself and lambda does not enter this step.
     Each final centroid is ternarized to produce its group representation;
     its integer group sum has the same signs and the same ranking of
     magnitudes, so the sum is ternarized, free of any rounding.
@@ -526,7 +509,7 @@ def ry_step(
     """
     if num_groups > codes.codes.shape[1]:
         raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
-    result = kmeans(codes.codes.T, num_groups, rng, initial=previous)
+    result = kmeans(codes, num_groups, rng, initial=previous)
     return _ternarized_sums(result.sums, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 
 
@@ -637,7 +620,7 @@ def train_random_assignment_baseline(signatures: SignatureMatrix, config: ModelC
     assign = random_balanced_assignment(signatures.num_signatures, config.num_groups, rng)
 
     def group(codes: CodeMatrix, _previous: AssignmentMatrix | None) -> tuple[CodeMatrix, AssignmentMatrix]:
-        sums, _ = _group_sums(codes.codes.T, assign.group_of, assign.num_groups)
+        sums, _ = _group_sums(codes.codes, assign.group_of, assign.num_groups)
         return _ternarized_sums(sums, codes.sparsity), assign
 
     return _alternate(signatures, config, rng, group)

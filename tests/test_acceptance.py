@@ -162,8 +162,7 @@ def test_c02_kmeans_inner_monotonicity():
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         codes = random_hash_matrix(16, 40, 4, rng)
-        points = codes.codes.T
-        result = kmeans(points, 6, np.random.default_rng(seed))
+        result = kmeans(codes, 6, np.random.default_rng(seed))
         trace = result.objective_trace
         violations += sum(b > a for a, b in zip(trace, trace[1:]))
         ry_step(codes, 6, np.random.default_rng(seed))  # internal check must not raise
