@@ -51,6 +51,32 @@ def _as_array(values, what: str, ndim: int, shape_error: type, integers: bool = 
     return a
 
 
+# columns of the output per block of a transposed read (see _tiled); of 16
+# to 256, 64 times about the fastest on each read it serves at the enroll shape
+_TILE = 64
+
+
+def _tiled(op, out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+    """``out`` after ``op(*inputs, out=out)``, for an elementwise ``op`` and
+    2-D arrays of one shape, ``out`` C- or F-contiguous.
+
+    When every input is contiguous in ``out``'s order this is that one
+    call.  Otherwise ``op`` runs on one block of ``_TILE`` columns of a
+    C-ordered ``out`` (rows of an F-ordered one) at a time, and the same
+    block of each input, so that an input stored the other way is read a
+    few of its rows at a time and each cache line it loads is used whole.
+    Every element gets the value the one call gives it.
+    """
+    walk, ins = (out, inputs) if out.flags.c_contiguous else (out.T, tuple(a.T for a in inputs))
+    if all(a.flags.c_contiguous for a in ins):
+        op(*ins, out=walk)
+    else:
+        for j in range(0, walk.shape[1], _TILE):
+            block = slice(j, j + _TILE)
+            op(*(a[:, block] for a in ins), out=walk[:, block])
+    return out
+
+
 # every array _held has copied and frozen, by id, for as long as it lives
 _HELD_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -62,13 +88,22 @@ def _held(a: np.ndarray, dtype: type, order: str = "K") -> np.ndarray:
     froze (or is that array); anything else is copied once, in ``order``
     (by default ``a``'s layout), and the copy made read-only.  Only such
     copies are trusted: an array frozen by its caller may still have
-    writeable views."""
+    writeable views.
+
+    A copy of an array not contiguous in ``order`` goes through
+    :func:`_tiled`, because it reads the array across its memory order
+    (``generate``'s d x N enrolled copy), and at a power-of-two stride a
+    straight read evicts its own cache lines."""
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         if _HELD_COPIES.get(id(base)) is base and a.dtype == dtype:
             return a
         base = base.base
-    a = np.array(a, dtype=dtype, order=order)
+    if a.ndim == 2 and order in ("C", "F") and not a.flags[f"{order}_CONTIGUOUS"]:
+        # an unsafe copyto casts as np.array(a, dtype=dtype) does
+        a = _tiled(lambda src, out: np.copyto(out, src, casting="unsafe"), np.empty(a.shape, dtype, order), a)
+    else:
+        a = np.array(a, dtype=dtype, order=order)
     a.setflags(write=False)
     _HELD_COPIES[id(a)] = a
     return a
@@ -336,14 +371,19 @@ def _ternarize_checked(m: np.ndarray, sparsity: int) -> np.ndarray:
     selection: one partition gives each column's ``sparsity``-th largest
     magnitude t, every entry above t is kept, and the remaining slots go to
     the lowest-index entries equal to t.
+
+    |m^T| is formed by :func:`_tiled`, because it reads m across its memory
+    order, and at a power-of-two column count (4096 codes at the enroll
+    shape) a straight read of that stride evicts its own cache lines.
     """
+    sparsity = as_int(sparsity, "sparsity", InvalidSparsityError)
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("cannot ternarize non-finite values")
     length = m.shape[0]
     if not 1 <= sparsity < length:
         raise InvalidSparsityError(f"need 1 <= sparsity < length, got sparsity={sparsity} length={length}")
     # one row per column of m, so that each selection runs on contiguous memory
-    mag = np.abs(m.T).copy()
+    mag = _tiled(np.abs, np.empty(m.T.shape), m.T)
     t = np.partition(mag, length - sparsity, axis=1)[:, length - sparsity, None]
     keep = mag >= t
     tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > sparsity)

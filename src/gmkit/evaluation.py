@@ -34,11 +34,12 @@ used for both the security and the privacy mean squared errors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, ternarize_columns
+from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _tiled, ternarize_columns
 from .data import Dataset
 from .errors import ConfigError, DimensionError
 from .learning import Model
@@ -195,6 +196,8 @@ def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator
     reproducible).  Endpoints tau = -1 (reject all) and tau = 4S (accept
     all) are always included.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
     groups = _true_groups(model, queries)
     _, genuine, impostor = _scores(model, queries)
     claims = rng.integers(model.representations.num_groups, size=len(queries.impostors))
@@ -205,8 +208,8 @@ def verification_sweep(model: Model, queries: QuerySet, rng: np.random.Generator
 
 def _operating_point(roc: RocCurve, target: float) -> tuple[float, float, float]:
     """The point with the largest threshold whose pfp is at most the target."""
-    if not 0 < target < 1:
-        raise ConfigError(f"target false positive rate must lie in (0, 1), got {target}")
+    if not (isinstance(target, numbers.Real) and 0 < target < 1):
+        raise ConfigError(f"target false positive rate must be a real number in (0, 1), got {target!r}")
     chosen = None
     for point in roc.points:  # points sorted by tau, so the last hit wins
         if point[1] <= target:
@@ -295,8 +298,13 @@ def security_report(signatures: SignatureMatrix, queries: QuerySet, model: Model
 
 
 def _residual_mse(targets: np.ndarray, lifted: np.ndarray, beta: float) -> float:
-    """mean((targets - beta * lifted) ** 2), bit for bit, computed in ``lifted``'s memory."""
+    """mean((targets - beta * lifted) ** 2), bit for bit, computed in ``lifted``'s memory.
+
+    The difference is taken by :func:`gmkit.core._tiled`, because the
+    privacy residual reads the Q x d genuine matrix across its memory
+    order, and at a power-of-two d (256 at the enroll shape) a straight
+    read evicts its own cache lines."""
     lifted *= beta
-    np.subtract(targets, lifted, out=lifted)
+    _tiled(np.subtract, lifted, targets, lifted)
     lifted *= lifted
     return float(np.mean(lifted))

@@ -66,6 +66,7 @@ summed in int64 and Python rationals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -79,6 +80,7 @@ from .core import (
     SignatureMatrix,
     _as_array,
     _held,
+    as_int,
     ternarize_columns,
 )
 from .errors import ConfigError, DimensionError, GmkitError, InvalidInputError
@@ -95,6 +97,7 @@ class AssignmentMatrix:
 
     def __post_init__(self):
         g = _as_array(self.group_of, "assignment", 1, DimensionError, integers=True)
+        object.__setattr__(self, "num_groups", as_int(self.num_groups, "num_groups", ConfigError))
         if self.num_groups < 1:
             raise ConfigError("num_groups must be positive")
         if g.size and (g.min() < 0 or g.max() >= self.num_groups):
@@ -195,8 +198,8 @@ def objective(
 
 
 def _check_weight(within_weight: float) -> None:
-    if not np.isfinite(within_weight):
-        raise InvalidInputError(f"within_weight must be finite, got {within_weight!r}")
+    if not (isinstance(within_weight, numbers.Real) and np.isfinite(within_weight)):
+        raise InvalidInputError(f"within_weight must be finite and a real number, got {within_weight!r}")
 
 
 def _check_grouping(code_length: int, num_codes: int, representations: CodeMatrix, assignments: AssignmentMatrix) -> None:
@@ -432,6 +435,10 @@ def kmeans(
     """
     if not isinstance(codes, CodeMatrix):
         raise InvalidInputError(f"k-means groups a CodeMatrix, got {type(codes).__name__}")
+    k = as_int(k, "k", ConfigError)
+    iter_cap = as_int(iter_cap, "iter_cap", ConfigError)
+    if iter_cap < 0:
+        raise ConfigError(f"iter_cap must be >= 0, got {iter_cap}")
     points, sparsity = codes.codes, codes.sparsity
     dim, n = points.shape
     # the int64 objective numerators reach 4 l N^3 (see _exact_sum); every

@@ -13,7 +13,7 @@ from gmkit.core import (
     embed,
     ternarize_columns,
 )
-from gmkit.core import _check_query_vectors
+from gmkit.core import _HELD_COPIES, _TILE, _check_query_vectors, _held
 from gmkit.evaluation import _distances
 from gmkit.errors import (
     ConfigError,
@@ -32,6 +32,26 @@ def reference_ternarize(v, sparsity):
     for i in ranked[:sparsity]:
         out[i] = -1 if v[i] < 0 else 1
     return out
+
+
+def argsort_ternarize(m, sparsity):
+    """Independent oracle for a whole matrix: the first ``sparsity`` rows of
+    a stable argsort of -|m|, by sign."""
+    keep = np.argsort(-np.abs(m), axis=0, kind="stable")[:sparsity]
+    expected = np.zeros(m.shape, dtype=np.int8)
+    cols = np.arange(m.shape[1])
+    expected[keep, cols] = np.where(m[keep, cols] < 0, -1, 1)
+    return expected
+
+
+def tie_heavy_matrix(rng, length, num_cols, top):
+    """Small integer magnitudes, so that many ties sit at the S-th position,
+    with signed zeros and all-tied columns mixed in."""
+    m = rng.integers(-top, top + 1, size=(length, num_cols)).astype(np.float64)
+    m[rng.random(m.shape) < 0.2] = -0.0
+    tied = rng.random(num_cols) < 0.2
+    m[:, tied] = np.where(rng.random((length, int(tied.sum()))) < 0.5, -1.0, 1.0) * top
+    return m
 
 
 def ternarize_one(v, sparsity):
@@ -93,22 +113,29 @@ class TestTernarize:
     )
     @settings(max_examples=300, deadline=None)
     def test_selection_matches_stable_argsort_oracle(self, seed, length, num_cols, top, data):
-        # small integer magnitudes put many ties at the S-th position; signed
-        # zeros, all-tied and all-zero columns are mixed in
+        # with top = 0 every column is all zero
         rng = np.random.default_rng(seed)
         sparsity = data.draw(st.integers(1, length - 1))
-        m = rng.integers(-top, top + 1, size=(length, num_cols)).astype(np.float64)
-        m[rng.random(m.shape) < 0.2] = -0.0
-        tied = rng.random(num_cols) < 0.2
-        m[:, tied] = np.where(rng.random((length, int(tied.sum()))) < 0.5, -1.0, 1.0) * top
-        keep = np.argsort(-np.abs(m), axis=0, kind="stable")[:sparsity]
-        expected = np.zeros(m.shape, dtype=np.int8)
-        cols = np.arange(num_cols)
-        expected[keep, cols] = np.where(m[keep, cols] < 0, -1, 1)
+        m = tie_heavy_matrix(rng, length, num_cols, top)
+        expected = argsort_ternarize(m, sparsity)
         got = ternarize_columns(m, sparsity)
         assert got.dtype == np.int8 and got.flags.c_contiguous
         assert np.array_equal(got, expected)
         assert ternarize_one(m[:, 0], sparsity).tolist() == expected[:, 0].tolist()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("num_cols", [1, _TILE - 1, _TILE + 1, 4096])
+    @pytest.mark.parametrize("length", [_TILE - 1, 2 * _TILE, 2 * _TILE + 1])
+    def test_blocks_of_the_transposed_read_match_stable_argsort_oracle(self, length, num_cols, order):
+        # |m^T| is read in blocks of _TILE rows of m: lengths below, at and
+        # past a whole number of blocks, column counts about one block, and
+        # the enroll shape's 4096, in both layouts
+        rng = np.random.default_rng([length, num_cols])
+        m = np.asarray(tie_heavy_matrix(rng, length, num_cols, 3), order=order)
+        for sparsity in (1, length // 8, length - 1):
+            got = ternarize_columns(m, sparsity)
+            assert got.dtype == np.int8 and got.flags.c_contiguous
+            assert np.array_equal(got, argsort_ternarize(m, sparsity))
 
     def test_rejects_sparsity_at_or_above_length(self):
         with pytest.raises(InvalidSparsityError):
@@ -302,6 +329,34 @@ class TestTypes:
         for bad in (rows.astype(str), rows.astype(complex), rows.astype(object)):
             with pytest.raises(InvalidInputError):
                 _check_query_vectors(bad, 4, "query", DimensionError)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(3, 2), (_TILE - 1, _TILE + 1), (2 * _TILE + 1, 5), (256, 4096)])
+    @pytest.mark.parametrize("source, dtype", [
+        pytest.param(np.float64, np.float64, id="float64"),
+        pytest.param(np.int64, np.float64, id="int64-to-float64"),
+        pytest.param(np.float64, np.int8, id="float64-to-int8"),
+        pytest.param(np.bool_, np.int8, id="bool-to-int8"),
+    ])
+    def test_copy_into_another_layout_equals_np_array(self, source, dtype, shape, order):
+        rng = np.random.default_rng(list(shape))
+        other = "F" if order == "C" else "C"
+        values = rng.integers(-3, 4, size=shape).astype(source)
+        if source is np.float64:
+            values += rng.random(shape)  # fractions, which the int8 cast truncates
+        # stored the other way round, contiguous or as a strided view like
+        # the one generate copies
+        rows = values.T if order == "C" else values
+        draw = np.zeros(rows.shape + (2,), dtype=source)  # C-ordered, as generate's draw is
+        draw[..., 0] = rows
+        for a in (np.asarray(values, order=other), draw[..., 0].T if order == "C" else draw[..., 0]):
+            assert a.strides[0 if order == "C" else 1] < a.strides[1 if order == "C" else 0]
+            held = _held(a, dtype, order)
+            expected = np.array(a, dtype=dtype, order=order)
+            assert held.dtype == dtype and held.flags[f"{order}_CONTIGUOUS"] and not held.flags.writeable
+            assert held.tobytes(order="A") == expected.tobytes(order="A")
+            assert _HELD_COPIES.get(id(held)) is held
+            assert _held(held, dtype, order) is held and not np.shares_memory(held, a)
 
     @pytest.mark.parametrize("build, valid", [
         pytest.param(SignatureMatrix, np.eye(3)[:, :2], id="SignatureMatrix"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkit.core import UNIT_NORM_TOL, CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, embed
+from gmkit.core import _TILE, UNIT_NORM_TOL, CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, embed
 from gmkit.data import Dataset, SyntheticSpec, generate
 from gmkit.errors import ConfigError, DimensionError, GmkitError, InvalidInputError
 from gmkit.evaluation import (
@@ -71,6 +71,15 @@ def toy_model(num_groups=2, sparsity=2, dim=6, code_length=4, seed=0):
 def query_set(pairs, impostors):
     """The query set of (vector, group) pairs and impostor vectors."""
     return QuerySet(np.array([vec for vec, _ in pairs]), [group for _, group in pairs], np.array(impostors))
+
+
+def untiled_residual_mse(targets, lifted, beta):
+    """:func:`_residual_mse` with the difference taken by one
+    ``np.subtract`` over the whole of ``targets``: the untiled reference."""
+    lifted *= beta
+    np.subtract(targets, lifted, out=lifted)
+    lifted *= lifted
+    return float(np.mean(lifted))
 
 
 def query_for_code(model, code):
@@ -621,6 +630,31 @@ class TestSecurityReport:
         genuine_lifted = w @ evaluation._scores(model, queries)[0].astype(np.float64)
         mse_privacy = _residual_mse(queries.genuine.T, genuine_lifted, beta)
         assert security_report(signatures, queries, model) == SecurityReport(mse_security, mse_privacy, beta)
+
+    @pytest.mark.parametrize("num_queries, order", [
+        (1, "C"), (_TILE - 1, "C"), (_TILE, "C"), (_TILE + 1, "C"), (4096, "C"), (4096, "F"),
+    ])
+    def test_privacy_residual_matches_one_untiled_subtraction(self, num_queries, order):
+        # the genuine matrix is read in blocks of _TILE rows: fewer, one,
+        # one and a bit, and the enroll shape's 4096 at d = 256, whose row
+        # stride is a power of two; an F-ordered matrix is read in one call
+        rng = np.random.default_rng(num_queries)
+        n, num_groups, dim, length, sparsity = 64, 8, 256, 32, 8
+        projection, _ = np.linalg.qr(rng.standard_normal((dim, length)))
+        codes = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(n)])
+        reps = np.column_stack([random_code(length, sparsity, rng).symbols for _ in range(num_groups)])
+        model = build_model(projection, codes, reps, np.arange(n) % num_groups, sparsity)
+        x = rng.standard_normal((dim, n))
+        signatures = SignatureMatrix(x / np.linalg.norm(x, axis=0))
+        rows = rng.standard_normal((num_queries + 8, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        genuine = np.asarray(rows[:num_queries], order=order)
+        queries = QuerySet(genuine, rng.integers(num_groups, size=num_queries), rows[num_queries:])
+        assert queries.genuine.flags[f"{order}_CONTIGUOUS"]
+
+        report = security_report(signatures, queries, model)
+        genuine_lifted = model.projection.data @ evaluation._scores(model, queries)[0].astype(np.float64)
+        assert report.mse_privacy == untiled_residual_mse(queries.genuine.T, genuine_lifted, report.beta)
 
 
 class TestRocCurveType:

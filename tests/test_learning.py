@@ -735,6 +735,29 @@ class TestKMeansAndRYStep:
             oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
         ]
 
+    @pytest.mark.parametrize("sparsity, size", [(8, 700), (16, 640)])
+    def test_nearest_bound_counts_the_sparsity(self, sparsity, size):
+        # one group of `size` copies of a code c has the sum s = size c, and
+        # puts the product's bound 2 max n|s_j| S + ||s||^2 at 3 S size^2,
+        # past 2**23, while the bound without its factor S, (2 + S) size^2,
+        # is below it: only the factor S sends this step to float64
+        rng = np.random.default_rng(size)
+        pool = random_hash_matrix(64, 4, sparsity, rng).codes.astype(np.int64)
+        codes = CodeMatrix(pool[:, rng.integers(4, size=60)], sparsity)
+        counts = np.array([size, 1, 2])
+        sums = np.stack([size * pool[:, 0], pool[:, 1], pool[:, 2] + pool[:, 3]])
+        assert (2 + sparsity) * size**2 < 2**23 <= 3 * sparsity * size**2
+        with mock.patch.object(learning, "_exact_argmin", wraps=_exact_argmin) as spy:
+            assign, dist = nearest(codes, sums, counts)
+        assert spy.call_args.args[0].dtype == np.float64
+        pts = [[Fraction(int(v)) for v in row] for row in codes.codes.T]
+        cents = as_fractions(sums, counts)
+        expected = oracle_assign(pts, cents)
+        assert assign.tolist() == expected
+        assert [Fraction(int(d), int(counts[a]) ** 2) for d, a in zip(dist, assign)] == [
+            oracle_d2(p, cents[a]) for p, a in zip(pts, expected)
+        ]
+
     def test_kmeans_does_not_depend_on_the_blas_kernel(self):
         # every float32 product is an exact integer, so a kernel that sums
         # in another order (OpenBLAS's Haswell kernel, on any x86 host that
