@@ -84,22 +84,23 @@ _HELD_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _held(a: np.ndarray, dtype: type, order: str = "K") -> np.ndarray:
     """A checked input as it is kept: read-only, of ``dtype``, and out of
     reach of every writeable array.  That is ``a`` itself when it has the
-    dtype and is a read-only view of an array this function copied and
-    froze (or is that array); anything else is copied once, in ``order``
-    (by default ``a``'s layout), and the copy made read-only.  Only such
-    copies are trusted: an array frozen by its caller may still have
-    writeable views.
+    dtype, is contiguous in ``order`` (any layout for the default "K") and
+    is a read-only view of an array this function copied and froze (or is
+    that array); anything else is copied once, in ``order`` (by default
+    ``a``'s layout), and the copy made read-only.  Only such copies are
+    trusted: an array frozen by its caller may still have writeable views.
 
     A copy of an array not contiguous in ``order`` goes through
     :func:`_tiled`, because it reads the array across its memory order
-    (``generate``'s d x N enrolled copy), and at a power-of-two stride a
-    straight read evicts its own cache lines."""
+    (the enrolled copy of ``generate`` and of a bundle load), and at a
+    power-of-two stride a straight read evicts its own cache lines."""
+    laid_out = order not in ("C", "F") or a.flags[f"{order}_CONTIGUOUS"]
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
-        if _HELD_COPIES.get(id(base)) is base and a.dtype == dtype:
+        if _HELD_COPIES.get(id(base)) is base and a.dtype == dtype and laid_out:
             return a
         base = base.base
-    if a.ndim == 2 and order in ("C", "F") and not a.flags[f"{order}_CONTIGUOUS"]:
+    if a.ndim == 2 and not laid_out:
         # an unsafe copyto casts as np.array(a, dtype=dtype) does
         a = _tiled(lambda src, out: np.copyto(out, src, casting="unsafe"), np.empty(a.shape, dtype, order), a)
     else:
@@ -109,9 +110,9 @@ def _held(a: np.ndarray, dtype: type, order: str = "K") -> np.ndarray:
     return a
 
 
-def _check_query_vectors(vectors, dim: int | None, what: str, shape_error: type) -> np.ndarray:
+def _check_query_vectors(vectors, dim: int | None, what: str, shape_error: type, order: str = "K") -> np.ndarray:
     """The query vectors, one per row, held as a read-only float64 Q x dim
-    matrix (see :func:`_held`).
+    matrix in ``order`` (see :func:`_held`).
 
     A ragged or non-2-D input, or one not ``dim`` wide (any width when
     ``dim`` is None), raises ``shape_error``; entries that are not real
@@ -126,7 +127,7 @@ def _check_query_vectors(vectors, dim: int | None, what: str, shape_error: type)
     # "not <=" so that a NaN norm fails the check; an overflowing square makes it inf
     if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0) <= UNIT_NORM_TOL):
         raise InvalidInputError(f"{what} is not unit norm")
-    return _held(rows, np.float64)
+    return _held(rows, np.float64, order)
 
 
 def _check_query_labels(labels, count: int, what: str, shape_error: type) -> np.ndarray:
@@ -155,7 +156,7 @@ class SignatureMatrix:
         a = _as_array(self.data, "signature matrix", 2, DimensionError)
         if not a.size:
             raise DimensionError(f"signature matrix must be nonempty, got shape {a.shape}")
-        held = _check_query_vectors(np.asfortranarray(a.T), None, "signature", DimensionError)
+        held = _check_query_vectors(a.T, None, "signature", DimensionError, "F")
         object.__setattr__(self, "data", held.T)
 
     @property

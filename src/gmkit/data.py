@@ -8,16 +8,16 @@ are generated separately and never enrolled.  The enrolled and the impostor
 identities are each one random draw, normalized in place, and a
 :class:`Dataset` holds its queries as matrices, one query per row.
 
-A dataset bundle is a directory of three matrices, one signature per row:
-``enrolled``, ``genuine`` (identity column first) and ``impostors``.
-:func:`save_dataset` writes them as binary ``.npy`` files, and
-:func:`load_dataset` reads either those or three CSVs, such as an outside
-descriptor extractor writes.  A CSV matrix holds full round-trip precision,
-with an optional leading header line ``# d=<d> n=<n>``.  This module holds
-the package's one numeric-CSV reader, which also reads the numeric sections
-of model files (:mod:`gmkit.modelio`): the file is read in blocks of whole
-lines into ``np.loadtxt``, and whatever that refuses goes to a token scan
-that names the bad token's row and column, or the ragged row.
+A dataset bundle is a directory of three binary ``.npy`` matrices, one
+signature per row: ``enrolled``, ``genuine`` (identity column first) and
+``impostors``, written by :func:`save_dataset` and read by
+:func:`load_dataset`.  A CSV matrix (:func:`save_matrix`,
+:func:`load_matrix`) holds full round-trip precision, with an optional
+leading header line ``# d=<d> n=<n>``.  This module holds the package's one
+numeric-CSV reader, which also reads the numeric sections of model files
+(:mod:`gmkit.modelio`): the file is read in blocks of whole lines into
+``np.loadtxt``, and whatever that refuses goes to a token scan that names
+the bad token's row and column, or the ragged row.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _held, _hold_plain_numbers
 from .errors import ConfigError, InvalidInputError, ParseError
 
-_BUNDLE = ("enrolled", "genuine", "impostors")  # file names, without .npy or .csv
+_BUNDLE = ("enrolled", "genuine", "impostors")  # file names, without .npy
 
 _LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
 
@@ -235,19 +235,12 @@ def _parse_rows(numbered: Callable[[], Iterator[tuple[int, str]]], kind: type, p
     return np.array(rows, dtype=dtype)
 
 
-def _data_line(path: str, k: int) -> int:
-    """File line number of the k-th (0-based) data row, as counted by :func:`load_matrix`."""
-    return next(itertools.islice(_data_lines(path), k, None))[0]
-
-
 def save_dataset(directory: str, dataset: Dataset) -> None:
     """Write the dataset bundle: ``enrolled.npy`` with one enrolled
     signature per row, ``genuine.npy`` with the identity (as float64) and
     then the coordinates of one genuine query per row, and ``impostors.npy``
     with one impostor query per row, each a C-order float64 matrix.
-
-    Nothing else is written.  To export a bundle as CSV, write each matrix
-    of the loaded arrays with :func:`save_matrix`.
+    Nothing else is written.
     """
     os.makedirs(directory, exist_ok=True)
     genuine = np.column_stack((dataset.genuine_ids.astype(np.float64), dataset.genuine))
@@ -269,38 +262,24 @@ def _load_npy(path: str) -> np.ndarray:
 
 
 def load_dataset(directory: str) -> Dataset:
-    """Read a dataset bundle: the three ``.npy`` files :func:`save_dataset`
-    writes, or three CSVs of the same matrices, read with :func:`load_matrix`.
+    """Read the dataset bundle :func:`save_dataset` writes: the three
+    ``.npy`` files, of which a missing one is an OSError naming it.
 
-    Both give the same arrays, bit for bit, and the same checks follow: a
-    non-finite coordinate, and an identity that is not an enrolled column
-    index, are a ParseError naming the file and its row (the file line of a
-    CSV, the 1-based matrix row of a ``.npy``).  A directory that holds
-    bundle files of both formats is a ParseError naming them.  Nothing in
-    the directory is written.
+    A non-finite coordinate, and an identity that is not an enrolled column
+    index, are a ParseError naming the file and its 1-based matrix row.
+    Nothing in the directory is written.
     """
-    found = {ext: [name + ext for name in _BUNDLE if os.path.exists(os.path.join(directory, name + ext))]
-             for ext in (".npy", ".csv")}
-    if found[".npy"] and found[".csv"]:
-        raise ParseError(
-            f"{directory}: holds both .npy ({', '.join(found['.npy'])}) and CSV ({', '.join(found['.csv'])}) "
-            "bundle files; a bundle is one or the other, so delete one set"
-        )
-    if found[".npy"]:
-        ext, parse, row = ".npy", _load_npy, lambda path, k: k + 1
-    else:
-        ext, parse, row = ".csv", load_matrix, _data_line
 
     def read(name: str, first: int = 0) -> np.ndarray:
         """The matrix of one bundle file; a non-finite entry in a column from
         ``first`` on is a ParseError naming its row and column."""
-        path = os.path.join(directory, name + ext)
-        m = parse(path)
+        path = os.path.join(directory, name + ".npy")
+        m = _load_npy(path)
         finite = np.isfinite(m[:, first:])
         if not finite.all():
             k, j = (int(i) for i in np.argwhere(~finite)[0])
             value = float(m[k, first + j])
-            raise ParseError(f"{path}: row {row(path, k)}, column {first + j + 1}: {value!r} is not finite")
+            raise ParseError(f"{path}: row {k + 1}, column {first + j + 1}: {value!r} is not finite")
         return m
 
     enrolled = SignatureMatrix(read("enrolled").T)
@@ -312,9 +291,7 @@ def load_dataset(directory: str) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(ids) | (ids < 0) | (ids >= n) | (ids != np.trunc(ids)))
     if bad.size:
         k = int(bad[0])
-        genuine_path = os.path.join(directory, "genuine" + ext)
-        raise ParseError(
-            f"{genuine_path}: row {row(genuine_path, k)}: identity {float(ids[k])!r} is not an integer in [0, {n})"
-        )
+        path = os.path.join(directory, "genuine.npy")
+        raise ParseError(f"{path}: row {k + 1}: identity {float(ids[k])!r} is not an integer in [0, {n})")
     impostors = read("impostors")
     return Dataset(enrolled, genuine_raw[:, 1:], ids.astype(np.int64), impostors)

@@ -14,11 +14,9 @@ from .engine import (
     validate_mask_range,
 )
 from .paillier import (
-    additive_add,
     additive_decrypt,
     additive_encrypt,
     additive_keygen,
-    additive_scalar_mul,
 )
 from .transcript import ProtocolMessage, ProtocolTranscript, decode_message
 
@@ -29,11 +27,9 @@ __all__ = [
     "ProtocolMessage",
     "ProtocolTranscript",
     "SecurityParams",
-    "additive_add",
     "additive_decrypt",
     "additive_encrypt",
     "additive_keygen",
-    "additive_scalar_mul",
     "client_round1_encrypt_query",
     "client_round3_decrypt_reveal",
     "decode_message",

@@ -5,10 +5,10 @@ are signed integers encoded as x mod n and decoded back into the window
 (-n/2, n/2], so homomorphic sums and scalar products of moderately sized
 values decrypt to exact signed results.
 
-Homomorphic contract:
+Homomorphic contract, on ciphertexts modulo n^2:
 
-    decrypt(add(enc(a), enc(b)))        == a + b   (mod n, signed decode)
-    decrypt(scalar_mul(enc(a), k))      == k * a   (mod n, signed decode)
+    decrypt(enc(a) * enc(b))            == a + b   (mod n, signed decode)
+    decrypt(enc(a) ** k)                == k * a   (mod n, signed decode)
 
 Valid ciphertexts are the residues c in [1, n^2) coprime to n.  Decryption
 and ``invert_ciphertexts`` reject anything else with
@@ -177,17 +177,3 @@ def invert_ciphertexts(pk: AdditivePublicKey, ciphertexts: Sequence[int]) -> lis
         inverse = inverse * ciphertexts[i] % n2
     inverses[0] = inverse
     return inverses
-
-
-def additive_add(pk: AdditivePublicKey, c1: int, c2: int) -> int:
-    """Ciphertext of the sum of the two underlying plaintexts."""
-    return c1 * c2 % pk.modulus_squared
-
-
-def additive_scalar_mul(pk: AdditivePublicKey, ciphertext: int, k: int) -> int:
-    """Ciphertext of k times the underlying plaintext (k any signed int)."""
-    n2 = pk.modulus_squared
-    k_red = k % pk.modulus
-    if k_red > pk.modulus // 2:
-        k_red -= pk.modulus  # negative exponent keeps the magnitude small
-    return pow(ciphertext, k_red, n2)

@@ -48,13 +48,12 @@ from gmkit.modelio import load_model
 from gmkit.protocol import (
     ProtocolKeys,
     SecurityParams,
-    additive_add,
     additive_decrypt,
     additive_encrypt,
     additive_keygen,
-    additive_scalar_mul,
     run_protocol,
 )
+from paillier_oracle import additive_add, additive_scalar_mul
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csv_bundle import convert_to_csv
 from gmkit import cli
 from gmkit import data as data_mod
 from gmkit.cli import load_experiment_config, main
@@ -61,6 +60,13 @@ def read_tree(root):
             full = os.path.join(dirpath, name)
             out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
+
+
+def set_entry(path, row, column, value):
+    """Overwrite one entry of a bundle's .npy matrix."""
+    matrix = np.load(path)
+    matrix[row, column] = value
+    np.save(path, matrix)
 
 
 class TestConfig:
@@ -151,102 +157,50 @@ class TestGenData:
     def test_nan_identity_is_parse_error(self, tmp_path, config_path, capsys, command):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        convert_to_csv(bundle)
-        path = bundle / "genuine.csv"
-        lines = path.read_text().split("\n")
-        lines[1] = "nan," + lines[1].split(",", 1)[1]
-        path.write_text("\n".join(lines))
+        path = bundle / "genuine.npy"
+        set_entry(path, 0, 0, np.nan)
         capsys.readouterr()
         rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"ERROR:io:{path}: row 2: identity nan is not")
+        assert capsys.readouterr().err.startswith(f"ERROR:io:{path}: row 1: identity nan is not")
 
     @pytest.mark.parametrize("command", ["train", "eval-verify"])
     def test_identity_past_enrolled_count_is_parse_error(self, tmp_path, config_path, capsys, command):
         # 1e300 is a finite, nonnegative integer that int64 cannot hold
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        convert_to_csv(bundle)
-        path = bundle / "genuine.csv"
-        lines = path.read_text().split("\n")
-        lines[1] = "1e300," + lines[1].split(",", 1)[1]
-        path.write_text("\n".join(lines))
+        path = bundle / "genuine.npy"
+        set_entry(path, 0, 0, 1e300)
         capsys.readouterr()
         rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
         assert rc == 1
-        assert capsys.readouterr().err == f"ERROR:io:{path}: row 2: identity 1e+300 is not an integer in [0, 16)\n"
-
-    @pytest.mark.parametrize("command", ["train", "eval-verify"])
-    def test_non_ascii_byte_is_parse_error(self, tmp_path, config_path, capsys, command):
-        bundle = tmp_path / "bundle"
-        assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        convert_to_csv(bundle)
-        path = bundle / "impostors.csv"
-        line = path.read_bytes().count(b"\n") + 1
-        with open(path, "ab") as fh:
-            fh.write(b"\xc3\xa9")
-        capsys.readouterr()
-        rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
-        assert rc == 1
-        assert capsys.readouterr().err == f"ERROR:io:{path}: row {line}: byte 0xc3 is not ASCII\n"
+        assert capsys.readouterr().err == f"ERROR:io:{path}: row 1: identity 1e+300 is not an integer in [0, 16)\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_impostor_is_input_error(self, tmp_path, config_path, capsys, bad):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        convert_to_csv(bundle)
-        path = bundle / "impostors.csv"
-        lines = path.read_text().split("\n")
-        lines[1] = bad + "," + lines[1].split(",", 1)[1]
-        path.write_text("\n".join(lines))
+        path = bundle / "impostors.npy"
+        set_entry(path, 0, 0, float(bad))
         capsys.readouterr()
         rc = main(["eval-verify", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
         assert rc == 1
         # named by file, row and column, not reported as a norm failure of some query
-        assert capsys.readouterr().err == f"ERROR:io:{path}: row 2, column 1: {float(bad)!r} is not finite\n"
+        assert capsys.readouterr().err == f"ERROR:io:{path}: row 1, column 1: {float(bad)!r} is not finite\n"
 
 
 class TestBundleFormat:
-    @pytest.fixture()
-    def parsed(self, monkeypatch):
-        """The paths data.load_matrix is called with."""
-        calls = []
-        parse = data_mod.load_matrix
-
-        def counting(path):
-            calls.append(os.path.basename(path))
-            return parse(path)
-
-        monkeypatch.setattr(data_mod, "load_matrix", counting)
-        return calls
-
-    def test_train_and_eval_never_parse_a_generated_bundle(self, tmp_path, config_path, parsed):
+    def test_csv_matrices_are_not_a_bundle(self, tmp_path, config_path, capsys):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        assert sorted(os.listdir(bundle)) == ["enrolled.npy", "genuine.npy", "impostors.npy"]
-        cfg = config_path(tmp_path / "run")
-        chain = (["train", "--config", cfg, "--dataset", str(bundle)],
-                 ["eval-verify", "--config", cfg, "--dataset", str(bundle)])
-        for argv in chain:
-            assert main(argv) == 0
-        assert parsed == []
-        first = read_tree(tmp_path / "run")
-        convert_to_csv(bundle)  # the same matrices, as CSV
-        for argv in chain:
-            assert main(argv) == 0
-        assert parsed == ["enrolled.csv", "genuine.csv", "impostors.csv"] * 2
-        assert read_tree(tmp_path / "run") == first
-
-    def test_bundle_of_both_formats_is_a_parse_error(self, tmp_path, config_path, capsys):
-        bundle = tmp_path / "bundle"
-        assert main(["gen-data", "--config", config_path(bundle)]) == 0
-        data_mod.save_matrix(str(bundle / "genuine.csv"), np.load(bundle / "genuine.npy"))
+        for name in ("enrolled", "genuine", "impostors"):
+            data_mod.save_matrix(str(bundle / f"{name}.csv"), np.load(bundle / f"{name}.npy"))
+            (bundle / f"{name}.npy").unlink()
         capsys.readouterr()
         assert main(["train", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)]) == 1
-        assert capsys.readouterr().err == (
-            f"ERROR:io:{bundle}: holds both .npy (enrolled.npy, genuine.npy, impostors.npy) and CSV (genuine.csv) "
-            "bundle files; a bundle is one or the other, so delete one set\n"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:io:") and err.count("\n") == 1
+        assert str(bundle / "enrolled.npy") in err
 
 
 class TestTrain:

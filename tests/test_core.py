@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from gmkit.core import (
     ternarize_columns,
 )
 from gmkit.core import _HELD_COPIES, _TILE, _check_query_vectors, _held
+from gmkit.data import SyntheticSpec, generate
 from gmkit.evaluation import _distances
 from gmkit.errors import (
     ConfigError,
@@ -292,6 +294,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             m.data[0, 0] = 2.0
 
+    def test_signature_matrix_copies_an_f_ordered_input_once(self):
+        # a loaded bundle passes the transpose of its C-ordered N x d matrix
+        rows = np.random.default_rng(0).standard_normal((4096, 256))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            held = SignatureMatrix(rows.T).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held.flags.c_contiguous and held.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+        assert peak < 1.25 * rows.nbytes
+
+    def test_signature_matrix_is_held_c_ordered_for_every_layout(self):
+        ds = generate(SyntheticSpec(12, 3, 8, 0.1, 0.5, seed=1))
+        assert SignatureMatrix(ds.genuine.T).data.flags.c_contiguous
+        assert SignatureMatrix(np.asfortranarray(ds.enrolled.data)).data.flags.c_contiguous
+        kept = SignatureMatrix(ds.enrolled.data).data
+        assert np.shares_memory(kept, ds.enrolled.data)
+
     def test_query_vectors_stacked_and_checked(self):
         vecs = [np.eye(4)[:, 1], np.full(4, 0.5)]
         stack = _check_query_vectors(vecs, 4, "query", DimensionError)
@@ -357,6 +379,8 @@ class TestTypes:
             assert held.tobytes(order="A") == expected.tobytes(order="A")
             assert _HELD_COPIES.get(id(held)) is held
             assert _held(held, dtype, order) is held and not np.shares_memory(held, a)
+            flipped = _held(held, dtype, other)  # a held array in the other layout is copied
+            assert flipped.flags[f"{other}_CONTIGUOUS"] and np.array_equal(flipped, held)
 
     @pytest.mark.parametrize("build, valid", [
         pytest.param(SignatureMatrix, np.eye(3)[:, :2], id="SignatureMatrix"),

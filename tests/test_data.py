@@ -1,14 +1,12 @@
 import os
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csv_bundle import write_csv_bundle
 from gmkit import data as data_mod
 from gmkit.data import (
     Dataset,
@@ -316,9 +314,10 @@ class TestMatrixIO:
         assert load_outcome(load_matrix, str(path)) == load_outcome(oracle_load_matrix, str(path))
 
     def test_load_holds_the_file_once(self, tmp_path):
-        # a verify-batch-sized genuine.csv (7168 rows, 65 columns, 9 MB): the
+        # a verify-batch-sized genuine matrix (7168 rows, 65 columns, 9 MB): the
         # parse held the text three times over, a 22.2 MiB peak, for a 3.6 MiB result
-        write_csv_bundle(tmp_path, generate(SyntheticSpec(1024, 8, 64, 0.1, 0.5, seed=1)))
+        ds = generate(SyntheticSpec(1024, 8, 64, 0.1, 0.5, seed=1))
+        save_matrix(str(tmp_path / "genuine.csv"), np.column_stack((ds.genuine_ids, ds.genuine)))
         tracemalloc.start()
         try:
             matrix = load_matrix(str(tmp_path / "genuine.csv"))
@@ -327,6 +326,28 @@ class TestMatrixIO:
             tracemalloc.stop()
         assert matrix.shape == (7168, 65)
         assert peak < 6 * 2**20
+
+    def test_save_matches_per_element_formatting(self, tmp_path):
+        m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
+        save_matrix(str(tmp_path / "m.csv"), m)
+        assert (tmp_path / "m.csv").read_text() == "".join(
+            [f"# d=2 n={len(m)}\n"] + [oracle_format_row(row) + "\n" for row in m])
+        save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)))
+        assert (tmp_path / "empty.csv").read_text() == "# d=3 n=0\n"
+
+    def test_non_ascii_byte_names_file_and_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix(str(path), np.eye(4))
+        raw = path.read_bytes().split(b"\n")
+        raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ParseError) as err:
+            load_matrix(str(path))
+        assert str(err.value) == f"{path}: row 4: byte 0xe9 is not ASCII"
+        # a line cut by "\r" or "\x0b" counts as splitlines counts it
+        path.write_bytes(b"# d=2 n=3\r\n0.6,0.8\r1.0,0.0\x0b\xff\n0.0,1.0\n")
+        with pytest.raises(ParseError, match=r"row 4: byte 0xff is not ASCII"):
+            load_matrix(str(path))
 
 
 class TestDatasetBundle:
@@ -339,23 +360,6 @@ class TestDatasetBundle:
         assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()
         assert np.array_equal(back.genuine, ds.genuine)
         assert np.array_equal(back.impostors, ds.impostors)
-
-    def test_save_matches_per_element_formatting(self, tmp_path):
-        ds = generate(spec(num_identities=12, samples_per_identity=3))
-        write_csv_bundle(tmp_path, ds)
-        enrolled = ["# d=8 n=12"] + [oracle_format_row(row) for row in ds.enrolled.data.T]
-        genuine = ["# identity column + d=8 coordinates, n=24"] + [
-            str(int(idx)) + "," + oracle_format_row(vec) for vec, idx in zip(ds.genuine, ds.genuine_ids)
-        ]
-        impostors = ["# d=8 n=12"] + [oracle_format_row(row) for row in ds.impostors]
-        for name, lines in (("enrolled.csv", enrolled), ("genuine.csv", genuine), ("impostors.csv", impostors)):
-            assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
-        m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
-        save_matrix(str(tmp_path / "m.csv"), m)
-        assert (tmp_path / "m.csv").read_text() == "".join(
-            [f"# d=2 n={len(m)}\n"] + [oracle_format_row(row) + "\n" for row in m])
-        save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)))
-        assert (tmp_path / "empty.csv").read_text() == "# d=3 n=0\n"
 
     def test_bundle_bytes_deterministic(self, tmp_path):
         d1 = tmp_path / "a"
@@ -414,61 +418,6 @@ class TestDatasetBundle:
             with pytest.raises(InvalidInputError):
                 Dataset(ds.enrolled, ds.genuine, ds.genuine_ids, np.vstack([ds.impostors, np.full(vec.size, bad)]))
 
-    @pytest.mark.parametrize(
-        "identity",
-        [
-            pytest.param("nan", id="nan"),
-            pytest.param("inf", id="inf"),
-            pytest.param("3.7", id="non-integer"),
-            pytest.param("-1", id="negative"),
-        ],
-    )
-    def test_bad_identity_names_file_and_row(self, tmp_path, identity):
-        write_csv_bundle(tmp_path, generate(spec()))
-        path = tmp_path / "genuine.csv"
-        lines = path.read_text().split("\n")
-        lines[2] = identity + "," + lines[2].split(",", 1)[1]  # the second data row, after the header
-        path.write_text("\n".join(lines))
-        with pytest.raises(ParseError, match=rf"genuine\.csv: row 3: identity {float(identity)!r} is not"):
-            load_dataset(str(tmp_path))
-
-    @pytest.mark.parametrize("identity", ["10", "10.0", "1e300", "9.3e18"])
-    def test_identity_past_enrolled_count_names_file_row_and_value(self, tmp_path, identity):
-        # spec() enrolls 10 identities; 1e300 and 9.3e18 lie beyond int64
-        write_csv_bundle(tmp_path, generate(spec()))
-        path = tmp_path / "genuine.csv"
-        lines = path.read_text().split("\n")
-        lines[4] = identity + "," + lines[4].split(",", 1)[1]
-        path.write_text("\n".join(lines))
-        with pytest.raises(ParseError) as err:
-            load_dataset(str(tmp_path))
-        assert str(err.value) == f"{path}: row 5: identity {float(identity)!r} is not an integer in [0, 10)"
-
-    def test_non_ascii_byte_names_file_and_row(self, tmp_path):
-        write_csv_bundle(tmp_path, generate(spec()))
-        path = tmp_path / "enrolled.csv"
-        raw = path.read_bytes().split(b"\n")
-        raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
-        path.write_bytes(b"\n".join(raw))
-        with pytest.raises(ParseError) as err:
-            load_dataset(str(tmp_path))
-        assert str(err.value) == f"{path}: row 4: byte 0xe9 is not ASCII"
-        # a line cut by "\r" or "\x0b" counts as splitlines counts it
-        path.write_bytes(b"# d=2 n=3\r\n0.6,0.8\r1.0,0.0\x0b\xff\n0.0,1.0\n")
-        with pytest.raises(ParseError, match=r"row 4: byte 0xff is not ASCII"):
-            load_matrix(str(path))
-
-    def test_integer_valued_identity_loads(self, tmp_path):
-        ds = generate(spec())
-        write_csv_bundle(tmp_path, ds)
-        path = tmp_path / "genuine.csv"
-        text = path.read_text()
-        assert "\n3," in text
-        path.write_text(text.replace("\n3,", "\n3.0,", 1))
-        back = load_dataset(str(tmp_path))
-        assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()
-
-
     @pytest.mark.parametrize("identity", [np.nan, np.inf, 3.7, -1.0, 10.0, 1e300, 9.3e18])
     def test_bad_identity_in_npy_names_file_and_matrix_row(self, tmp_path, identity):
         # spec() enrolls 10 identities; on the .npy path a row is a 1-based matrix row
@@ -483,35 +432,30 @@ class TestDatasetBundle:
 
 
 NPY_FILES = ("enrolled.npy", "genuine.npy", "impostors.npy")
-CSV_FILES = ("enrolled.csv", "genuine.csv", "impostors.csv")
 
 
-def dataset_outcome(directory):
-    """Every bit and the layout of each loaded array, or the error's type and text."""
-    try:
-        ds = load_dataset(str(directory))
-    except GmkitError as err:
-        return ("error", type(err).__name__, str(err))
+def dataset_bits(ds):
+    """Every bit and the layout of each array of a dataset."""
     arrays = (ds.enrolled.data, ds.genuine, ds.genuine_ids, ds.impostors)
-    return ("ok", *((a.dtype.str, a.shape, a.strides, a.view(np.int64).tolist()) for a in arrays))
+    return [(a.dtype.str, a.shape, a.strides, a.view(np.int64).tolist()) for a in arrays]
 
 
 def edit_keeping_mtime(path, edit):
-    """Rewrite a file with ``edit(text)`` and put its modification time back."""
+    """Rewrite a .npy matrix with ``edit(matrix)`` and put its modification time back."""
     before = os.stat(path)
-    path.write_text(edit(path.read_text()))
+    np.save(path, edit(np.load(path)))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
 
 
-def next_digit_at_end_of_first_row(text):
-    """The same text with the last digit of the first data row changed: same
-    length, a value that differs in the last place."""
-    header, row, rest = text.split("\n", 2)
-    return f"{header}\n{row[:-1]}{(int(row[-1]) + 1) % 10}\n{rest}"
+def next_float_at_start(matrix):
+    """The same matrix with its first entry one float further from zero:
+    same file length, a value that differs in the last place."""
+    matrix[0, 0] = np.nextafter(matrix[0, 0], np.copysign(np.inf, matrix[0, 0]))
+    return matrix
 
 
 class TestBundleCopy:
-    """The .npy bundle that save_dataset writes, against the same matrices as CSV."""
+    """The .npy bundle that save_dataset writes and load_dataset reads."""
 
     @given(
         st.integers(1, 12),
@@ -522,17 +466,11 @@ class TestBundleCopy:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_copy_loads_bit_identical_to_parse(self, tmp_path_factory, identities, samples, dim, sigma, fraction, seed):
+    def test_load_gives_the_saved_arrays_bit_for_bit(self, tmp_path_factory, identities, samples, dim, sigma, fraction, seed):
         ds = generate(SyntheticSpec(identities, samples, dim, sigma, fraction, seed))
-        npy, csv = tmp_path_factory.mktemp("npy"), tmp_path_factory.mktemp("csv")
-        save_dataset(str(npy), ds)
-        write_csv_bundle(csv, ds)
-        with mock.patch.object(data_mod, "load_matrix", side_effect=AssertionError("parsed a CSV")):
-            from_npy = dataset_outcome(npy)
-        with mock.patch.object(data_mod, "_load_npy", side_effect=AssertionError("read a .npy")):
-            from_csv = dataset_outcome(csv)
-        assert from_npy[0] == "ok"
-        assert from_npy == from_csv
+        directory = tmp_path_factory.mktemp("npy")
+        save_dataset(str(directory), ds)
+        assert dataset_bits(load_dataset(str(directory))) == dataset_bits(ds)
 
     def test_save_writes_the_three_npy_files_only(self, tmp_path):
         ds = generate(spec())
@@ -543,32 +481,11 @@ class TestBundleCopy:
         assert genuine[:, 0].tolist() == ds.genuine_ids.tolist()
         assert np.array_equal(genuine[:, 1:], ds.genuine)
 
-    @pytest.mark.parametrize(
-        "npy, csv",
-        [
-            pytest.param(NPY_FILES, CSV_FILES, id="both-sets"),
-            pytest.param(NPY_FILES[:2], CSV_FILES[2:], id="mixed"),
-            pytest.param(NPY_FILES, CSV_FILES[1:2], id="stray-csv"),
-        ],
-    )
-    def test_both_formats_in_one_directory_is_a_parse_error(self, tmp_path, npy, csv):
-        ds = generate(spec())
-        save_dataset(str(tmp_path), ds)
-        write_csv_bundle(tmp_path, ds)
-        for name in set(NPY_FILES + CSV_FILES) - set(npy + csv):
-            (tmp_path / name).unlink()
-        with pytest.raises(ParseError) as err:
-            load_dataset(str(tmp_path))
-        assert str(err.value) == (
-            f"{tmp_path}: holds both .npy ({', '.join(npy)}) and CSV ({', '.join(csv)}) bundle files; "
-            "a bundle is one or the other, so delete one set"
-        )
-
     def test_edit_keeping_length_and_mtime_is_seen(self, tmp_path):
         ds = generate(spec())
-        write_csv_bundle(tmp_path, ds)
+        save_dataset(str(tmp_path), ds)
         load_dataset(str(tmp_path))
-        edit_keeping_mtime(tmp_path / "impostors.csv", next_digit_at_end_of_first_row)
+        edit_keeping_mtime(tmp_path / "impostors.npy", next_float_at_start)
         back = load_dataset(str(tmp_path))
         assert not np.array_equal(back.impostors, ds.impostors)
         assert np.array_equal(back.impostors[1:], ds.impostors[1:])
@@ -608,42 +525,25 @@ class TestBundleCopy:
         with pytest.raises(ParseError, match="genuine.npy"):
             load_dataset(str(tmp_path))
 
-    @pytest.mark.parametrize("via_copy", [False, True], ids=["csv", "copy"])
     @pytest.mark.parametrize(
-        "name, column, token", [("enrolled.csv", 3, "nan"), ("genuine.csv", 2, "inf"), ("impostors.csv", 8, "-inf")]
+        "name, column, token", [("enrolled.npy", 3, "nan"), ("genuine.npy", 2, "inf"), ("impostors.npy", 8, "-inf")]
     )
-    def test_non_finite_entry_names_file_row_and_column(self, tmp_path, name, column, token, via_copy):
-        ds = generate(spec())
-        if via_copy:  # the third matrix row of the .npy file
-            save_dataset(str(tmp_path), ds)
-            path = (tmp_path / name).with_suffix(".npy")
-            matrix = np.load(path)
-            matrix[2, column - 1] = float(token)
-            np.save(path, matrix)
-            row = 3
-        else:  # the third data row, after the header
-            write_csv_bundle(tmp_path, ds)
-            path = tmp_path / name
-            lines = path.read_text().split("\n")
-            cells = lines[3].split(",")
-            cells[column - 1] = token
-            lines[3] = ",".join(cells)
-            path.write_text("\n".join(lines))
-            row = 4
-        unused = "load_matrix" if via_copy else "_load_npy"
-        with mock.patch.object(data_mod, unused, side_effect=AssertionError(unused)), pytest.raises(ParseError) as err:
+    def test_non_finite_entry_names_file_row_and_column(self, tmp_path, name, column, token):
+        save_dataset(str(tmp_path), generate(spec()))
+        path = tmp_path / name
+        matrix = np.load(path)
+        matrix[2, column - 1] = float(token)
+        np.save(path, matrix)
+        with pytest.raises(ParseError) as err:
             load_dataset(str(tmp_path))
-        assert str(err.value) == f"{path}: row {row}, column {column}: {float(token)!r} is not finite"
+        assert str(err.value) == f"{path}: row 3, column {column}: {float(token)!r} is not finite"
 
     def test_load_writes_nothing(self, tmp_path):
-        ds = generate(spec())
-        save_dataset(str(tmp_path / "npy"), ds)
-        write_csv_bundle(tmp_path / "csv", ds)
+        save_dataset(str(tmp_path), generate(spec()))
 
         def listing():
             return sorted((p.name, p.stat().st_mtime_ns, p.stat().st_size) for p in tmp_path.rglob("*"))
 
         before = listing()
-        load_dataset(str(tmp_path / "npy"))
-        load_dataset(str(tmp_path / "csv"))
+        load_dataset(str(tmp_path))
         assert listing() == before

@@ -17,11 +17,9 @@ from gmkit.protocol import (
     ProtocolMessage,
     ProtocolTranscript,
     SecurityParams,
-    additive_add,
     additive_decrypt,
     additive_encrypt,
     additive_keygen,
-    additive_scalar_mul,
     client_round1_encrypt_query,
     client_round3_decrypt_reveal,
     decode_message,
@@ -32,6 +30,7 @@ from gmkit.protocol import (
     validate_mask_range,
 )
 from gmkit.protocol.paillier import AdditivePublicKey, AdditiveSecretKey
+from paillier_oracle import additive_add, additive_scalar_mul
 
 
 def random_code(length, sparsity, rng):
