@@ -190,6 +190,49 @@ class TestGenData:
 
 
 class TestBundleFormat:
+    @pytest.fixture()
+    def parsed(self, monkeypatch):
+        """The paths data.load_matrix is called with."""
+        calls = []
+        parse = data_mod.load_matrix
+
+        def counting(path):
+            calls.append(os.path.basename(path))
+            return parse(path)
+
+        monkeypatch.setattr(data_mod, "load_matrix", counting)
+        return calls
+
+    def test_train_and_eval_never_parse_a_generated_bundle(self, tmp_path, config_path, parsed):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        assert sorted(os.listdir(bundle)) == ["enrolled.npy", "genuine.npy", "impostors.npy"]
+        cfg = config_path(tmp_path / "run")
+        chain = (["train", "--config", cfg, "--dataset", str(bundle)],
+                 ["eval-verify", "--config", cfg, "--dataset", str(bundle)])
+        for argv in chain:
+            assert main(argv) == 0
+        first = read_tree(tmp_path / "run")
+        # CSV copies of the matrices beside the .npy files are neither read nor refused
+        for name in ("enrolled", "genuine", "impostors"):
+            data_mod.save_matrix(str(bundle / f"{name}.csv"), np.load(bundle / f"{name}.npy"))
+        for argv in chain:
+            assert main(argv) == 0
+        assert parsed == []
+        assert read_tree(tmp_path / "run") == first
+
+    @pytest.mark.parametrize("command", ["train", "eval-verify"])
+    def test_unreadable_npy_is_parse_error(self, tmp_path, config_path, capsys, command):
+        bundle = tmp_path / "bundle"
+        assert main(["gen-data", "--config", config_path(bundle)]) == 0
+        path = bundle / "impostors.npy"
+        path.write_bytes(path.read_bytes()[:10])  # cut inside the header
+        capsys.readouterr()
+        rc = main([command, "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:io:{path}: ") and err.count("\n") == 1
+
     def test_csv_matrices_are_not_a_bundle(self, tmp_path, config_path, capsys):
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0

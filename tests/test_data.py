@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,7 +419,12 @@ class TestDatasetBundle:
             with pytest.raises(InvalidInputError):
                 Dataset(ds.enrolled, ds.genuine, ds.genuine_ids, np.vstack([ds.impostors, np.full(vec.size, bad)]))
 
-    @pytest.mark.parametrize("identity", [np.nan, np.inf, 3.7, -1.0, 10.0, 1e300, 9.3e18])
+    @pytest.mark.parametrize(
+        "identity",
+        # the last four lie next to the bounds: just under the enrolled count,
+        # the negative float nearest zero, a half, and -inf
+        [np.nan, np.inf, 3.7, -1.0, 10.0, 1e300, 9.3e18, float(np.nextafter(10.0, 0.0)), -5e-324, 0.5, -np.inf],
+    )
     def test_bad_identity_in_npy_names_file_and_matrix_row(self, tmp_path, identity):
         # spec() enrolls 10 identities; on the .npy path a row is a 1-based matrix row
         save_dataset(str(tmp_path), generate(spec()))
@@ -430,8 +436,22 @@ class TestDatasetBundle:
             load_dataset(str(tmp_path))
         assert str(err.value) == f"{path}: row 4: identity {identity!r} is not an integer in [0, 10)"
 
+    @pytest.mark.parametrize("identity, index", [(0.0, 0), (-0.0, 0), (9.0, 9)])
+    def test_integer_valued_identity_loads(self, tmp_path, identity, index):
+        # the first and the last enrolled column, and the negative zero an extractor may write
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        path = tmp_path / "genuine.npy"
+        genuine = np.load(path)
+        genuine[3, 0] = identity
+        np.save(path, genuine)
+        back = load_dataset(str(tmp_path))
+        assert back.genuine_ids.tolist() == ds.genuine_ids.tolist()[:3] + [index] + ds.genuine_ids.tolist()[4:]
+        assert np.array_equal(back.genuine, ds.genuine)
+
 
 NPY_FILES = ("enrolled.npy", "genuine.npy", "impostors.npy")
+CSV_FILES = ("enrolled.csv", "genuine.csv", "impostors.csv")
 
 
 def dataset_bits(ds):
@@ -500,6 +520,7 @@ class TestBundleCopy:
             pytest.param("enrolled.npy", lambda m: m.ravel(), id="one-dimensional"),
             pytest.param("impostors.npy", lambda m: m[None], id="three-dimensional"),
             pytest.param("genuine.npy", lambda m: m.astype(np.int64), id="integer"),
+            pytest.param("impostors.npy", lambda m: m.astype(np.float32), id="single-precision"),
             pytest.param("enrolled.npy", lambda m: np.array([[None]], dtype=object), id="pickled-object"),
         ],
     )
@@ -524,6 +545,37 @@ class TestBundleCopy:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ParseError, match="genuine.npy"):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", NPY_FILES)
+    def test_missing_file_is_an_os_error_naming_it(self, tmp_path, name):
+        save_dataset(str(tmp_path), generate(spec()))
+        (tmp_path / name).unlink()
+        with pytest.raises(OSError) as err:
+            load_dataset(str(tmp_path))
+        assert err.value.filename == str(tmp_path / name)
+
+    @pytest.mark.parametrize(
+        "npy, csv",
+        [
+            pytest.param(NPY_FILES, CSV_FILES, id="both-sets"),
+            pytest.param(NPY_FILES[:2], CSV_FILES[2:], id="mixed"),
+            pytest.param(NPY_FILES, CSV_FILES[1:2], id="stray-csv"),
+        ],
+    )
+    def test_csv_files_in_the_bundle_are_not_read(self, tmp_path, npy, csv):
+        ds = generate(spec())
+        save_dataset(str(tmp_path), ds)
+        for name in csv:
+            save_matrix(str(tmp_path / name), np.load(tmp_path / name.replace(".csv", ".npy")))
+        for name in set(NPY_FILES) - set(npy):
+            (tmp_path / name).unlink()
+        with mock.patch.object(data_mod, "load_matrix", side_effect=AssertionError("parsed a CSV")):
+            if set(npy) == set(NPY_FILES):
+                assert dataset_bits(load_dataset(str(tmp_path))) == dataset_bits(ds)
+            else:  # a .npy file missing is missing, whatever CSV stands in for it
+                with pytest.raises(OSError) as err:
+                    load_dataset(str(tmp_path))
+                assert err.value.filename == str(tmp_path / "impostors.npy")
 
     @pytest.mark.parametrize(
         "name, column, token", [("enrolled.npy", 3, "nan"), ("genuine.npy", 2, "inf"), ("impostors.npy", 8, "-inf")]
