@@ -26,8 +26,7 @@ model = train(dataset.enrolled, ModelConfig(code_length=16, sparsity=4, num_grou
 reps = model.representations
 
 rng = random.Random(42)
-params = SecurityParams(additive_bits=128)  # desk-scale keys, not production
-keys = ProtocolKeys.generate(params, rng)
+keys = ProtocolKeys.generate(SecurityParams(additive_bits=128), rng)  # desk-scale keys, not production
 print(f"additive modulus: {keys.additive_public.modulus.bit_length()} bits")
 
 query = model.codes.column(0)
@@ -37,7 +36,7 @@ true_distance = min(distances)
 print(f"\nquery = enrolled member 0; nearest group distance (plaintext): {true_distance}")
 
 for tau in (-1, 0, 8):
-    decision, transcript = run_protocol(query, reps, tau, rng, params, keys)
+    decision, transcript = run_protocol(query, reps, tau, rng, keys)
     plain = true_distance <= tau
     print(f"  tau={tau:>3}: protocol says {'accept' if decision.accept else 'reject'}, "
           f"plaintext rule says {'accept' if plain else 'reject'}")
@@ -46,7 +45,7 @@ for tau in (-1, 0, 8):
 # the transcript records the full three-message exchange, replayable from disk;
 # message 2 packs the groups' masked values several to a ciphertext, so it
 # holds fewer payloads than there are groups
-decision, transcript = run_protocol(query, reps, 8, rng, params, keys)
+decision, transcript = run_protocol(query, reps, 8, rng, keys)
 print("\ntranscript:")
 for msg in transcript.messages:
     sender = "user  " if msg.sender == 0 else "server"

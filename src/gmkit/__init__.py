@@ -19,7 +19,7 @@ from .core import (
     embed,
     ternarize_columns,
 )
-from .data import Dataset, SyntheticSpec, generate, load_dataset, load_matrix, save_dataset, save_matrix
+from .data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset
 from .errors import GmkitError
 from .evaluation import (
     IdentificationReport,
@@ -76,7 +76,6 @@ __all__ = [
     "identification_sweep",
     "kmeans",
     "load_dataset",
-    "load_matrix",
     "load_model",
     "objective",
     "pfn_at_pfp",
@@ -84,7 +83,6 @@ __all__ = [
     "run_protocol",
     "ry_step",
     "save_dataset",
-    "save_matrix",
     "save_model",
     "security_report",
     "ternarize_columns",

@@ -245,11 +245,10 @@ def cmd_protocol_demo(args, overrides) -> int:
     num_codes = model.assignments.num_signatures
     if not 0 <= args.query_index < num_codes:
         raise ConfigError(f"query index {args.query_index} out of range [0, {num_codes})")
-    params = SecurityParams(additive_bits=args.additive_bits)
     rng = random.Random(args.seed)
-    keys = ProtocolKeys.generate(params, rng)
+    keys = ProtocolKeys.generate(SecurityParams(additive_bits=args.additive_bits), rng)
     code = model.codes.column(args.query_index)
-    decision, transcript = run_protocol(code, model.representations, args.tau, rng, params, keys)
+    decision, transcript = run_protocol(code, model.representations, args.tau, rng, keys)
     os.makedirs(args.out_dir, exist_ok=True)
     transcript.save(os.path.join(args.out_dir, TRANSCRIPT_FILE))
     verdict = "accept" if decision.accept else "reject"

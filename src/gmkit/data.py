@@ -1,4 +1,4 @@
-"""Synthetic signature generation, dataset splits and matrix file IO.
+"""Synthetic signature generation, dataset splits and the dataset bundle.
 
 The generator stands in for real biometric feature pipelines: every identity
 gets a mean drawn uniformly on the unit sphere and every sample is the unit
@@ -11,23 +11,15 @@ identities are each one random draw, normalized in place, and a
 A dataset bundle is a directory of three binary ``.npy`` matrices, one
 signature per row: ``enrolled``, ``genuine`` (identity column first) and
 ``impostors``, written by :func:`save_dataset` and read by
-:func:`load_dataset`.  A CSV matrix (:func:`save_matrix`,
-:func:`load_matrix`) holds full round-trip precision, with an optional
-leading header line ``# d=<d> n=<n>``.  This module holds the package's one
-numeric-CSV reader, which also reads the numeric sections of model files
-(:mod:`gmkit.modelio`): the file is read in blocks of whole lines into
-``np.loadtxt``, and whatever that refuses goes to a token scan that names
-the bad token's row and column, or the ragged row.
+:func:`load_dataset`.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import tokenize
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,8 +27,6 @@ from .core import SignatureMatrix, _check_query_labels, _check_query_vectors, _h
 from .errors import ConfigError, InvalidInputError, ParseError
 
 _BUNDLE = ("enrolled", "genuine", "impostors")  # file names, without .npy
-
-_LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
 
 
 @dataclass(frozen=True)
@@ -142,97 +132,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
     impostors = _held(_draw_part(rng, spec.num_impostor_identities, spec), np.float64).reshape(-1, spec.dim)
     genuine_ids = np.repeat(np.arange(spec.num_identities), spec.samples_per_identity - 1)
     return Dataset(enrolled, genuine, genuine_ids, impostors)
-
-
-def _csv_lines(matrix: np.ndarray) -> Iterator[str]:
-    """One newline-ended CSV line per row, shortest round-trip floats, made
-    as the file is written."""
-    return (",".join(map(repr, row)) + "\n" for row in matrix.tolist())
-
-
-def save_matrix(path: str, matrix: np.ndarray) -> None:
-    """Write a matrix as CSV under its ``# d=<d> n=<n>`` header line, one row
-    per line, shortest round-trip floats."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ParseError(f"can only save 2-D matrices, got shape {m.shape}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# d={m.shape[1]} n={m.shape[0]}\n")
-        fh.writelines(_csv_lines(m))
-
-
-def load_matrix(path: str) -> np.ndarray:
-    """Read a CSV matrix written by :func:`save_matrix`.
-
-    Raises :class:`ParseError` naming the offending row (and column for bad
-    tokens) on empty files, ragged rows or non-numeric entries.  Blank lines
-    and lines starting with ``#`` are skipped; a ``#`` anywhere else is a bad
-    token.  Lines end where ``str.splitlines`` ends them.
-    """
-    return _parse_rows(lambda: _data_lines(path), float, f"{path}:")
-
-
-def _data_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each data row: lines that are not blank and do
-    not start with ``#``, cut by ``str.splitlines``.  Reads the file in
-    blocks of whole lines; a byte outside ASCII is a ParseError naming its
-    line."""
-    n = 0
-    with open(path, "rb") as fh:
-        while block := b"".join(fh.readlines(_LINES_HINT)):
-            try:
-                lines = block.decode("ascii").splitlines()
-            except UnicodeDecodeError as err:
-                # the line the byte ends: the lines before it, plus the one it is on
-                line = n + len((block[: err.start].decode("ascii") + "x").splitlines())
-                raise ParseError(f"{path}: row {line}: byte {block[err.start]:#04x} is not ASCII") from None
-            for n, line in enumerate(lines, start=n + 1):
-                text = line.lstrip()
-                if text and text[0] != "#":
-                    yield n, line
-
-
-def _parse_rows(numbered: Callable[[], Iterator[tuple[int, str]]], kind: type, prefix: str) -> np.ndarray:
-    """The comma-separated rows of ``numbered()``, (line number, line)
-    pairs, as a 2-D float64 (``kind`` float) or int64 (``kind`` int) matrix.
-
-    np.loadtxt reads a field as float() and int() do, except that it strips
-    ``"\\x1f"`` as whitespace and refuses some fields they accept (``"1_0"``).
-    So a line holding ``"\\x1f"``, and every input np.loadtxt refuses, goes to
-    a token scan, which calls ``numbered()`` again and names the first fault
-    in an error text that starts with ``prefix``: a bad token by row and
-    column, a ragged row, or no rows at all.
-    """
-    dtype = np.float64 if kind is float else np.int64
-
-    def lines() -> Iterator[str]:
-        for _, line in numbered():
-            if "\x1f" in line:
-                raise ValueError
-            yield line
-
-    rest = lines()
-    try:
-        first = next(rest, None)
-        if first is not None:  # np.loadtxt warns on no lines
-            return np.loadtxt(itertools.chain([first], rest), dtype=dtype, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        pass
-    cast = float if kind is float else np.int64  # np.int64 is int() that refuses values past int64
-    rows: list[list] = []
-    for lineno, line in numbered():
-        values = []
-        for colno, token in enumerate(line.split(","), start=1):
-            try:
-                values.append(cast(token))
-            except (ValueError, OverflowError):
-                raise ParseError(f"{prefix} row {lineno}, column {colno}: bad number {token!r}") from None
-        if rows and len(values) != len(rows[0]):
-            raise ParseError(f"{prefix} row {lineno} has {len(values)} columns, expected {len(rows[0])}")
-        rows.append(values)
-    if not rows:
-        raise ParseError(f"{prefix} no data rows")
-    return np.array(rows, dtype=dtype)
 
 
 def save_dataset(directory: str, dataset: Dataset) -> None:

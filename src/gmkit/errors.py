@@ -35,7 +35,7 @@ class ConfigError(GmkitError):
 
 
 class ParseError(GmkitError):
-    """Malformed matrix / model / config file."""
+    """Malformed dataset bundle, model, config or transcript file."""
 
     category = "io"
 

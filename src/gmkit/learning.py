@@ -401,7 +401,6 @@ def kmeans(
     codes: CodeMatrix,
     k: int,
     rng: np.random.Generator,
-    iter_cap: int = KMEANS_ITER_CAP,
     initial: AssignmentMatrix | None = None,
 ) -> KMeansResult:
     """Plain k-means on the columns of a code matrix, in exact integer
@@ -429,16 +428,16 @@ def kmeans(
     moves that code onto its new centroid and therefore never increases the
     objective; the full objective trace (after every assignment, reseed and
     centroid update) is checked to be non-increasing on its exact rational
-    values and returned rounded to floats.  A run that reaches ``iter_cap``
-    ends with one more assignment step and centroid update, so the returned
-    sums and counts are always those of the returned assignment.
+    values and returned rounded to floats.  A run that reaches
+    ``KMEANS_ITER_CAP`` Lloyd iterations ends with one more assignment step
+    and centroid update, so the returned sums and counts are always those of
+    the returned assignment.
     """
     if not isinstance(codes, CodeMatrix):
         raise InvalidInputError(f"k-means groups a CodeMatrix, got {type(codes).__name__}")
     k = as_int(k, "k", ConfigError)
-    iter_cap = as_int(iter_cap, "iter_cap", ConfigError)
-    if iter_cap < 0:
-        raise ConfigError(f"iter_cap must be >= 0, got {iter_cap}")
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"rng must be a numpy.random.Generator, got {rng!r}")
     points, sparsity = codes.codes, codes.sparsity
     dim, n = points.shape
     # the int64 objective numerators reach 4 l N^3 (see _exact_sum); every
@@ -478,7 +477,7 @@ def kmeans(
         prev = initial.group_of
         sums, counts = update_step(prev)
     iterations = 0
-    for _ in range(iter_cap):
+    for _ in range(KMEANS_ITER_CAP):
         iterations += 1
         assign = assign_step(sums, counts)
         if prev is not None and np.array_equal(assign, prev):
@@ -514,8 +513,7 @@ def ry_step(
     objective ends no higher than that assignment's on the new codes: a
     block-coordinate update of (R, Y).  Without it, k-means++ seeds afresh.
     """
-    if num_groups > codes.codes.shape[1]:
-        raise ConfigError(f"cannot form {num_groups} groups from {codes.codes.shape[1]} codes")
+    num_groups = as_int(num_groups, "num_groups", ConfigError)
     result = kmeans(codes, num_groups, rng, initial=previous)
     return _ternarized_sums(result.sums, codes.sparsity), AssignmentMatrix(result.assignments, num_groups)
 

@@ -8,10 +8,12 @@ single integer row, and the objective trace as CSV under a header line.
 Floats use shortest round-trip formatting so a saved model reloads
 bit-identically.  Any other first line is a :class:`ParseError` quoting it.
 
-The numeric sections are written and read by the CSV code of
-:mod:`gmkit.data`, so a bad token is a :class:`ParseError` naming its
-section, its row within the section and its column, and an empty section
-is one naming the section.  A ``[config]`` value that does not cast to its
+This module holds the package's one numeric-CSV reader.  The file is read
+in blocks of whole lines; each numeric section goes to ``np.loadtxt``, and
+whatever that refuses goes to a token scan, so a bad token is a
+:class:`ParseError` naming its section, its row within the section and its
+column, a ragged row one naming the section and row, and an empty section
+one naming the section.  A ``[config]`` value that does not cast to its
 field's type, or a missing or unknown ``[config]`` key, is a
 :class:`ParseError` naming the key, as is a ``code_length``, ``sparsity``
 or ``num_groups`` that the arrays contradict (it also names the section),
@@ -21,17 +23,80 @@ and a non-finite ``[objective_trace]`` value is one naming its row.
 from __future__ import annotations
 
 from dataclasses import astuple
+from typing import Iterator
 
 import numpy as np
 
 from .core import _MODEL_FIELDS, CodeMatrix, ModelConfig, ProjectionMatrix, _read_fields
-from .data import _csv_lines, _data_lines, _parse_rows
 from .errors import GmkitError, ParseError
 from .learning import AssignmentMatrix, Model, ObjectiveBreakdown
 
 _HEADER = "# gmkit model v3"
 
 _TRACE_HEADER = "embedding_cost,within_trace,total"
+
+_LINES_HINT = 1 << 16  # bytes of whole lines per read when parsing a file
+
+
+def _csv_lines(matrix: np.ndarray) -> Iterator[str]:
+    """One newline-ended CSV line per row, shortest round-trip floats, made
+    as the file is written."""
+    return (",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each data row: lines that are not blank and do
+    not start with ``#``, cut by ``str.splitlines``.  Reads the file in
+    blocks of whole lines; a byte outside ASCII is a ParseError naming its
+    line."""
+    n = 0
+    with open(path, "rb") as fh:
+        while block := b"".join(fh.readlines(_LINES_HINT)):
+            try:
+                lines = block.decode("ascii").splitlines()
+            except UnicodeDecodeError as err:
+                # the line the byte ends: the lines before it, plus the one it is on
+                line = n + len((block[: err.start].decode("ascii") + "x").splitlines())
+                raise ParseError(f"{path}: row {line}: byte {block[err.start]:#04x} is not ASCII") from None
+            for n, line in enumerate(lines, start=n + 1):
+                text = line.lstrip()
+                if text and text[0] != "#":
+                    yield n, line
+
+
+def _parse_rows(numbered: list[tuple[int, str]], kind: type, prefix: str) -> np.ndarray:
+    """The comma-separated rows of ``numbered``, (line number, line) pairs,
+    as a 2-D float64 (``kind`` float) or int64 (``kind`` int) matrix.
+
+    np.loadtxt reads a field as float() and int() do, except that it strips
+    ``"\\x1f"`` as whitespace and refuses some fields they accept (``"1_0"``).
+    So rows with a line holding ``"\\x1f"``, and every input np.loadtxt
+    refuses, go to a token scan, which names the first fault in an error
+    text that starts with ``prefix``: a bad token by row and column, a
+    ragged row, or no rows at all.
+    """
+    dtype = np.float64 if kind is float else np.int64
+    lines = [line for _, line in numbered]
+    if lines and not any("\x1f" in line for line in lines):  # np.loadtxt warns on no lines
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    cast = float if kind is float else np.int64  # np.int64 is int() that refuses values past int64
+    rows: list[list] = []
+    for lineno, line in numbered:
+        values = []
+        for colno, token in enumerate(line.split(","), start=1):
+            try:
+                values.append(cast(token))
+            except (ValueError, OverflowError):
+                raise ParseError(f"{prefix} row {lineno}, column {colno}: bad number {token!r}") from None
+        if rows and len(values) != len(rows[0]):
+            raise ParseError(f"{prefix} row {lineno} has {len(values)} columns, expected {len(rows[0])}")
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{prefix} no data rows")
+    return np.array(rows, dtype=dtype)
 
 
 def save_model(path: str, model: Model) -> None:
@@ -88,7 +153,7 @@ def load_model(path: str) -> Model:
 
     def parse_rows(name: str, kind: type, first: int = 0) -> np.ndarray:
         """The rows of a section from its line ``first`` on, numbered within the section."""
-        return _parse_rows(lambda: enumerate(sections[name][first:], start=first + 1), kind, f"{path}: [{name}]")
+        return _parse_rows(list(enumerate(sections[name][first:], start=first + 1)), kind, f"{path}: [{name}]")
 
     def contradicted(key: str, section: str, held: str) -> ParseError:
         return ParseError(f"{path}: [config] {key}={getattr(config, key)} contradicts [{section}], {held}")

@@ -52,7 +52,7 @@ from .paillier import (
 from .transcript import CLIENT, SERVER, ProtocolMessage, ProtocolTranscript
 
 DEFAULT_ADDITIVE_BITS = 128
-DEFAULT_MASK_MAGNITUDE = 2**16
+MASK_MAGNITUDE = 2**16  # the bound on |a| and |b| of every mask pair run_protocol draws
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,19 @@ class ProtocolDecision:
 
 @dataclass(frozen=True)
 class SecurityParams:
-    """Key and mask sizes, held as Python ints.  Desk-scale defaults; larger values only cost time."""
+    """The key size, held as a Python int.  A desk-scale default; larger keys only cost time."""
 
     additive_bits: int = DEFAULT_ADDITIVE_BITS
-    mask_magnitude: int = DEFAULT_MASK_MAGNITUDE
 
     def __post_init__(self):
-        for name in ("additive_bits", "mask_magnitude"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name, ProtocolError))
+        object.__setattr__(self, "additive_bits", as_int(self.additive_bits, "additive_bits", ProtocolError))
         if self.additive_bits < 64:
             raise ProtocolError("additive modulus must be at least 64 bits")
-        if self.mask_magnitude < 1:
-            raise ProtocolError("mask magnitude must be positive")
+
+
+def _check_kind(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise ProtocolError(f"{name} must be a {kind.__module__}.{kind.__qualname__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,8 @@ class ProtocolKeys:
 
     @classmethod
     def generate(cls, params: SecurityParams, rng: random.Random) -> "ProtocolKeys":
+        _check_kind(params, SecurityParams, "params")
+        _check_kind(rng, random.Random, "rng")
         return cls(additive_keygen(params.additive_bits, rng)[1])
 
 
@@ -278,20 +281,25 @@ def run_protocol(
     representations: CodeMatrix,
     tau: int,
     rng: random.Random,
-    params: Optional[SecurityParams] = None,
     keys: Optional[ProtocolKeys] = None,
 ) -> tuple[ProtocolDecision, ProtocolTranscript]:
     """Execute the three messages end to end and record the transcript.
 
     ``code`` is the query, a one-column code matrix; another width raises
-    DimensionError before round 1.  Deterministic given ``rng``; pass
-    pre-generated ``keys`` to amortize key generation across runs.  With
-    ``keys`` given, ``params`` supplies only ``mask_magnitude``, and
-    ``params.additive_bits`` is not read.  ``tau`` must be an integer (a
-    numpy integer too); anything else raises ProtocolError before round 1.
+    DimensionError before round 1.  Deterministic given ``rng``, a
+    ``random.Random``; pass pre-generated ``keys`` to amortize key
+    generation across runs.  Without ``keys``, they are drawn first from
+    ``rng`` by ``ProtocolKeys.generate(SecurityParams(), rng)``.  Every mask
+    pair is bounded by ``MASK_MAGNITUDE``.  ``tau`` must be an integer (a
+    numpy integer too); anything else, and an argument of the wrong kind,
+    raises ProtocolError before round 1.
     """
     tau = as_int(tau, "tau", ProtocolError)
-    params = params or SecurityParams()
+    _check_kind(code, CodeMatrix, "code")
+    _check_kind(representations, CodeMatrix, "representations")
+    _check_kind(rng, random.Random, "rng")
+    if keys is not None:
+        _check_kind(keys, ProtocolKeys, "keys")
     if code.num_groups != 1:
         raise DimensionError(f"the query must be one code, got {code.num_groups} columns")
     if code.sparsity != representations.sparsity:
@@ -299,14 +307,14 @@ def run_protocol(
     if code.code_length != representations.code_length:
         raise DimensionError("query code length does not match representations")
     if keys is None:
-        keys = ProtocolKeys.generate(params, rng)
-    slot_width = validate_mask_range(keys.additive_public, code.sparsity, tau, params.mask_magnitude)
+        keys = ProtocolKeys.generate(SecurityParams(), rng)
+    slot_width = validate_mask_range(keys.additive_public, code.sparsity, tau, MASK_MAGNITUDE)
 
     enc_query = client_round1_encrypt_query(code, keys.additive_secret, rng)
     msg1 = ProtocolMessage(1, CLIENT, tuple(enc_query))
 
     num_groups = representations.num_groups
-    masks = draw_masks(num_groups, params.mask_magnitude, rng)
+    masks = draw_masks(num_groups, MASK_MAGNITUDE, rng)
     blinded = server_round2_blind_threshold(
         enc_query, representations, keys.additive_public, tau, masks, slot_width, rng
     )

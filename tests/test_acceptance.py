@@ -229,8 +229,7 @@ def test_c03_substep_oracle_equivalence():
 def test_c04_protocol_end_to_end():
     code_length, sparsity, num_groups = 64, 8, 16
     rng = random.Random(400)
-    params = SecurityParams(additive_bits=128)
-    keys = ProtocolKeys.generate(params, rng)
+    keys = ProtocolKeys.generate(SecurityParams(additive_bits=128), rng)
     start = time.perf_counter()
     agree = 0
     trials = 1000
@@ -241,7 +240,7 @@ def test_c04_protocol_end_to_end():
             sparsity,
         )
         tau = rng.randint(-1, 4 * sparsity)
-        decision, _ = run_protocol(code, reps, tau, rng, params, keys)
+        decision, _ = run_protocol(code, reps, tau, rng, keys)
         plain = any(plain_distance(code, reps.column(g)) <= tau for g in range(num_groups))
         agree += decision.accept == plain
     elapsed = time.perf_counter() - start
@@ -270,8 +269,7 @@ def test_c05_homomorphic_identities():
 def test_c06_masking_blindness():
     code_length, sparsity = 8, 2
     rng = random.Random(600)
-    params = SecurityParams(additive_bits=64)
-    keys = ProtocolKeys.generate(params, rng)
+    keys = ProtocolKeys.generate(SecurityParams(additive_bits=64), rng)
     n_mod = keys.additive_public.modulus
     hits = 0
     rounds = 10_000
@@ -279,7 +277,7 @@ def test_c06_masking_blindness():
         code = random_protocol_code(code_length, sparsity, rng)
         reps = CodeMatrix(random_protocol_code(code_length, sparsity, rng).symbols.reshape(-1, 1), sparsity)
         tau = rng.randint(0, 4 * sparsity)
-        _, transcript = run_protocol(code, reps, tau, rng, params, keys)
+        _, transcript = run_protocol(code, reps, tau, rng, keys)
         residue = transcript.message(3).payloads[0]
         revealed = residue - n_mod if residue > n_mod // 2 else residue
         truth = (plain_distance(code, reps.column(0)) - tau) > 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmkit import cli
+from gmkit import cli, modelio
 from gmkit import data as data_mod
 from gmkit.cli import load_experiment_config, main
 from gmkit.core import _MODEL_FIELDS, ModelConfig
@@ -192,15 +192,15 @@ class TestGenData:
 class TestBundleFormat:
     @pytest.fixture()
     def parsed(self, monkeypatch):
-        """The paths data.load_matrix is called with."""
+        """The files handed to the package's one CSV reader, the model file's."""
         calls = []
-        parse = data_mod.load_matrix
+        read = modelio._data_lines
 
         def counting(path):
             calls.append(os.path.basename(path))
-            return parse(path)
+            return read(path)
 
-        monkeypatch.setattr(data_mod, "load_matrix", counting)
+        monkeypatch.setattr(modelio, "_data_lines", counting)
         return calls
 
     def test_train_and_eval_never_parse_a_generated_bundle(self, tmp_path, config_path, parsed):
@@ -215,7 +215,7 @@ class TestBundleFormat:
         first = read_tree(tmp_path / "run")
         # CSV copies of the matrices beside the .npy files are neither read nor refused
         for name in ("enrolled", "genuine", "impostors"):
-            data_mod.save_matrix(str(bundle / f"{name}.csv"), np.load(bundle / f"{name}.npy"))
+            np.savetxt(bundle / f"{name}.csv", np.load(bundle / f"{name}.npy"), delimiter=",")
         for argv in chain:
             assert main(argv) == 0
         assert parsed == []
@@ -237,7 +237,7 @@ class TestBundleFormat:
         bundle = tmp_path / "bundle"
         assert main(["gen-data", "--config", config_path(bundle)]) == 0
         for name in ("enrolled", "genuine", "impostors"):
-            data_mod.save_matrix(str(bundle / f"{name}.csv"), np.load(bundle / f"{name}.npy"))
+            np.savetxt(bundle / f"{name}.csv", np.load(bundle / f"{name}.npy"), delimiter=",")
             (bundle / f"{name}.npy").unlink()
         capsys.readouterr()
         assert main(["train", "--config", config_path(tmp_path / "run"), "--dataset", str(bundle)]) == 1

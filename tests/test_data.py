@@ -9,15 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkit import data as data_mod
-from gmkit.data import (
-    Dataset,
-    SyntheticSpec,
-    generate,
-    load_dataset,
-    load_matrix,
-    save_dataset,
-    save_matrix,
-)
+from gmkit import modelio
+from gmkit.data import Dataset, SyntheticSpec, generate, load_dataset, save_dataset
 from gmkit.errors import ConfigError, GmkitError, InvalidInputError, ParseError
 
 
@@ -25,40 +18,6 @@ def spec(**overrides):
     base = dict(num_identities=10, samples_per_identity=2, dim=8, noise_sigma=0.1, impostor_fraction=0.3, seed=0)
     base.update(overrides)
     return SyntheticSpec(**base)
-
-
-def oracle_load_matrix(path):
-    """The token-by-token CSV scan that ``load_matrix`` replaced on its fast path."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
-    rows = []
-    width = None
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        values = []
-        for colno, token in enumerate(line.split(","), start=1):
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ParseError(f"{path}: row {lineno}, column {colno}: bad number {token!r}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(f"{path}: row {lineno} has {len(values)} columns, expected {width}")
-        rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
-
-
-def load_outcome(load, path):
-    """The bit pattern and shape of a loaded matrix, or the ParseError text."""
-    try:
-        m = load(path)
-    except ParseError as err:
-        return ("error", str(err))
-    return ("ok", m.shape, m.view(np.uint64).tolist())
 
 
 def oracle_generate(spec):
@@ -84,24 +43,6 @@ def oracle_generate(spec):
             unit(mean + spec.noise_sigma * rng.standard_normal(spec.dim)) for _ in range(spec.samples_per_identity)
         )
     return np.column_stack(enrolled), np.array(genuine), ids, np.array(impostors)
-
-
-def oracle_format_row(row):
-    """Per-element CSV formatting, as the writers did before they formatted from ``tolist()``."""
-    return ",".join(repr(float(v)) for v in row)
-
-
-# text inserted at random places in a small matrix file: separators, line
-# ends float() and np.loadtxt read differently, comments and bad tokens
-INSERTIONS = [
-    "1", "-2e3", "nan", "1_0", "", " ", "\t", "#", "# c", ",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1f",
-    "e", ".", "+", "1.5 2", "\n  # x\n", "\n \n", "\n\n",
-]
-
-EXTREME_FLOATS = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
-    1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, 0.1, 1 / 3,
-]
 
 
 class TestGenerate:
@@ -210,145 +151,6 @@ class TestGenerate:
             with pytest.raises(ConfigError) as err:
                 spec(noise_sigma=sigma)
         assert str(err.value) == f"noise_sigma must be finite and >= 0, got {float(sigma)}"
-
-
-class TestMatrixIO:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((5, 3))
-        path = tmp_path / "m.csv"
-        save_matrix(str(path), m)
-        back = load_matrix(str(path))
-        assert back.shape == (5, 3)
-        assert np.array_equal(back, m)  # exact, not approx
-
-    def test_header_line_written_and_skipped(self, tmp_path):
-        path = tmp_path / "m.csv"
-        save_matrix(str(path), np.eye(2))
-        first = path.read_text().splitlines()[0]
-        assert first == "# d=2 n=2"
-
-    def test_headerless_files_load(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n")
-        assert load_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
-    def test_empty_file_is_parse_error(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            load_matrix(str(path))
-
-    def test_ragged_rows_name_the_row(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ParseError, match="row 2"):
-            load_matrix(str(path))
-
-    def test_bad_token_names_row_and_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(ParseError, match="row 2, column 2"):
-            load_matrix(str(path))
-
-
-    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=24), st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_bit_patterns(self, tmp_path_factory, values, width):
-        values = (values * width)[: len(values) * width]
-        m = np.array(values + EXTREME_FLOATS * width, dtype=np.float64).reshape(-1, width)
-        path = str(tmp_path_factory.mktemp("rt") / "m.csv")
-        save_matrix(path, m)
-        back = load_matrix(path)
-        assert back.shape == m.shape
-        assert back.view(np.uint64).tolist() == m.view(np.uint64).tolist()
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            pytest.param(lambda line: line + " # x", id="inline-comment"),
-            pytest.param(lambda line: line.replace(",", ",,", 1), id="empty-field"),
-            pytest.param(lambda line: line + ",", id="trailing-comma"),
-            pytest.param(lambda line: line + ",1.0", id="ragged-long"),
-            pytest.param(lambda line: line.split(",", 1)[1], id="ragged-short"),
-            pytest.param(lambda line: "1_0," + line.split(",", 1)[1], id="underscore"),  # float() only
-            pytest.param(lambda line: "nan," + line.split(",", 1)[1], id="nan"),
-            pytest.param(lambda line: "-nan," + line.split(",", 1)[1], id="minus-nan"),
-            pytest.param(lambda line: "-inf," + line.split(",", 1)[1], id="minus-inf"),
-            pytest.param(lambda line: line + "#", id="trailing-hash"),  # a comment to np.loadtxt
-            pytest.param(lambda line: line.replace(",", "#,", 1), id="hash-in-row"),
-            pytest.param(lambda line: line + "\x1f", id="unit-separator"),  # np.loadtxt only
-            pytest.param(lambda line: line.replace(",", "\x1f,", 1), id="unit-separator-in-row"),
-            pytest.param(lambda line: line.replace(",", ",\x0b", 1), id="vertical-tab"),  # splitlines cuts here
-            pytest.param(lambda line: line + "\x0c", id="form-feed"),
-            pytest.param(lambda line: " \t ", id="whitespace-line"),
-            pytest.param(lambda line: " " + line.replace(",", " , ") + "\t", id="spaces"),
-            pytest.param(lambda line: "", id="blank-line"),
-            pytest.param(lambda line: "  # comment", id="comment-line"),
-            pytest.param(lambda line: line.replace("e", "d"), id="fortran-exponent"),
-            pytest.param(lambda line: line.replace(",", ";"), id="semicolons"),
-        ],
-    )
-    @pytest.mark.parametrize("row", [1, 2, 3])
-    def test_matches_token_scan_on_corruptions(self, tmp_path, corrupt, row):
-        m = np.array([[0.5, -1e-310, 1e308], [1.0 - 2.0**-53, -0.0, 3.0], [2.5e-5, 7.0, -2.0]])
-        path = tmp_path / "m.csv"
-        save_matrix(str(path), m)
-        lines = path.read_text().split("\n")
-        lines[row] = corrupt(lines[row])
-        path.write_text("\n".join(lines))
-        assert load_outcome(load_matrix, str(path)) == load_outcome(oracle_load_matrix, str(path))
-
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 4),
-        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(INSERTIONS)), max_size=3),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_token_scan_on_random_insertions(self, tmp_path_factory, rows, cols, edits):
-        text = "# d n\n" + "".join(",".join(str(0.25 * (i + j)) for j in range(cols)) + "\n" for i in range(rows))
-        for pos, token in edits:
-            pos %= len(text) + 1
-            text = text[:pos] + token + text[pos:]
-        path = tmp_path_factory.mktemp("ins") / "m.csv"
-        path.write_bytes(text.encode("ascii"))
-        assert load_outcome(load_matrix, str(path)) == load_outcome(oracle_load_matrix, str(path))
-
-    def test_load_holds_the_file_once(self, tmp_path):
-        # a verify-batch-sized genuine matrix (7168 rows, 65 columns, 9 MB): the
-        # parse held the text three times over, a 22.2 MiB peak, for a 3.6 MiB result
-        ds = generate(SyntheticSpec(1024, 8, 64, 0.1, 0.5, seed=1))
-        save_matrix(str(tmp_path / "genuine.csv"), np.column_stack((ds.genuine_ids, ds.genuine)))
-        tracemalloc.start()
-        try:
-            matrix = load_matrix(str(tmp_path / "genuine.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert matrix.shape == (7168, 65)
-        assert peak < 6 * 2**20
-
-    def test_save_matches_per_element_formatting(self, tmp_path):
-        m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
-        save_matrix(str(tmp_path / "m.csv"), m)
-        assert (tmp_path / "m.csv").read_text() == "".join(
-            [f"# d=2 n={len(m)}\n"] + [oracle_format_row(row) + "\n" for row in m])
-        save_matrix(str(tmp_path / "empty.csv"), np.empty((0, 3)))
-        assert (tmp_path / "empty.csv").read_text() == "# d=3 n=0\n"
-
-    def test_non_ascii_byte_names_file_and_row(self, tmp_path):
-        path = tmp_path / "m.csv"
-        save_matrix(str(path), np.eye(4))
-        raw = path.read_bytes().split(b"\n")
-        raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
-        path.write_bytes(b"\n".join(raw))
-        with pytest.raises(ParseError) as err:
-            load_matrix(str(path))
-        assert str(err.value) == f"{path}: row 4: byte 0xe9 is not ASCII"
-        # a line cut by "\r" or "\x0b" counts as splitlines counts it
-        path.write_bytes(b"# d=2 n=3\r\n0.6,0.8\r1.0,0.0\x0b\xff\n0.0,1.0\n")
-        with pytest.raises(ParseError, match=r"row 4: byte 0xff is not ASCII"):
-            load_matrix(str(path))
 
 
 class TestDatasetBundle:
@@ -566,10 +368,14 @@ class TestBundleCopy:
         ds = generate(spec())
         save_dataset(str(tmp_path), ds)
         for name in csv:
-            save_matrix(str(tmp_path / name), np.load(tmp_path / name.replace(".csv", ".npy")))
+            np.savetxt(tmp_path / name, np.load(tmp_path / name.replace(".csv", ".npy")), delimiter=",")
         for name in set(NPY_FILES) - set(npy):
             (tmp_path / name).unlink()
-        with mock.patch.object(data_mod, "load_matrix", side_effect=AssertionError("parsed a CSV")):
+        # the package's one CSV reader is the model file's
+        with (
+            mock.patch.object(modelio, "_data_lines", side_effect=AssertionError("read a CSV")),
+            mock.patch.object(modelio, "_parse_rows", side_effect=AssertionError("parsed a CSV")),
+        ):
             if set(npy) == set(NPY_FILES):
                 assert dataset_bits(load_dataset(str(tmp_path))) == dataset_bits(ds)
             else:  # a .npy file missing is missing, whatever CSV stands in for it

@@ -587,7 +587,8 @@ class TestKMeansAndRYStep:
         codes = tie_heavy_codes(np.random.default_rng(seed), n, pool)
         k = n if k_is_n else data.draw(st.integers(1, n))
         got_rng = np.random.default_rng(seed + 1)
-        result = kmeans(codes, k, got_rng, iter_cap)
+        with mock.patch.object(learning, "KMEANS_ITER_CAP", iter_cap):  # read when kmeans is called
+            result = kmeans(codes, k, got_rng)
         oracle_rng = np.random.default_rng(seed + 1)
         cents, assign, trace, iterations = oracle_kmeans(codes.codes.T, k, oracle_rng, iter_cap)
         assert result.assignments.tolist() == assign
@@ -636,7 +637,8 @@ class TestKMeansAndRYStep:
         initial = AssignmentMatrix(random_full_assignment(rng, n, k), k)
         got_rng = np.random.default_rng(seed + 1)
         untouched = got_rng.bit_generator.state
-        result = kmeans(codes, k, got_rng, iter_cap, initial)
+        with mock.patch.object(learning, "KMEANS_ITER_CAP", iter_cap):
+            result = kmeans(codes, k, got_rng, initial)
         cents, assign, trace, iterations = oracle_kmeans(codes.codes.T, k, None, iter_cap, initial.group_of.tolist())
         assert result.assignments.tolist() == assign
         assert result.iterations == iterations
@@ -674,7 +676,8 @@ class TestKMeansAndRYStep:
         k = 12
         initial = AssignmentMatrix(random_full_assignment(np.random.default_rng(38), 200, k), k) if warm else None
         assert kmeans(codes, k, np.random.default_rng(39), initial=initial).iterations > 2  # not converged at 1
-        result = kmeans(codes, k, np.random.default_rng(39), iter_cap=1, initial=initial)
+        with mock.patch.object(learning, "KMEANS_ITER_CAP", 1):
+            result = kmeans(codes, k, np.random.default_rng(39), initial)
         sums, counts = _group_sums(codes.codes, result.assignments, k)
         assert np.array_equal(result.sums, sums) and np.array_equal(result.counts, counts)
         trace = result.objective_trace
@@ -958,8 +961,8 @@ class TestTrain:
         calls = []
         real_kmeans = learning.kmeans
 
-        def recording_kmeans(codes, k, rng, iter_cap=KMEANS_ITER_CAP, initial=None):
-            result = real_kmeans(codes, k, rng, iter_cap, initial)
+        def recording_kmeans(codes, k, rng, initial=None):
+            result = real_kmeans(codes, k, rng, initial)
             calls.append((codes.codes.T, k, initial, result))
             return result
 

@@ -2,12 +2,14 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmkit.core import _MODEL_FIELDS, ModelConfig
 from gmkit.data import SyntheticSpec, generate
 from gmkit.errors import ParseError
 from gmkit.learning import train
-from gmkit.modelio import load_model, save_model
+from gmkit.modelio import _csv_lines, _data_lines, _parse_rows, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +307,184 @@ def test_representation_sparsity_contradicting_config_names_its_row(model, tmp_p
     with pytest.raises(ParseError) as err:
         load_model(str(path))
     assert str(err.value) == f"{path}: [config] sparsity=2 contradicts [representations], whose row 2 has 5 nonzeros"
+
+
+def oracle_load_matrix(path):
+    """The token-by-token CSV scan that the reader replaced on its fast path."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read()
+    rows = []
+    width = None
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        values = []
+        for colno, token in enumerate(line.split(","), start=1):
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ParseError(f"{path}: row {lineno}, column {colno}: bad number {token!r}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(f"{path}: row {lineno} has {len(values)} columns, expected {width}")
+        rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def matrix_outcome(load, path):
+    """The bit pattern and shape of a loaded matrix, or the ParseError text."""
+    try:
+        m = load(path)
+    except ParseError as err:
+        return ("error", str(err))
+    return ("ok", m.shape, m.view(np.uint64).tolist())
+
+
+def write_matrix(path, matrix):
+    """The rows of a float matrix as a model section holds them, under a
+    comment line, which the reader skips."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# d={matrix.shape[1]} n={matrix.shape[0]}\n")
+        fh.writelines(_csv_lines(matrix))
+
+
+def read_matrix(path):
+    """Every data line of a file through the model file's numeric-CSV reader,
+    each numbered by its line in the file."""
+    return _parse_rows(list(_data_lines(path)), float, f"{path}:")
+
+
+def oracle_format_row(row):
+    """Per-element CSV formatting, as the writers did before they formatted from ``tolist()``."""
+    return ",".join(repr(float(v)) for v in row)
+
+
+# text inserted at random places in a small matrix file: separators, line
+# ends float() and np.loadtxt read differently, comments and bad tokens
+INSERTIONS = [
+    "1", "-2e3", "nan", "1_0", "", " ", "\t", "#", "# c", ",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1f",
+    "e", ".", "+", "1.5 2", "\n  # x\n", "\n \n", "\n\n",
+]
+
+EXTREME_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+    1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, 0.1, 1 / 3,
+]
+
+
+class TestMatrixIO:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((5, 3))
+        path = tmp_path / "m.csv"
+        write_matrix(str(path), m)
+        back = read_matrix(str(path))
+        assert back.shape == (5, 3)
+        assert np.array_equal(back, m)  # exact, not approx
+
+    def test_headerless_files_load(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        assert read_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_empty_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError):
+            read_matrix(str(path))
+
+    def test_ragged_rows_name_the_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(ParseError, match="row 2"):
+            read_matrix(str(path))
+
+    def test_bad_token_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n")
+        with pytest.raises(ParseError, match="row 2, column 2"):
+            read_matrix(str(path))
+
+    @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=24), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bit_patterns(self, tmp_path_factory, values, width):
+        values = (values * width)[: len(values) * width]
+        m = np.array(values + EXTREME_FLOATS * width, dtype=np.float64).reshape(-1, width)
+        path = str(tmp_path_factory.mktemp("rt") / "m.csv")
+        write_matrix(path, m)
+        back = read_matrix(path)
+        assert back.shape == m.shape
+        assert back.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda line: line + " # x", id="inline-comment"),
+            pytest.param(lambda line: line.replace(",", ",,", 1), id="empty-field"),
+            pytest.param(lambda line: line + ",", id="trailing-comma"),
+            pytest.param(lambda line: line + ",1.0", id="ragged-long"),
+            pytest.param(lambda line: line.split(",", 1)[1], id="ragged-short"),
+            pytest.param(lambda line: "1_0," + line.split(",", 1)[1], id="underscore"),  # float() only
+            pytest.param(lambda line: "nan," + line.split(",", 1)[1], id="nan"),
+            pytest.param(lambda line: "-nan," + line.split(",", 1)[1], id="minus-nan"),
+            pytest.param(lambda line: "-inf," + line.split(",", 1)[1], id="minus-inf"),
+            pytest.param(lambda line: line + "#", id="trailing-hash"),  # a comment to np.loadtxt
+            pytest.param(lambda line: line.replace(",", "#,", 1), id="hash-in-row"),
+            pytest.param(lambda line: line + "\x1f", id="unit-separator"),  # np.loadtxt only
+            pytest.param(lambda line: line.replace(",", "\x1f,", 1), id="unit-separator-in-row"),
+            pytest.param(lambda line: line.replace(",", ",\x0b", 1), id="vertical-tab"),  # splitlines cuts here
+            pytest.param(lambda line: line + "\x0c", id="form-feed"),
+            pytest.param(lambda line: " \t ", id="whitespace-line"),
+            pytest.param(lambda line: " " + line.replace(",", " , ") + "\t", id="spaces"),
+            pytest.param(lambda line: "", id="blank-line"),
+            pytest.param(lambda line: "  # comment", id="comment-line"),
+            pytest.param(lambda line: line.replace("e", "d"), id="fortran-exponent"),
+            pytest.param(lambda line: line.replace(",", ";"), id="semicolons"),
+        ],
+    )
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_matches_token_scan_on_corruptions(self, tmp_path, corrupt, row):
+        m = np.array([[0.5, -1e-310, 1e308], [1.0 - 2.0**-53, -0.0, 3.0], [2.5e-5, 7.0, -2.0]])
+        path = tmp_path / "m.csv"
+        write_matrix(str(path), m)
+        lines = path.read_text().split("\n")
+        lines[row] = corrupt(lines[row])
+        path.write_text("\n".join(lines))
+        assert matrix_outcome(read_matrix, str(path)) == matrix_outcome(oracle_load_matrix, str(path))
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(INSERTIONS)), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_token_scan_on_random_insertions(self, tmp_path_factory, rows, cols, edits):
+        text = "# d n\n" + "".join(",".join(str(0.25 * (i + j)) for j in range(cols)) + "\n" for i in range(rows))
+        for pos, token in edits:
+            pos %= len(text) + 1
+            text = text[:pos] + token + text[pos:]
+        path = tmp_path_factory.mktemp("ins") / "m.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert matrix_outcome(read_matrix, str(path)) == matrix_outcome(oracle_load_matrix, str(path))
+
+    def test_save_matches_per_element_formatting(self):
+        m = np.array(EXTREME_FLOATS + [np.nan, -np.nan], dtype=np.float64).reshape(-1, 2)
+        assert "".join(_csv_lines(m)) == "".join(oracle_format_row(row) + "\n" for row in m)
+        assert "".join(_csv_lines(np.empty((0, 3)))) == ""
+
+    def test_non_ascii_byte_names_file_and_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(str(path), np.eye(4))
+        raw = path.read_bytes().split(b"\n")
+        raw[3] = raw[3][:5] + b"\xe9" + raw[3][5:]
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ParseError) as err:
+            read_matrix(str(path))
+        assert str(err.value) == f"{path}: row 4: byte 0xe9 is not ASCII"
+        # a line cut by "\r" or "\x0b" counts as splitlines counts it
+        path.write_bytes(b"# d=2 n=3\r\n0.6,0.8\r1.0,0.0\x0b\xff\n0.0,1.0\n")
+        with pytest.raises(ParseError, match=r"row 4: byte 0xff is not ASCII"):
+            read_matrix(str(path))

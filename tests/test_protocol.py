@@ -183,7 +183,7 @@ class TestRounds:
         r = CodeMatrix(r_sym.reshape(-1, 1), sparsity)
         enc = client_round1_encrypt_query(p, keys.additive_public, rng)
         # slots sized for the default magnitude, so an oversized mask reaches round 2's check
-        width = validate_mask_range(keys.additive_public, sparsity, tau, SecurityParams().mask_magnitude)
+        width = validate_mask_range(keys.additive_public, sparsity, tau, engine.MASK_MAGNITUDE)
         blinded = server_round2_blind_threshold(enc, r, keys.additive_public, tau, [mask], width, rng)
         return client_round3_decrypt_reveal(blinded, keys.additive_secret, 1, width)[0]
 
@@ -331,14 +331,26 @@ class TestRunProtocol:
         rng = random.Random(20)
         reps = random_reps(16, 4, 3, rng)
         code = reps.column(1)
-        decision, transcript = run_protocol(code, reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+        decision, transcript = run_protocol(code, reps, 0, rng, roomy_keys)
         assert decision.accept
         assert [m.round_no for m in transcript.messages] == [1, 2, 3]
+
+    def test_one_seed_draws_the_keys_first(self):
+        # the README quickstart's form: without keys, run_protocol draws
+        # default-size keys from the rng before round 1
+        rng = random.Random(26)
+        reps = random_reps(12, 3, 4, rng)
+        code = random_code(12, 3, rng)
+        one_seed = run_protocol(code, reps, 4, random.Random(43))
+        rng = random.Random(43)
+        keys = ProtocolKeys.generate(SecurityParams(), rng)
+        two_steps = run_protocol(code, reps, 4, rng, keys)
+        assert (one_seed[0], one_seed[1].to_bytes()) == (two_steps[0], two_steps[1].to_bytes())
 
     def test_negative_tau_rejects(self, roomy_keys):
         rng = random.Random(21)
         reps = random_reps(16, 4, 3, rng)
-        decision, _ = run_protocol(reps.column(0), reps, -1, rng, SecurityParams(additive_bits=64), roomy_keys)
+        decision, _ = run_protocol(reps.column(0), reps, -1, rng, roomy_keys)
         assert not decision.accept
 
     def test_agrees_with_plaintext_oracle(self, roomy_keys):
@@ -347,7 +359,7 @@ class TestRunProtocol:
             code = random_code(16, 3, rng)
             reps = random_reps(16, 3, 4, rng)
             tau = rng.randint(-1, 12)
-            decision, _ = run_protocol(code, reps, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
+            decision, _ = run_protocol(code, reps, tau, rng, roomy_keys)
             plain = any(plain_distance(code, reps.column(g)) <= tau for g in range(4))
             assert decision.accept == plain
 
@@ -357,7 +369,7 @@ class TestRunProtocol:
         runs = []
         for _ in range(2):
             rng = random.Random(25)
-            decision, transcript = run_protocol(code, reps, 5, rng, SecurityParams(additive_bits=64), roomy_keys)
+            decision, transcript = run_protocol(code, reps, 5, rng, roomy_keys)
             runs.append((decision.accept, transcript.to_bytes()))
         assert runs[0] == runs[1]
 
@@ -373,7 +385,7 @@ class TestRunProtocol:
 
         def run_case(rep_obj):
             rng = random.Random(28)
-            decision, transcript = run_protocol(code, rep_obj, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
+            decision, transcript = run_protocol(code, rep_obj, tau, rng, roomy_keys)
             plain = sorted(
                 plain_distance(code, rep_obj.column(g)) - tau for g in range(rep_obj.num_groups)
             )
@@ -391,19 +403,19 @@ class TestRunProtocol:
         reps = random_reps(12, 3, 3, rng)
         code = random_code(12, 2, rng)
         with pytest.raises(ProtocolError):
-            run_protocol(code, reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+            run_protocol(code, reps, 0, rng, roomy_keys)
 
     def test_code_length_mismatch_rejected(self, roomy_keys):
         rng = random.Random(30)
         reps = random_reps(12, 3, 3, rng)
         with pytest.raises(DimensionError):
-            run_protocol(random_code(11, 3, rng), reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+            run_protocol(random_code(11, 3, rng), reps, 0, rng, roomy_keys)
 
     def test_query_of_more_than_one_code_rejected_before_round_1(self, roomy_keys):
         reps = random_reps(12, 3, 3, random.Random(30))
         rng = random.Random(32)
         with pytest.raises(DimensionError, match="got 2 columns"):
-            run_protocol(CodeMatrix(reps.codes[:, :2], 3), reps, 0, rng, SecurityParams(additive_bits=64), roomy_keys)
+            run_protocol(CodeMatrix(reps.codes[:, :2], 3), reps, 0, rng, roomy_keys)
         assert rng.getstate() == random.Random(32).getstate()  # round 1 drew nothing
 
     def test_non_integer_tau_rejected_before_round_1(self, roomy_keys):
@@ -412,7 +424,7 @@ class TestRunProtocol:
         for tau in (0.5, 2.0, math.nan, math.inf, "2", None, np.float64(2.0)):
             rng = random.Random(32)
             with pytest.raises(ProtocolError, match="tau must be an integer"):
-                run_protocol(code, reps, tau, rng, SecurityParams(additive_bits=64), roomy_keys)
+                run_protocol(code, reps, tau, rng, roomy_keys)
             assert rng.getstate() == random.Random(32).getstate()  # round 1 drew nothing
 
     def test_numpy_integer_tau_gives_the_same_transcript(self, roomy_keys):
@@ -420,18 +432,7 @@ class TestRunProtocol:
         code = random_code(12, 3, random.Random(34))
         runs = set()
         for tau in (5, np.int64(5), np.int8(5), np.uint16(5)):
-            decision, transcript = run_protocol(code, reps, tau, random.Random(35), SecurityParams(additive_bits=64), roomy_keys)
-            runs.add((decision.accept, transcript.to_bytes()))
-        assert len(runs) == 1
-
-    def test_numpy_integer_mask_magnitude_gives_the_same_transcript(self, roomy_keys):
-        reps = random_reps(12, 3, 3, random.Random(36))
-        code = random_code(12, 3, random.Random(37))
-        runs = set()
-        for magnitude in (2**16, np.int64(2**16), np.uint32(2**16)):
-            params = SecurityParams(additive_bits=64, mask_magnitude=magnitude)
-            assert type(params.mask_magnitude) is int
-            decision, transcript = run_protocol(code, reps, 5, random.Random(38), params, roomy_keys)
+            decision, transcript = run_protocol(code, reps, tau, random.Random(35), roomy_keys)
             runs.add((decision.accept, transcript.to_bytes()))
         assert len(runs) == 1
 
@@ -445,22 +446,20 @@ class TestRunProtocol:
             assert type(params.additive_bits) is int
             keys = ProtocolKeys.generate(params, random.Random(41))
             sized_code, sized_reps = CodeMatrix(code.codes, size(3)), CodeMatrix(reps.codes, size(3))
-            decision, transcript = run_protocol(sized_code, sized_reps, 5, random.Random(42), params, keys)
+            decision, transcript = run_protocol(sized_code, sized_reps, 5, random.Random(42), keys)
             runs.add((decision.accept, transcript.to_bytes()))
         assert len(runs) == 1
 
-    @pytest.mark.parametrize("field", ["additive_bits", "mask_magnitude"])
-    def test_non_integer_sizes_rejected(self, field):
+    def test_non_integer_sizes_rejected(self):
         for value in (128.0, "128", None):
-            with pytest.raises(ProtocolError, match=f"{field} must be an integer"):
-                SecurityParams(**{field: value})
+            with pytest.raises(ProtocolError, match="additive_bits must be an integer"):
+                SecurityParams(additive_bits=value)
 
 
 class TestPartyViews:
     def test_server_recovers_every_distance_in_group_order(self, roomy_keys):
         # the server holds its masks; replaying the rng up to the mask draw
         # reproduces them, and message 1 confirms the replay is in step
-        params = SecurityParams(additive_bits=64)
         n = roomy_keys.additive_public.modulus
         rng = random.Random(34)
         for _ in range(20):
@@ -468,11 +467,11 @@ class TestPartyViews:
             reps = random_reps(12, 3, 5, rng)
             tau = rng.randint(-1, 12)
             seed = rng.randint(0, 2**62)
-            _, transcript = run_protocol(code, reps, tau, random.Random(seed), params, roomy_keys)
+            _, transcript = run_protocol(code, reps, tau, random.Random(seed), roomy_keys)
             replay = random.Random(seed)
             enc = client_round1_encrypt_query(code, roomy_keys.additive_secret, replay)
             assert tuple(enc) == transcript.message(1).payloads
-            masks = draw_masks(reps.num_groups, params.mask_magnitude, replay)
+            masks = draw_masks(reps.num_groups, engine.MASK_MAGNITUDE, replay)
             unmasked = []
             for residue, mask in zip(transcript.message(3).payloads, masks):
                 value = residue - n if residue > n // 2 else residue
@@ -516,7 +515,7 @@ class TestPacking:
         usable = pk.modulus.bit_length() - 2
         magnitude = {
             "unit": 1,
-            "default": SecurityParams().mask_magnitude,
+            "default": engine.MASK_MAGNITUDE,
             "one-slot": (2 ** (usable - 1) - 1) // spread,  # the largest that validate_mask_range accepts
         }[magnitude_mode]
         width = validate_mask_range(pk, sparsity, tau, magnitude)
@@ -539,7 +538,7 @@ class TestPacking:
         sparsity, tau = 3, -2
         code = random_code(8, sparsity, rng)
         reps = CodeMatrix(np.column_stack([-code.symbols] * 3), sparsity)  # 2S - 2 p.r_g - tau = 4S + 2
-        width = validate_mask_range(pk, sparsity, tau, SecurityParams().mask_magnitude)
+        width = validate_mask_range(pk, sparsity, tau, engine.MASK_MAGNITUDE)
         a = 5 * sign
         b = sign * (2 ** (width - 1) - 1) - a * (4 * sparsity + 2)
         enc = client_round1_encrypt_query(code, pk, rng)
@@ -573,7 +572,6 @@ class TestMaskingBlindness:
         # small-scale version of the blindness property: the sign of the
         # revealed value predicts the sign of (distance - tau) at chance level
         rng = random.Random(30)
-        params = SecurityParams(additive_bits=64)
         hits = 0
         trials = 800
         for _ in range(trials):
@@ -581,7 +579,7 @@ class TestMaskingBlindness:
             reps = random_reps(8, 2, 1, rng)
             tau = rng.randint(0, 8)
             rng_run = random.Random(rng.randint(0, 2**62))
-            decision, transcript = run_protocol(code, reps, tau, rng_run, params, roomy_keys)
+            decision, transcript = run_protocol(code, reps, tau, rng_run, roomy_keys)
             revealed = transcript.message(3).payloads[0]
             n = roomy_keys.additive_public.modulus
             value = revealed - n if revealed > n // 2 else revealed
@@ -601,7 +599,7 @@ class TestWireFormat:
     def test_transcript_round_trip(self, roomy_keys, tmp_path):
         rng = random.Random(31)
         reps = random_reps(10, 2, 3, rng)
-        _, transcript = run_protocol(reps.column(0), reps, 2, rng, SecurityParams(additive_bits=64), roomy_keys)
+        _, transcript = run_protocol(reps.column(0), reps, 2, rng, roomy_keys)
         path = tmp_path / "t.bin"
         transcript.save(str(path))
         back = ProtocolTranscript.load(str(path))
@@ -610,7 +608,7 @@ class TestWireFormat:
     def test_truncated_transcript_rejected(self, roomy_keys, tmp_path):
         rng = random.Random(32)
         reps = random_reps(10, 2, 3, rng)
-        _, transcript = run_protocol(reps.column(0), reps, 2, rng, SecurityParams(additive_bits=64), roomy_keys)
+        _, transcript = run_protocol(reps.column(0), reps, 2, rng, roomy_keys)
         raw = transcript.to_bytes()
         with pytest.raises(ParseError):
             ProtocolTranscript.from_bytes(raw[:-3])
@@ -657,7 +655,7 @@ class TestWireFormat:
     def test_version_2_transcript_rejected(self, roomy_keys):
         rng = random.Random(33)
         reps = random_reps(10, 2, 3, rng)
-        _, transcript = run_protocol(reps.column(0), reps, 2, rng, SecurityParams(additive_bits=64), roomy_keys)
+        _, transcript = run_protocol(reps.column(0), reps, 2, rng, roomy_keys)
         raw = transcript.to_bytes()
         assert raw[4] == 3
         with pytest.raises(ParseError, match="unsupported transcript version 2"):
@@ -706,7 +704,7 @@ def signed_code(length, sparsity, sign_mode, rng):
 
 
 class TestExactOracles:
-    MAGNITUDE = SecurityParams().mask_magnitude
+    MAGNITUDE = engine.MASK_MAGNITUDE
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -875,13 +873,12 @@ class TestWorkCounts:
         monkeypatch.setattr(engine, "invert_ciphertexts", counted("batch", engine.invert_ciphertexts))
         monkeypatch.setattr(builtins, "pow", counting_pow)
         rng = random.Random(41)
-        params = SecurityParams(additive_bits=64)
         for length, sparsity, num_groups in ((16, 4, 5), (12, 3, 1), (32, 8, 9)):
             code = random_code(length, sparsity, rng)
             reps = random_reps(length, sparsity, num_groups, rng)
             for key in counts:
                 counts[key] = 0
-            run_protocol(code, reps, 4, rng, params, roomy_keys)
-            width = validate_mask_range(roomy_keys.additive_public, sparsity, 4, params.mask_magnitude)
+            run_protocol(code, reps, 4, rng, roomy_keys)
+            width = validate_mask_range(roomy_keys.additive_public, sparsity, 4, engine.MASK_MAGNITUDE)
             packed = math.ceil(num_groups / ((roomy_keys.additive_public.modulus.bit_length() - 2) // width))
             assert counts == {"encrypt": length + packed, "decrypt": packed, "batch": 1, "inverse": 1}
