@@ -523,6 +523,10 @@ def _ternarized_sums(sums: np.ndarray, sparsity: int) -> CodeMatrix:
 
 
 def _validate_train_dims(signatures: SignatureMatrix, config: ModelConfig) -> None:
+    if not isinstance(signatures, SignatureMatrix):
+        raise InvalidInputError(f"signatures must be a SignatureMatrix, got {type(signatures).__name__}")
+    if not isinstance(config, ModelConfig):
+        raise ConfigError(f"config must be a ModelConfig, got {type(config).__name__}")
     if not config.code_length < signatures.dim:
         raise ConfigError(f"code_length {config.code_length} must be < signature dimension {signatures.dim}")
     # num_groups == num_signatures is the legitimate singleton-groups edge

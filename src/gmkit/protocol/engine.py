@@ -86,9 +86,11 @@ class SecurityParams:
             raise ProtocolError("additive modulus must be at least 64 bits")
 
 
-def _check_kind(value, kind: type, name: str) -> None:
-    if not isinstance(value, kind):
-        raise ProtocolError(f"{name} must be a {kind.__module__}.{kind.__qualname__}, got {type(value).__name__}")
+def _check_kind(value, kinds: type | tuple[type, ...], name: str) -> None:
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, kinds):
+        expected = " or ".join(f"{kind.__module__}.{kind.__qualname__}" for kind in kinds)
+        raise ProtocolError(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,12 @@ class ProtocolKeys:
 
     @classmethod
     def generate(cls, params: SecurityParams, rng: random.Random) -> "ProtocolKeys":
+        """A fresh key pair of ``params.additive_bits`` bits, drawn from ``rng``.
+
+        The primes have the form 2 k p' + 1 (``additive_keygen``), and the
+        secret key builds its randomizer tables here, once, so every later
+        keyholder encryption is table lookups and multiplications.
+        """
         _check_kind(params, SecurityParams, "params")
         _check_kind(rng, random.Random, "rng")
         return cls(additive_keygen(params.additive_bits, rng)[1])
@@ -115,6 +123,7 @@ def validate_mask_range(pk: AdditivePublicKey, sparsity: int, tau: int, magnitud
     offset by 2^(w-1) lies in (0, 2^w) and no slot carries into the next.
     Raises ``PlaintextRangeError`` when not even one w-bit slot fits.
     """
+    _check_kind(pk, AdditivePublicKey, "pk")
     magnitude = as_int(magnitude, "magnitude", ProtocolError)
     sparsity = as_int(sparsity, "sparsity", ProtocolError)
     tau = as_int(tau, "tau", ProtocolError)
@@ -139,6 +148,7 @@ def draw_masks(count: int, magnitude: int, rng: random.Random) -> list[MaskPair]
     """Uniform signed masks: a in +/-[1, magnitude], b in [-magnitude, magnitude]."""
     count = as_int(count, "count", ProtocolError)
     magnitude = as_int(magnitude, "magnitude", ProtocolError)
+    _check_kind(rng, random.Random, "rng")
     if magnitude < 1:
         raise ProtocolError("mask magnitude must be positive")
     masks = []
@@ -153,10 +163,13 @@ def client_round1_encrypt_query(code: CodeMatrix, key: AdditiveKey, rng: random.
     """Encrypt every component of the one-column query code, zeros included.
 
     ``key`` is the client's public key, or its secret key, which draws each
-    randomizer as its two CRT halves mod p^2 and q^2: same ciphertext
-    distribution, in about 0.55 of the time at 128 bits and a third at 1024
-    bits (``paillier`` module docstring).
+    randomizer as its two CRT halves mod p^2 and q^2 from fixed-base tables:
+    same ciphertext distribution, with no exponentiation (``paillier``
+    module docstring).
     """
+    _check_kind(code, CodeMatrix, "code")
+    _check_kind(key, (AdditivePublicKey, AdditiveSecretKey), "key")
+    _check_kind(rng, random.Random, "rng")
     return [additive_encrypt(key, int(s), rng) for s in code.symbols]
 
 
@@ -192,6 +205,9 @@ def server_round2_blind_threshold(
     """
     tau = as_int(tau, "tau", ProtocolError)
     slot_width = as_int(slot_width, "slot_width", ProtocolError)
+    _check_kind(representations, CodeMatrix, "representations")
+    _check_kind(additive_pk, AdditivePublicKey, "additive_pk")
+    _check_kind(rng, random.Random, "rng")
     if len(encrypted_query) != representations.code_length:
         raise DimensionError("encrypted query length does not match representations")
     if len(masks) != representations.num_groups:
@@ -237,6 +253,7 @@ def client_round3_decrypt_reveal(
     """
     num_groups = as_int(num_groups, "num_groups", ProtocolError)
     slot_width = as_int(slot_width, "slot_width", ProtocolError)
+    _check_kind(additive_sk, AdditiveSecretKey, "additive_sk")
     slots = _slots_per_ciphertext(additive_sk.public, slot_width)
     expected = -(-num_groups // slots)
     if len(blinded) != expected:

@@ -501,11 +501,11 @@ def test_c10_cli_golden_bytes(tmp_path):
 # order must update them and say so in CHANGES.md.
 GOLDEN_DEMO_DIGESTS = {
     "128-bit": (
-        "a869d9dd925429e4514f351599df82b9e4edb8a04ef9db62ff2a5ec14ee4503d",
+        "ce4ee9f1baf54aa614d1fc13c20749db7c128ef41fb96e55cf1c472e0ae375dc",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
     "64-bit": (
-        "b6e9417edaea56b2055e049b91a958b564b90a929be2b19407e8c84651956fed",
+        "5bc7f1ef8c5a70d93bd3e7a881851894f81f478ab5fbab2a74dc1b79ba8881b3",
         "a7569daef68e7aa91f0cc9856e2461c5cb2bd5494eaf28818c3e059972d987e5",
     ),
 }

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gmkit.core import CodeMatrix
 from gmkit.errors import DimensionError, ParseError, PlaintextRangeError, ProtocolError, ProtocolIntegrityError
-from gmkit.protocol import engine
+from gmkit.protocol import engine, paillier
 from gmkit.protocol import (
     MaskPair,
     ProtocolKeys,
@@ -30,6 +30,7 @@ from gmkit.protocol import (
     validate_mask_range,
 )
 from gmkit.protocol.paillier import AdditivePublicKey, AdditiveSecretKey
+from gmkit.protocol.primes import is_probable_prime
 from paillier_oracle import additive_add, additive_scalar_mul
 
 
@@ -114,6 +115,7 @@ class TestAdditiveScheme:
             (35, 5, 11, "product is the public modulus"),
             (55, 5, 7, "product is the public modulus"),
             (21, 3, 7, "gcd"),  # gcd(21, 2 * 6) = 3
+            (2387, 341, 7, "distinct primes"),  # 341 = 11 * 31, and gcd(2387, 340 * 6) = 1
         ],
     )
     def test_secret_key_rejects_bad_primes(self, modulus, p, q, reason):
@@ -775,7 +777,7 @@ class TestExactOracles:
             assert pow(randomizer, phi, n2) == 1
             assert additive_decrypt(sk, ciphertext) == value
 
-    def test_keyholder_encryption_makes_two_pows(self, roomy_keys, monkeypatch):
+    def test_keyholder_encryption_makes_no_pow(self, roomy_keys, monkeypatch):
         calls = []
         real_pow = builtins.pow
 
@@ -786,9 +788,47 @@ class TestExactOracles:
         monkeypatch.setattr(builtins, "pow", counting_pow)
         rng = random.Random(42)
         for value in (0, 1, -1, 12345):
-            calls.clear()
             additive_encrypt(roomy_keys.additive_secret, value, rng)
-            assert len(calls) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("bits", [64, 128, 256, 512])
+    def test_randomizer_generators_have_order_p_minus_1(self, bits):
+        # h generates H_p, the order-(p-1) subgroup of Z_{p^2}*, exactly when
+        # h^(p-1) = 1 and h^((p-1)/f) != 1 for every prime f dividing p - 1
+        _, sk = additive_keygen(bits, random.Random(bits + 4))
+        for prime, h in ((sk.prime_p, sk.h_p), (sk.prime_q, sk.h_q)):
+            order, factors, rest = prime - 1, [], prime - 1
+            for f in range(2, 1 << 10):
+                if rest % f == 0:
+                    factors.append(f)
+                    while rest % f == 0:
+                        rest //= f
+            assert rest > 1 << 10 and is_probable_prime(rest)  # p = 2 k p' + 1, k < 2^10
+            factors.append(rest)
+            assert prime.bit_length() in (bits // 2, bits - bits // 2)
+            assert pow(h, order, prime * prime) == 1
+            assert all(pow(h, order // f, prime * prime) != 1 for f in factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fixed_base_table_matches_pow(self, roomy_keys, data):
+        sk = roomy_keys.additive_secret
+        w = paillier.WINDOW_BITS
+        for prime, h, table, modulus in (
+            (sk.prime_p, sk.h_p, sk.h_p_table, sk.p_squared),
+            (sk.prime_q, sk.h_q, sk.h_q_table, sk.q_squared),
+        ):
+            exponents = [1, 2**w - 1, 2**w, prime - 1, data.draw(st.integers(1, prime - 1))]
+            for u in exponents:
+                assert paillier._fixed_base_pow(table, u, modulus) == pow(h, u, modulus)
+
+    def test_key_whose_p_minus_1_has_two_large_factors_rejected(self):
+        # p - 1 = 2 * 1031 * 1033: both factors are above 2^10, so the
+        # cofactor left by trial division is composite
+        p, q = 2 * 1031 * 1033 + 1, 1019
+        assert is_probable_prime(p) and math.gcd(p * q, (p - 1) * (q - 1)) == 1
+        with pytest.raises(ProtocolError, match="primes below 2\\^10"):
+            AdditiveSecretKey(AdditivePublicKey(p * q), p, q)
 
     @pytest.mark.parametrize("bits", [64, 128, 256, 512])
     def test_public_key_encryption_matches_textbook(self, bits):

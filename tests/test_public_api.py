@@ -9,11 +9,30 @@ import pytest
 
 import gmkit
 import gmkit.protocol
-from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, embed, ternarize_columns
+from gmkit.core import CodeMatrix, ModelConfig, ProjectionMatrix, SignatureMatrix, embed, ternarize_columns
 from gmkit.errors import ConfigError, InvalidInputError, InvalidSparsityError, ProtocolError
 from gmkit.evaluation import QuerySet, RocCurve, pfn_at_pfp, verification_sweep
-from gmkit.learning import AssignmentMatrix, Model, e_step, kmeans, objective, ry_step
-from gmkit.protocol import ProtocolKeys, SecurityParams, run_protocol
+from gmkit.learning import (
+    AssignmentMatrix,
+    Model,
+    e_step,
+    kmeans,
+    objective,
+    ry_step,
+    train,
+    train_random_assignment_baseline,
+)
+from gmkit.protocol import (
+    MaskPair,
+    ProtocolKeys,
+    SecurityParams,
+    client_round1_encrypt_query,
+    client_round3_decrypt_reveal,
+    draw_masks,
+    run_protocol,
+    server_round2_blind_threshold,
+    validate_mask_range,
+)
 
 
 @pytest.mark.parametrize("module", [gmkit, gmkit.protocol], ids=lambda module: module.__name__)
@@ -27,6 +46,7 @@ def test_every_exported_name_resolves_once(module):
 CODES = CodeMatrix(np.eye(4), 1)
 GROUPS = AssignmentMatrix(np.array([0, 1, 0, 1]), 2)
 REPS = CodeMatrix(np.eye(4)[:, :2], 1)
+KEYS = ProtocolKeys.generate(SecurityParams(64), random.Random(0))
 
 
 def small_model():
@@ -74,6 +94,17 @@ def test_real_and_rng_arguments_are_checked(call, error, name):
     assert type(caught.value) is error
 
 
+@pytest.mark.parametrize("trainer", [train, train_random_assignment_baseline], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("args, error, name", [
+    pytest.param((np.eye(4), ModelConfig(2, 1, 2)), InvalidInputError, "signatures", id="signatures"),
+    pytest.param((SignatureMatrix(np.eye(4)), {}), ConfigError, "config", id="config"),
+])
+def test_training_argument_kinds_are_checked(trainer, args, error, name):
+    with pytest.raises(error, match=rf"^{name} must be") as caught:
+        trainer(*args)
+    assert type(caught.value) is error
+
+
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda: run_protocol(REPS.codes[:, :1], REPS, 0, random.Random(0)), "code", id="run_protocol-code"),
     pytest.param(lambda: run_protocol(REPS.column(0), REPS.codes, 0, random.Random(0)), "representations",
@@ -85,6 +116,19 @@ def test_real_and_rng_arguments_are_checked(call, error, name):
                  id="run_protocol-keys"),
     pytest.param(lambda: ProtocolKeys.generate(128, random.Random(0)), "params", id="ProtocolKeys.generate-params"),
     pytest.param(lambda: ProtocolKeys.generate(SecurityParams(), None), "rng", id="ProtocolKeys.generate-rng"),
+    pytest.param(lambda: draw_masks(2, 50, None), "rng", id="draw_masks-rng"),
+    pytest.param(lambda: client_round1_encrypt_query(np.eye(4)[:, :1], KEYS.additive_public, random.Random(0)),
+                 "code", id="client_round1_encrypt_query-code"),
+    pytest.param(lambda: client_round1_encrypt_query(REPS.column(0), KEYS, random.Random(0)), "key",
+                 id="client_round1_encrypt_query-key"),
+    pytest.param(lambda: client_round1_encrypt_query(REPS.column(0), KEYS.additive_public, None), "rng",
+                 id="client_round1_encrypt_query-rng"),
+    pytest.param(lambda: validate_mask_range(None, 1, 0, 50), "pk", id="validate_mask_range-pk"),
+    pytest.param(lambda: server_round2_blind_threshold([1] * 4, REPS, KEYS.additive_secret, 0, [MaskPair(1, 0)] * 2,
+                                                      8, random.Random(0)), "additive_pk",
+                 id="server_round2_blind_threshold-additive_pk"),
+    pytest.param(lambda: client_round3_decrypt_reveal([1], KEYS.additive_public, 2, 8), "additive_sk",
+                 id="client_round3_decrypt_reveal-additive_sk"),
 ])
 def test_protocol_argument_kinds_are_checked(call, name):
     with pytest.raises(ProtocolError, match=rf"^{name} must be") as caught:
